@@ -96,13 +96,18 @@ def _parse_sig(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"signature must be 'p,q', got {text!r}")
-    return int(parts[0]), int(parts[1])
+    p, q = int(parts[0]), int(parts[1])
+    if p < 0 or q < 0:
+        raise ValueError(f"signature entries must be nonnegative, got {text!r}")
+    return p, q
 
 
 def _cmd_phi(args) -> int:
     p, q = _parse_sig(args.sig)
     if (p - q) % 2 != 0:
         raise ValueError("p - q must be even")
+    if args.n < 0:
+        raise ValueError(f"rank n must be nonnegative, got {args.n}")
     if args.dir == "o2u":
         sigma = parse_oktype(args.ktype, p, q)
         result = phi_n(sigma, p, q, args.n)

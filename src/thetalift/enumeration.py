@@ -150,7 +150,8 @@ def enumerate_sp_reps(n: int, chi: InfChar) -> tuple[SpParams, ...]:
                                             continue
                                         found.add(canonicalize_sp(params))
     for params in found:
-        assert infchar_sp(params).entries == entries, render_sp(params)
+        if infchar_sp(params).entries != entries:
+            raise AssertionError(f"enumerated {render_sp(params)} has the wrong infinitesimal character")
     return tuple(sorted(found, key=render_sp))
 
 
@@ -208,7 +209,8 @@ def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
                                                 continue
                                             found.add(canonicalize_o(params))
     for params in found:
-        assert infchar_o(params).entries == entries, render_o(params)
+        if infchar_o(params).entries != entries:
+            raise AssertionError(f"enumerated {render_o(params)} has the wrong infinitesimal character")
     return tuple(sorted(found, key=render_o))
 
 

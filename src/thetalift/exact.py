@@ -156,7 +156,8 @@ GENERIC_B = Scalar(bre=Q(1))
 
 _TERM = _regex.compile(r"([+-]?)([^+-]+)")
 _SYMBOLIC = _regex.compile(r"(?:(\d+(?:/\d+)?)\*)?(b\*i|b|i)(?:/(\d+))?$")
-_NUMERIC = _regex.compile(r"\d+(?:/\d+)?$")
+_NUMERIC = _regex.compile(r"(\d+)(?:/(\d+))?$")
+_SLOT = {"i": 1, "b": 2, "b*i": 3}
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -164,34 +165,29 @@ def parse_scalar(text: str) -> Scalar:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty scalar")
-    out = ZERO
+    coefs = [Q(0)] * 4  # re, im, bre, bim
     pos = 0
     for m in _TERM.finditer(s):
         if m.start() != pos:
             raise ValueError(f"bad scalar {text!r}")
         pos = m.end()
-        sign = Q(-1) if m.group(1) == "-" else Q(1)
         body = m.group(2)
         sm = _SYMBOLIC.match(body)
         if sm:
             coef = Q(sm.group(1)) if sm.group(1) else Q(1)
             if sm.group(3):
                 coef /= Q(sm.group(3))
-            coef *= sign
-            sym = sm.group(2)
-            if sym == "b":
-                out = out + Scalar(bre=coef)
-            elif sym == "i":
-                out = out + Scalar(im=coef)
-            else:
-                out = out + Scalar(bim=coef)
-        elif _NUMERIC.match(body):
-            out = out + Scalar(re=sign * Q(body))
+            slot = _SLOT[sm.group(2)]
+        elif nm := _NUMERIC.match(body):
+            coef, slot = Q(int(nm.group(1)), int(nm.group(2) or 1)), 0
         else:
             raise ValueError(f"bad scalar term {body!r} in {text!r}")
+        if m.group(1) == "-":
+            coef = -coef
+        coefs[slot] = coefs[slot] + coef if coefs[slot] else coef
     if pos != len(s):
         raise ValueError(f"bad scalar {text!r}")
-    return out
+    return Scalar(*coefs)
 
 
 @dataclass(frozen=True)
@@ -291,15 +287,17 @@ def parse_infchar(text: str) -> InfChar:
     return InfChar.of(parse_scalar(tok) for tok in s.split(","))
 
 
+def dual_padding(m: int, n: int) -> tuple[range, range]:
+    """The fixed integer strings that pad an O(p,q)-side character
+    (m = (p+q)/2 entries) and an Sp(2n,R)-side character to equal length:
+    (1,...,n-m) on the O side and (0,...,m-n-1) on the Sp side.  At least
+    one of the two is empty."""
+    return range(1, n - m + 1), range(0, m - n)
+
+
 def infchars_dual(o_chi: InfChar, sp_chi: InfChar, m: int, n: int) -> bool:
     """Whether the O(p,q)-side character (m=(p+q)/2 entries) and the
-    Sp(2n,R)-side character pair up under the correspondence.
-
-    Equal ranks must match on the nose; otherwise the smaller side is
-    padded with the fixed integer string (0,1,...,m-n-1) resp. (1,...,n-m).
-    """
-    if m == n:
-        return o_chi == sp_chi
-    if m > n:
-        return o_chi == sp_chi.extended(range(0, m - n))
-    return sp_chi == o_chi.extended(range(1, n - m + 1))
+    Sp(2n,R)-side character pair up under the correspondence: equal once
+    both are padded by dual_padding."""
+    o_pad, sp_pad = dual_padding(m, n)
+    return o_chi.extended(o_pad) == sp_chi.extended(sp_pad)

@@ -20,9 +20,9 @@ import itertools
 import re as _regex
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Union
+from typing import Iterable, Mapping, Optional, Union
 
-from .exact import InfChar, Scalar, parse_scalar
+from .exact import GENERIC_B, InfChar, Scalar, parse_scalar
 from .roots import (
     OKind,
     PositiveSystem,
@@ -250,10 +250,6 @@ def canonicalize(params: Params) -> Params:
     return canonicalize_o(params)
 
 
-def params_equal(x: Params, y: Params) -> bool:
-    return canonicalize(x) == canonicalize(y)
-
-
 # -- infinitesimal characters ------------------------------------------------
 
 
@@ -404,30 +400,6 @@ def _render_scalars(xs: tuple[Scalar, ...]) -> str:
     return "0" if not xs else "(" + ",".join(x.render() for x in xs) + ")"
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    s = text.strip()
-    if s == "0":
-        return ()
-    if not (s.startswith("(") and s.endswith(")")):
-        raise ParamError(f"bad integer tuple {text!r}")
-    body = s[1:-1].strip()
-    if not body:
-        return ()
-    return tuple(int(t) for t in _split_top(body))
-
-
-def _parse_scalars(text: str) -> tuple[Scalar, ...]:
-    s = text.strip()
-    if s == "0":
-        return ()
-    if not (s.startswith("(") and s.endswith(")")):
-        raise ParamError(f"bad scalar tuple {text!r}")
-    body = s[1:-1].strip()
-    if not body:
-        return ()
-    return tuple(parse_scalar(t) for t in _split_top(body))
-
-
 def render_sp(params: SpParams) -> str:
     fields = [
         _render_ints(params.lam),
@@ -467,72 +439,174 @@ def render_params(params: Params) -> str:
     return render_sp(params) if isinstance(params, SpParams) else render_o(params)
 
 
-_SP_RE = _regex.compile(r"pi\((.*)\)\s*$")
-_O_RE = _regex.compile(r"pi_\{(-?1)\}\((.*?)\)\s*(?:@\s*O\((\d+),(\d+)\))?\s*$")
+# Parameter text has one grammar, for user input and for the rows of the
+# lift and classification tables alike: every integer or scalar slot holds
+# an affine expression in at most one variable.  Concrete text is the case
+# whose only variable is b, which then stands for itself.
+
+_VAR_ORDER = ("c1", "c2", "s1", "s2", "b", "m", "l")
+_SIGNS = (Scalar.of(1), Scalar.of(-1))
 
 
-def parse_sp(text: str) -> SpParams:
-    m = _SP_RE.fullmatch(text.strip())
-    if not m:
-        raise ParamError(f"bad Sp parameter text {text!r}")
-    fields = _split_top(m.group(1))
-    if len(fields) != 6:
-        raise ParamError(f"Sp parameters need 6 fields, got {len(fields)}")
-    lam = _parse_ints(fields[0])
-    kind = SpKind(len(lam))
-    params = SpParams(
-        lam=lam,
-        psi=parse_psi(fields[1], kind),
-        mu=_parse_ints(fields[2]),
-        nu=_parse_scalars(fields[3]),
-        eps=_parse_ints(fields[4]),
-        kappa=_parse_scalars(fields[5]),
-    )
-    validate_sp(params)
-    return canonicalize_sp(params)
+@dataclass(frozen=True)
+class Expr:
+    """An affine expression in at most one variable.
+
+    The expression is stored as a Scalar whose formal part stands in for
+    the variable, so evaluating is substituting and solving is linear.
+    """
+
+    form: Scalar
+    var: Optional[str] = None
 
 
-def parse_o(text: str) -> OParams:
-    m = _O_RE.fullmatch(text.strip())
-    if not m:
-        raise ParamError(f"bad O parameter text {text!r}")
-    zeta = int(m.group(1))
-    fields = _split_top(m.group(2))
-    if len(fields) != 7:
-        raise ParamError(f"O parameters need 7 fields, got {len(fields)}")
-    lam_text = fields[0].strip()
-    if lam_text == "0":
-        left: tuple[int, ...] = ()
-        right: tuple[int, ...] = ()
-    else:
-        if not (lam_text.startswith("(") and lam_text.endswith(")") and ";" in lam_text):
-            raise ParamError(f"bad O discrete datum {lam_text!r}")
-        lbody, rbody = lam_text[1:-1].split(";")
-        left = tuple(int(t) for t in _split_top(lbody)) if lbody.strip() else ()
-        right = tuple(int(t) for t in _split_top(rbody)) if rbody.strip() else ()
-    xi = int(fields[1])
+def parse_expr(text: str) -> Expr:
+    t = text.replace(" ", "")
+    var = next((name for name in _VAR_ORDER if name in t), None)
+    if var is not None:
+        t = t.replace(var, "b")
+    try:
+        return Expr(parse_scalar(t), var)
+    except (ValueError, ZeroDivisionError) as err:
+        raise ParamError(str(err)) from None
+
+
+def expr_eval(expr: Expr, env: Mapping[str, "Scalar | int"]) -> Scalar:
+    if expr.var is None:
+        return expr.form
+    if expr.var not in env:
+        raise ParamError(f"no value for variable {expr.var!r}")
+    return expr.form.substitute(Scalar.of(env[expr.var]))
+
+
+@dataclass(frozen=True)
+class ParamPattern:
+    side: str  # "sp" or "o"
+    zeta: Optional[int]
+    xi: Optional[int]
+    lam_left: tuple[Expr, ...]
+    lam_right: tuple[Expr, ...]  # empty and unused on the sp side
+    psi_text: str
+    mu: tuple[Expr, ...]
+    nu: tuple[Expr, ...]
+    eps: tuple[Expr, ...]
+    kappa: tuple[Expr, ...]
+
+    def var_names(self) -> frozenset[str]:
+        groups = (self.lam_left, self.lam_right, self.mu, self.nu, self.eps, self.kappa)
+        return frozenset(e.var for g in groups for e in g if e.var is not None)
+
+
+def _parse_expr_list(text: str) -> tuple[Expr, ...]:
+    body = text.strip()
+    if not body:
+        return ()
+    return tuple(parse_expr(tok) for tok in _split_top(body))
+
+
+def _parse_expr_group(text: str) -> tuple[Expr, ...]:
+    t = text.strip()
+    if t == "0":
+        return ()
+    if not (t.startswith("(") and t.endswith(")")):
+        raise ParamError(f"bad tuple slot {text!r}")
+    return _parse_expr_list(t[1:-1])
+
+
+_O_HEAD = _regex.compile(r"pi_\{(-?1)\}\((.*?)\)\s*(?:@\s*O\((\d+),(\d+)\))?")
+_SP_HEAD = _regex.compile(r"pi\((.*)\)")
+
+
+def parse_param_pattern(text: str) -> ParamPattern:
+    """Parse parameter text whose slots may hold variables.
+
+    An O-side ``@ O(p,q)`` tail is optional and must agree with the shape:
+    p = 2a+2s+t and q = 2d+2s+t.  Syntax errors raise ParamError.
+    """
+    s = text.strip()
+    m = _O_HEAD.fullmatch(s)
+    if m:
+        fields = _split_top(m.group(2))
+        if len(fields) != 7:
+            raise ParamError(f"O parameters need 7 fields, got {len(fields)}")
+        lam_text = fields[0]
+        if lam_text == "0":
+            left: tuple[Expr, ...] = ()
+            right: tuple[Expr, ...] = ()
+        else:
+            if not (lam_text.startswith("(") and lam_text.endswith(")")) or ";" not in lam_text:
+                raise ParamError(f"bad O discrete datum {lam_text!r}")
+            left_text, right_text = lam_text[1:-1].split(";", 1)
+            left, right = _parse_expr_list(left_text), _parse_expr_list(right_text)
+        xi = parse_expr(fields[1]).form
+        if xi not in _SIGNS:
+            raise ParamError(f"bad xi {fields[1]!r}")
+        mu, nu, eps, kappa = (_parse_expr_group(f) for f in fields[3:7])
+        if m.group(3) is not None:
+            pairs = 2 * len(mu) + len(eps)
+            p, q = 2 * len(left) + pairs, 2 * len(right) + pairs
+            if (int(m.group(3)), int(m.group(4))) != (p, q):
+                raise ParamError(f"declared signature O({m.group(3)},{m.group(4)}) does not match O({p},{q})")
+        return ParamPattern("o", int(m.group(1)), xi.as_int(), left, right, fields[2], mu, nu, eps, kappa)
+    m = _SP_HEAD.fullmatch(s)
+    if m:
+        fields = _split_top(m.group(1))
+        if len(fields) != 6:
+            raise ParamError(f"Sp parameters need 6 fields, got {len(fields)}")
+        lam, mu, nu, eps, kappa = (_parse_expr_group(f) for f in fields[:1] + fields[2:])
+        return ParamPattern("sp", None, None, lam, (), fields[1], mu, nu, eps, kappa)
+    raise ParamError(f"bad parameter text {text!r}")
+
+
+def instantiate_pattern(pat: ParamPattern, env: Mapping[str, "Scalar | int"]) -> Params:
+    """Evaluate a pattern at a variable assignment.
+
+    Returns canonical, validated parameters; raises ParamError when a
+    variable has no value or the assignment lands outside the valid
+    parameter space.
+    """
+
+    def ints(exprs: tuple[Expr, ...]) -> tuple[int, ...]:
+        out = []
+        for e in exprs:
+            val = expr_eval(e, env)
+            if not val.is_integer():
+                raise ParamError(f"integer slot got {val.render()}")
+            out.append(val.as_int())
+        return tuple(out)
+
+    def scalars(exprs: tuple[Expr, ...]) -> tuple[Scalar, ...]:
+        return tuple(expr_eval(e, env) for e in exprs)
+
+    if pat.side == "sp":
+        lam = ints(pat.lam_left)
+        psi = parse_psi(pat.psi_text, SpKind(len(lam)))
+        params = SpParams(lam, psi, ints(pat.mu), scalars(pat.nu), ints(pat.eps), scalars(pat.kappa))
+        validate_sp(params)
+        return canonicalize_sp(params)
+    left, right = ints(pat.lam_left), ints(pat.lam_right)
+    psi = parse_psi(pat.psi_text, OKind(len(left), len(right)))
     params = OParams(
-        zeta=zeta,
-        xi=xi,
-        lam_left=left,
-        lam_right=right,
-        psi=parse_psi(fields[2], OKind(len(left), len(right))),
-        mu=_parse_ints(fields[3]),
-        nu=_parse_scalars(fields[4]),
-        eps=_parse_ints(fields[5]),
-        kappa=_parse_scalars(fields[6]),
+        pat.zeta, pat.xi, left, right, psi, ints(pat.mu), scalars(pat.nu), ints(pat.eps), scalars(pat.kappa)
     )
     validate_o(params)
-    if m.group(3) is not None and (int(m.group(3)), int(m.group(4))) != (params.p, params.q):
-        raise ParamError(
-            f"declared signature O({m.group(3)},{m.group(4)}) does not match "
-            f"O({params.p},{params.q})"
-        )
     return canonicalize_o(params)
 
 
+def _parse_side(text: str, side: str) -> Params:
+    pat = parse_param_pattern(text)
+    if pat.side != side:
+        raise ParamError(f"expected {'an Sp' if side == 'sp' else 'an O'} parameter, got {text!r}")
+    return instantiate_pattern(pat, {"b": GENERIC_B})
+
+
+def parse_sp(text: str) -> SpParams:
+    return _parse_side(text, "sp")
+
+
+def parse_o(text: str) -> OParams:
+    return _parse_side(text, "o")
+
+
 def parse_params(text: str) -> Params:
-    s = text.strip()
-    if s.startswith("pi_"):
-        return parse_o(s)
-    return parse_sp(s)
+    return instantiate_pattern(parse_param_pattern(text), {"b": GENERIC_B})

@@ -16,6 +16,7 @@ assignment depends on zeta, xi and the shape of the continuous data.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .ktypes import OKType, UKType
 from .langlands import OParams, SpParams
@@ -91,7 +92,8 @@ def lowest_ktypes_sp(params: SpParams) -> tuple[UKType, ...]:
         + sum(1 for m in mu if m == 0)
         + (z + 1) // 2
     )
-    assert h <= w, "eta block overflow"
+    if h > w:
+        raise AssertionError("eta block overflow")
     first = [Fraction(1)] * h + [Fraction(0)] * (w - h)
     second = [Fraction(0)] * (w - h) + [Fraction(-1)] * h
     if z == 0:
@@ -101,7 +103,7 @@ def lowest_ktypes_sp(params: SpParams) -> tuple[UKType, ...]:
         etas = [first] if params.psi.contains(root) else [second]
 
     out = set()
-    for combo in _product(delta_options):
+    for combo in product(*delta_options):
         by_value = dict(zip(alphas, combo))
         for eta in etas:
             entries, zi = [], 0
@@ -113,15 +115,6 @@ def lowest_ktypes_sp(params: SpParams) -> tuple[UKType, ...]:
                     zi += 1
             out.add(UKType.of(tuple(_as_int(x, "LKT-Sp") for x in entries)))
     return tuple(sorted(out, key=lambda kt: kt.weights))
-
-
-def _product(options: list[list[Fraction]]):
-    if not options:
-        yield []
-        return
-    for head in options[0]:
-        for tail in _product(options[1:]):
-            yield [head] + tail
 
 
 def lowest_ktypes_o(params: OParams) -> tuple[OKType, ...]:
@@ -144,7 +137,7 @@ def lowest_ktypes_o(params: OParams) -> tuple[OKType, ...]:
 
     alphas = _block_values(vec)
     x_zeros, y_zeros = lam_a_left.count(0), lam_a_right.count(0)
-    avals, ktil, ltil = _pos_value_data_o(left_d, right_d)
+    avals, ktil, ltil = _pos_value_data(left_d + tuple(-x for x in right_d))
 
     delta_options: list[list[Fraction]] = []
     for al in alphas:
@@ -168,19 +161,22 @@ def lowest_ktypes_o(params: OParams) -> tuple[OKType, ...]:
     form1 = ([Fraction(1)] * h + [Fraction(0)] * (x_zeros - h), [Fraction(0)] * y_zeros)
     form2 = ([Fraction(0)] * x_zeros, [Fraction(1)] * h + [Fraction(0)] * (y_zeros - h))
     if z + z2 == 0:
-        assert h <= x_zeros and h <= y_zeros, "eta block overflow"
+        if h > min(x_zeros, y_zeros):
+            raise AssertionError("eta block overflow")
         eta_forms = [form1] if form1 == form2 else [form1, form2]
     elif a == 0 or d == 0:
-        assert h <= y_zeros, "eta block overflow"
+        if h > y_zeros:
+            raise AssertionError("eta block overflow")
         eta_forms = [form2]
     else:
         root = _pair_root(a + d, a - 1, a + d - 1, 1, -1)
         eta_forms = [form1] if params.psi.contains(root) else [form2]
-        assert h <= (x_zeros if eta_forms == [form1] else y_zeros), "eta block overflow"
+        if h > (x_zeros if eta_forms == [form1] else y_zeros):
+            raise AssertionError("eta block overflow")
 
     zero_pairs = any(k.is_zero for k in params.kappa)
     out = set()
-    for combo in _product(delta_options):
+    for combo in product(*delta_options):
         by_value = dict(zip(alphas, combo))
         for eta_left, eta_right in eta_forms:
             lft = _assemble_half(lam_a_left, base_left, by_value, eta_left, +1)
@@ -192,19 +188,6 @@ def lowest_ktypes_o(params: OParams) -> tuple[OKType, ...]:
     return tuple(
         sorted(out, key=lambda kt: (kt.left.entries, kt.left.sign, kt.right.entries, kt.right.sign))
     )
-
-
-def _pos_value_data_o(
-    left: tuple[int, ...], right: tuple[int, ...]
-) -> tuple[list[int], list[int], list[int]]:
-    vals = sorted({x for x in left + right if x > 0}, reverse=True)
-    ktil, ltil, kc, lc = [], [], 0, 0
-    for a in vals:
-        kc += left.count(a)
-        lc += right.count(a)
-        ktil.append(kc)
-        ltil.append(lc)
-    return vals, ktil, ltil
 
 
 def _assemble_half(

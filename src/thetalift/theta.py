@@ -9,11 +9,14 @@ feeding the freshly appended (eps, kappa) slots through the modification
 rule before canonicalization.
 
 Table grammar.  Each data row reads ``PATTERN => TEMPLATE ; CONDITION``.
-Patterns and templates are parameter strings in the ``parse_sp`` /
-``parse_o`` grammar whose integer slots may hold affine expressions in the
-row variables (``m``, ``l`` integers; ``s1``, ``s2`` signs; ``b``, ``c1``,
-``c2`` scalars).  A parameter matches a row when some assignment of the
-variables reproduces it up to canonical form and the condition holds.
+Patterns and templates are parameter text in the grammar of
+``langlands.parse_param_pattern``, which also parses user input: integer
+and scalar slots hold affine expressions in the row variables
+(``m``, ``l`` integers; ``s1``, ``s2`` signs; ``b``, ``c1``, ``c2``
+scalars).  Every template variable must be bound by the row's pattern,
+and classification rows use ``b`` alone; the loaders check both.  A
+parameter matches a row when some assignment of the variables reproduces
+it up to canonical form and the condition holds.
 Conditions are ``&``-separated atoms: ``true``, comparisons ``x=N``,
 ``x!=N``, ``x>=y``, ``x>y``, class predicates ``x int|even|odd``, set
 exclusions ``x notin {a,b}``, and slot exclusions ``pair(s,c)!=(e,k)``.
@@ -31,17 +34,24 @@ from itertools import permutations
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
-from .exact import InfChar, Scalar, parse_scalar
+from .exact import InfChar, Scalar, dual_padding, parse_scalar
 from .ktypes import UKType
 from .langlands import (
+    Expr,
     OParams,
     ParamError,
+    ParamPattern,
     SpParams,
+    _VAR_ORDER,
+    _parse_expr_group,
     _split_top,
     canonicalize_o,
     canonicalize_sp,
     contragredient_sp,
     det_o,
+    expr_eval,
+    instantiate_pattern,
+    parse_param_pattern,
     parse_sp,
     render_o,
     render_sp,
@@ -50,7 +60,7 @@ from .langlands import (
     validate_o,
     validate_sp,
 )
-from .roots import OKind, PositiveSystem, SpKind, parse_psi
+from .roots import PositiveSystem, SpKind
 
 
 class TableError(ValueError):
@@ -62,40 +72,11 @@ class ThetaError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Affine expressions in one table variable
+# Pattern matching
 # ---------------------------------------------------------------------------
 
-_VAR_ORDER = ("c1", "c2", "s1", "s2", "b", "m", "l")
 _INT_VARS = frozenset({"m", "l"})
 _SIGN_VARS = frozenset({"s1", "s2"})
-
-
-@dataclass(frozen=True)
-class Expr:
-    """An affine expression in at most one table variable.
-
-    The expression is stored as a Scalar whose formal part stands in for
-    the variable, so evaluating is substituting and solving is linear.
-    """
-
-    form: Scalar
-    var: Optional[str] = None
-
-
-def parse_expr(text: str) -> Expr:
-    t = text.replace(" ", "")
-    var = next((name for name in _VAR_ORDER if name in t), None)
-    if var is not None:
-        t = t.replace(var, "b")
-    return Expr(parse_scalar(t), var)
-
-
-def expr_eval(expr: Expr, env: Mapping[str, "Scalar | int"]) -> Scalar:
-    if expr.var is None:
-        return expr.form
-    if expr.var not in env:
-        raise TableError(f"unbound table variable {expr.var!r}")
-    return expr.form.substitute(Scalar.of(env[expr.var]))
 
 
 def expr_bind(expr: Expr, value: Scalar, env: dict) -> Optional[dict]:
@@ -119,116 +100,6 @@ def expr_bind(expr: Expr, value: Scalar, env: dict) -> Optional[dict]:
     out = dict(env)
     out[expr.var] = stored
     return out
-
-
-# ---------------------------------------------------------------------------
-# Parameter patterns
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParamPattern:
-    side: str  # "sp" or "o"
-    zeta: Optional[int]
-    xi: Optional[int]
-    lam_left: tuple[Expr, ...]
-    lam_right: tuple[Expr, ...]  # empty and unused on the sp side
-    psi_text: str
-    mu: tuple[Expr, ...]
-    nu: tuple[Expr, ...]
-    eps: tuple[Expr, ...]
-    kappa: tuple[Expr, ...]
-
-    def var_names(self) -> frozenset[str]:
-        groups = (self.lam_left, self.lam_right, self.mu, self.nu, self.eps, self.kappa)
-        return frozenset(e.var for g in groups for e in g if e.var is not None)
-
-
-def _parse_expr_list(text: str) -> tuple[Expr, ...]:
-    body = text.strip()
-    if not body:
-        return ()
-    return tuple(parse_expr(tok) for tok in _split_top(body))
-
-
-def _parse_expr_group(text: str) -> tuple[Expr, ...]:
-    t = text.strip()
-    if t == "0":
-        return ()
-    if not (t.startswith("(") and t.endswith(")")):
-        raise TableError(f"bad tuple slot {text!r}")
-    return _parse_expr_list(t[1:-1])
-
-
-_O_HEAD = re.compile(r"pi_\{(-?1)\}\((.*)\)", re.DOTALL)
-_SP_HEAD = re.compile(r"pi\((.*)\)", re.DOTALL)
-
-
-def parse_param_pattern(text: str) -> ParamPattern:
-    s = text.strip()
-    m = _O_HEAD.fullmatch(s)
-    if m:
-        zeta = int(m.group(1))
-        fields = _split_top(m.group(2))
-        if len(fields) != 7:
-            raise TableError(f"orthogonal pattern needs 7 slots: {text!r}")
-        lam_text = fields[0].strip()
-        if lam_text == "0":
-            left: tuple[Expr, ...] = ()
-            right: tuple[Expr, ...] = ()
-        else:
-            if not (lam_text.startswith("(") and lam_text.endswith(")")) or ";" not in lam_text:
-                raise TableError(f"bad orthogonal lambda slot {lam_text!r}")
-            left_text, right_text = lam_text[1:-1].split(";", 1)
-            left, right = _parse_expr_list(left_text), _parse_expr_list(right_text)
-        xi = int(fields[1])
-        if xi not in (1, -1):
-            raise TableError(f"bad xi {fields[1]!r}")
-        mu, nu, eps, kappa = (_parse_expr_group(f) for f in fields[3:7])
-        return ParamPattern("o", zeta, xi, left, right, fields[2].strip(), mu, nu, eps, kappa)
-    m = _SP_HEAD.fullmatch(s)
-    if m:
-        fields = _split_top(m.group(1))
-        if len(fields) != 6:
-            raise TableError(f"symplectic pattern needs 6 slots: {text!r}")
-        lam = _parse_expr_group(fields[0])
-        mu, nu, eps, kappa = (_parse_expr_group(f) for f in fields[2:6])
-        return ParamPattern("sp", None, None, lam, (), fields[1].strip(), mu, nu, eps, kappa)
-    raise TableError(f"bad parameter pattern {text!r}")
-
-
-def instantiate_pattern(pat: ParamPattern, env: Mapping[str, "Scalar | int"]):
-    """Evaluate a pattern at a variable assignment.
-
-    Returns canonical, validated parameters; raises ParamError when the
-    assignment lands outside the valid parameter space.
-    """
-
-    def ints(exprs: tuple[Expr, ...]) -> tuple[int, ...]:
-        out = []
-        for e in exprs:
-            val = expr_eval(e, env)
-            if not val.is_integer():
-                raise ParamError(f"integer slot got {val.render()}")
-            out.append(val.as_int())
-        return tuple(out)
-
-    def scalars(exprs: tuple[Expr, ...]) -> tuple[Scalar, ...]:
-        return tuple(expr_eval(e, env) for e in exprs)
-
-    if pat.side == "sp":
-        lam = ints(pat.lam_left)
-        psi = parse_psi(pat.psi_text, SpKind(len(lam)))
-        params = SpParams(lam, psi, ints(pat.mu), scalars(pat.nu), ints(pat.eps), scalars(pat.kappa))
-        validate_sp(params)
-        return canonicalize_sp(params)
-    left, right = ints(pat.lam_left), ints(pat.lam_right)
-    psi = parse_psi(pat.psi_text, OKind(len(left), len(right)))
-    params = OParams(
-        pat.zeta, pat.xi, left, right, psi, ints(pat.mu), scalars(pat.nu), ints(pat.eps), scalars(pat.kappa)
-    )
-    validate_o(params)
-    return canonicalize_o(params)
 
 
 def _bind_tuple(exprs: tuple[Expr, ...], values: tuple[Scalar, ...], env: dict) -> Optional[dict]:
@@ -400,52 +271,51 @@ def default_table_dir() -> Path:
     return Path(__file__).resolve().parent / "tables"
 
 
-def _iter_rows(path: Path):
+def _lift_row(lineno: int, left: str, body: str, cond: str) -> LiftRow:
+    pattern, template = parse_param_pattern(left), parse_param_pattern(body)
+    if pattern.side != "o" or template.side != "sp":
+        raise TableError("lift rows map O patterns to Sp templates")
+    unbound = template.var_names() - pattern.var_names()
+    if unbound:
+        raise TableError(f"template variables {', '.join(sorted(unbound))} are not bound by the pattern")
+    return LiftRow(pattern, template, cond, lineno)
+
+
+def _lkt_row(lineno: int, left: str, body: str, cond: str) -> LktRow:
+    pattern = parse_param_pattern(left)
+    if pattern.side != "sp":
+        raise TableError("classification rows are Sp patterns")
+    if not (body.startswith("{") and body.endswith("}")):
+        raise TableError("expected a K-type set in braces")
+    lkts = tuple(_parse_expr_group(tok) for tok in _split_top(body[1:-1]))
+    if not lkts:
+        raise TableError("empty K-type set")
+    others = (pattern.var_names() | {e.var for tup in lkts for e in tup}) - {"b", None}
+    if others:
+        raise TableError(f"classification rows use b alone, got {', '.join(sorted(others))}")
+    return LktRow(pattern, lkts, cond, lineno)
+
+
+def _load_rows(path: Path, make_row) -> tuple:
+    """The data rows of a table file; any defect raises TableError
+    naming ``file.tbl:line``."""
     if not path.is_file():
         raise TableError(f"missing table file {path}")
+    rows = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
-
-
-def _split_row(line: str, where: str) -> tuple[str, str, str]:
-    if "=>" not in line:
-        raise TableError(f"{where}: row has no '=>'")
-    left, right = line.split("=>", 1)
-    if ";" not in right:
-        raise TableError(f"{where}: row has no condition")
-    body, cond = right.rsplit(";", 1)
-    return left.strip(), body.strip(), cond.strip()
-
-
-def _load_lift_file(path: Path) -> tuple[LiftRow, ...]:
-    rows = []
-    for lineno, line in _iter_rows(path):
-        where = f"{path.name}:{lineno}"
-        left, body, cond = _split_row(line, where)
-        pattern = parse_param_pattern(left)
-        template = parse_param_pattern(body)
-        if pattern.side != "o" or template.side != "sp":
-            raise TableError(f"{where}: lift rows map O patterns to Sp templates")
-        rows.append(LiftRow(pattern, template, cond, lineno))
-    return tuple(rows)
-
-
-def _load_lkt_file(path: Path) -> tuple[LktRow, ...]:
-    rows = []
-    for lineno, line in _iter_rows(path):
-        where = f"{path.name}:{lineno}"
-        left, body, cond = _split_row(line, where)
-        pattern = parse_param_pattern(left)
-        if pattern.side != "sp":
-            raise TableError(f"{where}: classification rows are Sp patterns")
-        if not (body.startswith("{") and body.endswith("}")):
-            raise TableError(f"{where}: expected a K-type set in braces")
-        lkts = tuple(_parse_expr_group(tok) for tok in _split_top(body[1:-1]))
-        if not lkts:
-            raise TableError(f"{where}: empty K-type set")
-        rows.append(LktRow(pattern, lkts, cond, lineno))
+        if not line or line.startswith("#"):
+            continue
+        try:
+            if "=>" not in line:
+                raise TableError("row has no '=>'")
+            left, right = line.split("=>", 1)
+            if ";" not in right:
+                raise TableError("row has no condition")
+            body, cond = right.rsplit(";", 1)
+            rows.append(make_row(lineno, left.strip(), body.strip(), cond.strip()))
+        except (ParamError, TableError) as err:
+            raise TableError(f"{path.name}:{lineno}: {err}") from None
     return tuple(rows)
 
 
@@ -456,8 +326,8 @@ def load_tables(table_dir: "str | Path | None" = None) -> TableSet:
     root = Path(table_dir) if table_dir is not None else default_table_dir()
     key = str(root.resolve())
     if key not in _CACHE:
-        lifts = {n: _load_lift_file(root / name) for n, name in THETA_FILES.items()}
-        appendix = _load_lkt_file(root / APPENDIX_FILE)
+        lifts = {n: _load_rows(root / name, _lift_row) for n, name in THETA_FILES.items()}
+        appendix = _load_rows(root / APPENDIX_FILE, _lkt_row)
         _CACHE[key] = TableSet(lifts[1], lifts[2], lifts[3], lifts[4], appendix, key)
     return _CACHE[key]
 
@@ -532,12 +402,12 @@ def appendix_rows_at(tables: TableSet, beta: Scalar) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _remove_entries(chi: InfChar, values: Iterable[int]) -> InfChar:
-    entries = list(chi.entries)
-    for v in values:
-        target = Scalar.of(v).normalized_sign()
+def _repad(chi: InfChar, add: Iterable[int], remove: Iterable[int]) -> InfChar:
+    """chi with the entries ``add`` appended and the entries ``remove`` taken out."""
+    entries = list(chi.entries) + [Scalar.of(v) for v in add]
+    for v in remove:
         try:
-            entries.remove(target)
+            entries.remove(Scalar.of(v))
         except ValueError:
             raise ThetaError("incompatible infinitesimal character") from None
     return InfChar.of(entries)
@@ -548,11 +418,8 @@ def dual_infchar(chi: InfChar, m: int, n: int) -> InfChar:
     character chi, where m = (p+q)/2."""
     if len(chi.entries) != m:
         raise ThetaError(f"expected {m} entries, got {chi.render()}")
-    if m == n:
-        return chi
-    if m < n:
-        return chi.extended(range(1, n - m + 1))
-    return _remove_entries(chi, range(0, m - n))
+    o_pad, sp_pad = dual_padding(m, n)
+    return _repad(chi, o_pad, sp_pad)
 
 
 def o_infchar_from_sp(chi: InfChar, m: int, n: int) -> InfChar:
@@ -560,11 +427,8 @@ def o_infchar_from_sp(chi: InfChar, m: int, n: int) -> InfChar:
     symplectic character chi."""
     if len(chi.entries) != n:
         raise ThetaError(f"expected {n} entries, got {chi.render()}")
-    if m == n:
-        return chi
-    if m > n:
-        return chi.extended(range(0, m - n))
-    return _remove_entries(chi, range(1, n - m + 1))
+    o_pad, sp_pad = dual_padding(m, n)
+    return _repad(chi, sp_pad, o_pad)
 
 
 # ---------------------------------------------------------------------------

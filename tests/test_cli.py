@@ -234,6 +234,11 @@ def test_bad_parameter_text_exits_two(capsys):
         ["nonsense"],
         ["lift", "--params", "x", "--n", "1", "--unknown-flag"],
         ["lift", "--n", "1"],
+        ["lkt", "--params", "pi(0,{},0,0,(1),(c1))"],
+        ["infchar", "--params", "pi(0,{},(1_0),(1),0,0)"],
+        ["inverse-lookup", "--sp-params", "pi(0,{},0,0,(1),(1))", "--sig=5,-1"],
+        ["phi", "--dir", "u2o", "--ktype", "(1)", "--sig=-2,0", "--n", "1"],
+        ["phi", "--dir", "o2u", "--ktype", "(1;+1)x(0;+1)", "--sig", "2,2", "--n", "-3"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

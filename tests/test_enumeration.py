@@ -1,6 +1,8 @@
 """Tests for the brute-force enumerators, classification-table
 regeneration, uniqueness-by-invariants, and the verification suites."""
 
+import hashlib
+import json
 from fractions import Fraction as Q
 
 import pytest
@@ -181,6 +183,12 @@ def test_verify_tables_rejects_unknown_suites():
         verify_tables("nonsense")
 
 
+# SHA-256 of `thetalift verify --suite all --json`, the behaviour oracle.
+ORACLE_SHA256 = "51a9e5edc2000eae9720c4fdc3f9b17911defe26100838ed586595ba58046e00"
+
+
 def test_verify_tables_all_is_green():
     rep = verify_tables("all")
     assert rep.ok, rep.render()
+    text = json.dumps(rep.to_json(), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_SHA256

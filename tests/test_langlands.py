@@ -12,6 +12,7 @@ from thetalift.langlands import (
     infchar_o,
     infchar_sp,
     parse_o,
+    parse_param_pattern,
     parse_params,
     parse_sp,
     render_o,
@@ -61,6 +62,20 @@ def test_parse_render_round_trip_o():
     assert o("pi_{1}((2;1),1,{e1+f1,e1-f1},0,0,0,0)").p == 2
     with pytest.raises(ParamError):
         o("pi_{1}((2;1),1,{e1+f1,e1-f1},0,0,0,0) @ O(4,0)")
+
+
+def test_grammar_errors_are_param_errors():
+    # the signature tail is checked against the shape, variables or not
+    assert parse_param_pattern("pi_{1}((m;),1,{},0,0,0,0) @ O(2,0)").var_names() == {"m"}
+    with pytest.raises(ParamError, match=r"O\(2,2\) does not match O\(2,0\)"):
+        parse_param_pattern("pi_{1}((m;),1,{},0,0,0,0) @ O(2,2)")
+    # concrete text is a pattern whose only variable is b
+    with pytest.raises(ParamError, match="'c1'"):
+        sp("pi(0,{},0,0,(1),(c1))")
+    with pytest.raises(ParamError):
+        o("pi(0,{},0,0,0,0)")
+    with pytest.raises(ParamError):
+        parse_params("pi(0,{},(1),(1/),0,0)")
 
 
 def test_shape_properties():

@@ -135,7 +135,25 @@ def test_malformed_row_raises(tmp_path):
     dest = _copy_tables(tmp_path)
     path = dest / "theta1.tbl"
     path.write_text(path.read_text() + "\npi_{1}((m;),1,{},0,0,0,0)\n")
-    with pytest.raises(TableError):
+    with pytest.raises(TableError, match=r"theta1\.tbl:\d+: row has no '=>'"):
+        load_tables(dest)
+
+
+@pytest.mark.parametrize(
+    "name,row,message",
+    [
+        ("theta1.tbl", "pi_{1}((m;),1,{},0,0,0) => pi((m),{2e1},0,0,0,0) ; true", "need 7 fields"),
+        ("theta1.tbl", "pi_{1}((m;),1,{},0,0,0,0) => pi((l),{2e1},0,0,0,0) ; true", "l are not bound"),
+        ("appendix_c.tbl", "pi((c1),{2e1},0,0,0,0) => {(1,0,0)} ; true", "b alone, got c1"),
+        ("appendix_c.tbl", "pi((b),{2e1},0,0,0,0) => {(m,0,0)} ; true", "b alone, got m"),
+    ],
+)
+def test_row_defects_fail_at_load_naming_the_line(tmp_path, name, row, message):
+    dest = _copy_tables(tmp_path)
+    path = dest / name
+    lines = path.read_text().splitlines() + [row]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TableError, match=rf"{name}:{len(lines)}: .*{message}"):
         load_tables(dest)
 
 

@@ -14,9 +14,13 @@ from thetalift.langlands import (
     canonicalize_sp,
     contragredient_sp,
     det_o,
+    expr_eval,
     infchar_o,
     infchar_sp,
+    instantiate_pattern,
+    parse_expr,
     parse_o,
+    parse_param_pattern,
     parse_sp,
     render_sp,
     swap_pq,
@@ -25,7 +29,6 @@ from thetalift.langlands import (
 from thetalift.roots import PositiveSystem, SpKind
 from thetalift.theta import (
     DET11_THETA3,
-    Expr,
     TableError,
     ThetaError,
     apply_modification,
@@ -33,17 +36,13 @@ from thetalift.theta import (
     cond_lambda,
     dual_infchar,
     expr_bind,
-    expr_eval,
     first_occurrence,
     induct_n,
     induct_pq,
-    instantiate_pattern,
     load_tables,
     lookup_lift,
     match_o_pattern,
     o_infchar_from_sp,
-    parse_expr,
-    parse_param_pattern,
     theta_n,
 )
 

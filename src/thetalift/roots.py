@@ -3,12 +3,15 @@
 Weights are integer coefficient tuples over the basis e_1..e_a, f_1..f_d
 (O side) or e_1..e_v (Sp side).  Compact positive systems are fixed once
 and for all; the positive systems Psi appearing in parameters are always
-required to contain the compact positives.
+required to contain the compact positives.  The per-kind root tables
+depend only on the frozen kind and are computed once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import re as _regex
 
 from dataclasses import dataclass
@@ -80,6 +83,7 @@ def _signs2() -> tuple[tuple[int, int], ...]:
     return ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
+@functools.cache
 def all_roots(kind: GroupKind) -> tuple[Root, ...]:
     out: list[Root] = []
     if isinstance(kind, SpKind):
@@ -103,6 +107,7 @@ def all_roots(kind: GroupKind) -> tuple[Root, ...]:
     return tuple(out)
 
 
+@functools.cache
 def delta_c_plus(kind: GroupKind) -> tuple[Root, ...]:
     """The fixed standard positive compact roots."""
     out: list[Root] = []
@@ -122,11 +127,13 @@ def delta_c_plus(kind: GroupKind) -> tuple[Root, ...]:
     return tuple(out)
 
 
+@functools.cache
 def compact_roots(kind: GroupKind) -> tuple[Root, ...]:
     plus = delta_c_plus(kind)
     return plus + tuple(tuple(-c for c in r) for r in plus)
 
 
+@functools.cache
 def noncompact_weights(kind: GroupKind) -> tuple[Root, ...]:
     """Weights of the complexified p-part (both signs)."""
     out: list[Root] = []
@@ -156,26 +163,30 @@ def two_rho_c(kind: GroupKind) -> tuple[int, ...]:
     return tuple(acc)
 
 
-def pairing(vec: Sequence[Q | int], root: Root) -> Q:
-    return sum((Q(v) * c for v, c in zip(vec, root)), start=Q(0))
+def pairing(vec: Sequence[Q | int], root: Root) -> Q | int:
+    return sum(v * c for v, c in zip(vec, root))
 
 
 def rho_shift(vec: Sequence[Q | int], kind: GroupKind) -> tuple[Q, ...]:
     """rho(u cap p) - rho(u cap k) for the parabolic defined by ``vec``.
 
     u collects the weights strictly positive on ``vec``; short roots of the
-    odd orthogonal frame occur on both sides and cancel.
+    odd orthogonal frame occur on both sides and cancel.  The signs are
+    taken on ``vec`` scaled to integers, and twice the shift is summed as
+    integers.
     """
-    acc = [Q(0)] * kind.dim
+    scale = math.lcm(*(x.denominator for x in vec))
+    ivec = [x.numerator * (scale // x.denominator) for x in vec]
+    twice = [0] * kind.dim
     for w in noncompact_weights(kind):
-        if pairing(vec, w) > 0:
+        if pairing(ivec, w) > 0:
             for i, c in enumerate(w):
-                acc[i] += Q(c, 2)
+                twice[i] += c
     for r in compact_roots(kind):
-        if pairing(vec, r) > 0:
+        if pairing(ivec, r) > 0:
             for i, c in enumerate(r):
-                acc[i] -= Q(c, 2)
-    return tuple(acc)
+                twice[i] -= c
+    return tuple(Q(x, 2) for x in twice)
 
 
 # -- rendering and parsing -------------------------------------------------
@@ -276,7 +287,11 @@ def parse_psi(text: str, kind: GroupKind) -> PositiveSystem:
 
 def is_positive_system(kind: GroupKind, roots: Iterable[Root]) -> bool:
     """Exactly one of each +-pair, closed under addition inside the root system."""
-    rset = set(roots)
+    return _is_positive_root_set(kind, frozenset(roots))
+
+
+@functools.lru_cache(maxsize=1024)
+def _is_positive_root_set(kind: GroupKind, rset: frozenset[Root]) -> bool:
     delta = set(all_roots(kind))
     if not rset <= delta:
         return False
@@ -327,6 +342,7 @@ def _magnitudes(count: int) -> list[int]:
     return [2 ** (count - i) for i in range(count)]
 
 
+@functools.cache
 def enumerate_positive_systems(kind: GroupKind) -> tuple[PositiveSystem, ...]:
     """All positive systems containing the standard compact positives.
 

@@ -2,14 +2,18 @@
 formats, table-directory overrides, and exit codes."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from thetalift.cli import main
 
-TABLE_DIR = Path(__file__).resolve().parents[1] / "src" / "thetalift" / "tables"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+TABLE_DIR = SRC_DIR / "thetalift" / "tables"
 
 TRIVIAL22 = "pi_{1}(0,1,{},0,0,(1,1),(0,1))"
 DET22 = "pi_{-1}(0,1,{},0,0,(1,1),(0,1))"
@@ -239,6 +243,7 @@ def test_bad_parameter_text_exits_two(capsys):
         ["inverse-lookup", "--sp-params", "pi(0,{},0,0,(1),(1))", "--sig=5,-1"],
         ["phi", "--dir", "u2o", "--ktype", "(1)", "--sig=-2,0", "--n", "1"],
         ["phi", "--dir", "o2u", "--ktype", "(1;+1)x(0;+1)", "--sig", "2,2", "--n", "-3"],
+        ["enumerate", "--n", "7", "--infchar", "0,1,2,3,4,5,6"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -255,3 +260,22 @@ def test_bad_signature_exits_two(capsys):
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, ["--help"])
     assert code == 0 and "lift" in out and "inverse-lookup" in out
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that stops after one line gets no traceback on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    argv = ["enumerate", "--n", "5", "--infchar", "0,1,2,3,4"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "thetalift.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert first == b"1732 parameters\n"
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -3,7 +3,11 @@ regeneration, uniqueness-by-invariants, and the verification suites."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -192,3 +196,16 @@ def test_verify_tables_all_is_green():
     assert rep.ok, rep.render()
     text = json.dumps(rep.to_json(), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_SHA256
+
+
+def test_oracle_ignores_hash_seed_and_optimize_flag():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="12345")
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "thetalift.cli", "verify", "--suite", "all", "--json"],
+        capture_output=True,
+        env=env,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stderr.decode()
+    assert hashlib.sha256(out.stdout).hexdigest() == ORACLE_SHA256

@@ -1,16 +1,24 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from thetalift import lkt
+from thetalift.enumeration import enumerate_sp_reps
+from thetalift.exact import InfChar
 from thetalift.roots import (
     OKind,
     PositiveSystem,
     SpKind,
+    all_roots,
     check_dominance_f1,
+    compact_roots,
     contains_delta_c_plus,
     delta_c_plus,
     enumerate_positive_systems,
     is_positive_system,
+    noncompact_weights,
+    pairing,
     parse_psi,
     parse_root,
     render_root,
@@ -110,3 +118,90 @@ def test_positive_system_rejects_foreign_roots():
         PositiveSystem.of(SpKind(2), ((1, 1, 0),))
     assert not is_positive_system(SpKind(2), ((1, 1), (-1, -1), (2, 0), (0, 2)))
     assert not is_positive_system(SpKind(2), ((1, 1), (2, 0), (0, 2)))
+
+
+# -- integer arithmetic against the Fraction reference ------------------------
+
+
+def _reference_pairing(vec, root):
+    return sum((Fraction(v) * c for v, c in zip(vec, root)), start=Fraction(0))
+
+
+def _reference_rho_shift(vec, kind):
+    """rho(u cap p) - rho(u cap k), summed in Fractions one weight at a time."""
+    acc = [Fraction(0)] * kind.dim
+    for w in noncompact_weights(kind):
+        if _reference_pairing(vec, w) > 0:
+            for i, c in enumerate(w):
+                acc[i] += Fraction(c, 2)
+    for r in compact_roots(kind):
+        if _reference_pairing(vec, r) > 0:
+            for i, c in enumerate(r):
+                acc[i] -= Fraction(c, 2)
+    return tuple(acc)
+
+
+_SMALL_KINDS = [SpKind(v) for v in range(1, 4)] + [
+    OKind(a, d, odd=odd)
+    for odd in (False, True)
+    for a in range(4)
+    for d in range(4 - a)
+]
+
+
+def _half_integer_grid(dim):
+    """Every vector over {-2, -3/2, ..., 2}, integral entries given as ints."""
+    values = [k // 2 if k % 2 == 0 else Fraction(k, 2) for k in range(-4, 5)]
+    return itertools.product(values, repeat=dim)
+
+
+@pytest.mark.parametrize("kind", _SMALL_KINDS, ids=lambda k: k.render())
+def test_rho_shift_matches_fraction_reference_on_half_integer_grid(kind):
+    for vec in _half_integer_grid(kind.dim):
+        got = rho_shift(vec, kind)
+        assert got == _reference_rho_shift(vec, kind), vec
+        assert all(isinstance(x, Fraction) for x in got)
+
+
+def test_rho_shift_matches_fraction_reference_on_rank_four_census(monkeypatch):
+    seen = []
+
+    def recording_rho_shift(vec, kind):
+        seen.append((tuple(vec), kind))
+        return rho_shift(vec, kind)
+
+    monkeypatch.setattr(lkt, "rho_shift", recording_rho_shift)
+    reps = enumerate_sp_reps(4, InfChar.of([0, 1, 2, 3]))
+    for pi in reps:
+        lkt.lowest_ktypes_sp(pi)
+    assert len(seen) == len(reps) > 0
+    for vec, kind in seen:
+        assert rho_shift(vec, kind) == _reference_rho_shift(vec, kind), vec
+
+
+def test_pairing_matches_fraction_reference():
+    kind = OKind(2, 1, odd=True)
+    vecs = [(3, -1, 0), (Fraction(5, 2), Fraction(-1, 2), Fraction(3)), (Fraction(1, 3), 2, -7)]
+    for vec in vecs:
+        for root in all_roots(kind):
+            assert pairing(vec, root) == _reference_pairing(vec, root)
+
+
+# -- memoized positivity check ----------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", [SpKind(3), OKind(1, 1)], ids=lambda k: k.render())
+def test_is_positive_system_depends_on_the_root_set_only(kind):
+    for psi in enumerate_positive_systems(kind):
+        roots = psi.roots
+        assert is_positive_system(kind, tuple(roots))
+        assert is_positive_system(kind, (r for r in roots))
+        assert is_positive_system(kind, list(roots) + [roots[0]])
+        simple = set(simple_members(psi))
+        for r in roots:
+            neg = tuple(-c for c in r)
+            flipped = [neg if x == r else x for x in roots]
+            # flipping a simple root reflects Psi to another positive system
+            assert is_positive_system(kind, flipped) == (r in simple)
+            assert not is_positive_system(kind, list(roots) + [neg])
+        assert is_positive_system(kind, roots)

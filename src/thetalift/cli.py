@@ -5,7 +5,8 @@ Exit codes: 0 on success, 1 when a verification reports a mismatch, when
 ``lift --expect-nonzero`` meets a zero lift, when an inverse lookup
 finds no preimage, or when stdout is closed before the output is written
 (a broken pipe, as in ``thetalift enumerate ... | head -1``); 2 on usage
-or input errors, including ``enumerate --n`` above ``MAX_ENUMERATE_RANK``.
+or input errors, including ``lift --n`` and ``phi --n`` above ``MAX_RANK``
+and ``enumerate --n`` above ``MAX_ENUMERATE_RANK``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .enumeration import (
 )
 from .ktypes import parse_oktype, parse_uktype, phi_n, phi_pq
 from .langlands import (
-    OParams,
     ParamError,
     SpParams,
     infchar_o,
@@ -54,6 +54,11 @@ from .theta import (
 # library's enumerators stay unbounded.
 MAX_ENUMERATE_RANK = 6
 
+# ``lift`` cost grows quadratically in n (0.05 s at n=100) and ``phi``
+# builds a weight of length n, so both stop at this rank.  The library's
+# functions stay unbounded.
+MAX_RANK = 100
+
 
 def _emit(args, payload: dict, text: str) -> None:
     if getattr(args, "json", False):
@@ -63,6 +68,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_lift(args) -> int:
+    if args.n > MAX_RANK:
+        raise ValueError(f"lift supports ranks n <= {MAX_RANK}, got {args.n}")
     tables = load_tables(args.table_dir)
     pi = parse_o(args.params)
     res = theta_n(pi, args.n, tables)
@@ -93,10 +100,8 @@ def _cmd_infchar(args) -> int:
 
 def _cmd_lkt(args) -> int:
     pi = parse_params(args.params)
-    if isinstance(pi, SpParams):
-        lkts = sorted(s.render() for s in lowest_ktypes_sp(pi))
-    else:
-        lkts = sorted(s.render() for s in lowest_ktypes_o(pi))
+    lowest = lowest_ktypes_sp if isinstance(pi, SpParams) else lowest_ktypes_o
+    lkts = sorted(s.render() for s in lowest(pi))
     _emit(args, {"input": render_params(pi), "lkts": lkts}, "\n".join(lkts))
     return 0
 
@@ -117,6 +122,8 @@ def _cmd_phi(args) -> int:
         raise ValueError("p - q must be even")
     if args.n < 0:
         raise ValueError(f"rank n must be nonnegative, got {args.n}")
+    if args.n > MAX_RANK:
+        raise ValueError(f"phi supports ranks n <= {MAX_RANK}, got {args.n}")
     if args.dir == "o2u":
         sigma = parse_oktype(args.ktype, p, q)
         result = phi_n(sigma, p, q, args.n)
@@ -223,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", help="compute the rank-n lift of an O(p,q) parameter")
     p.add_argument("--params", required=True, help="O-side parameter text")
-    p.add_argument("--n", type=int, required=True, help="symplectic rank n")
+    p.add_argument("--n", type=int, required=True, help=f"symplectic rank n, at most {MAX_RANK}")
     p.add_argument(
         "--expect-nonzero", action="store_true", help="exit 1 when the lift is zero"
     )
@@ -244,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", choices=("o2u", "u2o"), required=True)
     p.add_argument("--ktype", required=True, help="K-type text")
     p.add_argument("--sig", required=True, help="orthogonal signature p,q")
-    p.add_argument("--n", type=int, required=True, help="symplectic rank n")
+    p.add_argument("--n", type=int, required=True, help=f"symplectic rank n, at most {MAX_RANK}")
     add_json(p)
     p.set_defaults(func=_cmd_phi)
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import partial
 from itertools import combinations, product
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .exact import GENERIC_B, InfChar, Scalar, infchars_dual
 from .ktypes import (
@@ -35,6 +36,7 @@ from .langlands import (
     OParams,
     ParamError,
     SpParams,
+    canonicalize,
     canonicalize_o,
     canonicalize_sp,
     contragredient_sp,
@@ -42,8 +44,10 @@ from .langlands import (
     infchar_o,
     infchar_sp,
     parse_o,
+    parse_params,
     parse_sp,
     render_o,
+    render_params,
     render_sp,
     swap_pq,
     tensor_det_o,
@@ -52,7 +56,7 @@ from .langlands import (
     validate_sp,
 )
 from .lkt import lowest_ktypes_sp
-from .roots import OKind, SpKind, delta_c_plus, enumerate_positive_systems
+from .roots import OKind, SpKind, enumerate_positive_systems, two_rho_c
 from .theta import (
     DET11_THETA3,
     TableError,
@@ -101,117 +105,112 @@ def _pair_options(x: Scalar, y: Scalar) -> set[tuple[int, Scalar]]:
     return out
 
 
-def _lam_choices(entries: Sequence[Scalar], signed: bool) -> list[tuple[int, ...]]:
-    """Weakly decreasing integer tuples realizing the entries; with
-    ``signed`` each nonzero entry may enter with either sign."""
-    values: list[int] = []
-    for x in entries:
-        if not x.is_integer():
-            return []
-        values.append(abs(x.as_int()))
-    options = [{v, -v} if signed else {v} for v in values]
-    out = {tuple(sorted(choice, reverse=True)) for choice in product(*options)}
-    return sorted(out)
+def _slot_splits(entries: tuple[Scalar, ...], v: int, s: int, discrete: Callable):
+    """Every split of ``entries`` into v discrete entries, s (mu, nu) pairs
+    and the remaining kappa slots.
+
+    ``discrete`` maps the magnitudes of the v discrete entries to their
+    realizations; index sets with a non-integral entry or no realization
+    are dropped before any pair is solved.  Yields
+    ``(realizations, mu, nu, kappa)``.
+    """
+    indices = tuple(range(len(entries)))
+    for lam_idx in combinations(indices, v):
+        if not all(entries[i].is_integer() for i in lam_idx):
+            continue
+        options = discrete([abs(entries[i].as_int()) for i in lam_idx])
+        if not options:
+            continue
+        rest = tuple(i for i in indices if i not in lam_idx)
+        for pair_idx in combinations(rest, 2 * s):
+            kappa = tuple(entries[i] for i in rest if i not in pair_idx)
+            for matching in _matchings(pair_idx):
+                per_pair = [_pair_options(entries[i], entries[j]) for i, j in matching]
+                if any(not opts for opts in per_pair):
+                    continue
+                for pairs in product(*per_pair):
+                    yield options, tuple(x[0] for x in pairs), tuple(x[1] for x in pairs), kappa
+
+
+def _census(candidates: Iterable, entries, validate, canonical, infchar, render) -> tuple:
+    """The canonical forms of the candidates that validate, each checked to
+    have the infinitesimal character ``entries``, sorted by their text."""
+    found = set()
+    for params in candidates:
+        try:
+            validate(params)
+        except ParamError:
+            continue
+        found.add(canonical(params))
+    for params in found:
+        if infchar(params).entries != entries:
+            raise AssertionError(
+                f"enumerated {render(params)} has the wrong infinitesimal character"
+            )
+    return tuple(sorted(found, key=render))
+
+
+def _infchar_entries(chi: InfChar, m: int) -> tuple[Scalar, ...]:
+    entries = InfChar.of(chi.entries).entries
+    if len(entries) != m:
+        raise ValueError(f"need {m} entries, got {len(entries)}")
+    return entries
+
+
+def _signed_lams(mags: list[int]) -> list[tuple[int, ...]]:
+    """Weakly decreasing tuples with each magnitude entering with either sign."""
+    return sorted({tuple(sorted(c, reverse=True)) for c in product(*({x, -x} for x in mags))})
+
+
+def _halves(a: int, mags: list[int]) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every way to deal the magnitudes into a left half of ``a`` entries
+    and a right half, each weakly decreasing."""
+    out = set()
+    for left_pos in combinations(range(len(mags)), a):
+        left = [mags[i] for i in left_pos]
+        right = [x for i, x in enumerate(mags) if i not in left_pos]
+        out.add((tuple(sorted(left, reverse=True)), tuple(sorted(right, reverse=True))))
+    return out
 
 
 def enumerate_sp_reps(n: int, chi: InfChar) -> tuple[SpParams, ...]:
     """All canonical rank-n parameters with infinitesimal character chi."""
-    entries = InfChar.of(chi.entries).entries
-    if len(entries) != n:
-        raise ValueError(f"need {n} entries, got {len(entries)}")
-    found: set[SpParams] = set()
-    indices = tuple(range(n))
-    for v in range(n + 1):
-        for s in range((n - v) // 2 + 1):
-            t = n - v - 2 * s
-            psis = enumerate_positive_systems(SpKind(v))
-            for lam_idx in combinations(indices, v):
-                rest1 = tuple(i for i in indices if i not in lam_idx)
-                for pair_idx in combinations(rest1, 2 * s):
-                    kappa_idx = tuple(i for i in rest1 if i not in pair_idx)
-                    lam_opts = _lam_choices([entries[i] for i in lam_idx], signed=True)
-                    if not lam_opts:
-                        continue
-                    for matching in _matchings(pair_idx):
-                        per_pair = [_pair_options(entries[i], entries[j]) for i, j in matching]
-                        if any(not opts for opts in per_pair):
-                            continue
-                        kappa = tuple(entries[i] for i in kappa_idx)
-                        for lam in lam_opts:
-                            for pairs in product(*per_pair):
-                                mu = tuple(p[0] for p in pairs)
-                                nu = tuple(p[1] for p in pairs)
-                                for eps in product((1, -1), repeat=t):
-                                    for psi in psis:
-                                        params = SpParams(lam, psi, mu, nu, eps, kappa)
-                                        try:
-                                            validate_sp(params)
-                                        except ParamError:
-                                            continue
-                                        found.add(canonicalize_sp(params))
-    for params in found:
-        if infchar_sp(params).entries != entries:
-            raise AssertionError(f"enumerated {render_sp(params)} has the wrong infinitesimal character")
-    return tuple(sorted(found, key=render_sp))
+    entries = _infchar_entries(chi, n)
+
+    def candidates():
+        for v in range(n + 1):
+            for s in range((n - v) // 2 + 1):
+                t = n - v - 2 * s
+                psis = enumerate_positive_systems(SpKind(v))
+                for lams, mu, nu, kappa in _slot_splits(entries, v, s, _signed_lams):
+                    for lam, eps, psi in product(lams, product((1, -1), repeat=t), psis):
+                        yield SpParams(lam, psi, mu, nu, eps, kappa)
+
+    return _census(candidates(), entries, validate_sp, canonicalize_sp, infchar_sp, render_sp)
 
 
 def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
     """All canonical O(p,q) parameters with infinitesimal character chi."""
     if (p + q) % 2 != 0:
         raise ValueError("p + q must be even")
-    m = (p + q) // 2
-    entries = InfChar.of(chi.entries).entries
-    if len(entries) != m:
-        raise ValueError(f"need {m} entries, got {len(entries)}")
-    found: set[OParams] = set()
-    indices = tuple(range(m))
-    for t in range(min(p, q) + 1):
-        if (p - t) % 2 != 0:
-            continue
-        for s in range((min(p, q) - t) // 2 + 1):
-            a, d = (p - t - 2 * s) // 2, (q - t - 2 * s) // 2
-            if a < 0 or d < 0:
+    entries = _infchar_entries(chi, (p + q) // 2)
+
+    def candidates():
+        for t in range(min(p, q) + 1):
+            if (p - t) % 2 != 0:
                 continue
-            psis = enumerate_positive_systems(OKind(a, d))
-            for lam_idx in combinations(indices, a + d):
-                rest1 = tuple(i for i in indices if i not in lam_idx)
-                lam_opts = _lam_choices([entries[i] for i in lam_idx], signed=False)
-                if not lam_opts:
+            for s in range((min(p, q) - t) // 2 + 1):
+                a, d = (p - t - 2 * s) // 2, (q - t - 2 * s) // 2
+                if a < 0 or d < 0:
                     continue
-                halves: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-                for lam in lam_opts:
-                    for left_pos in combinations(range(a + d), a):
-                        left = tuple(sorted((lam[i] for i in left_pos), reverse=True))
-                        right = tuple(
-                            sorted((lam[i] for i in range(a + d) if i not in left_pos), reverse=True)
-                        )
-                        halves.add((left, right))
-                for pair_idx in combinations(rest1, 2 * s):
-                    kappa_idx = tuple(i for i in rest1 if i not in pair_idx)
-                    for matching in _matchings(pair_idx):
-                        per_pair = [_pair_options(entries[i], entries[j]) for i, j in matching]
-                        if any(not opts for opts in per_pair):
-                            continue
-                        kappa = tuple(entries[i] for i in kappa_idx)
-                        for left, right in halves:
-                            for pairs in product(*per_pair):
-                                mu = tuple(x[0] for x in pairs)
-                                nu = tuple(x[1] for x in pairs)
-                                for eps in product((1, -1), repeat=t):
-                                    for zeta, xi in product((1, -1), repeat=2):
-                                        for psi in psis:
-                                            params = OParams(
-                                                zeta, xi, left, right, psi, mu, nu, eps, kappa
-                                            )
-                                            try:
-                                                validate_o(params)
-                                            except ParamError:
-                                                continue
-                                            found.add(canonicalize_o(params))
-    for params in found:
-        if infchar_o(params).entries != entries:
-            raise AssertionError(f"enumerated {render_o(params)} has the wrong infinitesimal character")
-    return tuple(sorted(found, key=render_o))
+                psis = enumerate_positive_systems(OKind(a, d))
+                for halves, mu, nu, kappa in _slot_splits(entries, a + d, s, partial(_halves, a)):
+                    for (left, right), eps, (zeta, xi), psi in product(
+                        halves, product((1, -1), repeat=t), product((1, -1), repeat=2), psis
+                    ):
+                        yield OParams(zeta, xi, left, right, psi, mu, nu, eps, kappa)
+
+    return _census(candidates(), entries, validate_o, canonicalize_o, infchar_o, render_o)
 
 
 def verify_unique_by_invariants(
@@ -593,10 +592,7 @@ def _prop_samples(tables: TableSet) -> list[OParams]:
 def _rho_norm(weights: Sequence[int], kind) -> int:
     """|Lambda + 2*rho_c|^2 with 2*rho_c summed from the compact positive
     roots, independently of any closed form."""
-    rho = [0] * (kind.dim if isinstance(kind, OKind) else kind.rank)
-    for root in delta_c_plus(kind):
-        rho = [r + c for r, c in zip(rho, root)]
-    return sum((int(w) + int(r)) ** 2 for w, r in zip(weights, rho))
+    return sum((int(w) + r) ** 2 for w, r in zip(weights, two_rho_c(kind)))
 
 
 def _random_uktype(rng: random.Random, n: int) -> UKType:
@@ -783,12 +779,10 @@ def suite_props(tables: Optional[TableSet] = None, seed: int = 20240817) -> Veri
     seen_params += list(appendix_rows_at(tables, Scalar.of(2)))
     seen_params += list(appendix_rows_at(tables, GENERIC_B))
     for pi in seen_params:
-        text = render_o(pi) if isinstance(pi, OParams) else render_sp(pi)
-        reparsed = parse_o(text) if isinstance(pi, OParams) else parse_sp(text)
-        if reparsed != pi:
+        text = render_params(pi)
+        if parse_params(text) != pi:
             details.append(f"parse/render round trip broke for {text}")
-        again = canonicalize_o(pi) if isinstance(pi, OParams) else canonicalize_sp(pi)
-        if again != pi:
+        if canonicalize(pi) != pi:
             details.append(f"canonicalization is not idempotent for {text}")
     case_round = _case(
         f"parse/render round trips and canonical idempotence ({len(seen_params)} parameters)", details

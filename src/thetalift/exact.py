@@ -17,7 +17,7 @@ import re as _regex
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Q = Fraction
 
@@ -188,63 +188,6 @@ def parse_scalar(text: str) -> Scalar:
     if pos != len(s):
         raise ValueError(f"bad scalar {text!r}")
     return Scalar(*coefs)
-
-
-@dataclass(frozen=True)
-class HalfInt:
-    """An element of (1/2)Z stored as twice its value."""
-
-    twice: int
-
-    @staticmethod
-    def of(x: "HalfInt | int | Fraction") -> "HalfInt":
-        if isinstance(x, HalfInt):
-            return x
-        if isinstance(x, int):
-            return HalfInt(2 * x)
-        if isinstance(x, Fraction) and x.denominator in (1, 2):
-            return HalfInt(int(2 * x))
-        raise ValueError(f"not a half-integer: {x!r}")
-
-    def as_fraction(self) -> Q:
-        return Q(self.twice, 2)
-
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def as_int(self) -> int:
-        if not self.is_integer():
-            raise ValueError(f"not an integer: {self.render()}")
-        return self.twice // 2
-
-    def __add__(self, other: "HalfInt | int") -> "HalfInt":
-        return HalfInt(self.twice + HalfInt.of(other).twice)
-
-    def __sub__(self, other: "HalfInt | int") -> "HalfInt":
-        return HalfInt(self.twice - HalfInt.of(other).twice)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def __lt__(self, other: "HalfInt") -> bool:
-        return self.twice < other.twice
-
-    def __le__(self, other: "HalfInt") -> bool:
-        return self.twice <= other.twice
-
-    def __gt__(self, other: "HalfInt") -> bool:
-        return self.twice > other.twice
-
-    def __ge__(self, other: "HalfInt") -> bool:
-        return self.twice >= other.twice
-
-    def render(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .exact import GENERIC_B, InfChar, Scalar, parse_scalar
 from .roots import (
+    GroupKind,
     OKind,
     PositiveSystem,
     SpKind,
@@ -125,7 +126,7 @@ Params = Union[SpParams, OParams]
 # -- validation --------------------------------------------------------------
 
 
-def _validate_continuous(params: Params, sp_side: bool) -> None:
+def _validate_continuous(params: Params) -> None:
     if len(params.mu) != len(params.nu):
         raise ParamError("mu and nu must have equal length")
     if len(params.eps) != len(params.kappa):
@@ -140,11 +141,19 @@ def _validate_continuous(params: Params, sp_side: bool) -> None:
     for (i, ki), (j, kj) in itertools.combinations(enumerate(params.kappa), 2):
         if (ki == kj or ki == -kj) and params.eps[i] != params.eps[j]:
             raise ParamError(f"kappa_{i+1} = +-kappa_{j+1} forces equal eps")
-    if sp_side:
-        forced = (-1) ** len(params.lam)
-        for i, ki in enumerate(params.kappa):
-            if ki.is_zero and params.eps[i] != forced:
-                raise ParamError(f"kappa_{i+1}=0 forces eps=(-1)^v={forced}")
+
+
+def _validate_psi(psi: PositiveSystem, kind: GroupKind, lam: tuple[int, ...]) -> None:
+    """Psi lives in ``kind``, is a positive system containing the compact
+    positives, and ``lam`` is (F-1)-dominant for it."""
+    if psi.kind != kind:
+        raise ParamError(f"Psi must live in {kind.render()}")
+    if not is_positive_system(kind, psi.roots):
+        raise ParamError("Psi is not a positive system")
+    if not contains_delta_c_plus(psi):
+        raise ParamError("Psi must contain the compact positives")
+    if not check_dominance_f1(lam, psi):
+        raise ParamError(f"lam={lam} is not (F-1)-dominant for Psi={psi.render()}")
 
 
 def validate_sp(params: SpParams) -> None:
@@ -157,15 +166,12 @@ def validate_sp(params: SpParams) -> None:
     neg = [-x for x in lam if x < 0]
     if not _block_multiplicities_ok(pos, neg):
         raise ParamError(f"lam block multiplicities differ by more than 1: {lam}")
-    if params.psi.kind != SpKind(len(lam)):
-        raise ParamError("Psi must live in Sp(2v)")
-    if not is_positive_system(params.psi.kind, params.psi.roots):
-        raise ParamError("Psi is not a positive system")
-    if not contains_delta_c_plus(params.psi):
-        raise ParamError("Psi must contain the compact positives")
-    if not check_dominance_f1(lam, params.psi):
-        raise ParamError(f"lam={lam} is not (F-1)-dominant for Psi={params.psi.render()}")
-    _validate_continuous(params, sp_side=True)
+    _validate_psi(params.psi, SpKind(len(lam)), lam)
+    _validate_continuous(params)
+    forced = (-1) ** len(lam)
+    for i, ki in enumerate(params.kappa):
+        if ki.is_zero and params.eps[i] != forced:
+            raise ParamError(f"kappa_{i+1}=0 forces eps=(-1)^v={forced}")
 
 
 def validate_o(params: OParams) -> None:
@@ -179,14 +185,7 @@ def validate_o(params: OParams) -> None:
         raise ParamError("lam halves have block multiplicities differing by more than 1")
     if abs(left.count(0) - right.count(0)) > 1:
         raise ParamError("zero blocks of the lam halves differ by more than 1")
-    if params.psi.kind != OKind(len(left), len(right)):
-        raise ParamError("Psi must live in O(2a,2d)")
-    if not is_positive_system(params.psi.kind, params.psi.roots):
-        raise ParamError("Psi is not a positive system")
-    if not contains_delta_c_plus(params.psi):
-        raise ParamError("Psi must contain the compact positives")
-    if not check_dominance_f1(left + right, params.psi):
-        raise ParamError("lam is not (F-1)-dominant for Psi")
+    _validate_psi(params.psi, OKind(len(left), len(right)), left + right)
     if params.xi not in (1, -1) or params.zeta not in (1, -1):
         raise ParamError("zeta and xi must be +-1")
     if params.xi == -1 and params.zeros == 0:
@@ -196,7 +195,7 @@ def validate_o(params: OParams) -> None:
             raise ParamError("zeta=-1 requires lam without zero entries")
         if not any(k.is_zero for k in params.kappa):
             raise ParamError("zeta=-1 requires some kappa=0")
-    _validate_continuous(params, sp_side=False)
+    _validate_continuous(params)
 
 
 # -- canonical form ----------------------------------------------------------
@@ -253,26 +252,19 @@ def canonicalize(params: Params) -> Params:
 # -- infinitesimal characters ------------------------------------------------
 
 
-def _pair_entries(params: Params) -> list[Scalar]:
-    out = []
+def _infchar(discrete: tuple[int, ...], params: Params) -> InfChar:
+    entries = [Scalar.of(x) for x in discrete]
     for m, nu in zip(params.mu, params.nu):
-        out.append((nu + m).half())
-        out.append((nu - m).half())
-    return out
+        entries += [(nu + m).half(), (nu - m).half()]
+    return InfChar.of(entries + list(params.kappa))
 
 
 def infchar_sp(params: SpParams) -> InfChar:
-    entries = [Scalar.of(x) for x in params.lam]
-    entries += _pair_entries(params)
-    entries += list(params.kappa)
-    return InfChar.of(entries)
+    return _infchar(params.lam, params)
 
 
 def infchar_o(params: OParams) -> InfChar:
-    entries = [Scalar.of(x) for x in params.lam_left + params.lam_right]
-    entries += _pair_entries(params)
-    entries += list(params.kappa)
-    return InfChar.of(entries)
+    return _infchar(params.lam_left + params.lam_right, params)
 
 
 # -- structural maps ---------------------------------------------------------
@@ -400,15 +392,17 @@ def _render_scalars(xs: tuple[Scalar, ...]) -> str:
     return "0" if not xs else "(" + ",".join(x.render() for x in xs) + ")"
 
 
-def render_sp(params: SpParams) -> str:
-    fields = [
-        _render_ints(params.lam),
-        params.psi.render(),
+def _render_continuous(params: Params) -> list[str]:
+    return [
         _render_ints(params.mu),
         _render_scalars(params.nu),
         _render_ints(params.eps),
         _render_scalars(params.kappa),
     ]
+
+
+def render_sp(params: SpParams) -> str:
+    fields = [_render_ints(params.lam), params.psi.render()] + _render_continuous(params)
     return "pi(" + ",".join(fields) + ")"
 
 
@@ -423,15 +417,7 @@ def render_o(params: OParams) -> str:
             + ",".join(str(x) for x in params.lam_right)
             + ")"
         )
-    fields = [
-        lam,
-        str(params.xi),
-        params.psi.render(),
-        _render_ints(params.mu),
-        _render_scalars(params.nu),
-        _render_ints(params.eps),
-        _render_scalars(params.kappa),
-    ]
+    fields = [lam, str(params.xi), params.psi.render()] + _render_continuous(params)
     return f"pi_{{{params.zeta}}}(" + ",".join(fields) + f") @ O({params.p},{params.q})"
 
 
@@ -578,17 +564,17 @@ def instantiate_pattern(pat: ParamPattern, env: Mapping[str, "Scalar | int"]) ->
     def scalars(exprs: tuple[Expr, ...]) -> tuple[Scalar, ...]:
         return tuple(expr_eval(e, env) for e in exprs)
 
+    def continuous() -> tuple:
+        return ints(pat.mu), scalars(pat.nu), ints(pat.eps), scalars(pat.kappa)
+
     if pat.side == "sp":
         lam = ints(pat.lam_left)
-        psi = parse_psi(pat.psi_text, SpKind(len(lam)))
-        params = SpParams(lam, psi, ints(pat.mu), scalars(pat.nu), ints(pat.eps), scalars(pat.kappa))
+        params = SpParams(lam, parse_psi(pat.psi_text, SpKind(len(lam))), *continuous())
         validate_sp(params)
         return canonicalize_sp(params)
     left, right = ints(pat.lam_left), ints(pat.lam_right)
     psi = parse_psi(pat.psi_text, OKind(len(left), len(right)))
-    params = OParams(
-        pat.zeta, pat.xi, left, right, psi, ints(pat.mu), scalars(pat.nu), ints(pat.eps), scalars(pat.kappa)
-    )
+    params = OParams(pat.zeta, pat.xi, left, right, psi, *continuous())
     validate_o(params)
     return canonicalize_o(params)
 

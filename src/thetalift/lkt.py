@@ -1,32 +1,30 @@
 """Lowest K-types of Sp(2n,R) and O(p,q) representations.
 
-Both computations follow the same pattern: build the A-parameter
-lambda_a by merging the discrete datum with mu/2 contributions, shift it
-by rho(u cap p) - rho(u cap k) for the theta-stable parabolic determined
-by lambda_a, and then enumerate the small corrections delta_L allowed on
-each block.  The shift is computed by direct enumeration of the roots
-pairing positively with lambda_a; this agrees with the closed block
+Both computations share one skeleton: build the A-parameter lambda_a by
+merging the discrete datum with mu/2 contributions, shift it by
+rho(u cap p) - rho(u cap k) for the theta-stable parabolic determined by
+lambda_a, enumerate the small corrections delta_L allowed on each block
+(``_delta_options``; only the root deciding the sign of a discrete block
+differs between the sides), and add them back entry by entry
+(``_assemble_half``).  The shift is computed by direct enumeration of the
+roots pairing positively with lambda_a; this agrees with the closed block
 formulas on the symplectic side and is taken as the definition on the
 orthogonal side.
 
-For O(p,q) a lowest K-type also carries a sign on each factor; the sign
-assignment depends on zeta, xi and the shape of the continuous data.
+Each side keeps its own eta forms on the zero entries.  For O(p,q) a
+lowest K-type also carries a sign on each factor; the sign assignment
+depends on zeta, xi and the shape of the continuous data.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from typing import Callable
 
 from .ktypes import OKType, UKType
 from .langlands import OParams, SpParams
-from .roots import OKind, Root, SpKind, rho_shift
-
-
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise AssertionError(f"{what} produced a non-integral entry {x}")
-    return int(x)
+from .roots import OKind, PositiveSystem, Root, SpKind, rho_shift
 
 
 def _block_values(vec: list[Fraction]) -> list[Fraction]:
@@ -53,6 +51,59 @@ def _pair_root(dim: int, i: int, j: int, ci: int, cj: int) -> Root:
     return tuple(root)
 
 
+def _delta_options(
+    lam_a: list[Fraction],
+    base: list[Fraction],
+    avals: list[int],
+    psi: PositiveSystem,
+    block_root: Callable[[int], Root],
+) -> list[dict[Fraction, Fraction]]:
+    """Every choice of the correction delta_L on the blocks of ``lam_a``,
+    as a map from block value to delta.
+
+    A block whose shifted entry is already integral takes 0.  A half-integral
+    block carrying the j-th discrete value ``avals[j]`` takes +-1/2 by whether
+    Psi contains ``block_root(j)``; any other half-integral block takes both.
+    """
+    alphas = _block_values(lam_a)
+    options: list[list[Fraction]] = []
+    for al in alphas:
+        idx = lam_a.index(al) if al in lam_a else lam_a.index(-al)
+        if base[idx].denominator == 1:
+            options.append([Fraction(0)])
+        elif al in avals:
+            sign = 1 if psi.contains(block_root(avals.index(al))) else -1
+            options.append([Fraction(sign, 2)])
+        else:
+            options.append([Fraction(1, 2), Fraction(-1, 2)])
+    return [dict(zip(alphas, combo)) for combo in product(*options)]
+
+
+def _assemble_half(
+    lam_a_half: list[Fraction],
+    base_half: list[Fraction],
+    by_value: dict[Fraction, Fraction],
+    eta: list[Fraction],
+    orient: int,
+) -> list[int]:
+    """The shifted entries plus delta_L (times ``orient``) on the blocks and
+    ``eta`` on the zero entries, in order; ``eta`` must fit the zero block."""
+    if len(eta) != lam_a_half.count(0):
+        raise AssertionError("eta block overflow")
+    entries, zi = [], 0
+    for val, b in zip(lam_a_half, base_half):
+        if val != 0:
+            delta = by_value[abs(val)]
+            entries.append(b + delta if orient > 0 else b - delta)
+        else:
+            entries.append(b + eta[zi])
+            zi += 1
+    for x in entries:
+        if x.denominator != 1:
+            raise AssertionError(f"lowest K-type has a non-integral entry {x}")
+    return [int(x) for x in entries]
+
+
 def lowest_ktypes_sp(params: SpParams) -> tuple[UKType, ...]:
     """Lowest K-types (U(n) highest weights) of a symplectic parameter."""
     lam, mu = params.lam, params.mu
@@ -66,54 +117,36 @@ def lowest_ktypes_sp(params: SpParams) -> tuple[UKType, ...]:
     shift = rho_shift(lam_a, kind)
     base = [x + s for x, s in zip(lam_a, shift)]
 
-    alphas = _block_values(lam_a)
     w = lam_a.count(0)
-    u = sum(lam_a.count(a) for a in alphas)
-    r = sum(lam_a.count(-a) for a in alphas)
+    # positive minus negative entries of lam_a; the +-mu/2 pairs cancel
+    u_minus_r = sum(1 for x in lam if x > 0) - sum(1 for x in lam if x < 0)
     avals, ktil, ltil = _pos_value_data(lam)
     k, z = (ktil[-1] if ktil else 0), lam.count(0)
-
-    delta_options: list[list[Fraction]] = []
-    for al in alphas:
-        idx = lam_a.index(al) if al in lam_a else lam_a.index(-al)
-        if base[idx].denominator == 1:
-            delta_options.append([Fraction(0)])
-        elif al in avals:
-            j = avals.index(al)
-            lo = ktil[j - 1] if j > 0 else 0
-            root = _pair_root(v, lo, v - ltil[j], 1, 1)
-            sign = 1 if params.psi.contains(root) else -1
-            delta_options.append([Fraction(sign, 2)])
-        else:
-            delta_options.append([Fraction(1, 2), Fraction(-1, 2)])
+    by_values = _delta_options(
+        lam_a,
+        base,
+        avals,
+        params.psi,
+        lambda j: _pair_root(v, ktil[j - 1] if j > 0 else 0, v - ltil[j], 1, 1),
+    )
 
     h = (
-        sum(1 for e in params.eps if e == (-1) ** (u - r + 1))
+        sum(1 for e in params.eps if e == (-1) ** (u_minus_r + 1))
         + sum(1 for m in mu if m == 0)
         + (z + 1) // 2
     )
-    if h > w:
-        raise AssertionError("eta block overflow")
     first = [Fraction(1)] * h + [Fraction(0)] * (w - h)
     second = [Fraction(0)] * (w - h) + [Fraction(-1)] * h
     if z == 0:
         etas = [first] if first == second else [first, second]
     else:
-        root = _pair_root(v, k, k + z - 1, 1, 1) if z > 1 else _pair_root(v, k, k, 1, 1)
-        etas = [first] if params.psi.contains(root) else [second]
+        etas = [first] if params.psi.contains(_pair_root(v, k, k + z - 1, 1, 1)) else [second]
 
-    out = set()
-    for combo in product(*delta_options):
-        by_value = dict(zip(alphas, combo))
-        for eta in etas:
-            entries, zi = [], 0
-            for val, b in zip(lam_a, base):
-                if val != 0:
-                    entries.append(b + by_value[abs(val)])
-                else:
-                    entries.append(b + eta[zi])
-                    zi += 1
-            out.add(UKType.of(tuple(_as_int(x, "LKT-Sp") for x in entries)))
+    out = {
+        UKType.of(tuple(_assemble_half(lam_a, base, by_value, eta, +1)))
+        for by_value in by_values
+        for eta in etas
+    }
     return tuple(sorted(out, key=lambda kt: kt.weights))
 
 
@@ -135,25 +168,15 @@ def lowest_ktypes_o(params: OParams) -> tuple[OKType, ...]:
     base = [x + s for x, s in zip(vec, shift)]
     base_left, base_right = base[:p0], base[p0:]
 
-    alphas = _block_values(vec)
     x_zeros, y_zeros = lam_a_left.count(0), lam_a_right.count(0)
     avals, ktil, ltil = _pos_value_data(left_d + tuple(-x for x in right_d))
-
-    delta_options: list[list[Fraction]] = []
-    for al in alphas:
-        if al in lam_a_left:
-            bval = base_left[lam_a_left.index(al)]
-        else:
-            bval = base_right[lam_a_right.index(al)]
-        if bval.denominator == 1:
-            delta_options.append([Fraction(0)])
-        elif al in avals:
-            j = avals.index(al)
-            root = _pair_root(a + d, ktil[j] - 1, a + ltil[j] - 1, 1, -1)
-            sign = 1 if params.psi.contains(root) else -1
-            delta_options.append([Fraction(sign, 2)])
-        else:
-            delta_options.append([Fraction(1, 2), Fraction(-1, 2)])
+    by_values = _delta_options(
+        vec,
+        base,
+        avals,
+        params.psi,
+        lambda j: _pair_root(a + d, ktil[j] - 1, a + ltil[j] - 1, 1, -1),
+    )
 
     beta_count = sum(1 for e in params.eps if e == 1)
     gamma_count = sum(1 for e in params.eps if e == -1)
@@ -161,23 +184,16 @@ def lowest_ktypes_o(params: OParams) -> tuple[OKType, ...]:
     form1 = ([Fraction(1)] * h + [Fraction(0)] * (x_zeros - h), [Fraction(0)] * y_zeros)
     form2 = ([Fraction(0)] * x_zeros, [Fraction(1)] * h + [Fraction(0)] * (y_zeros - h))
     if z + z2 == 0:
-        if h > min(x_zeros, y_zeros):
-            raise AssertionError("eta block overflow")
         eta_forms = [form1] if form1 == form2 else [form1, form2]
     elif a == 0 or d == 0:
-        if h > y_zeros:
-            raise AssertionError("eta block overflow")
         eta_forms = [form2]
     else:
         root = _pair_root(a + d, a - 1, a + d - 1, 1, -1)
         eta_forms = [form1] if params.psi.contains(root) else [form2]
-        if h > (x_zeros if eta_forms == [form1] else y_zeros):
-            raise AssertionError("eta block overflow")
 
     zero_pairs = any(k.is_zero for k in params.kappa)
     out = set()
-    for combo in product(*delta_options):
-        by_value = dict(zip(alphas, combo))
+    for by_value in by_values:
         for eta_left, eta_right in eta_forms:
             lft = _assemble_half(lam_a_left, base_left, by_value, eta_left, +1)
             rgt = _assemble_half(lam_a_right, base_right, by_value, eta_right, -1)
@@ -188,23 +204,6 @@ def lowest_ktypes_o(params: OParams) -> tuple[OKType, ...]:
     return tuple(
         sorted(out, key=lambda kt: (kt.left.entries, kt.left.sign, kt.right.entries, kt.right.sign))
     )
-
-
-def _assemble_half(
-    lam_a_half: list[Fraction],
-    base_half: list[Fraction],
-    by_value: dict[Fraction, Fraction],
-    eta: list[Fraction],
-    orient: int,
-) -> list[int]:
-    entries, zi = [], 0
-    for val, b in zip(lam_a_half, base_half):
-        if val != 0:
-            entries.append(b + orient * by_value[abs(val)])
-        else:
-            entries.append(b + eta[zi])
-            zi += 1
-    return [_as_int(x, "LKT-O") for x in entries]
 
 
 def _sign_pairs(

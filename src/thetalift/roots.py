@@ -79,34 +79,6 @@ def _pair(kind: GroupKind, i: int, j: int, ci: int, cj: int) -> Root:
     return tuple(v)
 
 
-def _signs2() -> tuple[tuple[int, int], ...]:
-    return ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-@functools.cache
-def all_roots(kind: GroupKind) -> tuple[Root, ...]:
-    out: list[Root] = []
-    if isinstance(kind, SpKind):
-        n = kind.rank
-        for i, j in itertools.combinations(range(n), 2):
-            out.extend(_pair(kind, i, j, si, sj) for si, sj in _signs2())
-        for i in range(n):
-            out.extend((_unit(kind, i, 2), _unit(kind, i, -2)))
-        return tuple(out)
-    a, d = kind.left, kind.right
-    for i, j in itertools.combinations(range(a), 2):
-        out.extend(_pair(kind, i, j, si, sj) for si, sj in _signs2())
-    for i, j in itertools.combinations(range(a, a + d), 2):
-        out.extend(_pair(kind, i, j, si, sj) for si, sj in _signs2())
-    for i in range(a):
-        for j in range(a, a + d):
-            out.extend(_pair(kind, i, j, si, sj) for si, sj in _signs2())
-    if kind.odd:
-        for i in range(a + d):
-            out.extend((_unit(kind, i, 1), _unit(kind, i, -1)))
-    return tuple(out)
-
-
 @functools.cache
 def delta_c_plus(kind: GroupKind) -> tuple[Root, ...]:
     """The fixed standard positive compact roots."""
@@ -116,12 +88,10 @@ def delta_c_plus(kind: GroupKind) -> tuple[Root, ...]:
             out.append(_pair(kind, i, j, 1, -1))
         return tuple(out)
     a, d = kind.left, kind.right
-    for i, j in itertools.combinations(range(a), 2):
-        out.append(_pair(kind, i, j, 1, 1))
-        out.append(_pair(kind, i, j, 1, -1))
-    for i, j in itertools.combinations(range(a, a + d), 2):
-        out.append(_pair(kind, i, j, 1, 1))
-        out.append(_pair(kind, i, j, 1, -1))
+    for i, j in itertools.chain(
+        itertools.combinations(range(a), 2), itertools.combinations(range(a, a + d), 2)
+    ):
+        out.extend((_pair(kind, i, j, 1, 1), _pair(kind, i, j, 1, -1)))
     if kind.odd:
         out.extend(_unit(kind, i, 1) for i in range(a + d))
     return tuple(out)
@@ -148,11 +118,19 @@ def noncompact_weights(kind: GroupKind) -> tuple[Root, ...]:
     a, d = kind.left, kind.right
     for i in range(a):
         for j in range(a, a + d):
-            out.extend(_pair(kind, i, j, si, sj) for si, sj in _signs2())
+            out.extend(_pair(kind, i, j, si, sj) for si, sj in itertools.product((1, -1), repeat=2))
     if kind.odd:
         for i in range(a + d):
             out.extend((_unit(kind, i, 1), _unit(kind, i, -1)))
     return tuple(out)
+
+
+@functools.cache
+def all_roots(kind: GroupKind) -> tuple[Root, ...]:
+    """The compact roots, then the noncompact weights that are not compact
+    (the short roots of an odd frame are both)."""
+    compact = compact_roots(kind)
+    return compact + tuple(w for w in noncompact_weights(kind) if w not in compact)
 
 
 def two_rho_c(kind: GroupKind) -> tuple[int, ...]:
@@ -196,6 +174,7 @@ _ROOT_TERM = _regex.compile(r"([+-]?)(2?)([ef])(\d+)")
 
 def parse_root(text: str, kind: GroupKind) -> Root:
     s = text.replace(" ", "")
+    slots = {kind.coord_name(i): i for i in range(kind.dim)}
     v = [0] * kind.dim
     pos = 0
     seen = False
@@ -206,20 +185,9 @@ def parse_root(text: str, kind: GroupKind) -> Root:
         seen = True
         sign = -1 if m.group(1) == "-" else 1
         coef = 2 if m.group(2) else 1
-        family, idx = m.group(3), int(m.group(4)) - 1
-        if isinstance(kind, SpKind):
-            if family != "e" or not (0 <= idx < kind.rank):
-                raise ValueError(f"bad root {text!r} for {kind.render()}")
-            slot = idx
-        else:
-            if family == "e":
-                if not (0 <= idx < kind.left):
-                    raise ValueError(f"bad root {text!r} for {kind.render()}")
-                slot = idx
-            else:
-                if not (0 <= idx < kind.right):
-                    raise ValueError(f"bad root {text!r} for {kind.render()}")
-                slot = kind.left + idx
+        slot = slots.get(f"{m.group(3)}{int(m.group(4))}")
+        if slot is None:
+            raise ValueError(f"bad root {text!r} for {kind.render()}")
         v[slot] += sign * coef
     if not seen or pos != len(s):
         raise ValueError(f"bad root {text!r}")
@@ -346,8 +314,9 @@ def _magnitudes(count: int) -> list[int]:
 def enumerate_positive_systems(kind: GroupKind) -> tuple[PositiveSystem, ...]:
     """All positive systems containing the standard compact positives.
 
-    Built from regular defining vectors with power-of-two magnitudes; every
-    candidate is re-checked against the closure invariants.
+    Built from regular defining vectors with power-of-two magnitudes: the
+    roots positive on such a vector form a positive system, and magnitudes
+    decreasing along each block put the compact positives in it.
     """
     vectors: list[list[Q]] = []
     if isinstance(kind, SpKind):
@@ -377,8 +346,5 @@ def enumerate_positive_systems(kind: GroupKind) -> tuple[PositiveSystem, ...]:
     for vec in vectors:
         roots = tuple(r for r in delta if pairing(vec, r) > 0)
         psi = PositiveSystem.of(kind, roots)
-        if psi.roots not in seen:
-            if not is_positive_system(kind, psi.roots) or not contains_delta_c_plus(psi):
-                raise AssertionError(f"bad generated system for {kind.render()}")
-            seen[psi.roots] = psi
+        seen.setdefault(psi.roots, psi)
     return tuple(sorted(seen.values(), key=lambda p: p.roots))

@@ -244,6 +244,8 @@ def test_bad_parameter_text_exits_two(capsys):
         ["phi", "--dir", "u2o", "--ktype", "(1)", "--sig=-2,0", "--n", "1"],
         ["phi", "--dir", "o2u", "--ktype", "(1;+1)x(0;+1)", "--sig", "2,2", "--n", "-3"],
         ["enumerate", "--n", "7", "--infchar", "0,1,2,3,4,5,6"],
+        ["lift", "--params", "pi_{1}(0,1,{},0,0,(1,1),(0,1))", "--n", "101"],
+        ["phi", "--dir", "o2u", "--ktype", "(1;+1)x(0;+1)", "--sig", "2,2", "--n", "101"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

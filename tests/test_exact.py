@@ -4,7 +4,6 @@ import pytest
 
 from thetalift.exact import (
     GENERIC_B,
-    HalfInt,
     InfChar,
     Scalar,
     infchars_dual,
@@ -76,16 +75,3 @@ def test_infchar_extension_and_duality():
 def test_infchar_substitute():
     chi = InfChar.of([GENERIC_B, Scalar.of(1)])
     assert chi.substitute(Scalar.of(-2)) == InfChar.of([1, 2])
-
-
-def test_half_int():
-    assert HalfInt.of(Fraction(3, 2)).twice == 3
-    assert (HalfInt.of(1) + HalfInt.of(Fraction(1, 2))).render() == "3/2"
-    assert HalfInt.of(2).render() == "2"
-    assert HalfInt.of(Fraction(1, 2)) < HalfInt.of(1)
-    assert (-HalfInt.of(Fraction(1, 2))).as_fraction() == Fraction(-1, 2)
-    assert HalfInt.of(3).as_int() == 3
-    with pytest.raises(ValueError):
-        HalfInt.of(Fraction(1, 3))
-    with pytest.raises(ValueError):
-        HalfInt.of(Fraction(1, 2)).as_int()

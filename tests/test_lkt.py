@@ -1,8 +1,11 @@
+import hashlib
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
-from thetalift.exact import GENERIC_B, Scalar
+from thetalift.enumeration import enumerate_o_reps, enumerate_sp_reps
+from thetalift.exact import GENERIC_B, InfChar, Scalar, parse_infchar
 from thetalift.ktypes import OKType, UKType
 from thetalift.langlands import (
     OParams,
@@ -10,6 +13,8 @@ from thetalift.langlands import (
     det_o,
     parse_o,
     parse_sp,
+    render_o,
+    render_sp,
     swap_pq,
     tensor_det_o,
     trivial_o,
@@ -93,3 +98,36 @@ def test_multiplicity_o31():
     assert multiplicity_o31(OKType.of(3, 1, (0,), (), 1, -1), sign_variant=True) == 0
     with pytest.raises(ValueError):
         multiplicity_o31(OKType.of(2, 2, (0,), (0,), 1, 1), sign_variant=False)
+
+
+# SHA-256 of the rendered ``params lkts`` lines below.  Any change to a
+# lowest-K-type, enumeration or rendering rule moves it.
+CENSUS_LKT_SHA256 = "0989d8b0248189d4877f2bbc8bbfd6d5ccd92bb3316a4bf7d8039ad204891cb4"
+
+
+def _census_lkt_lines() -> list[str]:
+    grid = [Scalar.of(x) for x in (0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2))] + [GENERIC_B]
+    chis = sorted(
+        {InfChar.of(pair) for pair in combinations_with_replacement(grid, 2)},
+        key=lambda c: [x.sort_key() for x in c.entries],
+    )
+    lines = []
+    for p, q in ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4)):
+        for chi in chis:
+            for pi in enumerate_o_reps(p, q, chi):
+                kts = ",".join(k.render() for k in lowest_ktypes_o(pi))
+                lines.append(f"{render_o(pi)} {kts}")
+    for text in ("(0,1,2,3)", "(b,0,1,2)", "(1/2,3/2,1,2)", "(1,1,2,2)"):
+        for pi in enumerate_sp_reps(4, parse_infchar(text)):
+            kts = ",".join(k.render() for k in lowest_ktypes_sp(pi))
+            lines.append(f"{render_sp(pi)} {kts}")
+    return lines
+
+
+def test_census_lowest_ktypes_are_pinned():
+    """Every O(p,q), p+q=4, parameter over the pair grid of {0,1,2,3,1/2,3/2,b}
+    and every member of four rank-4 Sp censuses keeps its lowest K-types."""
+    lines = _census_lkt_lines()
+    assert len(lines) == 341 + 666
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CENSUS_LKT_SHA256

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from thetalift.enumeration import enumerate_sp_reps
 from thetalift.exact import (
     GENERIC_B,
-    HalfInt,
     InfChar,
     Scalar,
     parse_infchar,
@@ -106,20 +105,6 @@ def test_sign_normalization_is_canonical(s):
 @given(scalars)
 def test_scalar_render_parse_round_trip(s):
     assert parse_scalar(s.render()) == s
-
-
-# -- half integers -------------------------------------------------------------
-
-
-@given(st.integers(-20, 20), st.integers(-20, 20))
-def test_halfint_matches_fraction_arithmetic(a, b):
-    x, y = HalfInt(a), HalfInt(b)
-    assert (x + y).as_fraction() == x.as_fraction() + y.as_fraction()
-    assert (x - y).as_fraction() == x.as_fraction() - y.as_fraction()
-    assert (-x).as_fraction() == -x.as_fraction()
-    assert (x <= y) == (x.as_fraction() <= y.as_fraction())
-    assert HalfInt.of(x.as_fraction()) == x
-    assert x.is_integer() == (a % 2 == 0)
 
 
 # -- infinitesimal characters ----------------------------------------------------

@@ -49,7 +49,16 @@ def test_system_counts_o():
 
 
 def test_enumerated_systems_are_valid():
-    for kind in [SpKind(3), OKind(2, 1), OKind(1, 1, odd=True), OKind(2, 0)]:
+    """For every kind the package meets (Sp(2v) up to the enumerate cap, the
+    even O frames with a + d <= 2, and the odd frames of O(3,1), O(1,3) and
+    O(3,3)), ``enumerate_positive_systems`` gives distinct positive systems
+    that all contain the compact positives."""
+    kinds = (
+        [SpKind(v) for v in range(7)]
+        + [OKind(a, d) for a in range(3) for d in range(3 - a)]
+        + [OKind(1, 0, odd=True), OKind(0, 1, odd=True), OKind(1, 1, odd=True)]
+    )
+    for kind in kinds:
         systems = enumerate_positive_systems(kind)
         assert len(set(systems)) == len(systems)
         for psi in systems:
@@ -71,8 +80,17 @@ def test_parse_render_round_trip():
     assert parse_root("-2e1", SpKind(2)) == (-2, 0)
     assert render_root((0, -1), OKind(1, 1)) == "-f1"
     assert parse_psi("{}", SpKind(0)).render() == "{}"
-    with pytest.raises(ValueError):
-        parse_root("e1+e2", SpKind(1))
+    assert parse_root("f2-e01", OKind(1, 2)) == (-1, 0, 1)
+    for text, kind in [
+        ("e1+e2", SpKind(1)),
+        ("f1", SpKind(1)),
+        ("e0", SpKind(1)),
+        ("e2", OKind(1, 1)),
+        ("f2", OKind(1, 1)),
+        ("e1+g1", OKind(1, 1)),
+    ]:
+        with pytest.raises(ValueError):
+            parse_root(text, kind)
 
 
 def test_dominance_f1_picks_out_psi_for_zero_datum():
@@ -111,6 +129,27 @@ def test_delta_c_plus_tables():
     assert set(delta_c_plus(OKind(1, 1, odd=True))) == {(1, 0), (0, 1)}
     assert set(delta_c_plus(SpKind(2))) == {(1, -1)}
     assert set(delta_c_plus(OKind(2, 1))) == {(1, 1, 0), (1, -1, 0)}
+
+
+def test_all_roots_is_the_root_system():
+    """C_n on the Sp side, D_m or B_m (with the short roots) on the O side,
+    each root once."""
+    kinds = [SpKind(v) for v in range(7)] + [
+        OKind(a, d, odd) for a in range(4) for d in range(4) for odd in (False, True)
+    ]
+    for kind in kinds:
+        m = kind.dim
+        want = set()
+        for i, j in itertools.combinations(range(m), 2):
+            for si, sj in itertools.product((1, -1), repeat=2):
+                want.add(tuple(si if k == i else sj if k == j else 0 for k in range(m)))
+        if isinstance(kind, SpKind) or kind.odd:
+            c = 2 if isinstance(kind, SpKind) else 1
+            for i in range(m):
+                for s in (c, -c):
+                    want.add(tuple(s if k == i else 0 for k in range(m)))
+        roots = all_roots(kind)
+        assert len(roots) == len(want) and set(roots) == want, kind
 
 
 def test_positive_system_rejects_foreign_roots():

@@ -5,8 +5,9 @@ Exit codes: 0 on success, 1 when a verification reports a mismatch, when
 ``lift --expect-nonzero`` meets a zero lift, when an inverse lookup
 finds no preimage, or when stdout is closed before the output is written
 (a broken pipe, as in ``thetalift enumerate ... | head -1``); 2 on usage
-or input errors, including ``lift --n`` and ``phi --n`` above ``MAX_RANK``
-and ``enumerate --n`` above ``MAX_ENUMERATE_RANK``.
+or input errors, including ``lift --n`` and ``phi --n`` above ``MAX_RANK``,
+an ``inverse-lookup`` target of rank above ``MAX_RANK``, and
+``enumerate --n`` above ``MAX_ENUMERATE_RANK``.
 """
 
 from __future__ import annotations
@@ -54,9 +55,11 @@ from .theta import (
 # library's enumerators stay unbounded.
 MAX_ENUMERATE_RANK = 6
 
-# ``lift`` cost grows quadratically in n (0.05 s at n=100) and ``phi``
-# builds a weight of length n, so both stop at this rank.  The library's
-# functions stay unbounded.
+# ``lift`` cost grows quadratically in n (0.05 s at n=100), ``phi``
+# builds a weight of length n, and ``inverse-lookup`` lifts every O(p,q)
+# parameter of the target's character to its rank n (about n^2.6: 1.15 s
+# at n=200), so all three stop at this rank.  The library's functions stay
+# unbounded.
 MAX_RANK = 100
 
 
@@ -192,6 +195,8 @@ def _cmd_inverse_lookup(args) -> int:
     if p + q != 4:
         raise ValueError("inverse lookup supports p + q = 4 signatures")
     n = target.n
+    if n > MAX_RANK:
+        raise ValueError(f"inverse lookup supports targets of rank n <= {MAX_RANK}, got {n}")
     try:
         chi_o = o_infchar_from_sp(infchar_sp(target), (p + q) // 2, n)
     except ThetaError:

@@ -441,7 +441,6 @@ def suite_theta3(tables: Optional[TableSet] = None) -> VerificationReport:
     invariants pin the lift uniquely (with the one known two-parameter
     exception), and every lift appears in the rank-3 classification."""
     tables = load_tables() if tables is None else tables
-    exceptional = canonicalize_o(EXCEPTIONAL_THETA3_INPUT)
     details_lift: list[str] = []
     details_unique: list[str] = []
     details_class: list[str] = []
@@ -469,14 +468,14 @@ def suite_theta3(tables: Optional[TableSet] = None) -> VerificationReport:
         chi = infchar_sp(want)
         lkts = frozenset(lowest_ktypes_sp(want))
         same = verify_unique_by_invariants(3, chi, lkts)
-        if pi == exceptional:
+        if pi == EXCEPTIONAL_THETA3_INPUT:
             exceptional_seen += 1
-            expect = {want, canonicalize_sp(EXCEPTIONAL_THETA3_OTHER)}
+            expect = {want, EXCEPTIONAL_THETA3_OTHER}
             if set(same) != expect:
                 details_unique.append(
                     f"line {line}: exceptional case candidates {[render_sp(x) for x in same]}"
                 )
-            if want != canonicalize_sp(DET11_THETA3):
+            if want != DET11_THETA3:
                 details_unique.append("exceptional case resolved to the wrong candidate")
         elif same != (want,):
             details_unique.append(
@@ -522,7 +521,6 @@ def suite_theta4(tables: Optional[TableSet] = None) -> VerificationReport:
     details_unique: list[str] = []
     for (p, q), want in frozen.items():
         de = det_o(p, q)
-        want = canonicalize_sp(want)
         if first_occurrence(de, tables) != 4:
             details.append(f"det O({p},{q}): occurrence != 4")
         for rank in (1, 2, 3):
@@ -586,7 +584,7 @@ def _prop_samples(tables: TableSet) -> list[OParams]:
         parse_o("pi_{1}((0;2),-1,{e1+f1,-e1+f1},0,0,0,0)"),
         parse_o("pi_{-1}((;1),1,{},0,0,(1),(0))"),
     ]
-    return [canonicalize_o(pi) for pi in out]
+    return out
 
 
 def _rho_norm(weights: Sequence[int], kind) -> int:

@@ -16,6 +16,7 @@ representative used for equality tests throughout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re as _regex
 
@@ -36,7 +37,16 @@ from .roots import (
 
 
 class ParamError(ValueError):
-    pass
+    """Parameters outside the valid space, or text outside the grammar.
+
+    Arguments after the message are %-formatted into it when the error is
+    shown, so that a rejection nobody reads costs no rendering.
+    """
+
+    def __str__(self) -> str:
+        if len(self.args) > 1:
+            return self.args[0] % self.args[1:]
+        return super().__str__()
 
 
 def _check_signs(seq: Iterable[int], what: str) -> None:
@@ -153,7 +163,7 @@ def _validate_psi(psi: PositiveSystem, kind: GroupKind, lam: tuple[int, ...]) ->
     if not contains_delta_c_plus(psi):
         raise ParamError("Psi must contain the compact positives")
     if not check_dominance_f1(lam, psi):
-        raise ParamError(f"lam={lam} is not (F-1)-dominant for Psi={psi.render()}")
+        raise ParamError("lam=%s is not (F-1)-dominant for Psi=%s", lam, psi)
 
 
 def validate_sp(params: SpParams) -> None:
@@ -321,47 +331,20 @@ def det_o(p: int, q: int) -> OParams:
     return _one_dim_o(p, q, det=True)
 
 
+# (trivial, det) of O(p,q) for p >= q; O(1,3) and O(0,4) are their swaps.
+_ONE_DIM_TEXT = {
+    (4, 0): ("pi_{1}((1,0;),1,{e1+e2,e1-e2},0,0,0,0)", "pi_{1}((1,0;),-1,{e1+e2,e1-e2},0,0,0,0)"),
+    (3, 1): ("pi_{1}((0;),1,{},0,0,(1),(1))", "pi_{1}((0;),-1,{},0,0,(1),(1))"),
+    (2, 2): ("pi_{1}(0,1,{},0,0,(1,1),(0,1))", "pi_{-1}(0,1,{},0,0,(1,1),(0,1))"),
+}
+
+
+@functools.cache
 def _one_dim_o(p: int, q: int, det: bool) -> OParams:
-    if (p, q) == (4, 0) or (p, q) == (0, 4):
-        base = OParams(
-            zeta=1,
-            xi=-1 if det else 1,
-            lam_left=(1, 0),
-            lam_right=(),
-            psi=parse_psi("{e1+e2,e1-e2}", OKind(2, 0)),
-            mu=(),
-            nu=(),
-            eps=(),
-            kappa=(),
-        )
-        return swap_pq(base) if (p, q) == (0, 4) else canonicalize_o(base)
-    if (p, q) == (3, 1) or (p, q) == (1, 3):
-        base = OParams(
-            zeta=1,
-            xi=-1 if det else 1,
-            lam_left=(0,),
-            lam_right=(),
-            psi=PositiveSystem.of(OKind(1, 0), ()),
-            mu=(),
-            nu=(),
-            eps=(1,),
-            kappa=(Scalar.of(1),),
-        )
-        return swap_pq(base) if (p, q) == (1, 3) else canonicalize_o(base)
-    if (p, q) == (2, 2):
-        return canonicalize_o(
-            OParams(
-                zeta=-1 if det else 1,
-                xi=1,
-                lam_left=(),
-                lam_right=(),
-                psi=PositiveSystem.of(OKind(0, 0), ()),
-                mu=(),
-                nu=(),
-                eps=(1, 1),
-                kappa=(Scalar.of(0), Scalar.of(1)),
-            )
-        )
+    if (p, q) in _ONE_DIM_TEXT:
+        return parse_o(_ONE_DIM_TEXT[p, q][det])
+    if (q, p) in _ONE_DIM_TEXT:
+        return swap_pq(_one_dim_o(q, p, det))
     raise ParamError(f"one-dimensional parameters implemented for p+q=4 only, got ({p},{q})")
 
 

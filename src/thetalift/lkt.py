@@ -24,7 +24,7 @@ from typing import Callable
 
 from .ktypes import OKType, UKType
 from .langlands import OParams, SpParams
-from .roots import OKind, PositiveSystem, Root, SpKind, rho_shift
+from .roots import OKind, PositiveSystem, Root, SpKind, pair_root, rho_shift
 
 
 def _block_values(vec: list[Fraction]) -> list[Fraction]:
@@ -42,13 +42,6 @@ def _pos_value_data(entries: tuple[int, ...]) -> tuple[list[int], list[int], lis
         ktil.append(kc)
         ltil.append(lc)
     return vals, ktil, ltil
-
-
-def _pair_root(dim: int, i: int, j: int, ci: int, cj: int) -> Root:
-    root = [0] * dim
-    root[i] += ci
-    root[j] += cj
-    return tuple(root)
 
 
 def _delta_options(
@@ -127,7 +120,7 @@ def lowest_ktypes_sp(params: SpParams) -> tuple[UKType, ...]:
         base,
         avals,
         params.psi,
-        lambda j: _pair_root(v, ktil[j - 1] if j > 0 else 0, v - ltil[j], 1, 1),
+        lambda j: pair_root(v, ktil[j - 1] if j > 0 else 0, v - ltil[j], 1, 1),
     )
 
     h = (
@@ -140,7 +133,7 @@ def lowest_ktypes_sp(params: SpParams) -> tuple[UKType, ...]:
     if z == 0:
         etas = [first] if first == second else [first, second]
     else:
-        etas = [first] if params.psi.contains(_pair_root(v, k, k + z - 1, 1, 1)) else [second]
+        etas = [first] if params.psi.contains(pair_root(v, k, k + z - 1, 1, 1)) else [second]
 
     out = {
         UKType.of(tuple(_assemble_half(lam_a, base, by_value, eta, +1)))
@@ -175,7 +168,7 @@ def lowest_ktypes_o(params: OParams) -> tuple[OKType, ...]:
         base,
         avals,
         params.psi,
-        lambda j: _pair_root(a + d, ktil[j] - 1, a + ltil[j] - 1, 1, -1),
+        lambda j: pair_root(a + d, ktil[j] - 1, a + ltil[j] - 1, 1, -1),
     )
 
     beta_count = sum(1 for e in params.eps if e == 1)
@@ -188,7 +181,7 @@ def lowest_ktypes_o(params: OParams) -> tuple[OKType, ...]:
     elif a == 0 or d == 0:
         eta_forms = [form2]
     else:
-        root = _pair_root(a + d, a - 1, a + d - 1, 1, -1)
+        root = pair_root(a + d, a - 1, a + d - 1, 1, -1)
         eta_forms = [form1] if params.psi.contains(root) else [form2]
 
     zero_pairs = any(k.is_zero for k in params.kappa)

@@ -1,10 +1,19 @@
 """Root-system helpers for Sp(2n,R) and O(p,q).
 
 Weights are integer coefficient tuples over the basis e_1..e_a, f_1..f_d
-(O side) or e_1..e_v (Sp side).  Compact positive systems are fixed once
-and for all; the positive systems Psi appearing in parameters are always
-required to contain the compact positives.  The per-kind root tables
-depend only on the frozen kind and are computed once per process.
+(O side) or e_1..e_v (Sp side).  Each kind states two facts, and every
+per-kind table is derived from them:
+
+- its axis coefficient c, so that the roots are +-e_i+-e_j and +-c*e_i:
+  2 on Sp(2n,R) (type C), 1 on an odd orthogonal frame (type B), and 0,
+  meaning no axis roots, on an even one (type D);
+- which roots are compact: those of U(n), e_i - e_j, on Sp(2n,R); those
+  of O(p) x O(q), supported inside one block, on O(p,q).
+
+Compact positive systems are fixed once and for all as the compact roots
+positive on (m, ..., 1); the positive systems Psi appearing in parameters
+are always required to contain them.  The per-kind root tables depend
+only on the frozen kind and are computed once per process.
 """
 
 from __future__ import annotations
@@ -27,9 +36,14 @@ Root = tuple[int, ...]
 class SpKind:
     rank: int
 
+    axis = 2
+
     @property
     def dim(self) -> int:
         return self.rank
+
+    def is_compact(self, root: Root) -> bool:
+        return sum(root) == 0
 
     def coord_name(self, i: int) -> str:
         return f"e{i + 1}"
@@ -53,6 +67,13 @@ class OKind:
     def dim(self) -> int:
         return self.left + self.right
 
+    @property
+    def axis(self) -> int:
+        return 1 if self.odd else 0
+
+    def is_compact(self, root: Root) -> bool:
+        return not (any(root[: self.left]) and any(root[self.left :]))
+
     def coord_name(self, i: int) -> str:
         if i < self.left:
             return f"e{i + 1}"
@@ -66,71 +87,48 @@ class OKind:
 GroupKind = Union[SpKind, OKind]
 
 
-def _unit(kind: GroupKind, i: int, c: int) -> Root:
-    v = [0] * kind.dim
-    v[i] = c
-    return tuple(v)
-
-
-def _pair(kind: GroupKind, i: int, j: int, ci: int, cj: int) -> Root:
-    v = [0] * kind.dim
-    v[i] = ci
-    v[j] = cj
-    return tuple(v)
+def pair_root(dim: int, i: int, j: int, ci: int, cj: int) -> Root:
+    """The root ci*e_i + cj*e_j of a frame with ``dim`` coordinates;
+    i == j gives (ci+cj)*e_i."""
+    root = [0] * dim
+    root[i] += ci
+    root[j] += cj
+    return tuple(root)
 
 
 @functools.cache
-def delta_c_plus(kind: GroupKind) -> tuple[Root, ...]:
-    """The fixed standard positive compact roots."""
-    out: list[Root] = []
-    if isinstance(kind, SpKind):
-        for i, j in itertools.combinations(range(kind.rank), 2):
-            out.append(_pair(kind, i, j, 1, -1))
-        return tuple(out)
-    a, d = kind.left, kind.right
-    for i, j in itertools.chain(
-        itertools.combinations(range(a), 2), itertools.combinations(range(a, a + d), 2)
-    ):
-        out.extend((_pair(kind, i, j, 1, 1), _pair(kind, i, j, 1, -1)))
-    if kind.odd:
-        out.extend(_unit(kind, i, 1) for i in range(a + d))
+def all_roots(kind: GroupKind) -> tuple[Root, ...]:
+    """+-e_i+-e_j, plus +-c*e_i for the kind's axis coefficient c."""
+    m, c = kind.dim, kind.axis
+    out = [
+        pair_root(m, i, j, si, sj)
+        for i, j in itertools.combinations(range(m), 2)
+        for si, sj in itertools.product((1, -1), repeat=2)
+    ]
+    if c:
+        out += [pair_root(m, i, i, s * c, 0) for i in range(m) for s in (1, -1)]
     return tuple(out)
 
 
 @functools.cache
 def compact_roots(kind: GroupKind) -> tuple[Root, ...]:
-    plus = delta_c_plus(kind)
-    return plus + tuple(tuple(-c for c in r) for r in plus)
+    return tuple(r for r in all_roots(kind) if kind.is_compact(r))
+
+
+@functools.cache
+def delta_c_plus(kind: GroupKind) -> tuple[Root, ...]:
+    """The fixed standard positive compact roots: those positive on (m, ..., 1)."""
+    m = kind.dim
+    return tuple(r for r in compact_roots(kind) if pairing(range(m, 0, -1), r) > 0)
 
 
 @functools.cache
 def noncompact_weights(kind: GroupKind) -> tuple[Root, ...]:
-    """Weights of the complexified p-part (both signs)."""
-    out: list[Root] = []
-    if isinstance(kind, SpKind):
-        n = kind.rank
-        for i, j in itertools.combinations(range(n), 2):
-            out.append(_pair(kind, i, j, 1, 1))
-            out.append(_pair(kind, i, j, -1, -1))
-        for i in range(n):
-            out.extend((_unit(kind, i, 2), _unit(kind, i, -2)))
-        return tuple(out)
-    a, d = kind.left, kind.right
-    for i in range(a):
-        for j in range(a, a + d):
-            out.extend(_pair(kind, i, j, si, sj) for si, sj in itertools.product((1, -1), repeat=2))
-    if kind.odd:
-        for i in range(a + d):
-            out.extend((_unit(kind, i, 1), _unit(kind, i, -1)))
-    return tuple(out)
-
-
-@functools.cache
-def all_roots(kind: GroupKind) -> tuple[Root, ...]:
-    """The compact roots, then the noncompact weights that are not compact
-    (the short roots of an odd frame are both)."""
-    compact = compact_roots(kind)
-    return compact + tuple(w for w in noncompact_weights(kind) if w not in compact)
+    """Weights of the complexified p-part (both signs): the noncompact
+    roots, plus the short roots +-e_i of an odd frame, which are compact too."""
+    return tuple(
+        r for r in all_roots(kind) if not kind.is_compact(r) or sum(map(abs, r)) == 1
+    )
 
 
 def two_rho_c(kind: GroupKind) -> tuple[int, ...]:
@@ -239,7 +237,7 @@ class PositiveSystem:
     def render(self) -> str:
         return "{" + ",".join(render_root(r, self.kind) for r in self.roots) + "}"
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
+    def __str__(self) -> str:
         return self.render()
 
 
@@ -306,45 +304,22 @@ def check_dominance_f1(vec: Sequence[Q | int], psi: PositiveSystem) -> bool:
     return True
 
 
-def _magnitudes(count: int) -> list[int]:
-    return [2 ** (count - i) for i in range(count)]
-
-
 @functools.cache
 def enumerate_positive_systems(kind: GroupKind) -> tuple[PositiveSystem, ...]:
     """All positive systems containing the standard compact positives.
 
-    Built from regular defining vectors with power-of-two magnitudes: the
-    roots positive on such a vector form a positive system, and magnitudes
-    decreasing along each block put the compact positives in it.
+    Each is the set of roots positive on a signed permutation of (1, ..., m)
+    that is positive on the compact positives.  These vectors are regular,
+    and one lies in every Weyl chamber of B_m and C_m, so every chamber of
+    D_m is reached too.
     """
-    vectors: list[list[Q]] = []
-    if isinstance(kind, SpKind):
-        v = kind.rank
-        mags = _magnitudes(v)
-        for pos_ranks in itertools.product((1, -1), repeat=v):
-            values = sorted((s * m for s, m in zip(pos_ranks, mags)), reverse=True)
-            vectors.append([Q(x) for x in values])
-    else:
-        a, d = kind.left, kind.right
-        mags = _magnitudes(a + d)
-        for e_ranks in itertools.combinations(range(a + d), a):
-            f_ranks = [i for i in range(a + d) if i not in e_ranks]
-            for se, sf in itertools.product(
-                (1,) if (kind.odd or a == 0) else (1, -1),
-                (1,) if (kind.odd or d == 0) else (1, -1),
-            ):
-                evals = [Q(mags[i]) for i in e_ranks]
-                fvals = [Q(mags[i]) for i in f_ranks]
-                if evals:
-                    evals[-1] *= se
-                if fvals:
-                    fvals[-1] *= sf
-                vectors.append(evals + fvals)
-    delta = all_roots(kind)
+    m = kind.dim
+    delta, plus = all_roots(kind), delta_c_plus(kind)
     seen: dict[tuple[Root, ...], PositiveSystem] = {}
-    for vec in vectors:
-        roots = tuple(r for r in delta if pairing(vec, r) > 0)
-        psi = PositiveSystem.of(kind, roots)
-        seen.setdefault(psi.roots, psi)
+    for perm in itertools.permutations(range(1, m + 1)):
+        for signs in itertools.product((1, -1), repeat=m):
+            vec = [s * x for s, x in zip(signs, perm)]
+            if all(pairing(vec, r) > 0 for r in plus):
+                psi = PositiveSystem.of(kind, (r for r in delta if pairing(vec, r) > 0))
+                seen.setdefault(psi.roots, psi)
     return tuple(sorted(seen.values(), key=lambda p: p.roots))

@@ -60,7 +60,7 @@ from .langlands import (
     validate_o,
     validate_sp,
 )
-from .roots import PositiveSystem, SpKind
+from .roots import PositiveSystem, SpKind, pair_root
 
 
 class TableError(ValueError):
@@ -137,10 +137,9 @@ def _bind_pairs(
 
 def match_o_pattern(pat: ParamPattern, target: OParams) -> tuple[dict, ...]:
     """All variable assignments under which the pattern reproduces the
-    (canonical form of the) target parameter."""
+    target parameter, which must be in canonical form."""
     if pat.side != "o":
         raise TableError("only orthogonal patterns are matched")
-    target = canonicalize_o(target)
     if pat.zeta != target.zeta or pat.xi != target.xi:
         return ()
     if (len(pat.lam_left), len(pat.lam_right)) != (target.a, target.d):
@@ -474,11 +473,7 @@ def cond_lambda(lam: tuple[int, ...], psi: PositiveSystem, half_diff: int) -> bo
         return True
     if z == 0:
         return False
-    v = len(lam)
-    if z == 1:
-        root = tuple(2 if i == k else 0 for i in range(v))
-    else:
-        root = tuple(1 if i in (k, k + z - 1) else 0 for i in range(v))
+    root = pair_root(len(lam), k, k + z - 1, 1, 1)
     if half_diff == k - neg + 1:
         return psi.contains(root)
     if half_diff == k - neg - 1:
@@ -548,9 +543,9 @@ def first_occurrence(pi: OParams, tables: Optional[TableSet] = None) -> int:
         return first_occurrence(swap_pq(pi), tables)
     if (pi.p, pi.q) not in _SUPPORTED:
         raise ThetaError(f"unsupported signature O({pi.p},{pi.q})")
-    if pi == canonicalize_o(trivial_o(pi.p, pi.q)):
+    if pi == trivial_o(pi.p, pi.q):
         return 0
-    if pi == canonicalize_o(det_o(pi.p, pi.q)):
+    if pi == det_o(pi.p, pi.q):
         return 4
     if pi.xi == -1 or (pi.zeta == -1 and any(e == 1 and kap.is_zero for e, kap in zip(pi.eps, pi.kappa))):
         return 3
@@ -594,7 +589,7 @@ def theta_n(pi: OParams, n: int, tables: Optional[TableSet] = None) -> ThetaResu
         return ThetaResult(None, f"zero: rank {n} is below the first occurrence {n0}")
     if n == 0:
         empty = SpParams((), PositiveSystem.of(SpKind(0), ()), (), (), (), ())
-        return ThetaResult(canonicalize_sp(empty), "rank-zero lift of the trivial parameter")
+        return ThetaResult(empty, "rank-zero lift of the trivial parameter")
 
     def from_table(rank: int) -> SpParams:
         lifted = lookup_lift(tables.theta(rank), pi)

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface: subcommands, output
 formats, table-directory overrides, and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetalift.cli import main
 
@@ -17,6 +21,16 @@ TABLE_DIR = SRC_DIR / "thetalift" / "tables"
 
 TRIVIAL22 = "pi_{1}(0,1,{},0,0,(1,1),(0,1))"
 DET22 = "pi_{-1}(0,1,{},0,0,(1,1),(0,1))"
+
+
+# The rank-101 lift of the trivial character of O(2,2)
+RANK101_TARGET = (
+    "pi(0,{},0,0,("
+    + ",".join(["1"] * 101)
+    + "),("
+    + ",".join(str(k) for k in [0, 1, *range(1, 100)])
+    + "))"
+)
 
 
 def run(capsys, argv):
@@ -246,6 +260,7 @@ def test_bad_parameter_text_exits_two(capsys):
         ["enumerate", "--n", "7", "--infchar", "0,1,2,3,4,5,6"],
         ["lift", "--params", "pi_{1}(0,1,{},0,0,(1,1),(0,1))", "--n", "101"],
         ["phi", "--dir", "o2u", "--ktype", "(1;+1)x(0;+1)", "--sig", "2,2", "--n", "101"],
+        ["inverse-lookup", "--sp-params", RANK101_TARGET, "--sig", "2,2"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -281,3 +296,77 @@ def test_closed_stdout_ends_quietly():
     assert first == b"1732 parameters\n"
     assert code in (0, 1, 2)
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+# -- fuzz -------------------------------------------------------------------------------
+
+_O_TEXTS = [
+    TRIVIAL22,
+    DET22,
+    "pi_{1}((1,0;),1,{e1+e2,e1-e2},0,0,0,0) @ O(4,0)",
+    "pi_{1}((0;),-1,{},0,0,(1),(1)) @ O(3,1)",
+    "pi_{1}((2;1),1,{e1+f1,e1-f1},0,0,0,0)",
+    "pi_{1}(0,1,{},(3),(1/2),0,0)",
+    "pi_{1}((;0),1,{},0,0,(1),(b))",
+]
+_SP_TEXTS = [
+    "pi(0,{},0,0,(1),(1))",
+    "pi(0,{},(1),(1),(1),(2))",
+    "pi((1,0),{e1+e2,e1-e2,2e1,2e2},(1),(3),0,0)",
+    "pi((2,1),{e1-e2,e1+e2,2e1,-2e2},0,0,(1),(b))",
+]
+_TOKENS = [
+    "(", ")", "{", "}", ",", ";", " ", "0", "1", "-1", "2", "3", "1/2", "-3/2", "b",
+    "2b", "i", "c1", "m", "e1", "f1", "2e1", "e1+e2", "-e1-f1", "e3", "pi(", "pi_{1}(",
+    "pi_{-1}(", "pi_{2}(", "@ O(2,2)", "@ O(4,0)", "@ O(-1,5)", "+1", "-", "x", "",
+]
+
+
+@st.composite
+def _mutated(draw, seeds):
+    """A valid text with up to two tokens inserted or put in place of a span."""
+    text = draw(st.sampled_from(seeds))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 4)))
+        text = text[:i] + draw(st.sampled_from(_TOKENS)) + text[j:]
+    return text
+
+
+_RANKS = st.integers(-2, 7).map(str)
+_SIGS = _mutated(["2,2", "3,1", "4,0", "1,3", "0,4"])
+_PHI_ARGS = st.one_of(
+    st.tuples(st.just("o2u"), _mutated(["(1;+1)x(0;+1)", "(0;-1)x(2;+1)", "(1,0;+1)x(;-1)"])),
+    st.tuples(st.just("u2o"), _mutated(["(1)", "(1,0)", "(2,0,-1)", "()"])),
+)
+_ARGVS = st.one_of(
+    st.tuples(st.just("lift"), st.just("--params"), _mutated(_O_TEXTS), st.just("--n"), _RANKS),
+    st.tuples(st.just("first-occurrence"), st.just("--params"), _mutated(_O_TEXTS)),
+    st.tuples(
+        st.sampled_from(["lkt", "infchar"]), st.just("--params"), _mutated(_O_TEXTS + _SP_TEXTS)
+    ),
+    st.builds(
+        lambda dk, sig, n: ("phi", "--dir", dk[0], "--ktype", dk[1], "--sig", sig, "--n", n),
+        _PHI_ARGS,
+        _SIGS,
+        _RANKS,
+    ),
+    st.tuples(
+        st.just("inverse-lookup"),
+        st.just("--sp-params"),
+        _mutated(_SP_TEXTS),
+        st.just("--sig"),
+        _SIGS,
+    ),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(argv=_ARGVS, as_json=st.booleans())
+def test_fuzzed_argv_exits_cleanly(argv, as_json):
+    """Mutated parameter, K-type and signature texts end in a documented
+    exit code, never in an exception."""
+    argv = list(argv) + (["--json"] if as_json else [])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), argv

@@ -102,6 +102,14 @@ def test_validation_rejects_bad_shapes():
     assert sp("pi((1),{2e1},0,0,(-1),(0))").eps == (-1,)
 
 
+def test_dominance_rejection_message():
+    with pytest.raises(ParamError) as err:
+        parse_params("pi((0,0),{e1+e2,e1-e2,2e1,2e2},0,0,0,0)")
+    assert str(err.value) == "lam=(0, 0) is not (F-1)-dominant for Psi={e1+e2,e1-e2,2e1,2e2}"
+    assert str(ParamError("100% literal")) == "100% literal"
+    assert str(ParamError()) == ""
+
+
 def test_validation_o_sign_rules():
     with pytest.raises(ParamError):  # xi=-1 needs a zero entry
         o("pi_{1}((1;1),-1,{e1+f1,e1-f1},0,0,0,0)")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from thetalift.roots import (
     enumerate_positive_systems,
     is_positive_system,
     noncompact_weights,
+    pair_root,
     pairing,
     parse_psi,
     parse_root,
@@ -150,6 +152,32 @@ def test_all_roots_is_the_root_system():
                     want.add(tuple(s if k == i else 0 for k in range(m)))
         roots = all_roots(kind)
         assert len(roots) == len(want) and set(roots) == want, kind
+
+
+ROOT_TABLES_SHA256 = "72d118149e08db5ef802e328811409b0493e1e20aa13c44e9e1700481bdfac27"
+
+
+def test_root_tables_are_pinned():
+    """The compact positives, compact roots and noncompact weights of every
+    kind up to Sp(12,R) and O(7,7), as multisets, and the positive systems
+    of every Sp kind and every O kind with at most four coordinates."""
+    kinds = [SpKind(v) for v in range(7)] + [
+        OKind(a, d, odd) for a in range(4) for d in range(4) for odd in (False, True)
+    ]
+    lines = []
+    for kind in kinds:
+        tables = (delta_c_plus(kind), compact_roots(kind), noncompact_weights(kind))
+        lines.append(repr((kind, *(sorted(t) for t in tables))))
+        if isinstance(kind, SpKind) or kind.dim <= 4:
+            lines.append(repr([psi.roots for psi in enumerate_positive_systems(kind)]))
+    assert len(lines) == 72
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ROOT_TABLES_SHA256
+
+
+def test_pair_root():
+    assert pair_root(3, 0, 2, 1, -1) == (1, 0, -1)
+    assert pair_root(3, 1, 1, 1, 1) == (0, 2, 0)
+    assert pair_root(2, 0, 0, -2, 0) == (-2, 0)
 
 
 def test_positive_system_rejects_foreign_roots():

@@ -8,11 +8,17 @@ finds no preimage, or when stdout is closed before the output is written
 or input errors, including ``lift --n`` and ``phi --n`` above ``MAX_RANK``,
 an ``inverse-lookup`` target of rank above ``MAX_RANK``, and
 ``enumerate --n`` above ``MAX_ENUMERATE_RANK``.
+
+The argument parser is built once per process, on the first ``main``
+call, and reused by every later call; each call still parses into a
+fresh namespace, so no option value carries over from one call to the
+next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -50,8 +56,9 @@ from .theta import (
 )
 
 
-# Census time grows about tenfold per rank: rank 6 at (0,...,5) takes about
-# 8 s on one 2.1 GHz Xeon core, so rank 7 would take minutes.  The
+# Census time grows about tenfold per rank: ``thetalift enumerate --n 6
+# --infchar 0,1,2,3,4,5`` takes 6.3-6.5 s end to end (9932 parameters,
+# three runs on one 2.1 GHz Xeon core), so rank 7 would take minutes.  The
 # library's enumerators stay unbounded.
 MAX_ENUMERATE_RANK = 6
 
@@ -292,10 +299,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use and then reused;
+    each ``parse_args`` call returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

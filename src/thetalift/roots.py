@@ -291,15 +291,20 @@ def simple_members(psi: PositiveSystem) -> tuple[Root, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=1024)
+def _compact_simple_members(psi: PositiveSystem) -> tuple[Root, ...]:
+    compact = set(compact_roots(psi.kind))
+    return tuple(r for r in simple_members(psi) if r in compact)
+
+
 def check_dominance_f1(vec: Sequence[Q | int], psi: PositiveSystem) -> bool:
     """Weak dominance on all of Psi plus strict positivity on compact
     simple members (condition F-1)."""
-    compact = set(compact_roots(psi.kind))
     for r in psi.roots:
         if pairing(vec, r) < 0:
             return False
-    for r in simple_members(psi):
-        if r in compact and pairing(vec, r) <= 0:
+    for r in _compact_simple_members(psi):
+        if pairing(vec, r) <= 0:
             return False
     return True
 

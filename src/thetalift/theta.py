@@ -8,6 +8,13 @@ symplectic rank and ``induct_pq`` raises the orthogonal signature, both
 feeding the freshly appended (eps, kappa) slots through the modification
 rule before canonicalization.
 
+Canonical input.  ``theta_n`` and ``first_occurrence`` put their input
+in canonical form (``langlands.canonicalize_o``) once and hand it on;
+``matching_rows``, ``lookup_lift`` and ``match_o_pattern`` require a
+canonical parameter, as ``parse_o``, ``instantiate_pattern`` and the
+inductions return it.  ``induct_n`` and ``induct_pq`` accept any valid
+parameter and return a canonical one.
+
 Table grammar.  Each data row reads ``PATTERN => TEMPLATE ; CONDITION``.
 Patterns and templates are parameter text in the grammar of
 ``langlands.parse_param_pattern``, which also parses user input: integer
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction as Q
 from itertools import permutations
 from pathlib import Path
@@ -135,16 +142,19 @@ def _bind_pairs(
     return out
 
 
+def _shape(x: "ParamPattern | OParams") -> tuple:
+    """(zeta, xi, a, d, s, t) of an O pattern or parameter.  A pattern
+    only matches parameters of its own shape."""
+    return (x.zeta, x.xi, len(x.lam_left), len(x.lam_right), len(x.mu), len(x.eps))
+
+
 def match_o_pattern(pat: ParamPattern, target: OParams) -> tuple[dict, ...]:
     """All variable assignments under which the pattern reproduces the
-    target parameter, which must be in canonical form."""
+    target parameter.  The target must be canonical: the match compares
+    it with canonical instantiations."""
     if pat.side != "o":
         raise TableError("only orthogonal patterns are matched")
-    if pat.zeta != target.zeta or pat.xi != target.xi:
-        return ()
-    if (len(pat.lam_left), len(pat.lam_right)) != (target.a, target.d):
-        return ()
-    if len(pat.mu) != target.s or len(pat.eps) != target.t:
+    if _shape(pat) != _shape(target):
         return ()
     lam_vals = tuple(Scalar.of(x) for x in target.lam_left + target.lam_right)
     base = _bind_tuple(pat.lam_left + pat.lam_right, lam_vals, {})
@@ -243,15 +253,43 @@ class LktRow:
 
 
 @dataclass(frozen=True)
+class LiftTable:
+    """The rows of one lift table, in file order, and the same rows
+    grouped by the shape of their patterns, so that a lookup tries only
+    the rows that can match."""
+
+    rows: tuple[LiftRow, ...]
+    by_shape: Mapping[tuple, tuple[LiftRow, ...]] = field(compare=False, repr=False)
+
+    @staticmethod
+    def of(rows: Iterable[LiftRow]) -> "LiftTable":
+        rows = tuple(rows)
+        groups: dict[tuple, list[LiftRow]] = {}
+        for row in rows:
+            groups.setdefault(_shape(row.pattern), []).append(row)
+        return LiftTable(rows, {key: tuple(group) for key, group in groups.items()})
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def rows_for(self, pi: OParams) -> tuple[LiftRow, ...]:
+        """The rows whose pattern has the shape of pi."""
+        return self.by_shape.get(_shape(pi), ())
+
+
+@dataclass(frozen=True)
 class TableSet:
-    theta1: tuple[LiftRow, ...]
-    theta2: tuple[LiftRow, ...]
-    theta3: tuple[LiftRow, ...]
-    theta4: tuple[LiftRow, ...]
+    theta1: LiftTable
+    theta2: LiftTable
+    theta3: LiftTable
+    theta4: LiftTable
     appendix_c: tuple[LktRow, ...]
     source: str
 
-    def theta(self, n: int) -> tuple[LiftRow, ...]:
+    def theta(self, n: int) -> LiftTable:
         table = {1: self.theta1, 2: self.theta2, 3: self.theta3, 4: self.theta4}.get(n)
         if table is None:
             raise TableError(f"no lift table for rank {n}")
@@ -318,16 +356,31 @@ def _load_rows(path: Path, make_row) -> tuple:
     return tuple(rows)
 
 
+# Loaded tables by resolved directory, and the same tables by the
+# (table_dir, $THETALIFT_TABLE_DIR) pair of a call that named an absolute
+# directory.  A relative directory is not kept in the second map: it
+# resolves against the current directory of each call.
 _CACHE: dict[str, TableSet] = {}
+_BY_REQUEST: dict[tuple, TableSet] = {}
 
 
 def load_tables(table_dir: "str | Path | None" = None) -> TableSet:
+    """The tables in ``table_dir``, by default in ``$THETALIFT_TABLE_DIR``
+    or else the packaged ones.  Each directory is read once per process,
+    and a repeated request for an absolute directory is answered without
+    touching the filesystem."""
+    request = (table_dir, os.environ.get(ENV_TABLE_DIR))
+    tables = _BY_REQUEST.get(request)
+    if tables is not None:
+        return tables
     root = Path(table_dir) if table_dir is not None else default_table_dir()
     key = str(root.resolve())
     if key not in _CACHE:
-        lifts = {n: _load_rows(root / name, _lift_row) for n, name in THETA_FILES.items()}
+        lifts = {n: LiftTable.of(_load_rows(root / name, _lift_row)) for n, name in THETA_FILES.items()}
         appendix = _load_rows(root / APPENDIX_FILE, _lkt_row)
         _CACHE[key] = TableSet(lifts[1], lifts[2], lifts[3], lifts[4], appendix, key)
+    if root.is_absolute():
+        _BY_REQUEST[request] = _CACHE[key]
     return _CACHE[key]
 
 
@@ -350,24 +403,33 @@ def row_lift(row: LiftRow, pi: OParams) -> Optional[SpParams]:
     return results.pop()
 
 
-def matching_rows(rows: Iterable[LiftRow], pi: OParams) -> list[tuple[LiftRow, SpParams]]:
-    pi = canonicalize_o(pi)
+def matching_rows(table: LiftTable, pi: OParams) -> list[tuple[LiftRow, SpParams]]:
+    """Every row of the table that applies to pi, with the lift it gives.
+    pi must be canonical, as ``parse_o``, ``instantiate_pattern`` and the
+    inductions return it.  Only the rows of pi's shape are tried: no other
+    row can match."""
     out = []
-    for row in rows:
+    for row in table.rows_for(pi):
         lifted = row_lift(row, pi)
         if lifted is not None:
             out.append((row, lifted))
     return out
 
 
-def lookup_lift(rows: Iterable[LiftRow], pi: OParams) -> Optional[SpParams]:
-    hits = matching_rows(rows, pi)
+def _only_hit(hits: list[tuple[LiftRow, SpParams]], pi: OParams) -> Optional[SpParams]:
     if not hits:
         return None
     if len(hits) > 1:
         lines = ", ".join(str(r.line) for r, _ in hits)
         raise TableError(f"{render_o(pi)} matches rows at lines {lines}; rows must be exclusive")
     return hits[0][1]
+
+
+def lookup_lift(table: LiftTable, pi: OParams) -> Optional[SpParams]:
+    """The lift of the one row of the table that applies to pi, or None.
+    pi must be canonical (see ``matching_rows``).  Two matching rows raise
+    TableError: the rows of a table must be exclusive."""
+    return _only_hit(matching_rows(table, pi), pi)
 
 
 def instantiate_lkt_row(row: LktRow, beta: Scalar) -> Optional[tuple[SpParams, frozenset]]:
@@ -487,7 +549,6 @@ def induct_n(pi_prime: SpParams, p: int, q: int, k: int) -> SpParams:
         raise ThetaError("induction step k must be >= 1")
     if (p + q) % 2 != 0:
         raise ThetaError("p + q must be even")
-    pi_prime = canonicalize_sp(pi_prime)
     n0 = pi_prime.n
     m = (p + q) // 2
     if p + q == 2 * n0 + 2:
@@ -508,7 +569,6 @@ def induct_pq(pi: OParams, n: int, k: int, tables: Optional[TableSet] = None) ->
     """Raise an O(p,q) parameter to O(p+k, q+k) within the rank-n tower."""
     if k < 1:
         raise ThetaError("induction step k must be >= 1")
-    pi = canonicalize_o(pi)
     if pi.zeta != 1 or pi.xi != 1:
         raise ThetaError("signature-raising induction needs zeta = xi = 1")
     m = (pi.p + pi.q) // 2
@@ -535,23 +595,27 @@ _SUPPORTED = ((4, 0), (3, 1), (2, 2))
 _SWAPPED = ((0, 4), (1, 3))
 
 
-def first_occurrence(pi: OParams, tables: Optional[TableSet] = None) -> int:
-    """The smallest n with a nonzero rank-n lift (p + q = 4 only)."""
-    tables = load_tables() if tables is None else tables
-    pi = canonicalize_o(pi)
+def _occurrence(pi: OParams, tables: TableSet) -> tuple[int, Optional[list]]:
+    """The first occurrence of a canonical pi, and its theta1 row hits
+    when the answer needed them (None otherwise)."""
     if (pi.p, pi.q) in _SWAPPED:
-        return first_occurrence(swap_pq(pi), tables)
+        return _occurrence(swap_pq(pi), tables)
     if (pi.p, pi.q) not in _SUPPORTED:
         raise ThetaError(f"unsupported signature O({pi.p},{pi.q})")
     if pi == trivial_o(pi.p, pi.q):
-        return 0
+        return 0, None
     if pi == det_o(pi.p, pi.q):
-        return 4
+        return 4, None
     if pi.xi == -1 or (pi.zeta == -1 and any(e == 1 and kap.is_zero for e, kap in zip(pi.eps, pi.kappa))):
-        return 3
-    if matching_rows(tables.theta1, pi):
-        return 1
-    return 2
+        return 3, None
+    hits = matching_rows(tables.theta1, pi)
+    return (1 if hits else 2), hits
+
+
+def first_occurrence(pi: OParams, tables: Optional[TableSet] = None) -> int:
+    """The smallest n with a nonzero rank-n lift (p + q = 4 only)."""
+    tables = load_tables() if tables is None else tables
+    return _occurrence(canonicalize_o(pi), tables)[0]
 
 
 @dataclass(frozen=True)
@@ -574,17 +638,19 @@ def theta_n(pi: OParams, n: int, tables: Optional[TableSet] = None) -> ThetaResu
     if n < 0:
         raise ThetaError("rank n must be >= 0")
     tables = load_tables() if tables is None else tables
-    pi = canonicalize_o(pi)
+    return _theta_n(canonicalize_o(pi), n, tables)
+
+
+def _theta_n(pi: OParams, n: int, tables: TableSet) -> ThetaResult:
+    """``theta_n`` of a canonical pi."""
     if (pi.p, pi.q) in _SWAPPED:
-        inner = theta_n(swap_pq(pi), n, tables)
+        inner = _theta_n(swap_pq(pi), n, tables)
         if inner.is_zero:
             return inner
         return ThetaResult(
             contragredient_sp(inner.params), inner.provenance + " (contragredient via signature swap)"
         )
-    if (pi.p, pi.q) not in _SUPPORTED:
-        raise ThetaError(f"unsupported signature O({pi.p},{pi.q})")
-    n0 = first_occurrence(pi, tables)
+    n0, theta1_hits = _occurrence(pi, tables)
     if n < n0:
         return ThetaResult(None, f"zero: rank {n} is below the first occurrence {n0}")
     if n == 0:
@@ -592,7 +658,10 @@ def theta_n(pi: OParams, n: int, tables: Optional[TableSet] = None) -> ThetaResu
         return ThetaResult(empty, "rank-zero lift of the trivial parameter")
 
     def from_table(rank: int) -> SpParams:
-        lifted = lookup_lift(tables.theta(rank), pi)
+        if rank == 1 and theta1_hits is not None:
+            lifted = _only_hit(theta1_hits, pi)
+        else:
+            lifted = lookup_lift(tables.theta(rank), pi)
         if lifted is None:
             raise TableError(f"no rank-{rank} table row matches {render_o(pi)}")
         return lifted

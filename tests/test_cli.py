@@ -237,6 +237,81 @@ def test_table_dir_flag_accepts_a_copy(capsys, tmp_path):
     assert code == 0 and out.strip() == "4"
 
 
+# A theta2 row whose loss a table copy can show: with it gone, this
+# parameter's rank-2 lift is a table error (exit 2) instead of a value.
+DROPPED_ROW_PARAMS = "pi_{1}((2,0;),1,{e1+e2,e1-e2},0,0,0,0)"
+
+
+def _copy_without_row(dest: Path) -> Path:
+    shutil.copytree(TABLE_DIR, dest)
+    path = dest / "theta2.tbl"
+    kept = [l for l in path.read_text().splitlines() if "pi((m,l)" not in l.replace(" ", "")]
+    path.write_text("\n".join(kept) + "\n")
+    return dest
+
+
+def test_relative_table_dir_follows_the_working_directory(capsys, tmp_path, monkeypatch):
+    shutil.copytree(TABLE_DIR, tmp_path / "intact" / "tables")
+    _copy_without_row(tmp_path / "cut" / "tables")
+    argv = ["--table-dir", "tables", "lift", "--params", DROPPED_ROW_PARAMS, "--n", "2"]
+    for _ in range(2):
+        monkeypatch.chdir(tmp_path / "intact")
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out.strip().startswith("pi(")
+        monkeypatch.chdir(tmp_path / "cut")
+        code, _, err = run(capsys, argv)
+        assert code == 2 and "no rank-2 table row matches" in err
+
+
+@pytest.fixture
+def fresh_parser():
+    """The parser cache emptied before and after the test."""
+    from thetalift import cli
+
+    cli._parser.cache_clear()
+    yield cli
+    cli._parser.cache_clear()
+
+
+def test_parser_is_built_once_and_leaks_nothing(capsys, tmp_path, monkeypatch, fresh_parser):
+    cli = fresh_parser
+    cut = str(_copy_without_row(tmp_path / "tables"))
+    # (first call, second call): the second must not see the first's options.
+    pairs = [
+        (["lift", "--params", TRIVIAL22, "--n", "2", "--json"], ["lift", "--params", TRIVIAL22, "--n", "2"]),
+        (
+            ["--table-dir", cut, "lift", "--params", DROPPED_ROW_PARAMS, "--n", "2"],
+            ["lift", "--params", DROPPED_ROW_PARAMS, "--n", "2"],
+        ),
+        (
+            ["lift", "--params", DET22, "--n", "2", "--expect-nonzero"],
+            ["lift", "--params", DET22, "--n", "2"],
+        ),
+        (["lift", "--params", TRIVIAL22], ["lift", "--params", TRIVIAL22, "--n", "1"]),
+    ]
+    # Each call made first, with a parser of its own.
+    alone = {}
+    for argv in (argv for pair in pairs for argv in pair):
+        cli._parser.cache_clear()
+        alone[tuple(argv)] = run(capsys, argv)
+    assert [alone[tuple(second)][0] for _, second in pairs] == [0, 0, 0, 0]
+    assert [alone[tuple(first)][0] for first, _ in pairs] == [0, 2, 1, 2]
+
+    built = []
+    real = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    for first, second in pairs * 2:
+        assert run(capsys, first) == alone[tuple(first)], first
+        assert run(capsys, second) == alone[tuple(second)], second
+    assert len(built) == 1
+
+
 # -- usage errors --------------------------------------------------------------------------
 
 

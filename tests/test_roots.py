@@ -254,6 +254,32 @@ def test_pairing_matches_fraction_reference():
             assert pairing(vec, root) == _reference_pairing(vec, root)
 
 
+# -- memoized (F-1) check ---------------------------------------------------------
+
+
+def _reference_dominance_f1(vec, psi):
+    """(F-1) with the compact roots and simple members rebuilt on each call."""
+    compact = set(compact_roots(psi.kind))
+    if any(pairing(vec, r) < 0 for r in psi.roots):
+        return False
+    return all(pairing(vec, r) > 0 for r in simple_members(psi) if r in compact)
+
+
+def test_dominance_f1_matches_uncached_reference():
+    kinds = [SpKind(v) for v in range(1, 6)] + [
+        OKind(a, d) for a in range(5) for d in range(5 - a) if a + d > 0
+    ]
+    accepted = 0
+    for kind in kinds:
+        values = (-1, 0, 1) if kind.dim == 5 else (-1, 0, 1, 2)
+        for psi in enumerate_positive_systems(kind):
+            for vec in itertools.product(values, repeat=kind.dim):
+                want = _reference_dominance_f1(vec, psi)
+                assert check_dominance_f1(vec, psi) == want, (vec, psi)
+                accepted += want
+    assert accepted > 0
+
+
 # -- memoized positivity check ----------------------------------------------------
 
 

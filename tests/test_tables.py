@@ -11,6 +11,7 @@ from thetalift.enumeration import regenerate_appendix_c
 from thetalift.exact import GENERIC_B, Scalar
 from thetalift.langlands import parse_o
 from thetalift.theta import (
+    ENV_TABLE_DIR,
     TableError,
     appendix_rows_at,
     default_table_dir,
@@ -50,6 +51,17 @@ def test_loader_row_counts():
 def test_loader_uses_packaged_dir_and_caches():
     assert load_tables() is load_tables()
     assert Path(load_tables().source) == default_table_dir().resolve()
+
+
+def test_environment_directory_takes_effect_and_reverts(tmp_path, monkeypatch):
+    packaged = load_tables()
+    dest = _copy_tables(tmp_path)
+    monkeypatch.setenv(ENV_TABLE_DIR, str(dest))
+    copied = load_tables()
+    assert copied.source == str(dest.resolve())
+    assert load_tables() is copied
+    monkeypatch.delenv(ENV_TABLE_DIR)
+    assert load_tables() is packaged
 
 
 def test_every_lift_row_has_condition_and_sides():

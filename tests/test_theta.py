@@ -2,7 +2,9 @@
 induction principles, the modification rule, first occurrence, and the
 dispatcher, against hand-frozen values."""
 
+from dataclasses import replace
 from fractions import Fraction as Q
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -26,6 +28,7 @@ from thetalift.langlands import (
     swap_pq,
     trivial_o,
 )
+from thetalift.enumeration import enumerate_o_reps
 from thetalift.roots import PositiveSystem, SpKind
 from thetalift.theta import (
     DET11_THETA3,
@@ -42,7 +45,9 @@ from thetalift.theta import (
     load_tables,
     lookup_lift,
     match_o_pattern,
+    matching_rows,
     o_infchar_from_sp,
+    row_lift,
     theta_n,
 )
 
@@ -362,8 +367,6 @@ def test_lookup_is_exhaustive_over_rank2_bases():
     rank-2 row (completeness of the rank-2 table)."""
     tables = load_tables()
     count = 0
-    from thetalift.enumeration import enumerate_o_reps
-
     for (p, q) in ((4, 0), (3, 1), (2, 2)):
         for entries in ([0, 1], [1, 2], [Q(1, 2), Q(5, 2)], [2, 2]):
             for pi in enumerate_o_reps(p, q, InfChar.of(entries)):
@@ -381,3 +384,90 @@ def test_duality_across_dispatcher():
             if res.is_zero:
                 continue
             assert infchars_dual(chi, infchar_sp(res.params), 2, n)
+
+
+# -- the pair-grid pool of O(p,q) parameters ------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pool():
+    """Every O(p,q), p+q=4, parameter whose infinitesimal character is a
+    pair from {0,1,2,3,1/2,3/2,b}; enumerated parameters are canonical."""
+    grid = [Scalar.of(x) for x in (0, 1, 2, 3, Q(1, 2), Q(3, 2))] + [GENERIC_B]
+    chis = {InfChar.of(pair) for pair in combinations_with_replacement(grid, 2)}
+    params = [
+        pi
+        for p, q in ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4))
+        for chi in chis
+        for pi in enumerate_o_reps(p, q, chi)
+    ]
+    assert len(params) == 341
+    return params
+
+
+def test_shape_index_equals_a_full_scan(pool):
+    tables = load_tables()
+    for rank in (1, 2, 3, 4):
+        table = tables.theta(rank)
+        grouped = [row for group in table.by_shape.values() for row in group]
+        assert sorted(r.line for r in grouped) == sorted(r.line for r in table.rows)
+        hits = 0
+        for pi in pool:
+            scan = [(row, lift) for row in table.rows if (lift := row_lift(row, pi)) is not None]
+            assert matching_rows(table, pi) == scan, (rank, pi)
+            hits += len(scan)
+        assert hits > 0, rank
+
+
+def _scrambled_pairs(params) -> dict:
+    """The (mu, nu) and (eps, kappa) pairs in reverse order, with nu and
+    kappa negated: the same parameter, written out of canonical form."""
+    mn = [(m, -nu) for m, nu in zip(params.mu, params.nu)][::-1]
+    ek = [(e, -k) for e, k in zip(params.eps, params.kappa)][::-1]
+    return dict(
+        mu=tuple(m for m, _ in mn),
+        nu=tuple(nu for _, nu in mn),
+        eps=tuple(e for e, _ in ek),
+        kappa=tuple(k for _, k in ek),
+    )
+
+
+def _scrambled_o(pi):
+    """pi with its pairs scrambled and Psi flipped on every zero coordinate."""
+    zeros = {i for i, x in enumerate(pi.lam_left + pi.lam_right) if x == 0}
+    roots = (tuple(-c if i in zeros else c for i, c in enumerate(r)) for r in pi.psi.roots)
+    return replace(pi, psi=PositiveSystem.of(pi.psi.kind, roots), **_scrambled_pairs(pi))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ThetaError as err:
+        return f"ThetaError: {err}"
+
+
+def test_non_canonical_input_gives_the_canonical_answers(pool):
+    """The public entry points accept a parameter out of canonical form
+    and answer as for its canonical form."""
+    tables = load_tables()
+    scrambled = psi_flipped = 0
+    for pi in pool:
+        odd = _scrambled_o(pi)
+        assert canonicalize_o(odd) == pi
+        if odd == pi:
+            continue
+        scrambled += 1
+        psi_flipped += odd.psi != pi.psi
+        assert first_occurrence(odd, tables) == first_occurrence(pi, tables), pi
+        for n in range(7):
+            lift = theta_n(pi, n, tables)
+            assert theta_n(odd, n, tables) == lift, (pi, n)
+            assert _outcome(induct_pq, odd, n, 1, tables) == _outcome(induct_pq, pi, n, 1, tables)
+            if lift.is_zero or n > 4:
+                continue
+            odd_sp = replace(lift.params, **_scrambled_pairs(lift.params))
+            assert canonicalize_sp(odd_sp) == lift.params
+            for k in (1, 2):
+                want = _outcome(induct_n, lift.params, pi.p, pi.q, k)
+                assert _outcome(induct_n, odd_sp, pi.p, pi.q, k) == want, (pi, n, k)
+    assert scrambled > 200 and psi_flipped > 0

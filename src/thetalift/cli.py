@@ -56,10 +56,12 @@ from .theta import (
 )
 
 
-# Census time grows about tenfold per rank: ``thetalift enumerate --n 6
-# --infchar 0,1,2,3,4,5`` takes 6.3-6.5 s end to end (9932 parameters,
-# three runs on one 2.1 GHz Xeon core), so rank 7 would take minutes.  The
-# library's enumerators stay unbounded.
+# Census time grows about eightfold per rank: ``thetalift enumerate --n 6
+# --infchar 0,1,2,3,4,5`` takes 3.6-3.8 s end to end (9932 parameters,
+# three runs on one 2.1 GHz Xeon core), and ``enumerate_sp_reps`` at rank 7
+# on (0,...,6) takes about 17 s in-process (59 592 parameters) after about
+# 5 s building the rank-7 root tables.  The library's enumerators stay
+# unbounded.
 MAX_ENUMERATE_RANK = 6
 
 # ``lift`` cost grows quadratically in n (0.05 s at n=100), ``phi``
@@ -166,14 +168,9 @@ def _cmd_enumerate(args) -> int:
         b = _parse_beta(args.beta)
         entries = [x.substitute(b) for x in entries]
     chi = InfChar.of(entries)
-    reps = enumerate_sp_reps(args.n, chi)
-    payload = {
-        "n": args.n,
-        "infchar": chi.render(),
-        "count": len(reps),
-        "params": [render_sp(p) for p in reps],
-    }
-    _emit(args, payload, "\n".join([f"{len(reps)} parameters"] + [render_sp(p) for p in reps]))
+    params = [render_sp(p) for p in enumerate_sp_reps(args.n, chi)]
+    payload = {"n": args.n, "infchar": chi.render(), "count": len(params), "params": params}
+    _emit(args, payload, "\n".join([f"{len(params)} parameters"] + params))
     return 0
 
 

@@ -1,12 +1,18 @@
-"""Brute-force enumeration of parameters with a fixed infinitesimal
-character, regeneration of the rank-3 classification table, and the
+"""Enumeration of parameters with a fixed infinitesimal character,
+regeneration of the rank-3 classification table, and the
 machine-checkable verification suites behind ``thetalift verify``.
 
 The enumerators are exhaustive within the exact-arithmetic parameter
 grammar: they partition the entries of the requested infinitesimal
 character across the discrete, continuous, and one-dimensional slots of
-every shape, try every sign and positive-system choice, and keep the
-canonical forms that validate.  Everything downstream (table regeneration,
+every shape, and construct only the choices that make a parameter:
+discrete data whose sign blocks balance, the positive systems for which
+each discrete datum is (F-1)-dominant (found once per datum), (mu, nu)
+slots without mu even at nu = 0, one eps sign per class of kappas equal up
+to sign (kappa = 0 taking (-1)^v on Sp), and on O(p,q) only the (zeta, xi)
+that the zero entries and kappa zeros allow.  Every constructed parameter
+still goes through validation, which stays the filter of record, and the
+canonical forms are kept.  Everything downstream (table regeneration,
 uniqueness-by-invariants, the lift suites) reduces to set comparisons over
 these enumerations.
 """
@@ -14,6 +20,7 @@ these enumerations.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import partial
@@ -56,7 +63,14 @@ from .langlands import (
     validate_sp,
 )
 from .lkt import lowest_ktypes_sp
-from .roots import OKind, SpKind, enumerate_positive_systems, two_rho_c
+from .roots import (
+    OKind,
+    PositiveSystem,
+    SpKind,
+    check_dominance_f1,
+    enumerate_positive_systems,
+    two_rho_c,
+)
 from .theta import (
     DET11_THETA3,
     TableError,
@@ -91,7 +105,8 @@ def _matchings(idxs: tuple[int, ...]):
 def _pair_options(x: Scalar, y: Scalar) -> set[tuple[int, Scalar]]:
     """The (mu, nu) slots whose infinitesimal-character contribution is
     the multiset {x, y}: solve (nu+mu)/2 = u, (nu-mu)/2 = w over sign
-    choices of u, w with mu a nonnegative integer."""
+    choices of u, w with mu a nonnegative integer, leaving out mu even
+    with nu = 0, which is no parameter."""
     out: set[tuple[int, Scalar]] = set()
     for u in {x, -x}:
         for w in {y, -y}:
@@ -99,9 +114,10 @@ def _pair_options(x: Scalar, y: Scalar) -> set[tuple[int, Scalar]]:
             if not mu.is_integer():
                 continue
             mu_int = mu.as_int()
-            if mu_int < 0:
+            nu = u + w
+            if mu_int < 0 or (nu.is_zero and mu_int % 2 == 0):
                 continue
-            out.add((mu_int, u + w))
+            out.add((mu_int, nu))
     return out
 
 
@@ -132,9 +148,31 @@ def _slot_splits(entries: tuple[Scalar, ...], v: int, s: int, discrete: Callable
                     yield options, tuple(x[0] for x in pairs), tuple(x[1] for x in pairs), kappa
 
 
+def _eps_options(kappa: tuple[Scalar, ...], zero_sign: Optional[int]) -> list[tuple[int, ...]]:
+    """The eps tuples that go with ``kappa``: kappas equal up to sign share
+    one sign, and kappa = 0 takes ``zero_sign`` unless that is None."""
+    classes = [k.normalized_sign() for k in kappa]
+    distinct = list(dict.fromkeys(classes))
+    choices = [
+        (zero_sign,) if zero_sign is not None and c.is_zero else (1, -1) for c in distinct
+    ]
+    out = []
+    for signs in product(*choices):
+        by_class = dict(zip(distinct, signs))
+        out.append(tuple(by_class[c] for c in classes))
+    return out
+
+
+def _infchar_inputs(params) -> tuple:
+    """The fields that determine a parameter's infinitesimal character."""
+    datum = params.lam if isinstance(params, SpParams) else params.lam_left + params.lam_right
+    return datum, params.mu, params.nu, params.kappa
+
+
 def _census(candidates: Iterable, entries, validate, canonical, infchar, render) -> tuple:
-    """The canonical forms of the candidates that validate, each checked to
-    have the infinitesimal character ``entries``, sorted by their text."""
+    """The canonical forms of the candidates that validate, sorted by their
+    text.  The infinitesimal character is checked to be ``entries`` once
+    per distinct input to it."""
     found = set()
     for params in candidates:
         try:
@@ -142,7 +180,12 @@ def _census(candidates: Iterable, entries, validate, canonical, infchar, render)
         except ParamError:
             continue
         found.add(canonical(params))
+    checked = set()
     for params in found:
+        inputs = _infchar_inputs(params)
+        if inputs in checked:
+            continue
+        checked.add(inputs)
         if infchar(params).entries != entries:
             raise AssertionError(
                 f"enumerated {render(params)} has the wrong infinitesimal character"
@@ -158,33 +201,48 @@ def _infchar_entries(chi: InfChar, m: int) -> tuple[Scalar, ...]:
 
 
 def _signed_lams(mags: list[int]) -> list[tuple[int, ...]]:
-    """Weakly decreasing tuples with each magnitude entering with either sign."""
-    return sorted({tuple(sorted(c, reverse=True)) for c in product(*({x, -x} for x in mags))})
+    """Weakly decreasing tuples with each magnitude entering with either
+    sign, the two signs of each nonzero magnitude differing in count by at
+    most one."""
+    choices = []
+    for a, k in Counter(mags).items():
+        signs = sorted({k // 2, (k + 1) // 2}) if a else [k]
+        choices.append([(a,) * plus + (-a,) * (k - plus) for plus in signs])
+    return sorted(tuple(sorted(sum(c, ()), reverse=True)) for c in product(*choices))
 
 
-def _halves(a: int, mags: list[int]) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _halves(a: int, mags: list[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every way to deal the magnitudes into a left half of ``a`` entries
-    and a right half, each weakly decreasing."""
-    out = set()
-    for left_pos in combinations(range(len(mags)), a):
-        left = [mags[i] for i in left_pos]
-        right = [x for i, x in enumerate(mags) if i not in left_pos]
-        out.add((tuple(sorted(left, reverse=True)), tuple(sorted(right, reverse=True))))
+    and a right half, each weakly decreasing, with the two halves' counts
+    of each value differing by at most one."""
+    counts = sorted(Counter(mags).items(), reverse=True)
+    out = []
+    for lefts in product(*(sorted({k // 2, (k + 1) // 2}) for _, k in counts)):
+        if sum(lefts) != a:
+            continue
+        left = tuple(x for (x, _), l in zip(counts, lefts) for _ in range(l))
+        right = tuple(x for (x, k), l in zip(counts, lefts) for _ in range(k - l))
+        out.append((left, right))
     return out
 
 
 def enumerate_sp_reps(n: int, chi: InfChar) -> tuple[SpParams, ...]:
     """All canonical rank-n parameters with infinitesimal character chi."""
     entries = _infchar_entries(chi, n)
+    # the positive systems for which each discrete datum is (F-1)-dominant
+    dominant: dict[tuple[int, ...], list[PositiveSystem]] = {}
 
     def candidates():
         for v in range(n + 1):
+            psis = enumerate_positive_systems(SpKind(v))
             for s in range((n - v) // 2 + 1):
-                t = n - v - 2 * s
-                psis = enumerate_positive_systems(SpKind(v))
                 for lams, mu, nu, kappa in _slot_splits(entries, v, s, _signed_lams):
-                    for lam, eps, psi in product(lams, product((1, -1), repeat=t), psis):
-                        yield SpParams(lam, psi, mu, nu, eps, kappa)
+                    eps_options = _eps_options(kappa, (-1) ** v)
+                    for lam in lams:
+                        if lam not in dominant:
+                            dominant[lam] = [psi for psi in psis if check_dominance_f1(lam, psi)]
+                        for psi, eps in product(dominant[lam], eps_options):
+                            yield SpParams(lam, psi, mu, nu, eps, kappa)
 
     return _census(candidates(), entries, validate_sp, canonicalize_sp, infchar_sp, render_sp)
 
@@ -194,6 +252,8 @@ def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
     if (p + q) % 2 != 0:
         raise ValueError("p + q must be even")
     entries = _infchar_entries(chi, (p + q) // 2)
+    # the positive systems for which each discrete datum is (F-1)-dominant
+    dominant: dict[tuple[tuple[int, ...], tuple[int, ...]], list[PositiveSystem]] = {}
 
     def candidates():
         for t in range(min(p, q) + 1):
@@ -205,10 +265,21 @@ def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
                     continue
                 psis = enumerate_positive_systems(OKind(a, d))
                 for halves, mu, nu, kappa in _slot_splits(entries, a + d, s, partial(_halves, a)):
-                    for (left, right), eps, (zeta, xi), psi in product(
-                        halves, product((1, -1), repeat=t), product((1, -1), repeat=2), psis
-                    ):
-                        yield OParams(zeta, xi, left, right, psi, mu, nu, eps, kappa)
+                    eps_options = _eps_options(kappa, None)
+                    kappa_zero = any(k.is_zero for k in kappa)
+                    for left, right in halves:
+                        if (left, right) not in dominant:
+                            dominant[left, right] = [
+                                psi for psi in psis if check_dominance_f1(left + right, psi)
+                            ]
+                        zeros = left.count(0) + right.count(0)
+                        # xi = -1 needs a zero entry; zeta = -1 needs none and a kappa = 0
+                        xis = (1, -1) if zeros else (1,)
+                        zetas = (1, -1) if kappa_zero and not zeros else (1,)
+                        for psi, eps, zeta, xi in product(
+                            dominant[left, right], eps_options, zetas, xis
+                        ):
+                            yield OParams(zeta, xi, left, right, psi, mu, nu, eps, kappa)
 
     return _census(candidates(), entries, validate_o, canonicalize_o, infchar_o, render_o)
 

@@ -122,9 +122,12 @@ class Scalar:
 
         For concrete values this is: re > 0 keeps, re < 0 negates, and
         re = 0 forces im >= 0.  A formal part wins over the concrete part.
+        The sign is that of the first nonzero sort-key entry.
         """
-        neg = -self
-        return self if self.sort_key() >= neg.sort_key() else neg
+        for c in (self.bre, self.bim, self.re, self.im):
+            if c:
+                return self if c > 0 else -self
+        return self
 
     # -- text ------------------------------------------------------------
 

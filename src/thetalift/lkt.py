@@ -11,6 +11,10 @@ roots pairing positively with lambda_a; this agrees with the closed block
 formulas on the symplectic side and is taken as the definition on the
 orthogonal side.
 
+Everything is computed on doubled integers: 2*lambda_a, twice the shift
+(``roots.twice_rho_shift``), delta_L in {0, +-1} and eta in {0, +-2}, and
+each K-type entry is halved once at the end, where it must be even.
+
 Each side keeps its own eta forms on the zero entries.  For O(p,q) a
 lowest K-type also carries a sign on each factor; the sign assignment
 depends on zeta, xi and the shape of the continuous data.
@@ -18,16 +22,15 @@ depends on zeta, xi and the shape of the continuous data.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import Callable
 
 from .ktypes import OKType, UKType
 from .langlands import OParams, SpParams
-from .roots import OKind, PositiveSystem, Root, SpKind, pair_root, rho_shift
+from .roots import OKind, PositiveSystem, Root, SpKind, pair_root, twice_rho_shift
 
 
-def _block_values(vec: list[Fraction]) -> list[Fraction]:
+def _block_values(vec: list[int]) -> list[int]:
     return sorted({abs(x) for x in vec if x != 0}, reverse=True)
 
 
@@ -45,79 +48,73 @@ def _pos_value_data(entries: tuple[int, ...]) -> tuple[list[int], list[int], lis
 
 
 def _delta_options(
-    lam_a: list[Fraction],
-    base: list[Fraction],
+    lam2: list[int],
+    base2: list[int],
     avals: list[int],
     psi: PositiveSystem,
     block_root: Callable[[int], Root],
-) -> list[dict[Fraction, Fraction]]:
-    """Every choice of the correction delta_L on the blocks of ``lam_a``,
-    as a map from block value to delta.
+) -> list[dict[int, int]]:
+    """Every choice of twice the correction delta_L on the blocks of
+    2*lambda_a (``lam2``), as a map from doubled block value to 2*delta.
 
-    A block whose shifted entry is already integral takes 0.  A half-integral
-    block carrying the j-th discrete value ``avals[j]`` takes +-1/2 by whether
-    Psi contains ``block_root(j)``; any other half-integral block takes both.
+    A block whose doubled shifted entry (``base2``) is even takes 0.  An odd
+    block carrying the j-th discrete value ``avals[j]`` takes +-1 by whether
+    Psi contains ``block_root(j)``; any other odd block takes both.
     """
-    alphas = _block_values(lam_a)
-    options: list[list[Fraction]] = []
+    doubled = [2 * a for a in avals]
+    alphas = _block_values(lam2)
+    options: list[tuple[int, ...]] = []
     for al in alphas:
-        idx = lam_a.index(al) if al in lam_a else lam_a.index(-al)
-        if base[idx].denominator == 1:
-            options.append([Fraction(0)])
-        elif al in avals:
-            sign = 1 if psi.contains(block_root(avals.index(al))) else -1
-            options.append([Fraction(sign, 2)])
+        idx = lam2.index(al) if al in lam2 else lam2.index(-al)
+        if base2[idx] % 2 == 0:
+            options.append((0,))
+        elif al in doubled:
+            options.append((1 if psi.contains(block_root(doubled.index(al))) else -1,))
         else:
-            options.append([Fraction(1, 2), Fraction(-1, 2)])
+            options.append((1, -1))
     return [dict(zip(alphas, combo)) for combo in product(*options)]
 
 
 def _assemble_half(
-    lam_a_half: list[Fraction],
-    base_half: list[Fraction],
-    by_value: dict[Fraction, Fraction],
-    eta: list[Fraction],
+    lam2_half: list[int],
+    base2_half: list[int],
+    by_value: dict[int, int],
+    eta2: list[int],
     orient: int,
 ) -> list[int]:
     """The shifted entries plus delta_L (times ``orient``) on the blocks and
-    ``eta`` on the zero entries, in order; ``eta`` must fit the zero block."""
-    if len(eta) != lam_a_half.count(0):
+    eta on the zero entries, in order, all given doubled, halved into the
+    K-type entries; ``eta2`` must fit the zero block."""
+    if len(eta2) != lam2_half.count(0):
         raise AssertionError("eta block overflow")
     entries, zi = [], 0
-    for val, b in zip(lam_a_half, base_half):
+    for val, b in zip(lam2_half, base2_half):
         if val != 0:
-            delta = by_value[abs(val)]
-            entries.append(b + delta if orient > 0 else b - delta)
+            x = b + by_value[abs(val)] * orient
         else:
-            entries.append(b + eta[zi])
+            x = b + eta2[zi]
             zi += 1
-    for x in entries:
-        if x.denominator != 1:
-            raise AssertionError(f"lowest K-type has a non-integral entry {x}")
-    return [int(x) for x in entries]
+        if x % 2:
+            raise AssertionError(f"lowest K-type has a non-integral entry {x}/2")
+        entries.append(x // 2)
+    return entries
 
 
 def lowest_ktypes_sp(params: SpParams) -> tuple[UKType, ...]:
     """Lowest K-types (U(n) highest weights) of a symplectic parameter."""
     lam, mu = params.lam, params.mu
     v, t, n = params.v, params.t, params.n
-    kind = SpKind(n)
-    half_mus = [Fraction(m, 2) for m in mu]
-    lam_a = sorted(
-        [Fraction(x) for x in lam] + half_mus + [Fraction(0)] * t + [-h for h in half_mus],
-        reverse=True,
-    )
-    shift = rho_shift(lam_a, kind)
-    base = [x + s for x, s in zip(lam_a, shift)]
+    lam2 = sorted([2 * x for x in lam] + list(mu) + [0] * t + [-m for m in mu], reverse=True)
+    base2 = [x + s for x, s in zip(lam2, twice_rho_shift(lam2, SpKind(n)))]
 
-    w = lam_a.count(0)
+    w = lam2.count(0)
     # positive minus negative entries of lam_a; the +-mu/2 pairs cancel
     u_minus_r = sum(1 for x in lam if x > 0) - sum(1 for x in lam if x < 0)
     avals, ktil, ltil = _pos_value_data(lam)
     k, z = (ktil[-1] if ktil else 0), lam.count(0)
     by_values = _delta_options(
-        lam_a,
-        base,
+        lam2,
+        base2,
         avals,
         params.psi,
         lambda j: pair_root(v, ktil[j - 1] if j > 0 else 0, v - ltil[j], 1, 1),
@@ -128,15 +125,15 @@ def lowest_ktypes_sp(params: SpParams) -> tuple[UKType, ...]:
         + sum(1 for m in mu if m == 0)
         + (z + 1) // 2
     )
-    first = [Fraction(1)] * h + [Fraction(0)] * (w - h)
-    second = [Fraction(0)] * (w - h) + [Fraction(-1)] * h
+    first = [2] * h + [0] * (w - h)
+    second = [0] * (w - h) + [-2] * h
     if z == 0:
         etas = [first] if first == second else [first, second]
     else:
         etas = [first] if params.psi.contains(pair_root(v, k, k + z - 1, 1, 1)) else [second]
 
     out = {
-        UKType.of(tuple(_assemble_half(lam_a, base, by_value, eta, +1)))
+        UKType.of(tuple(_assemble_half(lam2, base2, by_value, eta, +1)))
         for by_value in by_values
         for eta in etas
     }
@@ -152,20 +149,18 @@ def lowest_ktypes_o(params: OParams) -> tuple[OKType, ...]:
     a, d = len(left_d), len(right_d)
     z, z2 = left_d.count(0), right_d.count(0)
     mu = params.mu
-    half_mus = [Fraction(m, 2) for m in mu]
-    pad = [Fraction(0)] * (params.t // 2)
-    lam_a_left = sorted([Fraction(x) for x in left_d] + half_mus + pad, reverse=True)
-    lam_a_right = sorted([Fraction(x) for x in right_d] + half_mus + pad, reverse=True)
-    vec = lam_a_left + lam_a_right
-    shift = rho_shift(vec, kind)
-    base = [x + s for x, s in zip(vec, shift)]
-    base_left, base_right = base[:p0], base[p0:]
+    pad = list(mu) + [0] * (params.t // 2)
+    lam2_left = sorted([2 * x for x in left_d] + pad, reverse=True)
+    lam2_right = sorted([2 * x for x in right_d] + pad, reverse=True)
+    vec2 = lam2_left + lam2_right
+    base2 = [x + s for x, s in zip(vec2, twice_rho_shift(vec2, kind))]
+    base2_left, base2_right = base2[:p0], base2[p0:]
 
-    x_zeros, y_zeros = lam_a_left.count(0), lam_a_right.count(0)
+    x_zeros, y_zeros = lam2_left.count(0), lam2_right.count(0)
     avals, ktil, ltil = _pos_value_data(left_d + tuple(-x for x in right_d))
     by_values = _delta_options(
-        vec,
-        base,
+        vec2,
+        base2,
         avals,
         params.psi,
         lambda j: pair_root(a + d, ktil[j] - 1, a + ltil[j] - 1, 1, -1),
@@ -174,8 +169,8 @@ def lowest_ktypes_o(params: OParams) -> tuple[OKType, ...]:
     beta_count = sum(1 for e in params.eps if e == 1)
     gamma_count = sum(1 for e in params.eps if e == -1)
     h = min(z, z2) + sum(1 for m in mu if m == 0) + min(beta_count, gamma_count)
-    form1 = ([Fraction(1)] * h + [Fraction(0)] * (x_zeros - h), [Fraction(0)] * y_zeros)
-    form2 = ([Fraction(0)] * x_zeros, [Fraction(1)] * h + [Fraction(0)] * (y_zeros - h))
+    form1 = ([2] * h + [0] * (x_zeros - h), [0] * y_zeros)
+    form2 = ([0] * x_zeros, [2] * h + [0] * (y_zeros - h))
     if z + z2 == 0:
         eta_forms = [form1] if form1 == form2 else [form1, form2]
     elif a == 0 or d == 0:
@@ -188,8 +183,8 @@ def lowest_ktypes_o(params: OParams) -> tuple[OKType, ...]:
     out = set()
     for by_value in by_values:
         for eta_left, eta_right in eta_forms:
-            lft = _assemble_half(lam_a_left, base_left, by_value, eta_left, +1)
-            rgt = _assemble_half(lam_a_right, base_right, by_value, eta_right, -1)
+            lft = _assemble_half(lam2_left, base2_left, by_value, eta_left, +1)
+            rgt = _assemble_half(lam2_right, base2_right, by_value, eta_right, -1)
             for s1, s2 in _sign_pairs(
                 params, z + z2, beta_count, gamma_count, zero_pairs, lft, rgt
             ):

@@ -143,26 +143,46 @@ def pairing(vec: Sequence[Q | int], root: Root) -> Q | int:
     return sum(v * c for v, c in zip(vec, root))
 
 
-def rho_shift(vec: Sequence[Q | int], kind: GroupKind) -> tuple[Q, ...]:
-    """rho(u cap p) - rho(u cap k) for the parabolic defined by ``vec``.
+@functools.cache
+def _rho_shift_terms(kind: GroupKind) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """(sign, nonzero (index, coef) terms) of every weight the rho shift
+    counts: +1 for the weights of p, -1 for the compact roots.  The short
+    roots of an odd frame are in both and cancel, so they are left out."""
+    noncompact, compact = noncompact_weights(kind), compact_roots(kind)
+    both = set(noncompact) & set(compact)
+    signed = [(1, w) for w in noncompact if w not in both]
+    signed += [(-1, r) for r in compact if r not in both]
+    return tuple((sign, tuple((i, c) for i, c in enumerate(w) if c)) for sign, w in signed)
 
-    u collects the weights strictly positive on ``vec``; short roots of the
-    odd orthogonal frame occur on both sides and cancel.  The signs are
-    taken on ``vec`` scaled to integers, and twice the shift is summed as
-    integers.
+
+def twice_rho_shift(ivec: Sequence[int], kind: GroupKind) -> list[int]:
+    """2 * (rho(u cap p) - rho(u cap k)) for the parabolic defined by the
+    integer vector ``ivec``.
+
+    u collects the weights strictly positive on ``ivec``, so any positive
+    multiple of a vector defines the same shift.  Every weight has one or
+    two nonzero terms, and the loop spells both cases out.
     """
+    twice = [0] * kind.dim
+    for sign, terms in _rho_shift_terms(kind):
+        if len(terms) == 2:
+            (i, ci), (j, cj) = terms
+            if ivec[i] * ci + ivec[j] * cj > 0:
+                twice[i] += sign * ci
+                twice[j] += sign * cj
+        else:
+            ((i, ci),) = terms
+            if ivec[i] * ci > 0:
+                twice[i] += sign * ci
+    return twice
+
+
+def rho_shift(vec: Sequence[Q | int], kind: GroupKind) -> tuple[Q, ...]:
+    """rho(u cap p) - rho(u cap k) for the parabolic defined by ``vec``:
+    ``twice_rho_shift`` of ``vec`` scaled to integers, halved."""
     scale = math.lcm(*(x.denominator for x in vec))
     ivec = [x.numerator * (scale // x.denominator) for x in vec]
-    twice = [0] * kind.dim
-    for w in noncompact_weights(kind):
-        if pairing(ivec, w) > 0:
-            for i, c in enumerate(w):
-                twice[i] += c
-    for r in compact_roots(kind):
-        if pairing(ivec, r) > 0:
-            for i, c in enumerate(r):
-                twice[i] -= c
-    return tuple(Q(x, 2) for x in twice)
+    return tuple(Q(x, 2) for x in twice_rho_shift(ivec, kind))
 
 
 # -- rendering and parsing -------------------------------------------------

@@ -1,5 +1,5 @@
-"""Tests for the brute-force enumerators, classification-table
-regeneration, uniqueness-by-invariants, and the verification suites."""
+"""Tests for the enumerators, classification-table regeneration,
+uniqueness-by-invariants, and the verification suites."""
 
 import hashlib
 import json
@@ -7,10 +7,13 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as Q
+from functools import partial
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
 
+from thetalift import enumeration
 from thetalift.enumeration import (
     BETA_GRID,
     EXCEPTIONAL_THETA3_INPUT,
@@ -22,9 +25,12 @@ from thetalift.enumeration import (
     verify_tables,
     verify_unique_by_invariants,
 )
-from thetalift.exact import GENERIC_B, InfChar, Scalar
+from thetalift.exact import GENERIC_B, InfChar, Scalar, parse_infchar
 from thetalift.ktypes import UKType
 from thetalift.langlands import (
+    OParams,
+    ParamError,
+    SpParams,
     canonicalize_o,
     canonicalize_sp,
     det_o,
@@ -36,8 +42,11 @@ from thetalift.langlands import (
     render_sp,
     tensor_det_o,
     trivial_o,
+    validate_o,
+    validate_sp,
 )
 from thetalift.lkt import lowest_ktypes_sp
+from thetalift.roots import OKind, SpKind, enumerate_positive_systems
 from thetalift.theta import DET11_THETA3, first_occurrence, load_tables, theta_n
 
 
@@ -102,6 +111,170 @@ def test_one_dimensional_parameters_appear_in_their_census():
         reps = enumerate_o_reps(p, q, chi)
         assert trivial_o(p, q) in reps
         assert det_o(p, q) in reps
+
+
+# -- construction against generate-and-filter ------------------------------------
+#
+# The enumerators build only parameters that validate.  The reference below
+# is the generate-and-filter enumerator they replaced: it tries every sign,
+# (zeta, xi) and positive-system choice on every slot split and keeps the
+# canonical forms that validate.
+
+
+def _ref_matchings(idxs):
+    if not idxs:
+        yield ()
+        return
+    first, rest = idxs[0], idxs[1:]
+    for i in range(len(rest)):
+        for tail in _ref_matchings(rest[:i] + rest[i + 1 :]):
+            yield ((first, rest[i]),) + tail
+
+
+def _ref_pair_options(x, y):
+    out = set()
+    for u in {x, -x}:
+        for w in {y, -y}:
+            mu = u - w
+            if mu.is_integer() and mu.as_int() >= 0:
+                out.add((mu.as_int(), u + w))
+    return out
+
+
+def _ref_slot_splits(entries, v, s, discrete):
+    indices = tuple(range(len(entries)))
+    for lam_idx in combinations(indices, v):
+        if not all(entries[i].is_integer() for i in lam_idx):
+            continue
+        options = discrete([abs(entries[i].as_int()) for i in lam_idx])
+        rest = tuple(i for i in indices if i not in lam_idx)
+        for pair_idx in combinations(rest, 2 * s):
+            kappa = tuple(entries[i] for i in rest if i not in pair_idx)
+            for matching in _ref_matchings(pair_idx):
+                per_pair = [_ref_pair_options(entries[i], entries[j]) for i, j in matching]
+                for pairs in product(*per_pair):
+                    yield options, tuple(x[0] for x in pairs), tuple(x[1] for x in pairs), kappa
+
+
+def _ref_signed_lams(mags):
+    return sorted({tuple(sorted(c, reverse=True)) for c in product(*({x, -x} for x in mags))})
+
+
+def _ref_halves(a, mags):
+    out = set()
+    for left_pos in combinations(range(len(mags)), a):
+        left = [mags[i] for i in left_pos]
+        right = [x for i, x in enumerate(mags) if i not in left_pos]
+        out.add((tuple(sorted(left, reverse=True)), tuple(sorted(right, reverse=True))))
+    return out
+
+
+def _ref_census(candidates, validate, canonical, render):
+    found = set()
+    for params in candidates:
+        try:
+            validate(params)
+        except ParamError:
+            continue
+        found.add(canonical(params))
+    return tuple(sorted(found, key=render))
+
+
+def reference_sp_reps(n, chi):
+    entries = InfChar.of(chi.entries).entries
+
+    def candidates():
+        for v in range(n + 1):
+            for s in range((n - v) // 2 + 1):
+                t = n - v - 2 * s
+                psis = enumerate_positive_systems(SpKind(v))
+                for lams, mu, nu, kappa in _ref_slot_splits(entries, v, s, _ref_signed_lams):
+                    for lam, eps, psi in product(lams, product((1, -1), repeat=t), psis):
+                        yield SpParams(lam, psi, mu, nu, eps, kappa)
+
+    return _ref_census(candidates(), validate_sp, canonicalize_sp, render_sp)
+
+
+def reference_o_reps(p, q, chi):
+    entries = InfChar.of(chi.entries).entries
+
+    def candidates():
+        for t in range(min(p, q) + 1):
+            if (p - t) % 2 != 0:
+                continue
+            for s in range((min(p, q) - t) // 2 + 1):
+                a, d = (p - t - 2 * s) // 2, (q - t - 2 * s) // 2
+                if a < 0 or d < 0:
+                    continue
+                psis = enumerate_positive_systems(OKind(a, d))
+                splits = _ref_slot_splits(entries, a + d, s, partial(_ref_halves, a))
+                for halves, mu, nu, kappa in splits:
+                    for (left, right), eps, (zeta, xi), psi in product(
+                        halves, product((1, -1), repeat=t), product((1, -1), repeat=2), psis
+                    ):
+                        yield OParams(zeta, xi, left, right, psi, mu, nu, eps, kappa)
+
+    return _ref_census(candidates(), validate_o, canonicalize_o, render_o)
+
+
+# the rank-4 census characters of the benchmark
+BENCH_RANK4 = ("(0,1,2,3)", "(b,0,1,2)", "(1/2,3/2,1,2)", "(1,1,2,2)")
+POOL_GRID = (0, 1, 2, 3, Q(1, 2), Q(3, 2), GENERIC_B)
+SIGNATURES = ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4))
+
+
+@pytest.mark.parametrize("text", BENCH_RANK4)
+def test_sp_construction_equals_generate_and_filter_at_rank_four(text):
+    chi = parse_infchar(text)
+    got = enumerate_sp_reps(4, chi)
+    assert got and got == reference_sp_reps(4, chi)
+
+
+@pytest.mark.parametrize("beta", BETA_GRID, ids=str)
+def test_sp_construction_equals_generate_and_filter_on_beta_grid(beta):
+    chi = InfChar.of([beta_scalar(beta), Q(0), Q(1)])
+    got = enumerate_sp_reps(3, chi)
+    assert got and got == reference_sp_reps(3, chi)
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=str)
+def test_o_construction_equals_generate_and_filter_on_pool_grid(sig):
+    grid = [Scalar.of(x) for x in POOL_GRID]
+    chis = {InfChar.of(pair) for pair in combinations_with_replacement(grid, 2)}
+    total = 0
+    for chi in sorted(chis, key=lambda c: [x.sort_key() for x in c.entries]):
+        got = enumerate_o_reps(*sig, chi)
+        assert got == reference_o_reps(*sig, chi), chi.render()
+        total += len(got)
+    assert total > 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        partial(enumerate_sp_reps, 5, InfChar.of([0, 1, 2, 3, 4])),
+        partial(enumerate_sp_reps, 4, parse_infchar("(1,1,2,2)")),
+        partial(enumerate_sp_reps, 4, parse_infchar("(0,0,1,1)")),
+        partial(enumerate_o_reps, 2, 2, parse_infchar("(1,1)")),
+    ],
+    ids=["sp5-(0,1,2,3,4)", "sp4-(1,1,2,2)", "sp4-(0,0,1,1)", "o22-(1,1)"],
+)
+def test_census_validates_little_more_than_it_keeps(monkeypatch, call):
+    """Construction emits only parameters that validate: the validate calls
+    made from enumeration are at most 1.1 times the accepted ones."""
+    calls, accepted = [], []
+    for name in ("validate_sp", "validate_o"):
+        original = getattr(enumeration, name)
+
+        def counting(params, original=original):
+            calls.append(params)
+            original(params)
+            accepted.append(params)
+
+        monkeypatch.setattr(enumeration, name, counting)
+    reps = call()
+    assert reps and len(accepted) >= len(reps)
+    assert len(calls) <= 1.1 * len(accepted)
 
 
 # -- uniqueness by invariants ---------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,21 @@ def test_scalar_sign_normalization():
     # b-1 beats 1-b: the formal coefficient dominates the key
     assert (GENERIC_B - 1).normalized_sign() == GENERIC_B - 1
     assert (Scalar.of(1) - GENERIC_B).normalized_sign() == GENERIC_B - 1
+
+
+def _reference_normalized_sign(x):
+    """The sign normalization compared on sort keys against -x."""
+    neg = -x
+    return x if x.sort_key() >= neg.sort_key() else neg
+
+
+def test_scalar_sign_normalization_matches_sort_key_reference():
+    coefs = (0, 1, -1, Fraction(1, 2), Fraction(-3, 2))
+    for re, im, bre, bim in itertools.product(coefs, repeat=4):
+        x = Scalar(Fraction(re), Fraction(im), Fraction(bre), Fraction(bim))
+        got = x.normalized_sign()
+        assert got == _reference_normalized_sign(x), x.render()
+        assert got == (-x).normalized_sign()
 
 
 def test_infchar_canonical_order():

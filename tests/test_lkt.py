@@ -1,6 +1,6 @@
 import hashlib
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -19,8 +19,14 @@ from thetalift.langlands import (
     tensor_det_o,
     trivial_o,
 )
-from thetalift.lkt import lowest_ktypes_o, lowest_ktypes_sp, multiplicity_o31
-from thetalift.roots import PositiveSystem, SpKind
+from thetalift.lkt import (
+    _pos_value_data,
+    _sign_pairs,
+    lowest_ktypes_o,
+    lowest_ktypes_sp,
+    multiplicity_o31,
+)
+from thetalift.roots import OKind, PositiveSystem, SpKind, pair_root, rho_shift
 
 
 def test_one_dimensionals_have_one_dimensional_lkt():
@@ -131,3 +137,155 @@ def test_census_lowest_ktypes_are_pinned():
     assert len(lines) == 341 + 666
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == CENSUS_LKT_SHA256
+
+
+# -- doubled integers against the Fraction computation ---------------------------
+#
+# ``lkt`` works on 2*lambda_a as integers.  The reference below is the same
+# computation in Fractions: lambda_a itself, the Fraction ``rho_shift``,
+# delta_L in {0, +-1/2} and eta in {0, +-1}.
+
+
+def _ref_block_values(vec):
+    return sorted({abs(x) for x in vec if x != 0}, reverse=True)
+
+
+def _ref_delta_options(lam_a, base, avals, psi, block_root):
+    alphas = _ref_block_values(lam_a)
+    options = []
+    for al in alphas:
+        idx = lam_a.index(al) if al in lam_a else lam_a.index(-al)
+        if base[idx].denominator == 1:
+            options.append([Fraction(0)])
+        elif al in avals:
+            sign = 1 if psi.contains(block_root(avals.index(al))) else -1
+            options.append([Fraction(sign, 2)])
+        else:
+            options.append([Fraction(1, 2), Fraction(-1, 2)])
+    return [dict(zip(alphas, combo)) for combo in product(*options)]
+
+
+def _ref_assemble_half(lam_a_half, base_half, by_value, eta, orient):
+    assert len(eta) == lam_a_half.count(0)
+    entries, zi = [], 0
+    for val, b in zip(lam_a_half, base_half):
+        if val != 0:
+            delta = by_value[abs(val)]
+            entries.append(b + delta if orient > 0 else b - delta)
+        else:
+            entries.append(b + eta[zi])
+            zi += 1
+    assert all(x.denominator == 1 for x in entries)
+    return [int(x) for x in entries]
+
+
+def reference_lowest_ktypes_sp(params):
+    lam, mu = params.lam, params.mu
+    v, t, n = params.v, params.t, params.n
+    half_mus = [Fraction(m, 2) for m in mu]
+    lam_a = sorted(
+        [Fraction(x) for x in lam] + half_mus + [Fraction(0)] * t + [-h for h in half_mus],
+        reverse=True,
+    )
+    base = [x + s for x, s in zip(lam_a, rho_shift(lam_a, SpKind(n)))]
+    w = lam_a.count(0)
+    u_minus_r = sum(1 for x in lam if x > 0) - sum(1 for x in lam if x < 0)
+    avals, ktil, ltil = _pos_value_data(lam)
+    k, z = (ktil[-1] if ktil else 0), lam.count(0)
+    by_values = _ref_delta_options(
+        lam_a,
+        base,
+        avals,
+        params.psi,
+        lambda j: pair_root(v, ktil[j - 1] if j > 0 else 0, v - ltil[j], 1, 1),
+    )
+    h = (
+        sum(1 for e in params.eps if e == (-1) ** (u_minus_r + 1))
+        + sum(1 for m in mu if m == 0)
+        + (z + 1) // 2
+    )
+    first = [Fraction(1)] * h + [Fraction(0)] * (w - h)
+    second = [Fraction(0)] * (w - h) + [Fraction(-1)] * h
+    if z == 0:
+        etas = [first] if first == second else [first, second]
+    else:
+        etas = [first] if params.psi.contains(pair_root(v, k, k + z - 1, 1, 1)) else [second]
+    out = {
+        UKType.of(tuple(_ref_assemble_half(lam_a, base, by_value, eta, +1)))
+        for by_value in by_values
+        for eta in etas
+    }
+    return tuple(sorted(out, key=lambda kt: kt.weights))
+
+
+def reference_lowest_ktypes_o(params):
+    p, q = params.p, params.q
+    p0, q0 = p // 2, q // 2
+    kind = OKind(p0, q0, odd=p % 2 == 1)
+    left_d, right_d = params.lam_left, params.lam_right
+    a, d = len(left_d), len(right_d)
+    z, z2 = left_d.count(0), right_d.count(0)
+    mu = params.mu
+    half_mus = [Fraction(m, 2) for m in mu]
+    pad = [Fraction(0)] * (params.t // 2)
+    lam_a_left = sorted([Fraction(x) for x in left_d] + half_mus + pad, reverse=True)
+    lam_a_right = sorted([Fraction(x) for x in right_d] + half_mus + pad, reverse=True)
+    vec = lam_a_left + lam_a_right
+    base = [x + s for x, s in zip(vec, rho_shift(vec, kind))]
+    base_left, base_right = base[:p0], base[p0:]
+    x_zeros, y_zeros = lam_a_left.count(0), lam_a_right.count(0)
+    avals, ktil, ltil = _pos_value_data(left_d + tuple(-x for x in right_d))
+    by_values = _ref_delta_options(
+        vec,
+        base,
+        avals,
+        params.psi,
+        lambda j: pair_root(a + d, ktil[j] - 1, a + ltil[j] - 1, 1, -1),
+    )
+    beta_count = sum(1 for e in params.eps if e == 1)
+    gamma_count = sum(1 for e in params.eps if e == -1)
+    h = min(z, z2) + sum(1 for m in mu if m == 0) + min(beta_count, gamma_count)
+    form1 = ([Fraction(1)] * h + [Fraction(0)] * (x_zeros - h), [Fraction(0)] * y_zeros)
+    form2 = ([Fraction(0)] * x_zeros, [Fraction(1)] * h + [Fraction(0)] * (y_zeros - h))
+    if z + z2 == 0:
+        eta_forms = [form1] if form1 == form2 else [form1, form2]
+    elif a == 0 or d == 0:
+        eta_forms = [form2]
+    else:
+        root = pair_root(a + d, a - 1, a + d - 1, 1, -1)
+        eta_forms = [form1] if params.psi.contains(root) else [form2]
+    zero_pairs = any(k.is_zero for k in params.kappa)
+    out = set()
+    for by_value in by_values:
+        for eta_left, eta_right in eta_forms:
+            lft = _ref_assemble_half(lam_a_left, base_left, by_value, eta_left, +1)
+            rgt = _ref_assemble_half(lam_a_right, base_right, by_value, eta_right, -1)
+            for s1, s2 in _sign_pairs(
+                params, z + z2, beta_count, gamma_count, zero_pairs, lft, rgt
+            ):
+                out.add(OKType.of(p, q, tuple(lft), tuple(rgt), s1, s2))
+    return tuple(
+        sorted(out, key=lambda kt: (kt.left.entries, kt.left.sign, kt.right.entries, kt.right.sign))
+    )
+
+
+@pytest.mark.parametrize("text", ["(0,1,2,3,4)", "(1/2,3/2,5/2,7/2,9/2)"])
+def test_integer_lkt_matches_fraction_reference_on_rank_five_census(text):
+    reps = enumerate_sp_reps(5, parse_infchar(text))
+    assert reps
+    for pi in reps:
+        assert lowest_ktypes_sp(pi) == reference_lowest_ktypes_sp(pi), render_sp(pi)
+
+
+def test_integer_lkt_matches_fraction_reference_on_the_o_pool():
+    grid = [Scalar.of(x) for x in (0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2))] + [GENERIC_B]
+    chis = {InfChar.of(pair) for pair in combinations_with_replacement(grid, 2)}
+    pool = {
+        pi
+        for p, q in ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4))
+        for chi in chis
+        for pi in enumerate_o_reps(p, q, chi)
+    }
+    assert len(pool) == 341
+    for pi in pool:
+        assert lowest_ktypes_o(pi) == reference_lowest_ktypes_o(pi), render_o(pi)

@@ -26,6 +26,7 @@ from thetalift.roots import (
     render_root,
     rho_shift,
     simple_members,
+    twice_rho_shift,
     two_rho_c,
 )
 
@@ -231,19 +232,22 @@ def test_rho_shift_matches_fraction_reference_on_half_integer_grid(kind):
 
 
 def test_rho_shift_matches_fraction_reference_on_rank_four_census(monkeypatch):
+    """``lkt`` calls the integer core on 2*lambda_a; half of what it returns
+    is the Fraction shift of lambda_a."""
     seen = []
 
-    def recording_rho_shift(vec, kind):
-        seen.append((tuple(vec), kind))
-        return rho_shift(vec, kind)
+    def recording_twice_rho_shift(ivec, kind):
+        seen.append((tuple(ivec), kind))
+        return twice_rho_shift(ivec, kind)
 
-    monkeypatch.setattr(lkt, "rho_shift", recording_rho_shift)
+    monkeypatch.setattr(lkt, "twice_rho_shift", recording_twice_rho_shift)
     reps = enumerate_sp_reps(4, InfChar.of([0, 1, 2, 3]))
     for pi in reps:
         lkt.lowest_ktypes_sp(pi)
     assert len(seen) == len(reps) > 0
-    for vec, kind in seen:
-        assert rho_shift(vec, kind) == _reference_rho_shift(vec, kind), vec
+    for ivec, kind in seen:
+        half = tuple(Fraction(x, 2) for x in twice_rho_shift(ivec, kind))
+        assert half == _reference_rho_shift([Fraction(x, 2) for x in ivec], kind), ivec
 
 
 def test_pairing_matches_fraction_reference():

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .exact import GENERIC_B, InfChar, Scalar, infchars_dual
@@ -43,6 +43,8 @@ from .langlands import (
     OParams,
     ParamError,
     SpParams,
+    _INT_VARS,
+    _SIGN_VARS,
     canonicalize,
     canonicalize_o,
     canonicalize_sp,
@@ -78,6 +80,7 @@ from .theta import (
     ThetaError,
     appendix_rows_at,
     apply_modification,
+    cond_eval,
     first_occurrence,
     induct_n,
     instantiate_pattern,
@@ -401,20 +404,18 @@ _SIGN_GRID = (1, -1)
 
 def _pattern_samples(pattern, cond: str) -> list[dict]:
     """Sample variable assignments for a table row, cond-filtered."""
-    from .theta import cond_eval
-
     names = sorted(pattern.var_names())
     grids = []
     for name in names:
-        if name in ("m", "l"):
+        if name in _INT_VARS:
             grids.append(_INT_GRID)
-        elif name in ("s1", "s2"):
+        elif name in _SIGN_VARS:
             grids.append(_SIGN_GRID)
         else:
             grids.append(_SCALAR_GRID)
     out = []
     for combo in product(*grids):
-        env = {name: (beta_scalar(val) if name not in ("m", "l", "s1", "s2") else val)
+        env = {name: (val if name in _INT_VARS or name in _SIGN_VARS else beta_scalar(val))
                for name, val in zip(names, combo)}
         if cond_eval(cond, env):
             out.append(env)
@@ -674,31 +675,29 @@ def _random_ofactor(rng: random.Random, p: int) -> OFactor:
 
 
 def _all_ofactors(p: int, bound: int) -> list[OFactor]:
-    width = p // 2
-    entry_tuples = {
-        tuple(sorted(c, reverse=True)) for c in product(range(bound + 1), repeat=width)
+    factors = {
+        OFactor.of(p, entries, sign)
+        for entries in combinations_with_replacement(range(bound, -1, -1), p // 2)
+        for sign in (1, -1)
     }
-    factors = {OFactor.of(p, entries, sign) for entries in entry_tuples for sign in (1, -1)}
     return sorted(factors, key=lambda f: (f.entries, f.sign))
 
 
 def _all_uktypes(n: int, bound: int) -> list[UKType]:
-    out = []
-    values = range(bound, -bound - 1, -1)
-    for weights in product(values, repeat=n):
-        if all(a >= b for a, b in zip(weights, weights[1:])):
-            out.append(UKType.of(weights))
-    return out
+    return [UKType.of(w) for w in combinations_with_replacement(range(bound, -bound - 1, -1), n)]
 
 
-def suite_props(tables: Optional[TableSet] = None, seed: int = 20240817) -> VerificationReport:
+_PROPS_SEED = 20240817
+
+
+def suite_props(tables: Optional[TableSet] = None) -> VerificationReport:
     """Structural properties: duality and persistence along towers,
     induction-path independence, lowest-K-type propagation under the
     rank-raising induction, modification-rule confluence, involution
     identities, norm agreement with the root-system oracle, joint-harmonics
     round trips, and parse/render round trips."""
     tables = load_tables() if tables is None else tables
-    rng = random.Random(seed)
+    rng = random.Random(_PROPS_SEED)
     samples = _prop_samples(tables)
 
     details: list[str] = []

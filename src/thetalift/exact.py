@@ -153,8 +153,6 @@ class Scalar:
         return self.render()
 
 
-ZERO = Scalar()
-ONE = Scalar(re=Q(1))
 GENERIC_B = Scalar(bre=Q(1))
 
 _TERM = _regex.compile(r"([+-]?)([^+-]+)")

@@ -414,6 +414,8 @@ def render_params(params: Params) -> str:
 # whose only variable is b, which then stands for itself.
 
 _VAR_ORDER = ("c1", "c2", "s1", "s2", "b", "m", "l")
+_INT_VARS = frozenset({"m", "l"})
+_SIGN_VARS = frozenset({"s1", "s2"})
 _SIGNS = (Scalar.of(1), Scalar.of(-1))
 
 
@@ -455,7 +457,7 @@ class ParamPattern:
     xi: Optional[int]
     lam_left: tuple[Expr, ...]
     lam_right: tuple[Expr, ...]  # empty and unused on the sp side
-    psi_text: str
+    psi: PositiveSystem
     mu: tuple[Expr, ...]
     nu: tuple[Expr, ...]
     eps: tuple[Expr, ...]
@@ -489,12 +491,13 @@ _SP_HEAD = _regex.compile(r"pi\((.*)\)")
 def parse_param_pattern(text: str) -> ParamPattern:
     """Parse parameter text whose slots may hold variables.
 
-    An O-side ``@ O(p,q)`` tail is optional and must agree with the shape:
-    p = 2a+2s+t and q = 2d+2s+t.  Syntax errors raise ParamError.
+    Psi is parsed in the root system the slot counts give.  An O-side
+    ``@ O(p,q)`` tail is optional and must agree with the shape:
+    p = 2a+2s+t and q = 2d+2s+t.  Syntax errors, a bad root among them,
+    raise ParamError.
     """
     s = text.strip()
-    m = _O_HEAD.fullmatch(s)
-    if m:
+    if m := _O_HEAD.fullmatch(s):
         fields = _split_top(m.group(2))
         if len(fields) != 7:
             raise ParamError(f"O parameters need 7 fields, got {len(fields)}")
@@ -516,15 +519,21 @@ def parse_param_pattern(text: str) -> ParamPattern:
             p, q = 2 * len(left) + pairs, 2 * len(right) + pairs
             if (int(m.group(3)), int(m.group(4))) != (p, q):
                 raise ParamError(f"declared signature O({m.group(3)},{m.group(4)}) does not match O({p},{q})")
-        return ParamPattern("o", int(m.group(1)), xi.as_int(), left, right, fields[2], mu, nu, eps, kappa)
-    m = _SP_HEAD.fullmatch(s)
-    if m:
+        head, psi_text = ("o", int(m.group(1)), xi.as_int(), left, right), fields[2]
+        kind: GroupKind = OKind(len(left), len(right))
+    elif m := _SP_HEAD.fullmatch(s):
         fields = _split_top(m.group(1))
         if len(fields) != 6:
             raise ParamError(f"Sp parameters need 6 fields, got {len(fields)}")
         lam, mu, nu, eps, kappa = (_parse_expr_group(f) for f in fields[:1] + fields[2:])
-        return ParamPattern("sp", None, None, lam, (), fields[1], mu, nu, eps, kappa)
-    raise ParamError(f"bad parameter text {text!r}")
+        head, psi_text, kind = ("sp", None, None, lam, ()), fields[1], SpKind(len(lam))
+    else:
+        raise ParamError(f"bad parameter text {text!r}")
+    try:
+        psi = parse_psi(psi_text, kind)
+    except ValueError as err:
+        raise ParamError(str(err)) from None
+    return ParamPattern(*head, psi, mu, nu, eps, kappa)
 
 
 def instantiate_pattern(pat: ParamPattern, env: Mapping[str, "Scalar | int"]) -> Params:
@@ -551,13 +560,10 @@ def instantiate_pattern(pat: ParamPattern, env: Mapping[str, "Scalar | int"]) ->
         return ints(pat.mu), scalars(pat.nu), ints(pat.eps), scalars(pat.kappa)
 
     if pat.side == "sp":
-        lam = ints(pat.lam_left)
-        params = SpParams(lam, parse_psi(pat.psi_text, SpKind(len(lam))), *continuous())
+        params = SpParams(ints(pat.lam_left), pat.psi, *continuous())
         validate_sp(params)
         return canonicalize_sp(params)
-    left, right = ints(pat.lam_left), ints(pat.lam_right)
-    psi = parse_psi(pat.psi_text, OKind(len(left), len(right)))
-    params = OParams(pat.zeta, pat.xi, left, right, psi, *continuous())
+    params = OParams(pat.zeta, pat.xi, ints(pat.lam_left), ints(pat.lam_right), pat.psi, *continuous())
     validate_o(params)
     return canonicalize_o(params)
 

@@ -8,12 +8,12 @@ symplectic rank and ``induct_pq`` raises the orthogonal signature, both
 feeding the freshly appended (eps, kappa) slots through the modification
 rule before canonicalization.
 
-Canonical input.  ``theta_n`` and ``first_occurrence`` put their input
-in canonical form (``langlands.canonicalize_o``) once and hand it on;
+Valid and canonical input.  ``theta_n`` and ``first_occurrence``
+validate their input once, put it in canonical form and hand it on;
 ``matching_rows``, ``lookup_lift`` and ``match_o_pattern`` require a
-canonical parameter, as ``parse_o``, ``instantiate_pattern`` and the
-inductions return it.  ``induct_n`` and ``induct_pq`` accept any valid
-parameter and return a canonical one.
+valid and canonical parameter, as ``parse_o``, ``instantiate_pattern``
+and the inductions return it.  ``induct_n`` and ``induct_pq`` accept any
+valid parameter and return a canonical one.
 
 Table grammar.  Each data row reads ``PATTERN => TEMPLATE ; CONDITION``.
 Patterns and templates are parameter text in the grammar of
@@ -21,9 +21,11 @@ Patterns and templates are parameter text in the grammar of
 and scalar slots hold affine expressions in the row variables
 (``m``, ``l`` integers; ``s1``, ``s2`` signs; ``b``, ``c1``, ``c2``
 scalars).  Every template variable must be bound by the row's pattern,
-and classification rows use ``b`` alone; the loaders check both.  A
-parameter matches a row when some assignment of the variables reproduces
-it up to canonical form and the condition holds.
+and classification rows use ``b`` alone; the loaders check both and try
+every condition atom once, so each row defect fails at load naming
+``file.tbl:line``.  A parameter matches a row when the pattern's Psi is
+its Psi up to sign flips on zero coordinates, some assignment of the
+variables binds every other slot to its value, and the condition holds.
 Conditions are ``&``-separated atoms: ``true``, comparisons ``x=N``,
 ``x!=N``, ``x>=y``, ``x>y``, class predicates ``x int|even|odd``, set
 exclusions ``x notin {a,b}``, and slot exclusions ``pair(s,c)!=(e,k)``.
@@ -41,17 +43,19 @@ from itertools import permutations
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
-from .exact import InfChar, Scalar, dual_padding, parse_scalar
+from .exact import GENERIC_B, InfChar, Scalar, dual_padding, parse_scalar
 from .ktypes import UKType
 from .langlands import (
     Expr,
     OParams,
-    ParamError,
     ParamPattern,
     SpParams,
+    _INT_VARS,
+    _SIGN_VARS,
     _VAR_ORDER,
     _parse_expr_group,
     _split_top,
+    _zero_flip_orbit,
     canonicalize_o,
     canonicalize_sp,
     contragredient_sp,
@@ -81,10 +85,6 @@ class ThetaError(ValueError):
 # ---------------------------------------------------------------------------
 # Pattern matching
 # ---------------------------------------------------------------------------
-
-_INT_VARS = frozenset({"m", "l"})
-_SIGN_VARS = frozenset({"s1", "s2"})
-
 
 def expr_bind(expr: Expr, value: Scalar, env: dict) -> Optional[dict]:
     """Extend env so that expr evaluates to value; None if impossible."""
@@ -150,11 +150,12 @@ def _shape(x: "ParamPattern | OParams") -> tuple:
 
 def match_o_pattern(pat: ParamPattern, target: OParams) -> tuple[dict, ...]:
     """All variable assignments under which the pattern reproduces the
-    target parameter.  The target must be canonical: the match compares
-    it with canonical instantiations."""
+    valid, canonical target.  A binding pins every slot but Psi to the
+    target's value, and Psi does not depend on the binding, so it is
+    compared once, up to sign flips on the target's zero coordinates."""
     if pat.side != "o":
         raise TableError("only orthogonal patterns are matched")
-    if _shape(pat) != _shape(target):
+    if _shape(pat) != _shape(target) or _zero_flip_orbit(replace(target, psi=pat.psi)) != target.psi:
         return ()
     lam_vals = tuple(Scalar.of(x) for x in target.lam_left + target.lam_right)
     base = _bind_tuple(pat.lam_left + pat.lam_right, lam_vals, {})
@@ -163,19 +164,7 @@ def match_o_pattern(pat: ParamPattern, target: OParams) -> tuple[dict, ...]:
     envs = [base]
     envs = _bind_pairs(envs, pat.mu, pat.nu, [(Scalar.of(m), v) for m, v in zip(target.mu, target.nu)])
     envs = _bind_pairs(envs, pat.eps, pat.kappa, [(Scalar.of(e), k) for e, k in zip(target.eps, target.kappa)])
-    seen: set = set()
-    out: list[dict] = []
-    for env in envs:
-        key = frozenset(env.items())
-        if key in seen:
-            continue
-        seen.add(key)
-        try:
-            if instantiate_pattern(pat, env) == target:
-                out.append(env)
-        except ParamError:
-            continue
-    return tuple(out)
+    return tuple({frozenset(env.items()): env for env in envs}.values())
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +193,7 @@ def _atom_eval(atom: str, env: Mapping[str, "Scalar | int"]) -> bool:
     m = _NOTIN_COND.fullmatch(atom)
     if m:
         val = _cond_value(m.group(1), env)
-        return all(val != parse_scalar(tok.strip()) for tok in m.group(2).split(","))
+        return val not in [parse_scalar(tok.strip()) for tok in m.group(2).split(",")]
     m = _CLASS_COND.fullmatch(atom)
     if m:
         val = _cond_value(m.group(1), env)
@@ -229,6 +218,15 @@ def _atom_eval(atom: str, env: Mapping[str, "Scalar | int"]) -> bool:
 
 def cond_eval(cond: str, env: Mapping[str, "Scalar | int"]) -> bool:
     return all(_atom_eval(atom.strip(), env) for atom in cond.split("&"))
+
+
+def _check_cond(cond: str, names: Iterable[str]) -> None:
+    """Evaluate every atom of a row condition once, each name bound to a
+    sample value (integers and signs to 1, scalars to b), so that a
+    defective atom fails when its row loads."""
+    env = {name: 1 if name in _INT_VARS or name in _SIGN_VARS else GENERIC_B for name in names}
+    for atom in cond.split("&"):
+        _atom_eval(atom.strip(), env)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +313,7 @@ def _lift_row(lineno: int, left: str, body: str, cond: str) -> LiftRow:
     unbound = template.var_names() - pattern.var_names()
     if unbound:
         raise TableError(f"template variables {', '.join(sorted(unbound))} are not bound by the pattern")
+    _check_cond(cond, pattern.var_names())
     return LiftRow(pattern, template, cond, lineno)
 
 
@@ -330,12 +329,13 @@ def _lkt_row(lineno: int, left: str, body: str, cond: str) -> LktRow:
     others = (pattern.var_names() | {e.var for tup in lkts for e in tup}) - {"b", None}
     if others:
         raise TableError(f"classification rows use b alone, got {', '.join(sorted(others))}")
+    _check_cond(cond, ("b",))
     return LktRow(pattern, lkts, cond, lineno)
 
 
 def _load_rows(path: Path, make_row) -> tuple:
-    """The data rows of a table file; any defect raises TableError
-    naming ``file.tbl:line``."""
+    """The data rows of a table file; any defect, a bad constant in a
+    condition among them, raises TableError naming ``file.tbl:line``."""
     if not path.is_file():
         raise TableError(f"missing table file {path}")
     rows = []
@@ -351,7 +351,7 @@ def _load_rows(path: Path, make_row) -> tuple:
                 raise TableError("row has no condition")
             body, cond = right.rsplit(";", 1)
             rows.append(make_row(lineno, left.strip(), body.strip(), cond.strip()))
-        except (ParamError, TableError) as err:
+        except (ValueError, ZeroDivisionError) as err:
             raise TableError(f"{path.name}:{lineno}: {err}") from None
     return tuple(rows)
 
@@ -405,9 +405,9 @@ def row_lift(row: LiftRow, pi: OParams) -> Optional[SpParams]:
 
 def matching_rows(table: LiftTable, pi: OParams) -> list[tuple[LiftRow, SpParams]]:
     """Every row of the table that applies to pi, with the lift it gives.
-    pi must be canonical, as ``parse_o``, ``instantiate_pattern`` and the
-    inductions return it.  Only the rows of pi's shape are tried: no other
-    row can match."""
+    pi must be valid and canonical, as ``parse_o``, ``instantiate_pattern``
+    and the inductions return it.  Only the rows of pi's shape are tried:
+    no other row can match."""
     out = []
     for row in table.rows_for(pi):
         lifted = row_lift(row, pi)
@@ -427,8 +427,8 @@ def _only_hit(hits: list[tuple[LiftRow, SpParams]], pi: OParams) -> Optional[SpP
 
 def lookup_lift(table: LiftTable, pi: OParams) -> Optional[SpParams]:
     """The lift of the one row of the table that applies to pi, or None.
-    pi must be canonical (see ``matching_rows``).  Two matching rows raise
-    TableError: the rows of a table must be exclusive."""
+    pi must be valid and canonical (see ``matching_rows``).  Two matching
+    rows raise TableError: the rows of a table must be exclusive."""
     return _only_hit(matching_rows(table, pi), pi)
 
 
@@ -596,8 +596,8 @@ _SWAPPED = ((0, 4), (1, 3))
 
 
 def _occurrence(pi: OParams, tables: TableSet) -> tuple[int, Optional[list]]:
-    """The first occurrence of a canonical pi, and its theta1 row hits
-    when the answer needed them (None otherwise)."""
+    """The first occurrence of a valid and canonical pi, and its theta1
+    row hits when the answer needed them (None otherwise)."""
     if (pi.p, pi.q) in _SWAPPED:
         return _occurrence(swap_pq(pi), tables)
     if (pi.p, pi.q) not in _SUPPORTED:
@@ -613,7 +613,9 @@ def _occurrence(pi: OParams, tables: TableSet) -> tuple[int, Optional[list]]:
 
 
 def first_occurrence(pi: OParams, tables: Optional[TableSet] = None) -> int:
-    """The smallest n with a nonzero rank-n lift (p + q = 4 only)."""
+    """The smallest n with a nonzero rank-n lift (p + q = 4 only).  An
+    invalid pi raises ParamError."""
+    validate_o(pi)
     tables = load_tables() if tables is None else tables
     return _occurrence(canonicalize_o(pi), tables)[0]
 
@@ -634,15 +636,17 @@ class ThetaResult:
 
 
 def theta_n(pi: OParams, n: int, tables: Optional[TableSet] = None) -> ThetaResult:
-    """The rank-n lift of an O(p,q) parameter, p + q = 4, any n >= 0."""
+    """The rank-n lift of an O(p,q) parameter, p + q = 4, any n >= 0.  An
+    invalid pi raises ParamError."""
     if n < 0:
         raise ThetaError("rank n must be >= 0")
+    validate_o(pi)
     tables = load_tables() if tables is None else tables
     return _theta_n(canonicalize_o(pi), n, tables)
 
 
 def _theta_n(pi: OParams, n: int, tables: TableSet) -> ThetaResult:
-    """``theta_n`` of a canonical pi."""
+    """``theta_n`` of a valid and canonical pi."""
     if (pi.p, pi.q) in _SWAPPED:
         inner = _theta_n(swap_pq(pi), n, tables)
         if inner.is_zero:
@@ -656,29 +660,17 @@ def _theta_n(pi: OParams, n: int, tables: TableSet) -> ThetaResult:
     if n == 0:
         empty = SpParams((), PositiveSystem.of(SpKind(0), ()), (), (), (), ())
         return ThetaResult(empty, "rank-zero lift of the trivial parameter")
-
-    def from_table(rank: int) -> SpParams:
-        if rank == 1 and theta1_hits is not None:
-            lifted = _only_hit(theta1_hits, pi)
-        else:
-            lifted = lookup_lift(tables.theta(rank), pi)
-        if lifted is None:
-            raise TableError(f"no rank-{rank} table row matches {render_o(pi)}")
-        return lifted
-
-    if n in (1, 2):
-        return ThetaResult(from_table(n), f"theta{n} table")
-    start = max(n0, 2)
-    base = from_table(start)
+    start = n if n <= 2 else max(n0, 2)
+    if start == 1 and theta1_hits is not None:
+        base = _only_hit(theta1_hits, pi)
+    else:
+        base = lookup_lift(tables.theta(start), pi)
+    if base is None:
+        raise TableError(f"no rank-{start} table row matches {render_o(pi)}")
     provenance = f"theta{start} table"
     if n == start:
         return ThetaResult(base, provenance)
-    if n > 4 and start < 4:
-        base = induct_n(base, pi.p, pi.q, 4 - start)
-        provenance += f" + induct_n(k={4 - start})"
-        start = 4
-    base = induct_n(base, pi.p, pi.q, n - start)
-    return ThetaResult(base, provenance + f" + induct_n(k={n - start})")
+    return ThetaResult(induct_n(base, pi.p, pi.q, n - start), provenance + f" + induct_n(k={n - start})")
 
 
 # The rank-3 lift of the determinant character in the signature-(1,1)

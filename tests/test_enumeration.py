@@ -26,7 +26,7 @@ from thetalift.enumeration import (
     verify_unique_by_invariants,
 )
 from thetalift.exact import GENERIC_B, InfChar, Scalar, parse_infchar
-from thetalift.ktypes import UKType
+from thetalift.ktypes import OFactor, UKType
 from thetalift.langlands import (
     OParams,
     ParamError,
@@ -342,6 +342,24 @@ def test_regeneration_report_renders_and_serializes():
     js = rep.to_json()
     assert js["ok"] is True and js["name"] == rep.name
     assert all(set(c) == {"label", "ok", "details"} for c in js["cases"])
+
+
+# -- joint-harmonics sample sets --------------------------------------------------
+
+
+@pytest.mark.parametrize("size", range(6))
+def test_sample_ktype_sets_equal_the_filtered_products(size):
+    """The sample K-types are built directly as weakly decreasing tuples;
+    they come out as the filtered full products did, in the same order."""
+    values = range(6, -7, -1)
+    filtered = [UKType.of(w) for w in product(values, repeat=size) if list(w) == sorted(w, reverse=True)]
+    assert enumeration._all_uktypes(size, 6) == filtered
+    factors = {
+        OFactor.of(size, sorted(c, reverse=True), sign)
+        for c in product(range(7), repeat=size // 2)
+        for sign in (1, -1)
+    }
+    assert enumeration._all_ofactors(size, 6) == sorted(factors, key=lambda f: (f.entries, f.sign))
 
 
 # -- suite driver ----------------------------------------------------------------

@@ -76,6 +76,11 @@ def test_grammar_errors_are_param_errors():
         o("pi(0,{},0,0,0,0)")
     with pytest.raises(ParamError):
         parse_params("pi(0,{},(1),(1/),0,0)")
+    # Psi is parsed with the pattern, in the root system of its slot counts
+    with pytest.raises(ParamError, match="bad root 'e1-e9'"):
+        o("pi_{1}((2,1;),1,{e1+e2,e1-e9},0,0,0,0)")
+    with pytest.raises(ParamError, match="bad root '2e2'"):
+        parse_param_pattern("pi((m),{2e2},0,0,0,0)")
 
 
 def test_shape_properties():

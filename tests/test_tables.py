@@ -158,6 +158,11 @@ def test_malformed_row_raises(tmp_path):
         ("theta1.tbl", "pi_{1}((m;),1,{},0,0,0,0) => pi((l),{2e1},0,0,0,0) ; true", "l are not bound"),
         ("appendix_c.tbl", "pi((c1),{2e1},0,0,0,0) => {(1,0,0)} ; true", "b alone, got c1"),
         ("appendix_c.tbl", "pi((b),{2e1},0,0,0,0) => {(m,0,0)} ; true", "b alone, got m"),
+        ("theta1.tbl", "pi_{1}((m;),1,{e1-e9},0,0,0,0) => pi((m),{2e1},0,0,0,0) ; true", "bad root 'e1-e9'"),
+        ("theta1.tbl", "pi_{1}((m;),1,{},0,0,0,0) => pi((m),{2e1},0,0,0,0) ; m>>l", "unrecognized condition atom"),
+        ("theta1.tbl", "pi_{1}((m;),1,{},0,0,0,0) => pi((m),{2e1},0,0,0,0) ; q>=l", "unbound variable 'q'"),
+        ("theta1.tbl", "pi_{1}((m;),1,{},0,0,0,0) => pi((m),{2e1},0,0,0,0) ; m notin {1,x}", "bad scalar"),
+        ("appendix_c.tbl", "pi((b),{2e1},0,0,0,0) => {(1,0,0)} ; m>=1", "unbound variable 'm'"),
     ],
 )
 def test_row_defects_fail_at_load_naming_the_line(tmp_path, name, row, message):

@@ -24,16 +24,21 @@ from thetalift.langlands import (
     parse_o,
     parse_param_pattern,
     parse_sp,
+    render_o,
     render_sp,
     swap_pq,
     trivial_o,
 )
 from thetalift.enumeration import enumerate_o_reps
 from thetalift.roots import PositiveSystem, SpKind
+from thetalift import theta as theta_module
 from thetalift.theta import (
     DET11_THETA3,
     TableError,
     ThetaError,
+    _bind_pairs,
+    _bind_tuple,
+    _shape,
     apply_modification,
     cond_eval,
     cond_lambda,
@@ -362,6 +367,28 @@ def test_dispatcher_high_ranks_factor_through_rank_four():
     assert theta_n(z, 5).params == parse_sp("pi(0,{},(1),(1),(1,1,1),(2,3,5))")
 
 
+_INVALID_O = {
+    "lam halves must be weakly decreasing": ("pi_{1}((2,1;),1,{e1+e2,e1-e2},0,0,0,0)", dict(lam_left=(1, 2))),
+    "block multiplicities": ("pi_{1}((2,1;),1,{e1+e2,e1-e2},0,0,0,0)", dict(lam_left=(2, 2))),
+    "zeta=-1 requires some kappa=0": ("pi_{1}(0,1,{},0,0,(1,1),(1,2))", dict(zeta=-1)),
+    "xi=-1 requires a zero entry": ("pi_{1}((2,1;),1,{e1+e2,e1-e2},0,0,0,0)", dict(xi=-1)),
+}
+
+
+@pytest.mark.parametrize("message", sorted(_INVALID_O))
+def test_invalid_input_raises_param_error(message):
+    """The public entry points validate their input once, so an invalid
+    parameter raises ParamError at every rank instead of lifting to 0 at
+    low ranks and failing a table lookup above them."""
+    text, change = _INVALID_O[message]
+    pi = replace(parse_o(text), **change)
+    with pytest.raises(ParamError, match=message):
+        first_occurrence(pi)
+    for n in range(7):
+        with pytest.raises(ParamError, match=message):
+            theta_n(pi, n)
+
+
 def test_lookup_is_exhaustive_over_rank2_bases():
     """Every valid parameter with occurrence <= 2 must hit exactly one
     rank-2 row (completeness of the rank-2 table)."""
@@ -471,3 +498,91 @@ def test_non_canonical_input_gives_the_canonical_answers(pool):
                 want = _outcome(induct_n, lift.params, pi.p, pi.q, k)
                 assert _outcome(induct_n, odd_sp, pi.p, pi.q, k) == want, (pi, n, k)
     assert scrambled > 200 and psi_flipped > 0
+
+
+def _instantiating_match(pat, target) -> tuple[dict, ...]:
+    """The row matcher as it was before matching by binding alone: bind,
+    then confirm each distinct binding by instantiating the pattern and
+    comparing the canonical result with the target."""
+    if _shape(pat) != _shape(target):
+        return ()
+    lam_vals = tuple(Scalar.of(x) for x in target.lam_left + target.lam_right)
+    base = _bind_tuple(pat.lam_left + pat.lam_right, lam_vals, {})
+    if base is None:
+        return ()
+    envs = _bind_pairs([base], pat.mu, pat.nu, [(Scalar.of(m), v) for m, v in zip(target.mu, target.nu)])
+    envs = _bind_pairs(envs, pat.eps, pat.kappa, [(Scalar.of(e), k) for e, k in zip(target.eps, target.kappa)])
+    out: list[dict] = []
+    for env in envs:
+        if env in out:
+            continue
+        try:
+            if instantiate_pattern(pat, env) == target:
+                out.append(env)
+        except ParamError:
+            continue
+    return tuple(out)
+
+
+def test_matching_by_binding_equals_instantiating_match():
+    """Every lift row, against every canonical O(p,q), p+q=4, parameter
+    whose infinitesimal character is a pair from {0,1,2,3,4,5,1/2,3/2,b},
+    binds exactly as the instantiate-and-compare matcher does."""
+    grid = [Scalar.of(x) for x in (0, 1, 2, 3, 4, 5, Q(1, 2), Q(3, 2))] + [GENERIC_B]
+    chis = {InfChar.of(pair) for pair in combinations_with_replacement(grid, 2)}
+    params = [
+        pi
+        for p, q in ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4))
+        for chi in chis
+        for pi in enumerate_o_reps(p, q, chi)
+    ]
+    assert len(params) == 599
+    tables = load_tables()
+    bindings = 0
+    for rank in (1, 2, 3, 4):
+        for row in tables.theta(rank):
+            for pi in params:
+                envs = match_o_pattern(row.pattern, pi)
+                assert envs == _instantiating_match(row.pattern, pi), (rank, row.line, render_o(pi))
+                bindings += len(envs)
+    assert bindings == 674
+
+
+def test_lifts_instantiate_no_orthogonal_pattern(pool, monkeypatch):
+    """Row matching never rebuilds the parameter it matches: the only
+    patterns instantiated on the lift path are Sp templates."""
+    original = theta_module.instantiate_pattern
+    sides = set()
+
+    def spy(pat, env):
+        sides.add(pat.side)
+        return original(pat, env)
+
+    monkeypatch.setattr(theta_module, "instantiate_pattern", spy)
+    tables = load_tables()
+    for pi in pool:
+        for n in range(7):
+            theta_n(pi, n, tables)
+    assert sides == {"sp"}
+
+
+def test_one_induction_from_the_table_rank_equals_a_stop_at_rank_four(pool):
+    """theta_n raises the table lift at rank max(n0, 2) to rank n in one
+    induction step; stopping at rank 4 on the way gives the same lift."""
+    tables = load_tables()
+    cases = 0
+    for pi in pool:
+        if (pi.p, pi.q) not in ((4, 0), (3, 1), (2, 2)):
+            continue
+        n0 = first_occurrence(pi, tables)
+        if n0 > 3:
+            continue
+        start = max(n0, 2)
+        base = lookup_lift(tables.theta(start), pi)
+        via_four = induct_n(base, pi.p, pi.q, 4 - start)
+        for n in range(5, 9):
+            direct = induct_n(base, pi.p, pi.q, n - start)
+            assert direct == induct_n(via_four, pi.p, pi.q, n - 4), (render_o(pi), n)
+            assert theta_n(pi, n, tables).params == direct
+            cases += 1
+    assert cases == 1012

@@ -2,11 +2,14 @@
 
 Scalars live in Q(i) extended by one formal symbol ``b``: every value is
 
-    re + im*i + (bre + bim*i)*b
+    (re + im*i + (bre + bim*i)*b) / den
 
-with Fraction coefficients.  Concrete values have bre = bim = 0.  The
-formal symbol models a continuation parameter in general position: any
-value with a nonzero formal part fails every specialness predicate
+with four integer numerators over one shared positive denominator, kept
+in lowest terms, so that equal values have equal representations:
+equality and hashing are those of a tuple of ints, and arithmetic is
+integer arithmetic.  Concrete values have bre = bim = 0.  The formal
+symbol models a continuation parameter in general position: any value
+with a nonzero formal part fails every specialness predicate
 (integrality, evenness, equality with a fixed constant) while passing
 disequalities such as b != 0.
 """
@@ -17,56 +20,158 @@ import re as _regex
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
+from math import gcd, lcm
 from typing import Iterable, Union
-
-Q = Fraction
 
 QLike = Union[int, Fraction]
 
 
-def _frac(x: QLike) -> Q:
+def _ratio(x: QLike) -> tuple[int, int]:
+    """(numerator, denominator) of an int or a Fraction."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     if isinstance(x, int):
-        return Q(x)
+        return int(x), 1
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class Scalar:
-    """An element of Q(i) + Q(i)*b, b a formal symbol."""
+def _lowest(nums: list[int], den: int) -> tuple[int, ...]:
+    """(*nums, den) divided through by their gcd, with den > 0."""
+    if den == 0:
+        raise ZeroDivisionError("scalar with denominator 0")
+    if den < 0:
+        nums, den = [-x for x in nums], -den
+    g = gcd(den, *nums)
+    return (*(x // g for x in nums), den // g)
 
-    re: Q = Q(0)
-    im: Q = Q(0)
-    bre: Q = Q(0)
-    bim: Q = Q(0)
+
+def _ratio_text(num: int, den: int) -> str:
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
+@total_ordering
+class Scalar:
+    """An element of Q(i) + Q(i)*b, b a formal symbol.
+
+    ``Scalar(re, im, bre, bim, den=1)`` is (re + im*i + (bre + bim*i)*b)/den
+    for ints or Fractions re, im, bre, bim and a nonzero int den.  The
+    value is stored as one tuple of ints (bre, bim, re, im, den) in lowest
+    terms with den > 0, in sort-key order.  Scalars are immutable and
+    totally ordered by ``sort_key``; ``.re``, ``.im``, ``.bre`` and
+    ``.bim`` give the coefficients as Fractions.
+    """
+
+    __slots__ = ("_v",)
+
+    def __init__(self, re: QLike = 0, im: QLike = 0, bre: QLike = 0, bim: QLike = 0, den: int = 1):
+        if type(re) is type(im) is type(bre) is type(bim) is type(den) is int and den > 0:
+            if den != 1:
+                g = gcd(den, re, im, bre, bim)
+                if g != 1:
+                    re, im, bre, bim, den = re // g, im // g, bre // g, bim // g, den // g
+            _store(self, (bre, bim, re, im, den))
+            return
+        if not isinstance(den, int):
+            raise TypeError(f"expected an int denominator, got {type(den).__name__}")
+        parts = [_ratio(x) for x in (bre, bim, re, im)]
+        common = lcm(*(q for _, q in parts))
+        _store(self, _lowest([p * (common // q) for p, q in parts], den * common))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Scalar is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        bre, bim, re, im, den = self._v
+        return Scalar, (re, im, bre, bim, den)
 
     @staticmethod
     def of(x: "Scalar | QLike") -> "Scalar":
-        if isinstance(x, Scalar):
+        if type(x) is Scalar:
             return x
-        return Scalar(re=_frac(x))
+        return Scalar(x)
+
+    # -- coefficients ----------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._v[2], self._v[4])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._v[3], self._v[4])
+
+    @property
+    def bre(self) -> Fraction:
+        return Fraction(self._v[0], self._v[4])
+
+    @property
+    def bim(self) -> Fraction:
+        return Fraction(self._v[1], self._v[4])
+
+    # -- equality, hashing, order ----------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if type(other) is Scalar:
+            return self._v == other._v
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._v)
+
+    def __lt__(self, other: "Scalar") -> bool:
+        """Lexicographic on (bre, bim, re, im): the stored tuples compare
+        directly when the denominators agree, else the numerators are
+        cross-multiplied by the other denominator."""
+        if type(other) is not Scalar:
+            return NotImplemented
+        x, y = self._v, other._v
+        if x[4] == y[4]:
+            return x < y
+        dx, dy = x[4], y[4]
+        return (x[0] * dy, x[1] * dy, x[2] * dy, x[3] * dy) < (y[0] * dx, y[1] * dx, y[2] * dx, y[3] * dx)
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "Scalar | QLike") -> "Scalar":
-        o = Scalar.of(other)
-        return Scalar(self.re + o.re, self.im + o.im, self.bre + o.bre, self.bim + o.bim)
+        bre, bim, re, im, den = self._v
+        if type(other) is int:
+            return Scalar(re + other * den, im, bre, bim, den)
+        obre, obim, ore, oim, oden = Scalar.of(other)._v
+        if den == oden:
+            return Scalar(re + ore, im + oim, bre + obre, bim + obim, den)
+        return Scalar(
+            re * oden + ore * den, im * oden + oim * den, bre * oden + obre * den, bim * oden + obim * den, den * oden
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other: "Scalar | QLike") -> "Scalar":
-        return self + (-Scalar.of(other))
+        bre, bim, re, im, den = self._v
+        if type(other) is int:
+            return Scalar(re - other * den, im, bre, bim, den)
+        obre, obim, ore, oim, oden = Scalar.of(other)._v
+        if den == oden:
+            return Scalar(re - ore, im - oim, bre - obre, bim - obim, den)
+        return Scalar(
+            re * oden - ore * den, im * oden - oim * den, bre * oden - obre * den, bim * oden - obim * den, den * oden
+        )
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im, -self.bre, -self.bim)
+        bre, bim, re, im, den = self._v
+        return Scalar(-re, -im, -bre, -bim, den)
 
     def scale(self, c: QLike) -> "Scalar":
-        c = _frac(c)
-        return Scalar(self.re * c, self.im * c, self.bre * c, self.bim * c)
+        bre, bim, re, im, den = self._v
+        if type(c) is int:
+            return Scalar(re * c, im * c, bre * c, bim * c, den)
+        num, q = _ratio(c)
+        return Scalar(re * num, im * num, bre * num, bim * num, den * q)
 
     def half(self) -> "Scalar":
-        return self.scale(Q(1, 2))
+        bre, bim, re, im, den = self._v
+        return Scalar(re, im, bre, bim, 2 * den)
 
     def substitute(self, value: "Scalar") -> "Scalar":
         """Replace the formal symbol b by ``value``.
@@ -75,47 +180,70 @@ class Scalar:
         the formal coefficient of self multiplies into both parts of the
         value, so the result stays in Q(i) + Q(i)*b.
         """
-        if self.is_concrete:
+        bre, bim, re, im, den = self._v
+        if bre == 0 and bim == 0:
             return self
-        re = self.re + self.bre * value.re - self.bim * value.im
-        im = self.im + self.bre * value.im + self.bim * value.re
-        bre = self.bre * value.bre - self.bim * value.bim
-        bim = self.bre * value.bim + self.bim * value.bre
-        return Scalar(re, im, bre, bim)
+        vbre, vbim, vre, vim, vden = value._v
+        return Scalar(
+            re * vden + bre * vre - bim * vim,
+            im * vden + bre * vim + bim * vre,
+            bre * vbre - bim * vbim,
+            bre * vbim + bim * vbre,
+            den * vden,
+        )
+
+    def solve(self, value: "Scalar") -> "Scalar":
+        """The x with ``self.substitute(x) == value``.  The formal
+        coefficient of self must be a nonzero rational; ValueError
+        otherwise."""
+        bre, bim, re, im, den = self._v
+        if bim != 0 or bre == 0:
+            raise ValueError(f"cannot solve {self.render()} for b")
+        vbre, vbim, vre, vim, vden = value._v
+        # x = (value*den - (re + im*i)) / bre
+        return Scalar(vre * den - re * vden, vim * den - im * vden, vbre * den, vbim * den, vden * bre)
 
     # -- predicates ------------------------------------------------------
 
     @property
     def is_concrete(self) -> bool:
-        return self.bre == 0 and self.bim == 0
+        v = self._v
+        return v[0] == 0 and v[1] == 0
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0 and self.bre == 0 and self.bim == 0
+        return self._v == _ZERO
+
+    def is_rational(self) -> bool:
+        v = self._v
+        return v[0] == 0 and v[1] == 0 and v[3] == 0
 
     def is_integer(self) -> bool:
-        return self.is_concrete and self.im == 0 and self.re.denominator == 1
+        bre, bim, _, im, den = self._v
+        return den == 1 and bre == 0 and bim == 0 and im == 0
 
     def is_even(self) -> bool:
-        return self.is_integer() and self.re.numerator % 2 == 0
+        return self.is_integer() and self._v[2] % 2 == 0
 
     def is_odd(self) -> bool:
-        return self.is_integer() and self.re.numerator % 2 == 1
+        return self.is_integer() and self._v[2] % 2 == 1
 
     def as_int(self) -> int:
         if not self.is_integer():
             raise ValueError(f"not an integer: {self.render()}")
-        return int(self.re)
+        return self._v[2]
 
-    def as_fraction(self) -> Q:
-        if not (self.is_concrete and self.im == 0):
+    def as_fraction(self) -> Fraction:
+        if not self.is_rational():
             raise ValueError(f"not rational: {self.render()}")
         return self.re
 
     # -- canonical form --------------------------------------------------
 
-    def sort_key(self) -> tuple[Q, Q, Q, Q]:
-        return (self.bre, self.bim, self.re, self.im)
+    def sort_key(self) -> "Scalar":
+        """The canonical order: lexicographic on (bre, bim, re, im).
+        Scalars compare in this order themselves, so the key is self."""
+        return self
 
     def normalized_sign(self) -> "Scalar":
         """The representative of {s, -s} whose sort key is maximal >= 0.
@@ -124,26 +252,23 @@ class Scalar:
         re = 0 forces im >= 0.  A formal part wins over the concrete part.
         The sign is that of the first nonzero sort-key entry.
         """
-        for c in (self.bre, self.bim, self.re, self.im):
-            if c:
-                return self if c > 0 else -self
-        return self
+        bre, bim, re, im, _ = self._v
+        return self if (bre or bim or re or im) >= 0 else -self
 
     # -- text ------------------------------------------------------------
 
     def render(self) -> str:
+        bre, bim, re, im, den = self._v
         terms: list[str] = []
-        for coef, sym in ((self.bre, "b"), (self.bim, "b*i"), (self.re, ""), (self.im, "i")):
-            if coef == 0:
+        for num, sym in ((bre, "b"), (bim, "b*i"), (re, ""), (im, "i")):
+            if num == 0:
                 continue
-            sign = "-" if coef < 0 else ("+" if terms else "")
-            mag = -coef if coef < 0 else coef
+            sign = "-" if num < 0 else ("+" if terms else "")
+            mag = _ratio_text(abs(num), den)
             if sym == "":
-                body = str(mag)
-            elif sym == "b" and mag == 1:
-                body = "b"
-            elif sym == "b*i" and mag == 1:
-                body = "b*i"
+                body = mag
+            elif mag == "1" and sym != "i":
+                body = sym
             else:
                 body = f"{mag}*{sym}"
             terms.append(sign + body)
@@ -152,11 +277,17 @@ class Scalar:
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
 
+    def __repr__(self) -> str:
+        return f"Scalar({self.render()})"
 
-GENERIC_B = Scalar(bre=Q(1))
+
+_store = Scalar._v.__set__
+_ZERO = (0, 0, 0, 0, 1)
+
+GENERIC_B = Scalar(bre=1)
 
 _TERM = _regex.compile(r"([+-]?)([^+-]+)")
-_SYMBOLIC = _regex.compile(r"(?:(\d+(?:/\d+)?)\*)?(b\*i|b|i)(?:/(\d+))?$")
+_SYMBOLIC = _regex.compile(r"(?:(\d+)(?:/(\d+))?\*)?(b\*i|b|i)(?:/(\d+))?$")
 _NUMERIC = _regex.compile(r"(\d+)(?:/(\d+))?$")
 _SLOT = {"i": 1, "b": 2, "b*i": 3}
 
@@ -166,29 +297,33 @@ def parse_scalar(text: str) -> Scalar:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty scalar")
-    coefs = [Q(0)] * 4  # re, im, bre, bim
+    nums, den = [0, 0, 0, 0], 1  # re, im, bre, bim over den
     pos = 0
     for m in _TERM.finditer(s):
         if m.start() != pos:
             raise ValueError(f"bad scalar {text!r}")
         pos = m.end()
         body = m.group(2)
-        sm = _SYMBOLIC.match(body)
-        if sm:
-            coef = Q(sm.group(1)) if sm.group(1) else Q(1)
-            if sm.group(3):
-                coef /= Q(sm.group(3))
-            slot = _SLOT[sm.group(2)]
+        if sm := _SYMBOLIC.match(body):
+            num = int(sm.group(1) or 1)
+            q = int(sm.group(2) or 1) * int(sm.group(4) or 1)
+            slot = _SLOT[sm.group(3)]
         elif nm := _NUMERIC.match(body):
-            coef, slot = Q(int(nm.group(1)), int(nm.group(2) or 1)), 0
+            num, q, slot = int(nm.group(1)), int(nm.group(2) or 1), 0
         else:
             raise ValueError(f"bad scalar term {body!r} in {text!r}")
+        if q == 0:
+            raise ZeroDivisionError(f"zero denominator in {text!r}")
         if m.group(1) == "-":
-            coef = -coef
-        coefs[slot] = coefs[slot] + coef if coefs[slot] else coef
+            num = -num
+        if den % q:
+            common = lcm(den, q)
+            nums = [x * (common // den) for x in nums]
+            den = common
+        nums[slot] += num * (den // q)
     if pos != len(s):
         raise ValueError(f"bad scalar {text!r}")
-    return Scalar(*coefs)
+    return Scalar(*nums, den)
 
 
 @dataclass(frozen=True)
@@ -203,11 +338,7 @@ class InfChar:
 
     @staticmethod
     def of(entries: Iterable[Scalar | QLike]) -> "InfChar":
-        norm = sorted(
-            (Scalar.of(e).normalized_sign() for e in entries),
-            key=Scalar.sort_key,
-        )
-        return InfChar(tuple(norm))
+        return InfChar(tuple(sorted(Scalar.of(e).normalized_sign() for e in entries)))
 
     def extended(self, extra: Iterable[Scalar | QLike]) -> "InfChar":
         return InfChar.of(self.entries + tuple(Scalar.of(e) for e in extra))

@@ -212,19 +212,13 @@ def validate_o(params: OParams) -> None:
 
 
 def _canonical_pairs(params: Params) -> dict:
-    mn = sorted(
-        ((m, nu.normalized_sign()) for m, nu in zip(params.mu, params.nu)),
-        key=lambda p: (p[0], p[1].sort_key()),
-    )
-    ek = sorted(
-        ((e, k.normalized_sign()) for e, k in zip(params.eps, params.kappa)),
-        key=lambda p: (p[1].sort_key(), p[0]),
-    )
+    mn = sorted((m, nu.normalized_sign()) for m, nu in zip(params.mu, params.nu))
+    ke = sorted((k.normalized_sign(), e) for e, k in zip(params.eps, params.kappa))
     return dict(
         mu=tuple(m for m, _ in mn),
         nu=tuple(nu for _, nu in mn),
-        eps=tuple(e for e, _ in ek),
-        kappa=tuple(k for _, k in ek),
+        eps=tuple(e for _, e in ke),
+        kappa=tuple(k for k, _ in ke),
     )
 
 
@@ -232,25 +226,28 @@ def canonicalize_sp(params: SpParams) -> SpParams:
     return replace(params, **_canonical_pairs(params))
 
 
-def _zero_flip_orbit(params: OParams) -> PositiveSystem:
-    """Minimal representative of Psi under sign flips of zero coordinates."""
-    flip_slots = [i for i, x in enumerate(params.lam_left) if x == 0]
-    flip_slots += [params.a + j for j, x in enumerate(params.lam_right) if x == 0]
+def _zero_slots(params: OParams) -> tuple[int, ...]:
+    """The coordinates of the zero entries of the discrete datum."""
+    return tuple(i for i, x in enumerate(params.lam_left + params.lam_right) if x == 0)
+
+
+@functools.lru_cache(maxsize=1024)
+def _zero_flip_orbit(psi: PositiveSystem, slots: tuple[int, ...]) -> PositiveSystem:
+    """Minimal representative of psi under sign flips of the coordinates
+    in ``slots``."""
     best = None
-    for rsub in range(1 << len(flip_slots)):
-        chosen = {flip_slots[i] for i in range(len(flip_slots)) if rsub >> i & 1}
-        roots = tuple(
-            tuple(-c if i in chosen else c for i, c in enumerate(r))
-            for r in params.psi.roots
-        )
-        cand = PositiveSystem.of(params.psi.kind, roots)
+    for rsub in range(1 << len(slots)):
+        chosen = {slots[i] for i in range(len(slots)) if rsub >> i & 1}
+        roots = tuple(tuple(-c if i in chosen else c for i, c in enumerate(r)) for r in psi.roots)
+        cand = PositiveSystem.of(psi.kind, roots)
         if best is None or cand.roots < best.roots:
             best = cand
-    return best if best is not None else params.psi
+    return best
 
 
 def canonicalize_o(params: OParams) -> OParams:
-    return replace(params, psi=_zero_flip_orbit(params), **_canonical_pairs(params))
+    psi = _zero_flip_orbit(params.psi, _zero_slots(params))
+    return replace(params, psi=psi, **_canonical_pairs(params))
 
 
 def canonicalize(params: Params) -> Params:

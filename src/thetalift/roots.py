@@ -111,6 +111,11 @@ def all_roots(kind: GroupKind) -> tuple[Root, ...]:
 
 
 @functools.cache
+def root_set(kind: GroupKind) -> frozenset[Root]:
+    return frozenset(all_roots(kind))
+
+
+@functools.cache
 def compact_roots(kind: GroupKind) -> tuple[Root, ...]:
     return tuple(r for r in all_roots(kind) if kind.is_compact(r))
 
@@ -245,16 +250,26 @@ class PositiveSystem:
     @staticmethod
     def of(kind: GroupKind, roots: Iterable[Root]) -> "PositiveSystem":
         uniq = sorted(set(roots), key=lambda r: root_sort_key(r, kind))
-        allowed = set(all_roots(kind))
+        allowed = root_set(kind)
         for r in uniq:
             if r not in allowed:
                 raise ValueError(f"{r} is not a root of {kind.render()}")
         return PositiveSystem(kind, tuple(uniq))
 
     def contains(self, root: Root) -> bool:
-        return root in set(self.roots)
+        return root in self._members
 
     def render(self) -> str:
+        return self._text
+
+    # Computed once per instance; not fields, so equality and hashing
+    # ignore them.
+    @functools.cached_property
+    def _members(self) -> frozenset[Root]:
+        return frozenset(self.roots)
+
+    @functools.cached_property
+    def _text(self) -> str:
         return "{" + ",".join(render_root(r, self.kind) for r in self.roots) + "}"
 
     def __str__(self) -> str:
@@ -278,7 +293,7 @@ def is_positive_system(kind: GroupKind, roots: Iterable[Root]) -> bool:
 
 @functools.lru_cache(maxsize=1024)
 def _is_positive_root_set(kind: GroupKind, rset: frozenset[Root]) -> bool:
-    delta = set(all_roots(kind))
+    delta = root_set(kind)
     if not rset <= delta:
         return False
     if 2 * len(rset) != len(delta):
@@ -294,8 +309,7 @@ def _is_positive_root_set(kind: GroupKind, rset: frozenset[Root]) -> bool:
 
 
 def contains_delta_c_plus(psi: PositiveSystem) -> bool:
-    rset = set(psi.roots)
-    return all(r in rset for r in delta_c_plus(psi.kind))
+    return all(psi.contains(r) for r in delta_c_plus(psi.kind))
 
 
 def simple_members(psi: PositiveSystem) -> tuple[Root, ...]:

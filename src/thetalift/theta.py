@@ -38,7 +38,6 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field, replace
-from fractions import Fraction as Q
 from itertools import permutations
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
@@ -56,6 +55,7 @@ from .langlands import (
     _parse_expr_group,
     _split_top,
     _zero_flip_orbit,
+    _zero_slots,
     canonicalize_o,
     canonicalize_sp,
     contragredient_sp,
@@ -92,9 +92,10 @@ def expr_bind(expr: Expr, value: Scalar, env: dict) -> Optional[dict]:
         return env if expr.form == value else None
     if expr.var in env:
         return env if expr_eval(expr, env) == value else None
-    if expr.form.bim != 0 or expr.form.bre == 0:
-        raise TableError(f"cannot solve for {expr.var!r} in {expr.form.render()}")
-    sol = (value - Scalar(re=expr.form.re, im=expr.form.im)).scale(Q(1) / expr.form.bre)
+    try:
+        sol = expr.form.solve(value)
+    except ValueError:
+        raise TableError(f"cannot solve for {expr.var!r} in {expr.form.render()}") from None
     stored: Scalar | int
     if expr.var in _INT_VARS or expr.var in _SIGN_VARS:
         if not sol.is_integer():
@@ -155,7 +156,7 @@ def match_o_pattern(pat: ParamPattern, target: OParams) -> tuple[dict, ...]:
     compared once, up to sign flips on the target's zero coordinates."""
     if pat.side != "o":
         raise TableError("only orthogonal patterns are matched")
-    if _shape(pat) != _shape(target) or _zero_flip_orbit(replace(target, psi=pat.psi)) != target.psi:
+    if _shape(pat) != _shape(target) or _zero_flip_orbit(pat.psi, _zero_slots(target)) != target.psi:
         return ()
     lam_vals = tuple(Scalar.of(x) for x in target.lam_left + target.lam_right)
     base = _bind_tuple(pat.lam_left + pat.lam_right, lam_vals, {})
@@ -208,11 +209,9 @@ def _atom_eval(atom: str, env: Mapping[str, "Scalar | int"]) -> bool:
             return lhs == rhs
         if op == "!=":
             return lhs != rhs
-        if not (lhs.is_concrete and lhs.im == 0 and rhs.is_concrete and rhs.im == 0):
+        if not (lhs.is_rational() and rhs.is_rational()):
             return False
-        if op == ">=":
-            return lhs.as_fraction() >= rhs.as_fraction()
-        return lhs.as_fraction() > rhs.as_fraction()
+        return lhs >= rhs if op == ">=" else lhs > rhs
     raise TableError(f"unrecognized condition atom {atom!r}")
 
 

@@ -29,7 +29,8 @@ from thetalift.langlands import (
     swap_pq,
     trivial_o,
 )
-from thetalift.enumeration import enumerate_o_reps
+from thetalift.enumeration import enumerate_o_reps, enumerate_sp_reps
+from thetalift.lkt import lowest_ktypes_sp
 from thetalift.roots import PositiveSystem, SpKind
 from thetalift import theta as theta_module
 from thetalift.theta import (
@@ -564,6 +565,38 @@ def test_lifts_instantiate_no_orthogonal_pattern(pool, monkeypatch):
         for n in range(7):
             theta_n(pi, n, tables)
     assert sides == {"sp"}
+
+
+def test_census_and_lifts_construct_no_fraction(pool):
+    """Scalars compute on integers: with the tables warm, neither a rank-5
+    census with its lowest K-types nor the lifts of the pool at ranks 0-6
+    construct a single Fraction."""
+    tables = load_tables()
+    census = InfChar.of([0, 1, 2, 3, 4])
+
+    def work():
+        for pi in enumerate_sp_reps(5, census):
+            lowest_ktypes_sp(pi)
+        for pi in pool:
+            for n in range(7):
+                theta_n(pi, n, tables)
+
+    work()
+    original = Q.__dict__["__new__"]
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    Q.__new__ = staticmethod(counting)
+    try:
+        work()
+        assert built == []
+        assert Scalar.of(1).half().re == Q(1, 2)
+        assert built, "the counter saw no Fraction at all"
+    finally:
+        Q.__new__ = original
 
 
 def test_one_induction_from_the_table_rank_equals_a_stop_at_rank_four(pool):

@@ -75,6 +75,7 @@ from .roots import (
 )
 from .theta import (
     DET11_THETA3,
+    Condition,
     TableError,
     TableSet,
     ThetaError,
@@ -402,7 +403,7 @@ _INT_GRID = (0, 1, 2, 3, 4)
 _SIGN_GRID = (1, -1)
 
 
-def _pattern_samples(pattern, cond: str) -> list[dict]:
+def _pattern_samples(pattern, cond: Condition) -> list[dict]:
     """Sample variable assignments for a table row, cond-filtered."""
     names = sorted(pattern.var_names())
     grids = []

@@ -11,7 +11,12 @@ Equivalence permutes the (mu,nu) and (eps,kappa) pairs and changes signs
 of individual nu_i, kappa_i; on the O side it also flips signs of Psi on
 zero coordinates of lam (the disconnected part of the maximal compact
 acting on the discrete datum).  canonicalize_* picks the unique
-representative used for equality tests throughout.
+representative used for equality tests throughout, and returns its input
+when that is canonical already.
+
+validate_* run every check on every call; only the Psi check, whose
+verdict depends on (Psi, kind, lam) alone, is remembered once it passes
+(``_validate_psi``, a bounded cache that stores no failure).
 """
 
 from __future__ import annotations
@@ -153,9 +158,14 @@ def _validate_continuous(params: Params) -> None:
             raise ParamError(f"kappa_{i+1} = +-kappa_{j+1} forces equal eps")
 
 
+@functools.lru_cache(maxsize=4096)
 def _validate_psi(psi: PositiveSystem, kind: GroupKind, lam: tuple[int, ...]) -> None:
     """Psi lives in ``kind``, is a positive system containing the compact
-    positives, and ``lam`` is (F-1)-dominant for it."""
+    positives, and ``lam`` is (F-1)-dominant for it.
+
+    The verdict depends on these three frozen values alone, so each
+    distinct triple is checked once.  A failure raises and is not
+    remembered: an invalid triple raises on every call."""
     if psi.kind != kind:
         raise ParamError(f"Psi must live in {kind.render()}")
     if not is_positive_system(kind, psi.roots):
@@ -176,7 +186,7 @@ def validate_sp(params: SpParams) -> None:
     neg = [-x for x in lam if x < 0]
     if not _block_multiplicities_ok(pos, neg):
         raise ParamError(f"lam block multiplicities differ by more than 1: {lam}")
-    _validate_psi(params.psi, SpKind(len(lam)), lam)
+    _validate_psi(params.psi, SpKind(len(lam)), tuple(lam))
     _validate_continuous(params)
     forced = (-1) ** len(lam)
     for i, ki in enumerate(params.kappa):
@@ -195,7 +205,7 @@ def validate_o(params: OParams) -> None:
         raise ParamError("lam halves have block multiplicities differing by more than 1")
     if abs(left.count(0) - right.count(0)) > 1:
         raise ParamError("zero blocks of the lam halves differ by more than 1")
-    _validate_psi(params.psi, OKind(len(left), len(right)), left + right)
+    _validate_psi(params.psi, OKind(len(left), len(right)), tuple(left + right))
     if params.xi not in (1, -1) or params.zeta not in (1, -1):
         raise ParamError("zeta and xi must be +-1")
     if params.xi == -1 and params.zeros == 0:
@@ -222,8 +232,14 @@ def _canonical_pairs(params: Params) -> dict:
     )
 
 
+def _unchanged(params: Params, fields: dict) -> bool:
+    return all(getattr(params, name) == value for name, value in fields.items())
+
+
 def canonicalize_sp(params: SpParams) -> SpParams:
-    return replace(params, **_canonical_pairs(params))
+    """The canonical form; ``params`` itself when it is one already."""
+    pairs = _canonical_pairs(params)
+    return params if _unchanged(params, pairs) else replace(params, **pairs)
 
 
 def _zero_slots(params: OParams) -> tuple[int, ...]:
@@ -246,8 +262,9 @@ def _zero_flip_orbit(psi: PositiveSystem, slots: tuple[int, ...]) -> PositiveSys
 
 
 def canonicalize_o(params: OParams) -> OParams:
-    psi = _zero_flip_orbit(params.psi, _zero_slots(params))
-    return replace(params, psi=psi, **_canonical_pairs(params))
+    """The canonical form; ``params`` itself when it is one already."""
+    fields = dict(_canonical_pairs(params), psi=_zero_flip_orbit(params.psi, _zero_slots(params)))
+    return params if _unchanged(params, fields) else replace(params, **fields)
 
 
 def canonicalize(params: Params) -> Params:

@@ -15,6 +15,12 @@ Everything is computed on doubled integers: 2*lambda_a, twice the shift
 (``roots.twice_rho_shift``), delta_L in {0, +-1} and eta in {0, +-2}, and
 each K-type entry is halved once at the end, where it must be even.
 
+On the symplectic side everything that depends on (lam, mu, t, Psi)
+alone -- 2*lambda_a, the shifted entries, u - r, k, z and the delta_L
+options -- is computed once per distinct block and kept as immutable
+tuples (``_sp_blocks``, a bounded cache); each parameter then only counts
+h, picks its eta forms and assembles its K-types.
+
 Each side keeps its own eta forms on the zero entries.  For O(p,q) a
 lowest K-type also carries a sign on each factor; the sign assignment
 depends on zeta, xi and the shape of the continuous data.
@@ -22,15 +28,17 @@ depends on zeta, xi and the shape of the continuous data.
 
 from __future__ import annotations
 
+import functools
 from itertools import product
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .ktypes import OKType, UKType
 from .langlands import OParams, SpParams
 from .roots import OKind, PositiveSystem, Root, SpKind, pair_root, twice_rho_shift
 
 
-def _block_values(vec: list[int]) -> list[int]:
+def _block_values(vec: Sequence[int]) -> list[int]:
     return sorted({abs(x) for x in vec if x != 0}, reverse=True)
 
 
@@ -48,14 +56,15 @@ def _pos_value_data(entries: tuple[int, ...]) -> tuple[list[int], list[int], lis
 
 
 def _delta_options(
-    lam2: list[int],
-    base2: list[int],
+    lam2: Sequence[int],
+    base2: Sequence[int],
     avals: list[int],
     psi: PositiveSystem,
     block_root: Callable[[int], Root],
-) -> list[dict[int, int]]:
+) -> tuple[Mapping[int, int], ...]:
     """Every choice of twice the correction delta_L on the blocks of
-    2*lambda_a (``lam2``), as a map from doubled block value to 2*delta.
+    2*lambda_a (``lam2``), as a read-only map from doubled block value to
+    2*delta.
 
     A block whose doubled shifted entry (``base2``) is even takes 0.  An odd
     block carrying the j-th discrete value ``avals[j]`` takes +-1 by whether
@@ -72,13 +81,13 @@ def _delta_options(
             options.append((1 if psi.contains(block_root(doubled.index(al))) else -1,))
         else:
             options.append((1, -1))
-    return [dict(zip(alphas, combo)) for combo in product(*options)]
+    return tuple(MappingProxyType(dict(zip(alphas, combo))) for combo in product(*options))
 
 
 def _assemble_half(
-    lam2_half: list[int],
-    base2_half: list[int],
-    by_value: dict[int, int],
+    lam2_half: Sequence[int],
+    base2_half: Sequence[int],
+    by_value: Mapping[int, int],
     eta2: list[int],
     orient: int,
 ) -> list[int]:
@@ -100,14 +109,17 @@ def _assemble_half(
     return entries
 
 
-def lowest_ktypes_sp(params: SpParams) -> tuple[UKType, ...]:
-    """Lowest K-types (U(n) highest weights) of a symplectic parameter."""
-    lam, mu = params.lam, params.mu
-    v, t, n = params.v, params.t, params.n
-    lam2 = sorted([2 * x for x in lam] + list(mu) + [0] * t + [-m for m in mu], reverse=True)
-    base2 = [x + s for x, s in zip(lam2, twice_rho_shift(lam2, SpKind(n)))]
-
-    w = lam2.count(0)
+@functools.lru_cache(maxsize=4096)
+def _sp_blocks(
+    lam: tuple[int, ...], mu: tuple[int, ...], t: int, psi: PositiveSystem
+) -> tuple[tuple[int, ...], tuple[int, ...], int, int, int, tuple[Mapping[int, int], ...]]:
+    """What the lowest K-types of a symplectic parameter take from its
+    (lam, mu, t, Psi) alone: 2*lambda_a, the doubled shifted entries, u - r,
+    k, z and the delta_L options, each immutable, computed once per
+    distinct block."""
+    v = len(lam)
+    lam2 = tuple(sorted([2 * x for x in lam] + list(mu) + [0] * t + [-m for m in mu], reverse=True))
+    base2 = tuple(x + s for x, s in zip(lam2, twice_rho_shift(lam2, SpKind(len(lam2)))))
     # positive minus negative entries of lam_a; the +-mu/2 pairs cancel
     u_minus_r = sum(1 for x in lam if x > 0) - sum(1 for x in lam if x < 0)
     avals, ktil, ltil = _pos_value_data(lam)
@@ -116,10 +128,17 @@ def lowest_ktypes_sp(params: SpParams) -> tuple[UKType, ...]:
         lam2,
         base2,
         avals,
-        params.psi,
+        psi,
         lambda j: pair_root(v, ktil[j - 1] if j > 0 else 0, v - ltil[j], 1, 1),
     )
+    return lam2, base2, u_minus_r, k, z, by_values
 
+
+def lowest_ktypes_sp(params: SpParams) -> tuple[UKType, ...]:
+    """Lowest K-types (U(n) highest weights) of a symplectic parameter."""
+    mu, v = params.mu, params.v
+    lam2, base2, u_minus_r, k, z, by_values = _sp_blocks(params.lam, mu, params.t, params.psi)
+    w = lam2.count(0)
     h = (
         sum(1 for e in params.eps if e == (-1) ** (u_minus_r + 1))
         + sum(1 for m in mu if m == 0)

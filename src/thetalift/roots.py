@@ -13,7 +13,15 @@ per-kind table is derived from them:
 Compact positive systems are fixed once and for all as the compact roots
 positive on (m, ..., 1); the positive systems Psi appearing in parameters
 are always required to contain them.  The per-kind root tables depend
-only on the frozen kind and are computed once per process.
+only on the frozen kind and are computed once per process; the positive
+systems of a kind are built by a backtrack over signed permutations that
+prunes on the compact positives.
+
+Per-datum work is kept in bounded caches, so that a census pays it once
+per distinct input rather than once per parameter: each Psi is compiled
+into integer (index, coefficient) terms for the (F-1) check once
+(``_f1_terms``), and the doubled rho shift is computed once per integer
+vector (``_twice_rho_shift``).
 """
 
 from __future__ import annotations
@@ -165,9 +173,15 @@ def twice_rho_shift(ivec: Sequence[int], kind: GroupKind) -> list[int]:
     integer vector ``ivec``.
 
     u collects the weights strictly positive on ``ivec``, so any positive
-    multiple of a vector defines the same shift.  Every weight has one or
-    two nonzero terms, and the loop spells both cases out.
-    """
+    multiple of a vector defines the same shift.  The shift of each
+    distinct vector is computed once (``_twice_rho_shift``)."""
+    return list(_twice_rho_shift(tuple(ivec), kind))
+
+
+@functools.lru_cache(maxsize=4096)
+def _twice_rho_shift(ivec: tuple[int, ...], kind: GroupKind) -> tuple[int, ...]:
+    """``twice_rho_shift`` on a tuple.  Every weight has one or two nonzero
+    terms, and the loop spells both cases out."""
     twice = [0] * kind.dim
     for sign, terms in _rho_shift_terms(kind):
         if len(terms) == 2:
@@ -179,7 +193,7 @@ def twice_rho_shift(ivec: Sequence[int], kind: GroupKind) -> list[int]:
             ((i, ci),) = terms
             if ivec[i] * ci > 0:
                 twice[i] += sign * ci
-    return twice
+    return tuple(twice)
 
 
 def rho_shift(vec: Sequence[Q | int], kind: GroupKind) -> tuple[Q, ...]:
@@ -325,20 +339,35 @@ def simple_members(psi: PositiveSystem) -> tuple[Root, ...]:
     return tuple(out)
 
 
+# A root as (i, ci, j, cj): it pairs with a vector v as v[i]*ci + v[j]*cj.
+# A root with one nonzero entry has j = i and cj = 0.
+Term = tuple[int, int, int, int]
+
+
+def _term(root: Root) -> Term:
+    nz = [(i, c) for i, c in enumerate(root) if c]
+    (i, ci), (j, cj) = nz if len(nz) == 2 else nz + [(nz[0][0], 0)]
+    return i, ci, j, cj
+
+
 @functools.lru_cache(maxsize=1024)
-def _compact_simple_members(psi: PositiveSystem) -> tuple[Root, ...]:
+def _f1_terms(psi: PositiveSystem) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
+    """The terms of every member of Psi, and of its compact simple members:
+    (F-1) compiled once per Psi."""
     compact = set(compact_roots(psi.kind))
-    return tuple(r for r in simple_members(psi) if r in compact)
+    strict = (r for r in simple_members(psi) if r in compact)
+    return tuple(map(_term, psi.roots)), tuple(map(_term, strict))
 
 
 def check_dominance_f1(vec: Sequence[Q | int], psi: PositiveSystem) -> bool:
     """Weak dominance on all of Psi plus strict positivity on compact
     simple members (condition F-1)."""
-    for r in psi.roots:
-        if pairing(vec, r) < 0:
+    weak, strict = _f1_terms(psi)
+    for i, ci, j, cj in weak:
+        if vec[i] * ci + vec[j] * cj < 0:
             return False
-    for r in _compact_simple_members(psi):
-        if pairing(vec, r) <= 0:
+    for i, ci, j, cj in strict:
+        if vec[i] * ci + vec[j] * cj <= 0:
             return False
     return True
 
@@ -350,15 +379,31 @@ def enumerate_positive_systems(kind: GroupKind) -> tuple[PositiveSystem, ...]:
     Each is the set of roots positive on a signed permutation of (1, ..., m)
     that is positive on the compact positives.  These vectors are regular,
     and one lies in every Weyl chamber of B_m and C_m, so every chamber of
-    D_m is reached too.
+    D_m is reached too.  They are built one coordinate at a time, and a
+    prefix is dropped as soon as a compact positive supported on it fails,
+    so only the vectors positive on the compact positives are completed.
     """
     m = kind.dim
-    delta, plus = all_roots(kind), delta_c_plus(kind)
+    delta = all_roots(kind)
+    # the compact positives checked once coordinate k is set: those whose
+    # last nonzero coordinate is k
+    closing: list[list[Term]] = [[] for _ in range(m)]
+    for i, ci, j, cj in map(_term, delta_c_plus(kind)):
+        closing[max(i, j)].append((i, ci, j, cj))
     seen: dict[tuple[Root, ...], PositiveSystem] = {}
-    for perm in itertools.permutations(range(1, m + 1)):
-        for signs in itertools.product((1, -1), repeat=m):
-            vec = [s * x for s, x in zip(signs, perm)]
-            if all(pairing(vec, r) > 0 for r in plus):
-                psi = PositiveSystem.of(kind, (r for r in delta if pairing(vec, r) > 0))
-                seen.setdefault(psi.roots, psi)
+
+    def extend(vec: list[int], free: tuple[int, ...]) -> None:
+        k = len(vec)
+        if k == m:
+            psi = PositiveSystem.of(kind, (r for r in delta if pairing(vec, r) > 0))
+            seen.setdefault(psi.roots, psi)
+            return
+        for idx, x in enumerate(free):
+            for val in (x, -x):
+                vec.append(val)
+                if all(vec[i] * ci + vec[j] * cj > 0 for i, ci, j, cj in closing[k]):
+                    extend(vec, free[:idx] + free[idx + 1 :])
+                vec.pop()
+
+    extend([], tuple(range(1, m + 1)))
     return tuple(sorted(seen.values(), key=lambda p: p.roots))

@@ -21,9 +21,9 @@ Patterns and templates are parameter text in the grammar of
 and scalar slots hold affine expressions in the row variables
 (``m``, ``l`` integers; ``s1``, ``s2`` signs; ``b``, ``c1``, ``c2``
 scalars).  Every template variable must be bound by the row's pattern,
-and classification rows use ``b`` alone; the loaders check both and try
-every condition atom once, so each row defect fails at load naming
-``file.tbl:line``.  A parameter matches a row when the pattern's Psi is
+and classification rows use ``b`` alone; the loaders check both, parse
+each condition once into predicates (``Condition``) and try every atom
+once, so each row defect fails at load naming ``file.tbl:line``.  A parameter matches a row when the pattern's Psi is
 its Psi up to sign flips on zero coordinates, some assignment of the
 variables binds every other slot to its value, and the condition holds.
 Conditions are ``&``-separated atoms: ``true``, comparisons ``x=N``,
@@ -35,12 +35,13 @@ negative atoms are true, so "generic" means "no special value".
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 from dataclasses import dataclass, field, replace
 from itertools import permutations
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .exact import GENERIC_B, InfChar, Scalar, dual_padding, parse_scalar
 from .ktypes import UKType
@@ -178,54 +179,85 @@ _CLASS_COND = re.compile(r"(\w+)\s+(int|even|odd)")
 _CMP_COND = re.compile(r"(\w+)\s*(>=|>|!=|=)\s*(-?\w+(?:/\d+)?)")
 
 
-def _cond_value(name: str, env: Mapping[str, "Scalar | int"]) -> Scalar:
+Env = Mapping[str, "Scalar | int"]
+Atom = Callable[[Env], bool]
+
+
+def _cond_value(name: str, env: Env) -> Scalar:
     if name not in env:
         raise TableError(f"condition uses unbound variable {name!r}")
     return Scalar.of(env[name])
 
 
-def _atom_eval(atom: str, env: Mapping[str, "Scalar | int"]) -> bool:
+def _ordered(compare: Callable[[Scalar, Scalar], bool]) -> Callable[[Scalar, Scalar], bool]:
+    """An order atom: false unless both sides are rational."""
+    return lambda lhs, rhs: lhs.is_rational() and rhs.is_rational() and compare(lhs, rhs)
+
+
+_COMPARE = {"=": operator.eq, "!=": operator.ne, ">=": _ordered(operator.ge), ">": _ordered(operator.gt)}
+_CLASSES = {"int": Scalar.is_integer, "even": Scalar.is_even, "odd": Scalar.is_odd}
+
+
+def _parse_atom(atom: str) -> Atom:
+    """One condition atom as a predicate on a binding, its constants parsed
+    here.  The predicate looks up every variable it names on each call, so
+    an unbound one raises whatever the values."""
     if atom == "true":
-        return True
-    m = _PAIR_COND.fullmatch(atom)
-    if m:
-        s, c = _cond_value(m.group(1), env), _cond_value(m.group(2), env)
-        return not (s == Scalar.of(int(m.group(3))) and c == Scalar.of(int(m.group(4))))
-    m = _NOTIN_COND.fullmatch(atom)
-    if m:
-        val = _cond_value(m.group(1), env)
-        return val not in [parse_scalar(tok.strip()) for tok in m.group(2).split(",")]
-    m = _CLASS_COND.fullmatch(atom)
-    if m:
-        val = _cond_value(m.group(1), env)
-        return {"int": val.is_integer, "even": val.is_even, "odd": val.is_odd}[m.group(2)]()
-    m = _CMP_COND.fullmatch(atom)
-    if m:
-        lhs = _cond_value(m.group(1), env)
-        rhs_text = m.group(3)
-        rhs = _cond_value(rhs_text, env) if rhs_text in _VAR_ORDER else parse_scalar(rhs_text)
-        op = m.group(2)
-        if op == "=":
-            return lhs == rhs
-        if op == "!=":
-            return lhs != rhs
-        if not (lhs.is_rational() and rhs.is_rational()):
-            return False
-        return lhs >= rhs if op == ">=" else lhs > rhs
+        return lambda env: True
+    if m := _PAIR_COND.fullmatch(atom):
+        s_name, c_name = m.group(1), m.group(2)
+        e, k = Scalar.of(int(m.group(3))), Scalar.of(int(m.group(4)))
+
+        def pair(env: Env) -> bool:
+            s, c = _cond_value(s_name, env), _cond_value(c_name, env)
+            return not (s == e and c == k)
+
+        return pair
+    if m := _NOTIN_COND.fullmatch(atom):
+        name = m.group(1)
+        excluded = tuple(parse_scalar(tok.strip()) for tok in m.group(2).split(","))
+        return lambda env: _cond_value(name, env) not in excluded
+    if m := _CLASS_COND.fullmatch(atom):
+        name, holds = m.group(1), _CLASSES[m.group(2)]
+        return lambda env: holds(_cond_value(name, env))
+    if m := _CMP_COND.fullmatch(atom):
+        name, compare, rhs_text = m.group(1), _COMPARE[m.group(2)], m.group(3)
+        if rhs_text in _VAR_ORDER:
+            return lambda env: compare(_cond_value(name, env), _cond_value(rhs_text, env))
+        rhs = parse_scalar(rhs_text)
+        return lambda env: compare(_cond_value(name, env), rhs)
     raise TableError(f"unrecognized condition atom {atom!r}")
 
 
-def cond_eval(cond: str, env: Mapping[str, "Scalar | int"]) -> bool:
-    return all(_atom_eval(atom.strip(), env) for atom in cond.split("&"))
+@dataclass(frozen=True)
+class Condition:
+    """A row condition parsed once: the ``&``-separated atoms of ``text``
+    as predicates.  Conditions compare by their text."""
+
+    text: str
+    atoms: tuple[Atom, ...] = field(compare=False, repr=False)
 
 
-def _check_cond(cond: str, names: Iterable[str]) -> None:
-    """Evaluate every atom of a row condition once, each name bound to a
-    sample value (integers and signs to 1, scalars to b), so that a
+def parse_cond(text: str) -> Condition:
+    return Condition(text, tuple(_parse_atom(atom.strip()) for atom in text.split("&")))
+
+
+def cond_eval(cond: "Condition | str", env: Env) -> bool:
+    """Whether the condition holds under ``env``; text is parsed first."""
+    if isinstance(cond, str):
+        cond = parse_cond(cond)
+    return all(atom(env) for atom in cond.atoms)
+
+
+def _check_cond(text: str, names: Iterable[str]) -> Condition:
+    """Parse a row condition and evaluate every atom once, each name bound
+    to a sample value (integers and signs to 1, scalars to b), so that a
     defective atom fails when its row loads."""
+    cond = parse_cond(text)
     env = {name: 1 if name in _INT_VARS or name in _SIGN_VARS else GENERIC_B for name in names}
-    for atom in cond.split("&"):
-        _atom_eval(atom.strip(), env)
+    for atom in cond.atoms:
+        atom(env)
+    return cond
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +269,7 @@ def _check_cond(cond: str, names: Iterable[str]) -> None:
 class LiftRow:
     pattern: ParamPattern
     template: ParamPattern
-    cond: str
+    cond: Condition
     line: int
 
 
@@ -245,7 +277,7 @@ class LiftRow:
 class LktRow:
     pattern: ParamPattern
     lkts: tuple[tuple[Expr, ...], ...]
-    cond: str
+    cond: Condition
     line: int
 
 
@@ -312,8 +344,7 @@ def _lift_row(lineno: int, left: str, body: str, cond: str) -> LiftRow:
     unbound = template.var_names() - pattern.var_names()
     if unbound:
         raise TableError(f"template variables {', '.join(sorted(unbound))} are not bound by the pattern")
-    _check_cond(cond, pattern.var_names())
-    return LiftRow(pattern, template, cond, lineno)
+    return LiftRow(pattern, template, _check_cond(cond, pattern.var_names()), lineno)
 
 
 def _lkt_row(lineno: int, left: str, body: str, cond: str) -> LktRow:
@@ -328,8 +359,7 @@ def _lkt_row(lineno: int, left: str, body: str, cond: str) -> LktRow:
     others = (pattern.var_names() | {e.var for tup in lkts for e in tup}) - {"b", None}
     if others:
         raise TableError(f"classification rows use b alone, got {', '.join(sorted(others))}")
-    _check_cond(cond, ("b",))
-    return LktRow(pattern, lkts, cond, lineno)
+    return LktRow(pattern, lkts, _check_cond(cond, ("b",)), lineno)
 
 
 def _load_rows(path: Path, make_row) -> tuple:

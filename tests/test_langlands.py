@@ -142,6 +142,34 @@ def test_validation_f1():
     assert good == 2
 
 
+_INVALID_SP = [
+    # e1-e2 is a compact simple member on which lam vanishes: (F-1) fails
+    SpParams((0, 0), parse_psi("{e1+e2,e1-e2,2e1,2e2}", SpKind(2)), (), (), (), ()),
+    # half of the roots but no positive system
+    SpParams((1, 0), PositiveSystem.of(SpKind(2), ((1, 1), (1, -1), (-2, 0), (0, 2))), (), (), (), ()),
+    # Psi of another rank
+    SpParams((1,), parse_psi("{e1+e2,e1-e2,2e1,2e2}", SpKind(2)), (), (), (), ()),
+]
+_INVALID_O = [
+    # -e1-f1 pairs negatively with lam: (F-1) fails
+    OParams(1, 1, (1,), (1,), parse_psi("{e1-f1,-e1-f1}", OKind(1, 1)), (), (), (), ()),
+    # Psi without the compact positives of O(4,2)
+    OParams(1, 1, (2, 1), (1,), parse_psi("{-e1+e2,e1+e2,e1+f1,e1-f1,e2+f1,e2-f1}", OKind(2, 1)), (), (), (), ()),
+]
+
+
+@pytest.mark.parametrize(
+    "validate,params",
+    [(validate_sp, x) for x in _INVALID_SP] + [(validate_o, x) for x in _INVALID_O],
+)
+def test_invalid_psi_raises_on_every_call(validate, params):
+    """The Psi verdict is cached, but only a passing one: an invalid
+    parameter raises on each of two consecutive calls."""
+    for _ in range(2):
+        with pytest.raises(ParamError):
+            validate(params)
+
+
 def test_canonicalize_orders_pairs():
     x = SpParams(
         (),
@@ -165,6 +193,8 @@ def test_canonicalize_orders_pairs():
     cy = canonicalize_sp(y)
     assert cy.kappa == (Scalar.of(0), Scalar.of(1), GENERIC_B)
     assert cy.eps == (1, 1, -1)
+    # a canonical form is returned as it is
+    assert canonicalize_sp(c) is c and canonicalize_sp(cy) is cy
 
 
 def test_canonicalize_o_zero_flip():
@@ -177,6 +207,8 @@ def test_canonicalize_o_zero_flip():
         validate_o(params)
         reps.add(canonicalize_o(params))
     assert len(reps) == 2
+    for rep in reps:
+        assert canonicalize_o(rep) is rep
 
 
 def test_infchar():

@@ -8,6 +8,7 @@ from thetalift.enumeration import enumerate_o_reps, enumerate_sp_reps
 from thetalift.exact import GENERIC_B, InfChar, Scalar, parse_infchar
 from thetalift.ktypes import OKType, UKType
 from thetalift.langlands import (
+    _validate_psi,
     OParams,
     SpParams,
     det_o,
@@ -18,15 +19,25 @@ from thetalift.langlands import (
     swap_pq,
     tensor_det_o,
     trivial_o,
+    validate_sp,
 )
 from thetalift.lkt import (
     _pos_value_data,
     _sign_pairs,
+    _sp_blocks,
     lowest_ktypes_o,
     lowest_ktypes_sp,
     multiplicity_o31,
 )
-from thetalift.roots import OKind, PositiveSystem, SpKind, pair_root, rho_shift
+from thetalift.roots import (
+    OKind,
+    PositiveSystem,
+    SpKind,
+    _f1_terms,
+    _twice_rho_shift,
+    pair_root,
+    rho_shift,
+)
 
 
 def test_one_dimensionals_have_one_dimensional_lkt():
@@ -111,7 +122,9 @@ def test_multiplicity_o31():
 CENSUS_LKT_SHA256 = "0989d8b0248189d4877f2bbc8bbfd6d5ccd92bb3316a4bf7d8039ad204891cb4"
 
 
-def _census_lkt_lines() -> list[str]:
+def _census_lkt_lines(before_each=lambda: None) -> list[str]:
+    """The pinned lines; ``before_each`` runs before each member's lowest
+    K-types."""
     grid = [Scalar.of(x) for x in (0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2))] + [GENERIC_B]
     chis = sorted(
         {InfChar.of(pair) for pair in combinations_with_replacement(grid, 2)},
@@ -121,22 +134,53 @@ def _census_lkt_lines() -> list[str]:
     for p, q in ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4)):
         for chi in chis:
             for pi in enumerate_o_reps(p, q, chi):
+                before_each()
                 kts = ",".join(k.render() for k in lowest_ktypes_o(pi))
                 lines.append(f"{render_o(pi)} {kts}")
     for text in ("(0,1,2,3)", "(b,0,1,2)", "(1/2,3/2,1,2)", "(1,1,2,2)"):
         for pi in enumerate_sp_reps(4, parse_infchar(text)):
+            before_each()
             kts = ",".join(k.render() for k in lowest_ktypes_sp(pi))
             lines.append(f"{render_sp(pi)} {kts}")
     return lines
 
 
+def _clear_census_caches():
+    """Empty the caches that hold per-datum census work."""
+    for cached in (_validate_psi, _f1_terms, _twice_rho_shift, _sp_blocks):
+        cached.cache_clear()
+
+
+def _census_lkt_digest(before_each=lambda: None) -> str:
+    lines = _census_lkt_lines(before_each)
+    assert len(lines) == 341 + 666
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_census_lowest_ktypes_are_pinned():
     """Every O(p,q), p+q=4, parameter over the pair grid of {0,1,2,3,1/2,3/2,b}
     and every member of four rank-4 Sp censuses keeps its lowest K-types."""
-    lines = _census_lkt_lines()
-    assert len(lines) == 341 + 666
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == CENSUS_LKT_SHA256
+    assert _census_lkt_digest() == CENSUS_LKT_SHA256
+
+
+def test_census_lowest_ktypes_are_pinned_with_caches_cleared():
+    """The same lines with the per-datum caches emptied before each member."""
+    assert _census_lkt_digest(_clear_census_caches) == CENSUS_LKT_SHA256
+
+
+def test_rank_five_census_is_the_same_with_caches_cleared():
+    """With the per-datum caches emptied before each member of the rank-5
+    census at (0,...,4), every member still validates and gets the lowest
+    K-types that warm caches give."""
+    reps = enumerate_sp_reps(5, InfChar.of([0, 1, 2, 3, 4]))
+    assert len(reps) == 1732
+    warm = [lowest_ktypes_sp(pi) for pi in reps]
+    assert [lowest_ktypes_sp(pi) for pi in reps] == warm
+    for pi, want in zip(reps, warm):
+        _clear_census_caches()
+        validate_sp(pi)
+        _clear_census_caches()
+        assert lowest_ktypes_sp(pi) == want, render_sp(pi)
 
 
 # -- doubled integers against the Fraction computation ---------------------------

@@ -1,9 +1,12 @@
 import hashlib
+import importlib
 import itertools
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import thetalift
 from thetalift import lkt
 from thetalift.enumeration import enumerate_sp_reps
 from thetalift.exact import InfChar
@@ -33,7 +36,7 @@ from thetalift.roots import (
 
 def test_system_counts_sp():
     # the number of positive systems containing the compact positives is 2^v
-    for v in range(5):
+    for v in range(8):
         assert len(enumerate_positive_systems(SpKind(v))) == 2**v
 
 
@@ -231,23 +234,20 @@ def test_rho_shift_matches_fraction_reference_on_half_integer_grid(kind):
         assert all(isinstance(x, Fraction) for x in got)
 
 
-def test_rho_shift_matches_fraction_reference_on_rank_four_census(monkeypatch):
-    """``lkt`` calls the integer core on 2*lambda_a; half of what it returns
-    is the Fraction shift of lambda_a."""
-    seen = []
-
-    def recording_twice_rho_shift(ivec, kind):
-        seen.append((tuple(ivec), kind))
-        return twice_rho_shift(ivec, kind)
-
-    monkeypatch.setattr(lkt, "twice_rho_shift", recording_twice_rho_shift)
+def test_rho_shift_matches_fraction_reference_on_rank_four_census():
+    """For every member of a rank-4 census, the doubled vector 2*lambda_a
+    that ``lkt`` builds is the member's (lam, mu, t) doubled, and half of
+    the shift ``lkt`` adds to it is the Fraction shift of lambda_a."""
     reps = enumerate_sp_reps(4, InfChar.of([0, 1, 2, 3]))
+    assert reps
     for pi in reps:
-        lkt.lowest_ktypes_sp(pi)
-    assert len(seen) == len(reps) > 0
-    for ivec, kind in seen:
-        half = tuple(Fraction(x, 2) for x in twice_rho_shift(ivec, kind))
-        assert half == _reference_rho_shift([Fraction(x, 2) for x in ivec], kind), ivec
+        lam2, base2 = lkt._sp_blocks(pi.lam, pi.mu, pi.t, pi.psi)[:2]
+        want = [2 * x for x in pi.lam] + list(pi.mu) + [0] * pi.t + [-m for m in pi.mu]
+        assert list(lam2) == sorted(want, reverse=True), pi
+        shift = [b - x for x, b in zip(lam2, base2)]
+        assert shift == twice_rho_shift(lam2, SpKind(pi.n)), pi
+        half = tuple(Fraction(x, 2) for x in shift)
+        assert half == _reference_rho_shift([Fraction(x, 2) for x in lam2], SpKind(pi.n)), pi
 
 
 def test_pairing_matches_fraction_reference():
@@ -302,3 +302,40 @@ def test_is_positive_system_depends_on_the_root_set_only(kind):
             assert is_positive_system(kind, flipped) == (r in simple)
             assert not is_positive_system(kind, list(roots) + [neg])
         assert is_positive_system(kind, roots)
+
+
+# -- cache bounds -------------------------------------------------------------------
+
+# Unbounded caches whose domain is bounded by design: the per-kind root
+# tables, the argument-free CLI parser, and the one-dimensional
+# parameters (two per supported signature; other signatures raise, and
+# lru caches store no exception).
+_UNBOUNDED_BY_DESIGN = {
+    "cli._parser",
+    "langlands._one_dim_o",
+    "roots.all_roots",
+    "roots.root_set",
+    "roots.compact_roots",
+    "roots.delta_c_plus",
+    "roots.noncompact_weights",
+    "roots._rho_shift_terms",
+    "roots.enumerate_positive_systems",
+}
+
+
+def test_data_keyed_caches_are_bounded():
+    """Every lru cache in the package that is keyed on data has a finite
+    maxsize, so a long census run cannot grow it without limit."""
+    sizes = {}
+    for info in pkgutil.iter_modules(thetalift.__path__):
+        module = importlib.import_module(f"thetalift.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
+                sizes[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
+    assert {
+        "langlands._validate_psi",
+        "lkt._sp_blocks",
+        "roots._f1_terms",
+        "roots._twice_rho_shift",
+    } <= sizes.keys()
+    assert {name for name, size in sizes.items() if size is None} == _UNBOUNDED_BY_DESIGN

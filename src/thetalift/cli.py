@@ -56,13 +56,12 @@ from .theta import (
 )
 
 
-# Census time grows about eightfold per rank: ``thetalift enumerate --n 6
-# --infchar 0,1,2,3,4,5`` takes 3.6-3.8 s end to end (9932 parameters,
-# three runs on one 2.1 GHz Xeon core), and ``enumerate_sp_reps`` at rank 7
-# on (0,...,6) takes about 17 s in-process (59 592 parameters) after about
-# 5 s building the rank-7 root tables.  The library's enumerators stay
-# unbounded.
-MAX_ENUMERATE_RANK = 6
+# Census size grows about sixfold per rank: ``thetalift enumerate --n 7
+# --infchar 0,1,2,3,4,5,6`` takes 2.1-2.3 s end to end (59 592 parameters,
+# 52 MB peak RSS) and ``--n 6 --infchar 0,1,2,3,4,5`` 0.44-0.73 s (9932
+# parameters), three runs each on a 2-core Xeon box.  The library's
+# enumerators stay unbounded.
+MAX_ENUMERATE_RANK = 7
 
 # ``lift`` cost grows quadratically in n (0.05 s at n=100), ``phi``
 # builds a weight of length n, and ``inverse-lookup`` lifts every O(p,q)

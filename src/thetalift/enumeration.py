@@ -10,9 +10,13 @@ discrete data whose sign blocks balance, the positive systems for which
 each discrete datum is (F-1)-dominant (found once per datum), (mu, nu)
 slots without mu even at nu = 0, one eps sign per class of kappas equal up
 to sign (kappa = 0 taking (-1)^v on Sp), and on O(p,q) only the (zeta, xi)
-that the zero entries and kappa zeros allow.  Every constructed parameter
-still goes through validation, which stays the filter of record, and the
-canonical forms are kept.  Everything downstream (table regeneration,
+that the zero entries and kappa zeros allow.  Each is built in its
+canonical form: nu and kappa sign-normalized, the (mu, nu) and (eps, kappa)
+slots sorted, and on O(p,q) Psi the representative of its orbit under sign
+flips on the zero coordinates of the discrete datum.  Every constructed
+parameter still goes through validation, which stays the filter of record,
+and the census is ordered by its text without rendering any field value
+twice.  Everything downstream (table regeneration,
 uniqueness-by-invariants, the lift suites) reduces to set comparisons over
 these enumerations.
 """
@@ -45,6 +49,9 @@ from .langlands import (
     SpParams,
     _INT_VARS,
     _SIGN_VARS,
+    _o_text,
+    _sp_text,
+    _zero_flip_orbit,
     canonicalize,
     canonicalize_o,
     canonicalize_sp,
@@ -110,7 +117,8 @@ def _pair_options(x: Scalar, y: Scalar) -> set[tuple[int, Scalar]]:
     """The (mu, nu) slots whose infinitesimal-character contribution is
     the multiset {x, y}: solve (nu+mu)/2 = u, (nu-mu)/2 = w over sign
     choices of u, w with mu a nonnegative integer, leaving out mu even
-    with nu = 0, which is no parameter."""
+    with nu = 0, which is no parameter.  nu is sign-normalized, as in the
+    canonical form."""
     out: set[tuple[int, Scalar]] = set()
     for u in {x, -x}:
         for w in {y, -y}:
@@ -121,7 +129,7 @@ def _pair_options(x: Scalar, y: Scalar) -> set[tuple[int, Scalar]]:
             nu = u + w
             if mu_int < 0 or (nu.is_zero and mu_int % 2 == 0):
                 continue
-            out.add((mu_int, nu))
+            out.add((mu_int, nu.normalized_sign()))
     return out
 
 
@@ -132,7 +140,9 @@ def _slot_splits(entries: tuple[Scalar, ...], v: int, s: int, discrete: Callable
     ``discrete`` maps the magnitudes of the v discrete entries to their
     realizations; index sets with a non-integral entry or no realization
     are dropped before any pair is solved.  Yields
-    ``(realizations, mu, nu, kappa)``.
+    ``(realizations, mu, nu, kappa)`` in canonical form: the (mu, nu) pairs
+    sorted, and kappa, a subsequence of the sign-normalized and sorted
+    ``entries``, sign-normalized and sorted too.
     """
     indices = tuple(range(len(entries)))
     for lam_idx in combinations(indices, v):
@@ -148,22 +158,22 @@ def _slot_splits(entries: tuple[Scalar, ...], v: int, s: int, discrete: Callable
                 per_pair = [_pair_options(entries[i], entries[j]) for i, j in matching]
                 if any(not opts for opts in per_pair):
                     continue
-                for pairs in product(*per_pair):
+                for pairs in map(sorted, product(*per_pair)):
                     yield options, tuple(x[0] for x in pairs), tuple(x[1] for x in pairs), kappa
 
 
 def _eps_options(kappa: tuple[Scalar, ...], zero_sign: Optional[int]) -> list[tuple[int, ...]]:
-    """The eps tuples that go with ``kappa``: kappas equal up to sign share
-    one sign, and kappa = 0 takes ``zero_sign`` unless that is None."""
-    classes = [k.normalized_sign() for k in kappa]
-    distinct = list(dict.fromkeys(classes))
+    """The eps tuples that go with the sign-normalized ``kappa``: equal
+    kappas share one sign, and kappa = 0 takes ``zero_sign`` unless that is
+    None."""
+    distinct = list(dict.fromkeys(kappa))
     choices = [
-        (zero_sign,) if zero_sign is not None and c.is_zero else (1, -1) for c in distinct
+        (zero_sign,) if zero_sign is not None and k.is_zero else (1, -1) for k in distinct
     ]
     out = []
     for signs in product(*choices):
         by_class = dict(zip(distinct, signs))
-        out.append(tuple(by_class[c] for c in classes))
+        out.append(tuple(by_class[k] for k in kappa))
     return out
 
 
@@ -173,17 +183,34 @@ def _infchar_inputs(params) -> tuple:
     return datum, params.mu, params.nu, params.kappa
 
 
-def _census(candidates: Iterable, entries, validate, canonical, infchar, render) -> tuple:
-    """The canonical forms of the candidates that validate, sorted by their
-    text.  The infinitesimal character is checked to be ``entries`` once
-    per distinct input to it."""
+def _text_key(text: Callable) -> Callable:
+    """A sort key equal to the text of a parameter, assembled by ``text``
+    (``_sp_text`` or ``_o_text``) from field texts that are rendered once
+    per distinct field value, in a dict that lives as long as the key."""
+    texts: dict = {}
+
+    def field(render, value):
+        try:
+            return texts[render, value]
+        except KeyError:
+            texts[render, value] = out = render(value)
+            return out
+
+    return partial(text, field=field)
+
+
+def _census(candidates: Iterable, entries, validate, infchar, text) -> tuple:
+    """The candidates that validate, which are built canonical, sorted by
+    their text.  The infinitesimal character is checked to be ``entries``
+    once per distinct input to it."""
     found = set()
     for params in candidates:
         try:
             validate(params)
         except ParamError:
             continue
-        found.add(canonical(params))
+        found.add(params)
+    key = _text_key(text)
     checked = set()
     for params in found:
         inputs = _infchar_inputs(params)
@@ -191,10 +218,8 @@ def _census(candidates: Iterable, entries, validate, canonical, infchar, render)
             continue
         checked.add(inputs)
         if infchar(params).entries != entries:
-            raise AssertionError(
-                f"enumerated {render(params)} has the wrong infinitesimal character"
-            )
-    return tuple(sorted(found, key=render))
+            raise AssertionError(f"enumerated {key(params)} has the wrong infinitesimal character")
+    return tuple(sorted(found, key=key))
 
 
 def _infchar_entries(chi: InfChar, m: int) -> tuple[Scalar, ...]:
@@ -248,7 +273,7 @@ def enumerate_sp_reps(n: int, chi: InfChar) -> tuple[SpParams, ...]:
                         for psi, eps in product(dominant[lam], eps_options):
                             yield SpParams(lam, psi, mu, nu, eps, kappa)
 
-    return _census(candidates(), entries, validate_sp, canonicalize_sp, infchar_sp, render_sp)
+    return _census(candidates(), entries, validate_sp, infchar_sp, _sp_text)
 
 
 def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
@@ -256,7 +281,8 @@ def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
     if (p + q) % 2 != 0:
         raise ValueError("p + q must be even")
     entries = _infchar_entries(chi, (p + q) // 2)
-    # the positive systems for which each discrete datum is (F-1)-dominant
+    # the positive systems for which each discrete datum is (F-1)-dominant,
+    # one per orbit under sign flips on the datum's zero coordinates
     dominant: dict[tuple[tuple[int, ...], tuple[int, ...]], list[PositiveSystem]] = {}
 
     def candidates():
@@ -273,9 +299,12 @@ def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
                     kappa_zero = any(k.is_zero for k in kappa)
                     for left, right in halves:
                         if (left, right) not in dominant:
-                            dominant[left, right] = [
-                                psi for psi in psis if check_dominance_f1(left + right, psi)
-                            ]
+                            lam = left + right
+                            slots = tuple(i for i, x in enumerate(lam) if x == 0)
+                            reps = (
+                                _zero_flip_orbit(psi, slots) for psi in psis if check_dominance_f1(lam, psi)
+                            )
+                            dominant[left, right] = list(dict.fromkeys(reps))
                         zeros = left.count(0) + right.count(0)
                         # xi = -1 needs a zero entry; zeta = -1 needs none and a kappa = 0
                         xis = (1, -1) if zeros else (1,)
@@ -285,7 +314,7 @@ def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
                         ):
                             yield OParams(zeta, xi, left, right, psi, mu, nu, eps, kappa)
 
-    return _census(candidates(), entries, validate_o, canonicalize_o, infchar_o, render_o)
+    return _census(candidates(), entries, validate_o, infchar_o, _o_text)
 
 
 def verify_unique_by_invariants(

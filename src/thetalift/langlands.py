@@ -26,7 +26,7 @@ import itertools
 import re as _regex
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 from .exact import GENERIC_B, InfChar, Scalar, parse_scalar
 from .roots import (
@@ -389,33 +389,49 @@ def _render_scalars(xs: tuple[Scalar, ...]) -> str:
     return "0" if not xs else "(" + ",".join(x.render() for x in xs) + ")"
 
 
-def _render_continuous(params: Params) -> list[str]:
+def _render_o_lam(halves: tuple[tuple[int, ...], tuple[int, ...]]) -> str:
+    left, right = halves
+    if not left and not right:
+        return "0"
+    return "(" + ",".join(map(str, left)) + ";" + ",".join(map(str, right)) + ")"
+
+
+def _apply(render: Callable[[Any], str], value) -> str:
+    return render(value)
+
+
+# ``_sp_text`` and ``_o_text`` assemble the text of a parameter from the
+# texts of its fields, each rendered as ``field(render, value)``: with
+# ``_apply`` that is the parameter's text, and a census passes a ``field``
+# that renders each distinct value once.
+
+
+def _continuous_texts(params: Params, field) -> list[str]:
     return [
-        _render_ints(params.mu),
-        _render_scalars(params.nu),
-        _render_ints(params.eps),
-        _render_scalars(params.kappa),
+        field(_render_ints, params.mu),
+        field(_render_scalars, params.nu),
+        field(_render_ints, params.eps),
+        field(_render_scalars, params.kappa),
     ]
 
 
+def _sp_text(params: SpParams, field) -> str:
+    fields = [field(_render_ints, params.lam), params.psi.render()]
+    return "pi(" + ",".join(fields + _continuous_texts(params, field)) + ")"
+
+
+def _o_text(params: OParams, field) -> str:
+    lam = field(_render_o_lam, (params.lam_left, params.lam_right))
+    fields = [lam, str(params.xi), params.psi.render()] + _continuous_texts(params, field)
+    return f"pi_{{{params.zeta}}}(" + ",".join(fields) + f") @ O({params.p},{params.q})"
+
+
 def render_sp(params: SpParams) -> str:
-    fields = [_render_ints(params.lam), params.psi.render()] + _render_continuous(params)
-    return "pi(" + ",".join(fields) + ")"
+    return _sp_text(params, _apply)
 
 
 def render_o(params: OParams) -> str:
-    if not params.lam_left and not params.lam_right:
-        lam = "0"
-    else:
-        lam = (
-            "("
-            + ",".join(str(x) for x in params.lam_left)
-            + ";"
-            + ",".join(str(x) for x in params.lam_right)
-            + ")"
-        )
-    fields = [lam, str(params.xi), params.psi.render()] + _render_continuous(params)
-    return f"pi_{{{params.zeta}}}(" + ",".join(fields) + f") @ O({params.p},{params.q})"
+    return _o_text(params, _apply)
 
 
 def render_params(params: Params) -> str:

@@ -15,7 +15,8 @@ positive on (m, ..., 1); the positive systems Psi appearing in parameters
 are always required to contain them.  The per-kind root tables depend
 only on the frozen kind and are computed once per process; the positive
 systems of a kind are built by a backtrack over signed permutations that
-prunes on the compact positives.
+prunes on the compact positives, and the positivity and simple-member
+checks read which roots add to a root from a per-kind sum table.
 
 Per-datum work is kept in bounded caches, so that a census pays it once
 per distinct input rather than once per parameter: each Psi is compiled
@@ -273,11 +274,18 @@ class PositiveSystem:
     def contains(self, root: Root) -> bool:
         return root in self._members
 
+    def __hash__(self) -> int:
+        return self._hash
+
     def render(self) -> str:
         return self._text
 
-    # Computed once per instance; not fields, so equality and hashing
-    # ignore them.
+    # Computed once per instance; not fields, so equality ignores them.
+    # Equal systems have equal (kind, roots), so they hash alike.
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.kind, self.roots))
+
     @functools.cached_property
     def _members(self) -> frozenset[Root]:
         return frozenset(self.roots)
@@ -305,6 +313,33 @@ def is_positive_system(kind: GroupKind, roots: Iterable[Root]) -> bool:
     return _is_positive_root_set(kind, frozenset(roots))
 
 
+@functools.lru_cache(maxsize=64)
+def _root_sums(kind: GroupKind) -> tuple[dict[Root, int], tuple[tuple[tuple[int, int], ...], ...]]:
+    """The index of each root in ``all_roots(kind)``, and for each index i
+    the pairs (j, k) of indices with root_i + root_j = root_k: the additive
+    structure of the root system, built once per kind."""
+    roots = all_roots(kind)
+    index = {r: i for i, r in enumerate(roots)}
+    sums = []
+    for x in roots:
+        row = []
+        for j, y in enumerate(roots):
+            k = index.get(tuple(cx + cy for cx, cy in zip(x, y)))
+            if k is not None:
+                row.append((j, k))
+        sums.append(tuple(row))
+    return index, tuple(sums)
+
+
+def _sums_within(kind: GroupKind, roots: Iterable[Root]) -> set[Root]:
+    """The roots that are a sum of two of ``roots``, read off the sum
+    table instead of adding every pair."""
+    index, sums = _root_sums(kind)
+    members = {index[r] for r in roots}
+    delta = all_roots(kind)
+    return {delta[k] for i in members for j, k in sums[i] if j in members}
+
+
 @functools.lru_cache(maxsize=1024)
 def _is_positive_root_set(kind: GroupKind, rset: frozenset[Root]) -> bool:
     delta = root_set(kind)
@@ -315,11 +350,7 @@ def _is_positive_root_set(kind: GroupKind, rset: frozenset[Root]) -> bool:
     for r in rset:
         if tuple(-c for c in r) in rset:
             return False
-    for x, y in itertools.combinations(rset, 2):
-        z = tuple(cx + cy for cx, cy in zip(x, y))
-        if z in delta and z not in rset:
-            return False
-    return True
+    return _sums_within(kind, rset) <= rset
 
 
 def contains_delta_c_plus(psi: PositiveSystem) -> bool:
@@ -328,15 +359,8 @@ def contains_delta_c_plus(psi: PositiveSystem) -> bool:
 
 def simple_members(psi: PositiveSystem) -> tuple[Root, ...]:
     """Members of Psi that are not a sum of two members of Psi."""
-    rset = set(psi.roots)
-    out = []
-    for r in psi.roots:
-        decomposable = any(
-            tuple(rc - xc for rc, xc in zip(r, x)) in rset for x in rset if x != r
-        )
-        if not decomposable:
-            out.append(r)
-    return tuple(out)
+    sums = _sums_within(psi.kind, psi.roots)
+    return tuple(r for r in psi.roots if r not in sums)
 
 
 # A root as (i, ci, j, cj): it pairs with a vector v as v[i]*ci + v[j]*cj.

@@ -148,6 +148,19 @@ def test_enumerate_substitutes_beta(capsys, beta, count):
     assert out.splitlines()[0] == f"{count} parameters"
 
 
+def test_enumerate_reaches_rank_seven(capsys):
+    """Rank 7 is the enumerate cap; an all-zero character keeps its census
+    small, down to the two rank-7 discrete series limits."""
+    argv = ["enumerate", "--n", "7", "--infchar", "0,0,0,0,0,0,0", "--json"]
+    code, out, _ = run(capsys, argv)
+    payload = json.loads(out)
+    assert code == 0 and payload["n"] == 7 and payload["count"] == 15
+    assert len(payload["params"]) == len(set(payload["params"])) == 15
+    limits = [p for p in payload["params"] if p.startswith("pi((0,0,0,0,0,0,0),")]
+    assert len(limits) == 2
+    assert "pi(0,{},0,0,(1,1,1,1,1,1,1),(0,0,0,0,0,0,0))" in payload["params"]
+
+
 # -- verify --------------------------------------------------------------------------
 
 
@@ -332,7 +345,7 @@ def test_bad_parameter_text_exits_two(capsys):
         ["inverse-lookup", "--sp-params", "pi(0,{},0,0,(1),(1))", "--sig=5,-1"],
         ["phi", "--dir", "u2o", "--ktype", "(1)", "--sig=-2,0", "--n", "1"],
         ["phi", "--dir", "o2u", "--ktype", "(1;+1)x(0;+1)", "--sig", "2,2", "--n", "-3"],
-        ["enumerate", "--n", "7", "--infchar", "0,1,2,3,4,5,6"],
+        ["enumerate", "--n", "8", "--infchar", "0,1,2,3,4,5,6,7"],
         ["lift", "--params", "pi_{1}(0,1,{},0,0,(1,1),(0,1))", "--n", "101"],
         ["phi", "--dir", "o2u", "--ktype", "(1;+1)x(0;+1)", "--sig", "2,2", "--n", "101"],
         ["inverse-lookup", "--sp-params", RANK101_TARGET, "--sig", "2,2"],

@@ -249,6 +249,49 @@ def test_o_construction_equals_generate_and_filter_on_pool_grid(sig):
     assert total > 0
 
 
+# -- canonical by construction, ordered by text ----------------------------------
+#
+# The enumerators build every member in canonical form and sort the census
+# by a key assembled from per-field texts; canonicalize_* must return each
+# member itself, and the key must be the member's rendered text.
+
+BENCH_CENSUS = [(4, text) for text in BENCH_RANK4] + [
+    (5, "(0,1,2,3,4)"),
+    (5, "(b,0,1,2,3)"),
+    (5, "(1/2,3/2,5/2,7/2,9/2)"),
+]
+
+
+def _assert_built_canonical(reps, canonical, key, render):
+    assert reps
+    for pi in reps:
+        assert canonical(pi) is pi, render(pi)
+        assert key(pi) == render(pi)
+
+
+@pytest.mark.parametrize("n,text", BENCH_CENSUS, ids=[t for _, t in BENCH_CENSUS])
+def test_bench_census_members_are_built_canonical(n, text):
+    key = enumeration._text_key(enumeration._sp_text)
+    reps = enumerate_sp_reps(n, parse_infchar(text))
+    _assert_built_canonical(reps, canonicalize_sp, key, render_sp)
+
+
+def test_beta_grid_census_members_are_built_canonical():
+    key = enumeration._text_key(enumeration._sp_text)
+    for beta in BETA_GRID:
+        reps = enumerate_sp_reps(3, InfChar.of([beta_scalar(beta), Q(0), Q(1)]))
+        _assert_built_canonical(reps, canonicalize_sp, key, render_sp)
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=str)
+def test_o_pool_grid_census_members_are_built_canonical(sig):
+    key = enumeration._text_key(enumeration._o_text)
+    grid = [Scalar.of(x) for x in POOL_GRID]
+    chis = {InfChar.of(pair) for pair in combinations_with_replacement(grid, 2)}
+    reps = [pi for chi in chis for pi in enumerate_o_reps(*sig, chi)]
+    _assert_built_canonical(reps, canonicalize_o, key, render_o)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -60,7 +60,7 @@ def test_enumerated_systems_are_valid():
     O(3,3)), ``enumerate_positive_systems`` gives distinct positive systems
     that all contain the compact positives."""
     kinds = (
-        [SpKind(v) for v in range(7)]
+        [SpKind(v) for v in range(8)]
         + [OKind(a, d) for a in range(3) for d in range(3 - a)]
         + [OKind(1, 0, odd=True), OKind(0, 1, odd=True), OKind(1, 1, odd=True)]
     )
@@ -302,6 +302,77 @@ def test_is_positive_system_depends_on_the_root_set_only(kind):
             assert is_positive_system(kind, flipped) == (r in simple)
             assert not is_positive_system(kind, list(roots) + [neg])
         assert is_positive_system(kind, roots)
+
+
+# -- sum-table checks against all pairs ------------------------------------------
+
+
+def _reference_is_positive_system(kind, roots):
+    """Exactly one of each +-pair, closed under addition: every pair added."""
+    rset, delta = frozenset(roots), frozenset(all_roots(kind))
+    if not rset <= delta or 2 * len(rset) != len(delta):
+        return False
+    if any(tuple(-c for c in r) in rset for r in rset):
+        return False
+    for x, y in itertools.combinations(rset, 2):
+        z = tuple(cx + cy for cx, cy in zip(x, y))
+        if z in delta and z not in rset:
+            return False
+    return True
+
+
+def _reference_simple_members(psi):
+    """Members of Psi from which no other member subtracts to a member."""
+    rset = set(psi.roots)
+    return tuple(
+        r
+        for r in psi.roots
+        if not any(tuple(rc - xc for rc, xc in zip(r, x)) in rset for x in rset if x != r)
+    )
+
+
+# every Sp(2v) kind up to the enumerate cap, and the O frames the package uses
+_SUM_TABLE_KINDS = (
+    [SpKind(v) for v in range(1, 8)]
+    + [OKind(a, d) for a in range(3) for d in range(3 - a) if a + d > 0]
+    + [OKind(1, 0, odd=True), OKind(0, 1, odd=True), OKind(1, 1, odd=True)]
+)
+
+
+@pytest.mark.parametrize("kind", _SUM_TABLE_KINDS, ids=lambda k: repr(k))
+def test_sum_table_checks_match_all_pairs(kind):
+    """``is_positive_system`` and ``simple_members`` read root sums from a
+    per-kind table; their verdicts equal the all-pairs versions on every
+    positive system and on it with one root negated: a simple member,
+    which reflects it to another positive system, or the first member that
+    is not simple, which leaves a set that is not closed."""
+    for psi in enumerate_positive_systems(kind):
+        roots = psi.roots
+        assert is_positive_system(kind, roots) and _reference_is_positive_system(kind, roots)
+        simple = simple_members(psi)
+        assert simple == _reference_simple_members(psi)
+        others = [r for r in roots if r not in simple]
+        for r in list(simple) + others[:1]:
+            flipped = [tuple(-c for c in x) if x == r else x for x in roots]
+            want = _reference_is_positive_system(kind, flipped)
+            assert is_positive_system(kind, flipped) == want == (r in simple), (psi, r)
+
+
+# -- hashing --------------------------------------------------------------------------
+
+
+def test_positive_systems_built_apart_hash_and_compare_equal():
+    for kind in (SpKind(3), OKind(1, 1), OKind(1, 0, odd=True)):
+        for psi in enumerate_positive_systems(kind):
+            again = PositiveSystem.of(kind, reversed(psi.roots))
+            other = parse_psi(psi.render(), kind)
+            assert again is not psi and again == psi == other
+            assert hash(again) == hash(psi) == hash(other)
+            table = {psi: psi.render()}
+            assert table[again] == table[other] == psi.render()
+    systems = enumerate_positive_systems(SpKind(3))
+    assert len({hash(psi) for psi in systems}) == len(systems)
+    assert PositiveSystem.of(SpKind(0), ()) != PositiveSystem.of(OKind(0, 0), ())
 
 
 # -- cache bounds -------------------------------------------------------------------

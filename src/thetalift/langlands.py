@@ -22,7 +22,6 @@ verdict depends on (Psi, kind, lam) alone, is remembered once it passes
 from __future__ import annotations
 
 import functools
-import itertools
 import re as _regex
 
 from dataclasses import dataclass, replace
@@ -153,8 +152,12 @@ def _validate_continuous(params: Params) -> None:
     for m, nu in zip(params.mu, params.nu):
         if nu.is_zero and m % 2 == 0:
             raise ParamError(f"(mu,nu)=({m},0) needs mu odd")
-    for (i, ki), (j, kj) in itertools.combinations(enumerate(params.kappa), 2):
-        if (ki == kj or ki == -kj) and params.eps[i] != params.eps[j]:
+    # slots whose kappas are equal up to sign form one class, keyed by its
+    # sign-normalized kappa, and a class carries one eps
+    first: dict[Scalar, int] = {}
+    for j, k in enumerate(params.kappa):
+        i = first.setdefault(k.normalized_sign(), j)
+        if params.eps[i] != params.eps[j]:
             raise ParamError(f"kappa_{i+1} = +-kappa_{j+1} forces equal eps")
 
 

@@ -18,11 +18,10 @@ systems of a kind are built by a backtrack over signed permutations that
 prunes on the compact positives, and the positivity and simple-member
 checks read which roots add to a root from a per-kind sum table.
 
-Per-datum work is kept in bounded caches, so that a census pays it once
+Per-datum work is kept in a bounded cache, so that a census pays it once
 per distinct input rather than once per parameter: each Psi is compiled
 into integer (index, coefficient) terms for the (F-1) check once
-(``_f1_terms``), and the doubled rho shift is computed once per integer
-vector (``_twice_rho_shift``).
+(``_f1_terms``).
 """
 
 from __future__ import annotations
@@ -174,15 +173,8 @@ def twice_rho_shift(ivec: Sequence[int], kind: GroupKind) -> list[int]:
     integer vector ``ivec``.
 
     u collects the weights strictly positive on ``ivec``, so any positive
-    multiple of a vector defines the same shift.  The shift of each
-    distinct vector is computed once (``_twice_rho_shift``)."""
-    return list(_twice_rho_shift(tuple(ivec), kind))
-
-
-@functools.lru_cache(maxsize=4096)
-def _twice_rho_shift(ivec: tuple[int, ...], kind: GroupKind) -> tuple[int, ...]:
-    """``twice_rho_shift`` on a tuple.  Every weight has one or two nonzero
-    terms, and the loop spells both cases out."""
+    multiple of a vector defines the same shift.  Every weight has one or
+    two nonzero terms, and the loop spells both cases out."""
     twice = [0] * kind.dim
     for sign, terms in _rho_shift_terms(kind):
         if len(terms) == 2:
@@ -194,7 +186,7 @@ def _twice_rho_shift(ivec: tuple[int, ...], kind: GroupKind) -> tuple[int, ...]:
             ((i, ci),) = terms
             if ivec[i] * ci > 0:
                 twice[i] += sign * ci
-    return tuple(twice)
+    return twice
 
 
 def rho_shift(vec: Sequence[Q | int], kind: GroupKind) -> tuple[Q, ...]:
@@ -308,11 +300,6 @@ def parse_psi(text: str, kind: GroupKind) -> PositiveSystem:
     return PositiveSystem.of(kind, (parse_root(tok, kind) for tok in body.split(",")))
 
 
-def is_positive_system(kind: GroupKind, roots: Iterable[Root]) -> bool:
-    """Exactly one of each +-pair, closed under addition inside the root system."""
-    return _is_positive_root_set(kind, frozenset(roots))
-
-
 @functools.lru_cache(maxsize=64)
 def _root_sums(kind: GroupKind) -> tuple[dict[Root, int], tuple[tuple[tuple[int, int], ...], ...]]:
     """The index of each root in ``all_roots(kind)``, and for each index i
@@ -340,9 +327,9 @@ def _sums_within(kind: GroupKind, roots: Iterable[Root]) -> set[Root]:
     return {delta[k] for i in members for j, k in sums[i] if j in members}
 
 
-@functools.lru_cache(maxsize=1024)
-def _is_positive_root_set(kind: GroupKind, rset: frozenset[Root]) -> bool:
-    delta = root_set(kind)
+def is_positive_system(kind: GroupKind, roots: Iterable[Root]) -> bool:
+    """Exactly one of each +-pair, closed under addition inside the root system."""
+    rset, delta = frozenset(roots), root_set(kind)
     if not rset <= delta:
         return False
     if 2 * len(rset) != len(delta):

@@ -445,20 +445,15 @@ def matching_rows(table: LiftTable, pi: OParams) -> list[tuple[LiftRow, SpParams
     return out
 
 
-def _only_hit(hits: list[tuple[LiftRow, SpParams]], pi: OParams) -> Optional[SpParams]:
-    if not hits:
-        return None
-    if len(hits) > 1:
-        lines = ", ".join(str(r.line) for r, _ in hits)
-        raise TableError(f"{render_o(pi)} matches rows at lines {lines}; rows must be exclusive")
-    return hits[0][1]
-
-
 def lookup_lift(table: LiftTable, pi: OParams) -> Optional[SpParams]:
     """The lift of the one row of the table that applies to pi, or None.
     pi must be valid and canonical (see ``matching_rows``).  Two matching
     rows raise TableError: the rows of a table must be exclusive."""
-    return _only_hit(matching_rows(table, pi), pi)
+    hits = matching_rows(table, pi)
+    if len(hits) > 1:
+        lines = ", ".join(str(r.line) for r, _ in hits)
+        raise TableError(f"{render_o(pi)} matches rows at lines {lines}; rows must be exclusive")
+    return hits[0][1] if hits else None
 
 
 def instantiate_lkt_row(row: LktRow, beta: Scalar) -> Optional[tuple[SpParams, frozenset]]:
@@ -527,31 +522,28 @@ def o_infchar_from_sp(chi: InfChar, m: int, n: int) -> InfChar:
 
 
 def apply_modification(params):
-    """Resolve (eps, kappa) clashes: while two slots carry opposite signs
-    and equal kappa up to sign, remove both and append the continuous pair
-    (mu, nu) = (0, 2|kappa|).  Leftmost clash first, to a fixed point."""
-    eps, kappa = list(params.eps), list(params.kappa)
-    mu, nu = list(params.mu), list(params.nu)
-    while True:
-        clash = next(
-            (
-                (i, j)
-                for i in range(len(eps))
-                for j in range(i + 1, len(eps))
-                if eps[i] != eps[j] and (kappa[i] == kappa[j] or kappa[i] == -kappa[j])
-            ),
-            None,
-        )
-        if clash is None:
-            break
-        i, j = clash
-        fresh_nu = kappa[i].normalized_sign().scale(2)
-        for idx in (j, i):
-            del eps[idx]
-            del kappa[idx]
-        mu.append(0)
-        nu.append(fresh_nu)
-    return replace(params, mu=tuple(mu), nu=tuple(nu), eps=tuple(eps), kappa=tuple(kappa))
+    """Resolve (eps, kappa) clashes: two slots clash when they carry
+    opposite signs and equal kappa up to sign.  In each class of kappas
+    equal up to sign, the earliest slots of each sign pair off, and each
+    pair is replaced by the continuous pair (mu, nu) = (0, 2|kappa|); the
+    slots left over keep their order."""
+    classes: dict[Scalar, dict[int, list[int]]] = {}
+    for idx, (e, k) in enumerate(zip(params.eps, params.kappa)):
+        classes.setdefault(k.normalized_sign(), {}).setdefault(e, []).append(idx)
+    mu, nu, paired = list(params.mu), list(params.nu), set()
+    for k, by_sign in classes.items():
+        for i, j in zip(by_sign.get(1, ()), by_sign.get(-1, ())):
+            paired |= {i, j}
+            mu.append(0)
+            nu.append(k.scale(2))
+    keep = [idx for idx in range(len(params.eps)) if idx not in paired]
+    return replace(
+        params,
+        mu=tuple(mu),
+        nu=tuple(nu),
+        eps=tuple(params.eps[idx] for idx in keep),
+        kappa=tuple(params.kappa[idx] for idx in keep),
+    )
 
 
 def cond_lambda(lam: tuple[int, ...], psi: PositiveSystem, half_diff: int) -> bool:
@@ -624,21 +616,19 @@ _SUPPORTED = ((4, 0), (3, 1), (2, 2))
 _SWAPPED = ((0, 4), (1, 3))
 
 
-def _occurrence(pi: OParams, tables: TableSet) -> tuple[int, Optional[list]]:
-    """The first occurrence of a valid and canonical pi, and its theta1
-    row hits when the answer needed them (None otherwise)."""
+def _occurrence(pi: OParams, tables: TableSet) -> int:
+    """The first occurrence of a valid and canonical pi."""
     if (pi.p, pi.q) in _SWAPPED:
         return _occurrence(swap_pq(pi), tables)
     if (pi.p, pi.q) not in _SUPPORTED:
         raise ThetaError(f"unsupported signature O({pi.p},{pi.q})")
     if pi == trivial_o(pi.p, pi.q):
-        return 0, None
+        return 0
     if pi == det_o(pi.p, pi.q):
-        return 4, None
+        return 4
     if pi.xi == -1 or (pi.zeta == -1 and any(e == 1 and kap.is_zero for e, kap in zip(pi.eps, pi.kappa))):
-        return 3, None
-    hits = matching_rows(tables.theta1, pi)
-    return (1 if hits else 2), hits
+        return 3
+    return 1 if matching_rows(tables.theta1, pi) else 2
 
 
 def first_occurrence(pi: OParams, tables: Optional[TableSet] = None) -> int:
@@ -646,7 +636,7 @@ def first_occurrence(pi: OParams, tables: Optional[TableSet] = None) -> int:
     invalid pi raises ParamError."""
     validate_o(pi)
     tables = load_tables() if tables is None else tables
-    return _occurrence(canonicalize_o(pi), tables)[0]
+    return _occurrence(canonicalize_o(pi), tables)
 
 
 @dataclass(frozen=True)
@@ -683,17 +673,14 @@ def _theta_n(pi: OParams, n: int, tables: TableSet) -> ThetaResult:
         return ThetaResult(
             contragredient_sp(inner.params), inner.provenance + " (contragredient via signature swap)"
         )
-    n0, theta1_hits = _occurrence(pi, tables)
+    n0 = _occurrence(pi, tables)
     if n < n0:
         return ThetaResult(None, f"zero: rank {n} is below the first occurrence {n0}")
     if n == 0:
         empty = SpParams((), PositiveSystem.of(SpKind(0), ()), (), (), (), ())
         return ThetaResult(empty, "rank-zero lift of the trivial parameter")
     start = n if n <= 2 else max(n0, 2)
-    if start == 1 and theta1_hits is not None:
-        base = _only_hit(theta1_hits, pi)
-    else:
-        base = lookup_lift(tables.theta(start), pi)
+    base = lookup_lift(tables.theta(start), pi)
     if base is None:
         raise TableError(f"no rank-{start} table row matches {render_o(pi)}")
     provenance = f"theta{start} table"

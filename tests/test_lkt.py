@@ -9,6 +9,7 @@ from thetalift.exact import GENERIC_B, InfChar, Scalar, parse_infchar
 from thetalift.ktypes import OKType, UKType
 from thetalift.langlands import (
     _validate_psi,
+    _zero_flip_orbit,
     OParams,
     SpParams,
     det_o,
@@ -34,7 +35,6 @@ from thetalift.roots import (
     PositiveSystem,
     SpKind,
     _f1_terms,
-    _twice_rho_shift,
     pair_root,
     rho_shift,
 )
@@ -147,7 +147,7 @@ def _census_lkt_lines(before_each=lambda: None) -> list[str]:
 
 def _clear_census_caches():
     """Empty the caches that hold per-datum census work."""
-    for cached in (_validate_psi, _f1_terms, _twice_rho_shift, _sp_blocks):
+    for cached in (_validate_psi, _zero_flip_orbit, _f1_terms, _sp_blocks):
         cached.cache_clear()
 
 

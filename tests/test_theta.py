@@ -2,15 +2,17 @@
 induction principles, the modification rule, first occurrence, and the
 dispatcher, against hand-frozen values."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction as Q
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from thetalift.exact import GENERIC_B, InfChar, Scalar, infchars_dual, parse_scalar
 from thetalift.langlands import (
     ParamError,
+    _validate_continuous,
     SpParams,
     canonicalize_o,
     canonicalize_sp,
@@ -204,6 +206,84 @@ def test_modification_fixpoint_and_noop():
     assert out.eps == () and out.kappa == ()
     assert sorted(x.render() for x in out.nu) == ["2", "8"]
     assert out.mu == (0, 0)
+
+
+# -- kappa classes against the pairwise references -----------------------------
+
+
+def _reference_continuous_kappa(params):
+    """The pairwise rule: kappas equal up to sign force equal eps."""
+    for i, j in combinations(range(len(params.kappa)), 2):
+        ki, kj = params.kappa[i], params.kappa[j]
+        if (ki == kj or ki == -kj) and params.eps[i] != params.eps[j]:
+            return False
+    return True
+
+
+def _reference_modification(params):
+    """The leftmost clash resolved first, rescanning to a fixed point."""
+    eps, kappa = list(params.eps), list(params.kappa)
+    mu, nu = list(params.mu), list(params.nu)
+    while True:
+        clash = next(
+            (
+                (i, j)
+                for i in range(len(eps))
+                for j in range(i + 1, len(eps))
+                if eps[i] != eps[j] and (kappa[i] == kappa[j] or kappa[i] == -kappa[j])
+            ),
+            None,
+        )
+        if clash is None:
+            break
+        i, j = clash
+        fresh_nu = kappa[i].normalized_sign().scale(2)
+        for idx in (j, i):
+            del eps[idx]
+            del kappa[idx]
+        mu.append(0)
+        nu.append(fresh_nu)
+    return replace(params, mu=tuple(mu), nu=tuple(nu), eps=tuple(eps), kappa=tuple(kappa))
+
+
+_KAPPA_VALUES = [Scalar.of(x) for x in (0, 1, 2, 3, Q(1, 2))] + [Scalar(im=1), GENERIC_B]
+
+
+def _random_slots(rng):
+    """Up to 7 (eps, kappa) slots over the values above with both signs,
+    and up to two (mu, nu) pairs."""
+    def signed():
+        return rng.choice(_KAPPA_VALUES).scale(rng.choice((1, -1)))
+
+    t, s = rng.randrange(8), rng.randrange(3)
+    eps = tuple(rng.choice((1, -1)) for _ in range(t))
+    kappa = tuple(signed() for _ in range(t))
+    mu = tuple(rng.randrange(4) for _ in range(s))
+    return SpParams((), PositiveSystem.of(SpKind(0), ()), mu, tuple(signed() for _ in mu), eps, kappa)
+
+
+def test_kappa_classes_match_the_pairwise_references():
+    """Grouping slots by sign-normalized kappa accepts and rejects exactly
+    the parameters the pairwise check does, and the modification rule's
+    per-class pairing leaves the same slots, in order, and the same
+    canonical form as resolving the leftmost clash first."""
+    rng = random.Random(20)
+    rejected = clashes = 0
+    for _ in range(4000):
+        probe = _random_slots(rng)
+        try:
+            _validate_continuous(probe)
+            accepted = True
+        except ParamError:
+            accepted = False
+        want_mu_nu_ok = all(m % 2 or not nu.is_zero for m, nu in zip(probe.mu, probe.nu))
+        assert accepted == (want_mu_nu_ok and _reference_continuous_kappa(probe)), probe
+        rejected += not accepted
+        out, want = apply_modification(probe), _reference_modification(probe)
+        assert (out.eps, out.kappa) == (want.eps, want.kappa), probe
+        assert canonicalize_sp(out) == canonicalize_sp(want), probe
+        clashes += len(out.mu) > len(probe.mu)
+    assert rejected > 500 and clashes > 500
 
 
 # -- condition on the discrete datum -----------------------------------------

@@ -22,11 +22,11 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction as Q
 from typing import Optional, Sequence
 
-from .exact import InfChar, Scalar, parse_scalar
+from .exact import InfChar, parse_scalar
 from .enumeration import (
+    SUITES,
     beta_scalar,
     enumerate_o_reps,
     enumerate_sp_reps,
@@ -153,18 +153,12 @@ def _cmd_phi(args) -> int:
     return 0
 
 
-def _parse_beta(text: str) -> Scalar:
-    if text == "generic":
-        return beta_scalar("generic")
-    return beta_scalar(Q(text))
-
-
 def _cmd_enumerate(args) -> int:
     if args.n > MAX_ENUMERATE_RANK:
         raise ValueError(f"enumerate supports ranks n <= {MAX_ENUMERATE_RANK}, got {args.n}")
     entries = [parse_scalar(tok) for tok in args.infchar.split(",")]
     if args.beta is not None:
-        b = _parse_beta(args.beta)
+        b = beta_scalar(args.beta)
         entries = [x.substitute(b) for x in entries]
     chi = InfChar.of(entries)
     params = [render_sp(p) for p in enumerate_sp_reps(args.n, chi)]
@@ -276,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        choices=("appendixC", "theta12", "theta3", "theta4", "props", "all"),
+        choices=(*SUITES, "all"),
     )
     add_json(p)
     p.set_defaults(func=_cmd_verify)

@@ -12,13 +12,13 @@ slots without mu even at nu = 0, one eps sign per class of kappas equal up
 to sign (kappa = 0 taking (-1)^v on Sp), and on O(p,q) only the (zeta, xi)
 that the zero entries and kappa zeros allow.  Each is built in its
 canonical form: nu and kappa sign-normalized, the (mu, nu) and (eps, kappa)
-slots sorted, and on O(p,q) Psi the representative of its orbit under sign
-flips on the zero coordinates of the discrete datum.  Every constructed
-parameter still goes through validation, which stays the filter of record,
-and the census is ordered by its text without rendering any field value
-twice.  Everything downstream (table regeneration,
-uniqueness-by-invariants, the lift suites) reduces to set comparisons over
-these enumerations.
+slots sorted, and on O(p,q) Psi the representative of its orbit under the
+sign flips on the zero coordinates of the discrete datum that keep the
+compact positives.  Each is built exactly once, and validation checks
+every member: one that fails raises instead of being dropped.  The census
+is ordered by its rendered text.  Everything downstream (table
+regeneration, uniqueness-by-invariants, the lift suites) reduces to set
+comparisons over these enumerations.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import partial
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .exact import GENERIC_B, InfChar, Scalar, infchars_dual
@@ -49,8 +49,6 @@ from .langlands import (
     SpParams,
     _INT_VARS,
     _SIGN_VARS,
-    _o_text,
-    _sp_text,
     _zero_flip_orbit,
     canonicalize,
     canonicalize_o,
@@ -82,6 +80,8 @@ from .roots import (
 )
 from .theta import (
     DET11_THETA3,
+    _SUPPORTED,
+    _SWAPPED,
     Condition,
     TableError,
     TableSet,
@@ -102,12 +102,12 @@ from .theta import (
 # ---------------------------------------------------------------------------
 
 
-def _matchings(idxs: tuple[int, ...]):
-    """All perfect matchings of an even-sized index tuple."""
-    if not idxs:
+def _matchings(values: tuple):
+    """All perfect matchings of an even-sized tuple."""
+    if not values:
         yield ()
         return
-    first, rest = idxs[0], idxs[1:]
+    first, rest = values[0], values[1:]
     for i in range(len(rest)):
         for tail in _matchings(rest[:i] + rest[i + 1 :]):
             yield ((first, rest[i]),) + tail
@@ -133,33 +133,43 @@ def _pair_options(x: Scalar, y: Scalar) -> set[tuple[int, Scalar]]:
     return out
 
 
+def _sub_multisets(values: tuple, size: int):
+    """Every way to take ``size`` of the sorted ``values``, each sub-multiset
+    once: pairs (taken, left), both sorted."""
+    counts = [(x, len(list(group))) for x, group in groupby(values)]
+    for takes in product(*(range(k + 1) for _, k in counts)):
+        if sum(takes) == size:
+            taken = tuple(x for (x, _), j in zip(counts, takes) for _ in range(j))
+            left = tuple(x for (x, k), j in zip(counts, takes) for _ in range(k - j))
+            yield taken, left
+
+
 def _slot_splits(entries: tuple[Scalar, ...], v: int, s: int, discrete: Callable):
     """Every split of ``entries`` into v discrete entries, s (mu, nu) pairs
-    and the remaining kappa slots.
+    and the remaining kappa slots, each once.
 
     ``discrete`` maps the magnitudes of the v discrete entries to their
-    realizations; index sets with a non-integral entry or no realization
-    are dropped before any pair is solved.  Yields
+    realizations; a choice with a non-integral entry or no realization is
+    dropped before any pair is solved.  Yields
     ``(realizations, mu, nu, kappa)`` in canonical form: the (mu, nu) pairs
-    sorted, and kappa, a subsequence of the sign-normalized and sorted
+    sorted, and kappa, a sub-multiset of the sign-normalized and sorted
     ``entries``, sign-normalized and sorted too.
     """
-    indices = tuple(range(len(entries)))
-    for lam_idx in combinations(indices, v):
-        if not all(entries[i].is_integer() for i in lam_idx):
+    for lam, rest in _sub_multisets(entries, v):
+        if not all(x.is_integer() for x in lam):
             continue
-        options = discrete([abs(entries[i].as_int()) for i in lam_idx])
+        options = discrete([abs(x.as_int()) for x in lam])
         if not options:
             continue
-        rest = tuple(i for i in indices if i not in lam_idx)
-        for pair_idx in combinations(rest, 2 * s):
-            kappa = tuple(entries[i] for i in rest if i not in pair_idx)
-            for matching in _matchings(pair_idx):
-                per_pair = [_pair_options(entries[i], entries[j]) for i, j in matching]
-                if any(not opts for opts in per_pair):
-                    continue
-                for pairs in map(sorted, product(*per_pair)):
-                    yield options, tuple(x[0] for x in pairs), tuple(x[1] for x in pairs), kappa
+        for paired, kappa in _sub_multisets(rest, 2 * s):
+            # matchings of repeated values give some pair choices twice
+            choices = dict.fromkeys(
+                tuple(sorted(pairs))
+                for matching in _matchings(paired)
+                for pairs in product(*(_pair_options(x, y) for x, y in matching))
+            )
+            for pairs in choices:
+                yield options, tuple(x[0] for x in pairs), tuple(x[1] for x in pairs), kappa
 
 
 def _eps_options(kappa: tuple[Scalar, ...], zero_sign: Optional[int]) -> list[tuple[int, ...]]:
@@ -183,43 +193,21 @@ def _infchar_inputs(params) -> tuple:
     return datum, params.mu, params.nu, params.kappa
 
 
-def _text_key(text: Callable) -> Callable:
-    """A sort key equal to the text of a parameter, assembled by ``text``
-    (``_sp_text`` or ``_o_text``) from field texts that are rendered once
-    per distinct field value, in a dict that lives as long as the key."""
-    texts: dict = {}
-
-    def field(render, value):
-        try:
-            return texts[render, value]
-        except KeyError:
-            texts[render, value] = out = render(value)
-            return out
-
-    return partial(text, field=field)
-
-
-def _census(candidates: Iterable, entries, validate, infchar, text) -> tuple:
-    """The candidates that validate, which are built canonical, sorted by
-    their text.  The infinitesimal character is checked to be ``entries``
-    once per distinct input to it."""
-    found = set()
-    for params in candidates:
-        try:
-            validate(params)
-        except ParamError:
-            continue
-        found.add(params)
-    key = _text_key(text)
+def _census(candidates: Iterable, entries, validate, infchar, render) -> tuple:
+    """The candidates, which are built valid, canonical and each once,
+    checked and sorted by their text.  The infinitesimal character is
+    checked to be ``entries`` once per distinct input to it."""
+    members = list(candidates)
     checked = set()
-    for params in found:
+    for params in members:
+        validate(params)
         inputs = _infchar_inputs(params)
         if inputs in checked:
             continue
         checked.add(inputs)
         if infchar(params).entries != entries:
-            raise AssertionError(f"enumerated {key(params)} has the wrong infinitesimal character")
-    return tuple(sorted(found, key=key))
+            raise AssertionError(f"enumerated {render(params)} has the wrong infinitesimal character")
+    return tuple(sorted(members, key=render))
 
 
 def _infchar_entries(chi: InfChar, m: int) -> tuple[Scalar, ...]:
@@ -273,7 +261,7 @@ def enumerate_sp_reps(n: int, chi: InfChar) -> tuple[SpParams, ...]:
                         for psi, eps in product(dominant[lam], eps_options):
                             yield SpParams(lam, psi, mu, nu, eps, kappa)
 
-    return _census(candidates(), entries, validate_sp, infchar_sp, _sp_text)
+    return _census(candidates(), entries, validate_sp, infchar_sp, render_sp)
 
 
 def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
@@ -314,7 +302,7 @@ def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
                         ):
                             yield OParams(zeta, xi, left, right, psi, mu, nu, eps, kappa)
 
-    return _census(candidates(), entries, validate_o, infchar_o, _o_text)
+    return _census(candidates(), entries, validate_o, infchar_o, render_o)
 
 
 def verify_unique_by_invariants(
@@ -383,9 +371,14 @@ BETA_GRID: tuple = (0, 1, 2, 5, Q(1, 2), "generic", 3, 4)
 
 
 def beta_scalar(beta) -> Scalar:
+    """The value of b: ``"generic"`` keeps it formal; anything else is a
+    rational number or its text."""
     if beta == "generic":
         return GENERIC_B
-    return Scalar.of(beta)
+    try:
+        return Scalar.of(Q(beta))
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"b must be a rational number or 'generic', got {beta!r}") from None
 
 
 def regenerate_appendix_c(beta, tables: Optional[TableSet] = None) -> VerificationReport:
@@ -423,8 +416,8 @@ def regenerate_appendix_c(beta, tables: Optional[TableSet] = None) -> Verificati
 # Verification suites
 # ---------------------------------------------------------------------------
 
-_SIGS = ((4, 0), (3, 1), (2, 2))
-_ALL_SIGS = _SIGS + ((0, 4), (1, 3))
+_SIGS = _SUPPORTED
+_ALL_SIGS = _SUPPORTED + _SWAPPED
 
 # Scalar sample grid for continuous slots.
 _SCALAR_GRID: tuple = (0, 1, -1, 2, 5, Q(1, 2), "generic")
@@ -911,8 +904,8 @@ def verify_tables(
             raise ValueError(f"unknown suite {suite!r} (have {', '.join(sorted(SUITES))}, all)")
         return SUITES[suite](tables)
     cases = []
-    for name in ("appendixC", "theta12", "theta3", "theta4", "props"):
-        rep = SUITES[name](tables)
+    for run in SUITES.values():
+        rep = run(tables)
         for c in rep.cases:
             cases.append(CaseResult(f"{rep.name}: {c.label}", c.ok, c.details))
     return VerificationReport("all", tuple(cases))

@@ -10,9 +10,12 @@ with p = 2a + 2s + t and q = 2d + 2s + t.
 Equivalence permutes the (mu,nu) and (eps,kappa) pairs and changes signs
 of individual nu_i, kappa_i; on the O side it also flips signs of Psi on
 zero coordinates of lam (the disconnected part of the maximal compact
-acting on the discrete datum).  canonicalize_* picks the unique
-representative used for equality tests throughout, and returns its input
-when that is canonical already.
+acting on the discrete datum), as far as the flipped Psi still contains the
+compact positives.  The compact positives e_i+-e_j of a block survive a
+flip of its last coordinate only, so of two zeros in one block only the
+last flips.  canonicalize_* picks the unique representative used for
+equality tests throughout, and returns its input when that is canonical
+already.
 
 validate_* run every check on every call; only the Psi check, whose
 verdict depends on (Psi, kind, lam) alone, is remembered once it passes
@@ -25,7 +28,7 @@ import functools
 import re as _regex
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .exact import GENERIC_B, InfChar, Scalar, parse_scalar
 from .roots import (
@@ -252,14 +255,14 @@ def _zero_slots(params: OParams) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=1024)
 def _zero_flip_orbit(psi: PositiveSystem, slots: tuple[int, ...]) -> PositiveSystem:
-    """Minimal representative of psi under sign flips of the coordinates
-    in ``slots``."""
-    best = None
-    for rsub in range(1 << len(slots)):
+    """Minimal representative of psi under the sign flips of the coordinates
+    in ``slots`` that keep the compact positives in Psi."""
+    best = psi
+    for rsub in range(1, 1 << len(slots)):
         chosen = {slots[i] for i in range(len(slots)) if rsub >> i & 1}
         roots = tuple(tuple(-c if i in chosen else c for i, c in enumerate(r)) for r in psi.roots)
         cand = PositiveSystem.of(psi.kind, roots)
-        if best is None or cand.roots < best.roots:
+        if cand.roots < best.roots and contains_delta_c_plus(cand):
             best = cand
     return best
 
@@ -388,53 +391,36 @@ def _render_ints(xs: tuple[int, ...]) -> str:
     return "0" if not xs else "(" + ",".join(str(x) for x in xs) + ")"
 
 
+# A census renders the same few nu and kappa tuples for many members.
+@functools.lru_cache(maxsize=4096)
 def _render_scalars(xs: tuple[Scalar, ...]) -> str:
     return "0" if not xs else "(" + ",".join(x.render() for x in xs) + ")"
 
 
-def _render_o_lam(halves: tuple[tuple[int, ...], tuple[int, ...]]) -> str:
-    left, right = halves
+def _render_o_lam(left: tuple[int, ...], right: tuple[int, ...]) -> str:
     if not left and not right:
         return "0"
     return "(" + ",".join(map(str, left)) + ";" + ",".join(map(str, right)) + ")"
 
 
-def _apply(render: Callable[[Any], str], value) -> str:
-    return render(value)
-
-
-# ``_sp_text`` and ``_o_text`` assemble the text of a parameter from the
-# texts of its fields, each rendered as ``field(render, value)``: with
-# ``_apply`` that is the parameter's text, and a census passes a ``field``
-# that renders each distinct value once.
-
-
-def _continuous_texts(params: Params, field) -> list[str]:
+def _continuous_texts(params: Params) -> list[str]:
     return [
-        field(_render_ints, params.mu),
-        field(_render_scalars, params.nu),
-        field(_render_ints, params.eps),
-        field(_render_scalars, params.kappa),
+        _render_ints(params.mu),
+        _render_scalars(params.nu),
+        _render_ints(params.eps),
+        _render_scalars(params.kappa),
     ]
 
 
-def _sp_text(params: SpParams, field) -> str:
-    fields = [field(_render_ints, params.lam), params.psi.render()]
-    return "pi(" + ",".join(fields + _continuous_texts(params, field)) + ")"
-
-
-def _o_text(params: OParams, field) -> str:
-    lam = field(_render_o_lam, (params.lam_left, params.lam_right))
-    fields = [lam, str(params.xi), params.psi.render()] + _continuous_texts(params, field)
-    return f"pi_{{{params.zeta}}}(" + ",".join(fields) + f") @ O({params.p},{params.q})"
-
-
 def render_sp(params: SpParams) -> str:
-    return _sp_text(params, _apply)
+    fields = [_render_ints(params.lam), params.psi.render()] + _continuous_texts(params)
+    return "pi(" + ",".join(fields) + ")"
 
 
 def render_o(params: OParams) -> str:
-    return _o_text(params, _apply)
+    lam = _render_o_lam(params.lam_left, params.lam_right)
+    fields = [lam, str(params.xi), params.psi.render()] + _continuous_texts(params)
+    return f"pi_{{{params.zeta}}}(" + ",".join(fields) + f") @ O({params.p},{params.q})"
 
 
 def render_params(params: Params) -> str:

@@ -362,6 +362,12 @@ def test_bad_signature_exits_two(capsys):
     assert code == 2 and "signature" in err
 
 
+@pytest.mark.parametrize("beta", ["1/0", "x", "b"])
+def test_bad_beta_names_the_value(capsys, beta):
+    code, _, err = run(capsys, ["enumerate", "--n", "3", "--infchar", "b,0,1", "--beta", beta])
+    assert code == 2 and f"got {beta!r}" in err
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, ["--help"])
     assert code == 0 and "lift" in out and "inverse-lookup" in out

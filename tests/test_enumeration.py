@@ -249,11 +249,24 @@ def test_o_construction_equals_generate_and_filter_on_pool_grid(sig):
     assert total > 0
 
 
+# On O(4,2) and O(2,4) a block can hold two zeros, and flipping the first of
+# them takes a compact positive out of Psi: the orbit representative must
+# not be such a flip.
+@pytest.mark.parametrize("sig", [(4, 2), (2, 4)], ids=str)
+@pytest.mark.parametrize("text", ["(0,0,0)", "(0,0,1)", "(0,1,2)", "(0,0,b)"])
+def test_o_construction_equals_generate_and_filter_at_p_plus_q_six(sig, text):
+    chi = parse_infchar(text)
+    got = enumerate_o_reps(*sig, chi)
+    want = reference_o_reps(*sig, chi)
+    for pi in want:
+        validate_o(pi)
+    assert got and got == want
+
+
 # -- canonical by construction, ordered by text ----------------------------------
 #
 # The enumerators build every member in canonical form and sort the census
-# by a key assembled from per-field texts; canonicalize_* must return each
-# member itself, and the key must be the member's rendered text.
+# by its rendered text; canonicalize_* must return each member itself.
 
 BENCH_CENSUS = [(4, text) for text in BENCH_RANK4] + [
     (5, "(0,1,2,3,4)"),
@@ -262,34 +275,47 @@ BENCH_CENSUS = [(4, text) for text in BENCH_RANK4] + [
 ]
 
 
-def _assert_built_canonical(reps, canonical, key, render):
+def _assert_built_canonical(reps, canonical, render):
     assert reps
     for pi in reps:
         assert canonical(pi) is pi, render(pi)
-        assert key(pi) == render(pi)
+    texts = [render(pi) for pi in reps]
+    assert texts == sorted(texts)
 
 
 @pytest.mark.parametrize("n,text", BENCH_CENSUS, ids=[t for _, t in BENCH_CENSUS])
 def test_bench_census_members_are_built_canonical(n, text):
-    key = enumeration._text_key(enumeration._sp_text)
     reps = enumerate_sp_reps(n, parse_infchar(text))
-    _assert_built_canonical(reps, canonicalize_sp, key, render_sp)
+    _assert_built_canonical(reps, canonicalize_sp, render_sp)
 
 
 def test_beta_grid_census_members_are_built_canonical():
-    key = enumeration._text_key(enumeration._sp_text)
     for beta in BETA_GRID:
         reps = enumerate_sp_reps(3, InfChar.of([beta_scalar(beta), Q(0), Q(1)]))
-        _assert_built_canonical(reps, canonicalize_sp, key, render_sp)
+        _assert_built_canonical(reps, canonicalize_sp, render_sp)
 
 
 @pytest.mark.parametrize("sig", SIGNATURES, ids=str)
 def test_o_pool_grid_census_members_are_built_canonical(sig):
-    key = enumeration._text_key(enumeration._o_text)
     grid = [Scalar.of(x) for x in POOL_GRID]
-    chis = {InfChar.of(pair) for pair in combinations_with_replacement(grid, 2)}
-    reps = [pi for chi in chis for pi in enumerate_o_reps(*sig, chi)]
-    _assert_built_canonical(reps, canonicalize_o, key, render_o)
+    censuses = [enumerate_o_reps(*sig, InfChar.of(pair)) for pair in combinations_with_replacement(grid, 2)]
+    assert any(censuses)
+    for reps in filter(None, censuses):
+        _assert_built_canonical(reps, canonicalize_o, render_o)
+
+
+def _count_validations(monkeypatch) -> list:
+    """Record each parameter validated through enumeration's namespace."""
+    calls = []
+    for name in ("validate_sp", "validate_o"):
+        original = getattr(enumeration, name)
+
+        def counting(params, original=original):
+            calls.append(params)
+            original(params)
+
+        monkeypatch.setattr(enumeration, name, counting)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -303,21 +329,45 @@ def test_o_pool_grid_census_members_are_built_canonical(sig):
     ids=["sp5-(0,1,2,3,4)", "sp4-(1,1,2,2)", "sp4-(0,0,1,1)", "o22-(1,1)"],
 )
 def test_census_validates_little_more_than_it_keeps(monkeypatch, call):
-    """Construction emits only parameters that validate: the validate calls
-    made from enumeration are at most 1.1 times the accepted ones."""
-    calls, accepted = [], []
-    for name in ("validate_sp", "validate_o"):
-        original = getattr(enumeration, name)
-
-        def counting(params, original=original):
-            calls.append(params)
-            original(params)
-            accepted.append(params)
-
-        monkeypatch.setattr(enumeration, name, counting)
+    """Construction emits only members that validate, each once: the
+    validate calls made from enumeration are the members."""
+    calls = _count_validations(monkeypatch)
     reps = call()
-    assert reps and len(accepted) >= len(reps)
-    assert len(calls) <= 1.1 * len(accepted)
+    assert reps and len(set(reps)) == len(reps)
+    assert len(calls) == len(reps) and set(calls) == set(reps)
+
+
+# Every character of each size on this grid, at Sp ranks 0-5 and on every
+# O(p,q) with p+q in {4, 6}: no member is built twice, and none is built and
+# then rejected.
+ONCE_GRID = (0, 1, 2, Q(1, 2), GENERIC_B)
+ONCE_SIGNATURES = SIGNATURES + tuple((p, 6 - p) for p in range(7))
+
+
+def _grid_characters(size):
+    grid = [Scalar.of(x) for x in ONCE_GRID]
+    return [InfChar.of(c) for c in combinations_with_replacement(grid, size)]
+
+
+def _assert_each_member_validated_once(monkeypatch, censuses):
+    calls = _count_validations(monkeypatch)
+    for census in censuses:
+        before = len(calls)
+        reps = census()
+        assert len(set(reps)) == len(reps) == len(calls) - before, census
+
+
+def test_sp_census_validates_each_member_once(monkeypatch):
+    _assert_each_member_validated_once(
+        monkeypatch,
+        [partial(enumerate_sp_reps, n, chi) for n in range(6) for chi in _grid_characters(n)],
+    )
+
+
+@pytest.mark.parametrize("sig", ONCE_SIGNATURES, ids=str)
+def test_o_census_validates_each_member_once(monkeypatch, sig):
+    chis = _grid_characters(sum(sig) // 2)
+    _assert_each_member_validated_once(monkeypatch, [partial(enumerate_o_reps, *sig, chi) for chi in chis])
 
 
 # -- uniqueness by invariants ---------------------------------------------------

@@ -211,6 +211,22 @@ def test_canonicalize_o_zero_flip():
         assert canonicalize_o(rep) is rep
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "pi_{1}((0,0;0),1,{e1+e2,e1-e2,e1+f1,e1-f1,e2-f1,-e2-f1},0,0,0,0) @ O(4,2)",
+        "pi_{1}((0;0,0),1,{e1+f1,-e1+f1,-e1+f2,-e1-f2,f1+f2,f1-f2},0,0,0,0) @ O(2,4)",
+    ],
+)
+def test_zero_flip_keeps_the_compact_positives(text):
+    """Of two zeros in one block only the last may flip: flipping the first
+    takes a compact positive out of Psi, so the canonical text of these
+    parameters is their input and parses back."""
+    pi = o(text)
+    assert render_o(pi) == text
+    assert o(render_o(pi)) == pi
+
+
 def test_infchar():
     assert infchar_sp(sp("pi(0,{},(3),(b),(1),(1/2))")).render() == "(1/2,1/2*b-3/2,1/2*b+3/2)"
     assert infchar_o(trivial_o(4, 0)) == InfChar.of([0, 1])

@@ -397,6 +397,7 @@ _UNBOUNDED_BY_DESIGN = {
 # The data-keyed caches, each bounded.  A new cache must be listed here or
 # above, so that adding one is a visible decision.
 _BOUNDED = {
+    "langlands._render_scalars",
     "langlands._validate_psi",
     "langlands._zero_flip_orbit",
     "lkt._sp_blocks",

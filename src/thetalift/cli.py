@@ -24,7 +24,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .exact import InfChar, parse_scalar
+from .exact import parse_infchar
 from .enumeration import (
     SUITES,
     beta_scalar,
@@ -138,13 +138,12 @@ def _cmd_phi(args) -> int:
     if args.dir == "o2u":
         sigma = parse_oktype(args.ktype, p, q)
         result = phi_n(sigma, p, q, args.n)
-        rendered = None if result is None else result.render()
     else:
         prime = parse_uktype(args.ktype)
         if prime.n != args.n:
             raise ValueError(f"U-type has rank {prime.n}, but --n is {args.n}")
         result = phi_pq(prime, p, q)
-        rendered = None if result is None else result.render()
+    rendered = None if result is None else result.render()
     _emit(
         args,
         {"dir": args.dir, "ktype": args.ktype, "sig": [p, q], "n": args.n, "result": rendered},
@@ -156,11 +155,9 @@ def _cmd_phi(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.n > MAX_ENUMERATE_RANK:
         raise ValueError(f"enumerate supports ranks n <= {MAX_ENUMERATE_RANK}, got {args.n}")
-    entries = [parse_scalar(tok) for tok in args.infchar.split(",")]
+    chi = parse_infchar(args.infchar)
     if args.beta is not None:
-        b = beta_scalar(args.beta)
-        entries = [x.substitute(b) for x in entries]
-    chi = InfChar.of(entries)
+        chi = chi.substitute(beta_scalar(args.beta))
     params = [render_sp(p) for p in enumerate_sp_reps(args.n, chi)]
     payload = {"n": args.n, "infchar": chi.render(), "count": len(params), "params": params}
     _emit(args, payload, "\n".join([f"{len(params)} parameters"] + params))
@@ -170,10 +167,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify(args) -> int:
     tables = load_tables(args.table_dir)
     report = verify_tables(args.suite, tables)
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        print(report.render())
+    _emit(args, report.to_json(), report.render())
     return 0 if report.ok else 1
 
 
@@ -261,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--n", type=int, required=True, help=f"symplectic rank n, at most {MAX_ENUMERATE_RANK}"
     )
-    p.add_argument("--infchar", required=True, help="comma-separated entries, e.g. 'b,0,1'")
+    p.add_argument("--infchar", required=True, help="comma-separated entries, e.g. 'b,0,1' or '(b,0,1)'")
     p.add_argument("--beta", default=None, help="value substituted for b ('generic' keeps it formal)")
     add_json(p)
     p.set_defaults(func=_cmd_enumerate)

@@ -361,6 +361,15 @@ def _case(label: str, details: list[str]) -> CaseResult:
     return CaseResult(label, not details, tuple(details[:20]))
 
 
+def _merged(name: str, reports: Iterable[VerificationReport]) -> VerificationReport:
+    """One report of every case of ``reports``, in order, each label
+    prefixed with the name of its report."""
+    return VerificationReport(
+        name,
+        tuple(CaseResult(f"{r.name}: {c.label}", c.ok, c.details) for r in reports for c in r.cases),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Classification-table regeneration
 # ---------------------------------------------------------------------------
@@ -459,11 +468,10 @@ def _instantiated_row_cases(rows) -> list[tuple[int, OParams, SpParams]]:
     return cases
 
 
-def suite_theta12(tables: Optional[TableSet] = None) -> VerificationReport:
+def suite_theta12(tables: TableSet) -> VerificationReport:
     """Rank-1/2 lifts: sampled rows reproduce their templates through the
     dispatcher, rows are mutually exclusive, lifts satisfy duality, and
     the table covers every enumerated parameter with early occurrence."""
-    tables = load_tables() if tables is None else tables
     cases = []
     for rank in (1, 2):
         rows = tables.theta(rank)
@@ -530,18 +538,17 @@ EXCEPTIONAL_THETA3_INPUT: OParams = parse_o("pi_{-1}(0,1,{},0,0,(1,1),(0,2))")
 EXCEPTIONAL_THETA3_OTHER: SpParams = parse_sp("pi(0,{},(1),(3),(1),(0))")
 
 
-def suite_theta3(tables: Optional[TableSet] = None) -> VerificationReport:
+def suite_theta3(tables: TableSet) -> VerificationReport:
     """Rank-3 lifts of parameters with first occurrence 3: dispatcher
     equals the stored template, earlier lifts vanish, later lifts persist,
     invariants pin the lift uniquely (with the one known two-parameter
     exception), and every lift appears in the rank-3 classification."""
-    tables = load_tables() if tables is None else tables
     details_lift: list[str] = []
     details_unique: list[str] = []
     details_class: list[str] = []
     count = 0
     exceptional_seen = 0
-    for line, pi, want in _instantiated_row_cases(tables.theta3):
+    for line, pi, want in _instantiated_row_cases(tables.theta(3)):
         count += 1
         n0 = first_occurrence(pi, tables)
         if n0 != 3:
@@ -600,11 +607,10 @@ def suite_theta3(tables: Optional[TableSet] = None) -> VerificationReport:
     )
 
 
-def suite_theta4(tables: Optional[TableSet] = None) -> VerificationReport:
+def suite_theta4(tables: TableSet) -> VerificationReport:
     """Rank-4 lifts of the determinant characters: frozen values,
     uniqueness by invariants, vanishing below rank 4, and the
     occurrence-rank conservation identity."""
-    tables = load_tables() if tables is None else tables
     frozen = {
         (2, 2): parse_sp("pi(0,{},(1,1),(1,3),0,0)"),
         (3, 1): parse_sp("pi((1,0),{e1+e2,e1-e2,2e1,2e2},(1),(3),0,0)"),
@@ -652,15 +658,9 @@ def suite_theta4(tables: Optional[TableSet] = None) -> VerificationReport:
     )
 
 
-def suite_appendix_c(tables: Optional[TableSet] = None) -> VerificationReport:
+def suite_appendix_c(tables: TableSet) -> VerificationReport:
     """Regenerate the rank-3 classification on the whole sample grid."""
-    tables = load_tables() if tables is None else tables
-    cases = []
-    for beta in BETA_GRID:
-        rep = regenerate_appendix_c(beta, tables)
-        for c in rep.cases:
-            cases.append(CaseResult(f"{rep.name}: {c.label}", c.ok, c.details))
-    return VerificationReport("appendix-c", tuple(cases))
+    return _merged("appendix-c", (regenerate_appendix_c(beta, tables) for beta in BETA_GRID))
 
 
 def _prop_samples(tables: TableSet) -> list[OParams]:
@@ -713,13 +713,12 @@ def _all_uktypes(n: int, bound: int) -> list[UKType]:
 _PROPS_SEED = 20240817
 
 
-def suite_props(tables: Optional[TableSet] = None) -> VerificationReport:
+def suite_props(tables: TableSet) -> VerificationReport:
     """Structural properties: duality and persistence along towers,
     induction-path independence, lowest-K-type propagation under the
     rank-raising induction, modification-rule confluence, involution
     identities, norm agreement with the root-system oracle, joint-harmonics
     round trips, and parse/render round trips."""
-    tables = load_tables() if tables is None else tables
     rng = random.Random(_PROPS_SEED)
     samples = _prop_samples(tables)
 
@@ -740,11 +739,15 @@ def suite_props(tables: Optional[TableSet] = None) -> VerificationReport:
                 details.append(f"{render_o(pi)}: rank-{n} infinitesimal characters not dual")
     case_dual = _case(f"duality and persistence over {pairs} lifts (ranks 0..6)", details)
 
+    # the rank-2 lifts of the samples that occur by rank 2
+    bases = [
+        (pi, theta_n(pi, 2, tables).params)
+        for pi in samples
+        if (pi.p, pi.q) in _SIGS and first_occurrence(pi, tables) <= 2
+    ]
+
     details = []
-    for pi in samples:
-        if (pi.p, pi.q) not in _SIGS or first_occurrence(pi, tables) > 2:
-            continue
-        base = theta_n(pi, 2, tables).params
+    for pi, base in bases:
         try:
             one = induct_n(base, pi.p, pi.q, 2)
         except ThetaError:
@@ -767,10 +770,7 @@ def suite_props(tables: Optional[TableSet] = None) -> VerificationReport:
                 want = frozenset(sigma_prime_add(s, (p - q) // 2) for s in lowest_ktypes_sp(pi3))
                 if want != frozenset(lowest_ktypes_sp(up)):
                     details.append(f"b={beta} {render_sp(pi3)} O({p},{q}): K-type propagation broke")
-    for pi in samples:
-        if (pi.p, pi.q) not in _SIGS or first_occurrence(pi, tables) > 2:
-            continue
-        base = theta_n(pi, 2, tables).params
+    for pi, base in bases:
         try:
             up = induct_n(base, pi.p, pi.q, 1)
         except ThetaError:
@@ -798,8 +798,8 @@ def suite_props(tables: Optional[TableSet] = None) -> VerificationReport:
         )
         other = apply_modification(shuffled)
         key = lambda r: (
-            tuple(sorted(zip(r.mu, (x.sort_key() for x in r.nu)))),
-            tuple(sorted(zip((x.normalized_sign().sort_key() for x in r.kappa), r.eps))),
+            tuple(sorted(zip(r.mu, r.nu))),
+            tuple(sorted(zip((x.normalized_sign() for x in r.kappa), r.eps))),
         )
         if key(ordered) != key(other):
             details.append(f"modification not confluent on eps={eps} kappa={[k.render() for k in kappa]}")
@@ -903,9 +903,4 @@ def verify_tables(
         if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r} (have {', '.join(sorted(SUITES))}, all)")
         return SUITES[suite](tables)
-    cases = []
-    for run in SUITES.values():
-        rep = run(tables)
-        for c in rep.cases:
-            cases.append(CaseResult(f"{rep.name}: {c.label}", c.ok, c.details))
-    return VerificationReport("all", tuple(cases))
+    return _merged("all", (run(tables) for run in SUITES.values()))

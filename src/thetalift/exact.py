@@ -58,9 +58,9 @@ class Scalar:
     ``Scalar(re, im, bre, bim, den=1)`` is (re + im*i + (bre + bim*i)*b)/den
     for ints or Fractions re, im, bre, bim and a nonzero int den.  The
     value is stored as one tuple of ints (bre, bim, re, im, den) in lowest
-    terms with den > 0, in sort-key order.  Scalars are immutable and
-    totally ordered by ``sort_key``; ``.re``, ``.im``, ``.bre`` and
-    ``.bim`` give the coefficients as Fractions.
+    terms with den > 0, in comparison order.  Scalars are immutable and
+    totally ordered, lexicographically on (bre, bim, re, im); ``.re``,
+    ``.im``, ``.bre`` and ``.bim`` give the coefficients as Fractions.
     """
 
     __slots__ = ("_v",)
@@ -240,17 +240,12 @@ class Scalar:
 
     # -- canonical form --------------------------------------------------
 
-    def sort_key(self) -> "Scalar":
-        """The canonical order: lexicographic on (bre, bim, re, im).
-        Scalars compare in this order themselves, so the key is self."""
-        return self
-
     def normalized_sign(self) -> "Scalar":
-        """The representative of {s, -s} whose sort key is maximal >= 0.
+        """The larger of s and -s in the scalar order.
 
         For concrete values this is: re > 0 keeps, re < 0 negates, and
         re = 0 forces im >= 0.  A formal part wins over the concrete part.
-        The sign is that of the first nonzero sort-key entry.
+        The sign is that of the first nonzero entry of (bre, bim, re, im).
         """
         bre, bim, re, im, _ = self._v
         return self if (bre or bim or re or im) >= 0 else -self
@@ -331,7 +326,7 @@ class InfChar:
     """An infinitesimal character: a canonically ordered multiset of scalars.
 
     Entries are defined up to permutation and individual sign changes, so
-    the stored form sign-normalizes every entry and sorts by sort_key.
+    the stored form sign-normalizes every entry and sorts the entries.
     """
 
     entries: tuple[Scalar, ...]

@@ -44,16 +44,7 @@ from .roots import (
 
 
 class ParamError(ValueError):
-    """Parameters outside the valid space, or text outside the grammar.
-
-    Arguments after the message are %-formatted into it when the error is
-    shown, so that a rejection nobody reads costs no rendering.
-    """
-
-    def __str__(self) -> str:
-        if len(self.args) > 1:
-            return self.args[0] % self.args[1:]
-        return super().__str__()
+    """Parameters outside the valid space, or text outside the grammar."""
 
 
 def _check_signs(seq: Iterable[int], what: str) -> None:
@@ -179,7 +170,7 @@ def _validate_psi(psi: PositiveSystem, kind: GroupKind, lam: tuple[int, ...]) ->
     if not contains_delta_c_plus(psi):
         raise ParamError("Psi must contain the compact positives")
     if not check_dominance_f1(lam, psi):
-        raise ParamError("lam=%s is not (F-1)-dominant for Psi=%s", lam, psi)
+        raise ParamError(f"lam={lam} is not (F-1)-dominant for Psi={psi}")
 
 
 def validate_sp(params: SpParams) -> None:

@@ -311,15 +311,12 @@ class LiftTable:
 
 @dataclass(frozen=True)
 class TableSet:
-    theta1: LiftTable
-    theta2: LiftTable
-    theta3: LiftTable
-    theta4: LiftTable
+    lifts: Mapping[int, LiftTable]
     appendix_c: tuple[LktRow, ...]
     source: str
 
     def theta(self, n: int) -> LiftTable:
-        table = {1: self.theta1, 2: self.theta2, 3: self.theta3, 4: self.theta4}.get(n)
+        table = self.lifts.get(n)
         if table is None:
             raise TableError(f"no lift table for rank {n}")
         return table
@@ -407,7 +404,7 @@ def load_tables(table_dir: "str | Path | None" = None) -> TableSet:
     if key not in _CACHE:
         lifts = {n: LiftTable.of(_load_rows(root / name, _lift_row)) for n, name in THETA_FILES.items()}
         appendix = _load_rows(root / APPENDIX_FILE, _lkt_row)
-        _CACHE[key] = TableSet(lifts[1], lifts[2], lifts[3], lifts[4], appendix, key)
+        _CACHE[key] = TableSet(lifts, appendix, key)
     if root.is_absolute():
         _BY_REQUEST[request] = _CACHE[key]
     return _CACHE[key]
@@ -628,7 +625,7 @@ def _occurrence(pi: OParams, tables: TableSet) -> int:
         return 4
     if pi.xi == -1 or (pi.zeta == -1 and any(e == 1 and kap.is_zero for e, kap in zip(pi.eps, pi.kappa))):
         return 3
-    return 1 if matching_rows(tables.theta1, pi) else 2
+    return 1 if matching_rows(tables.theta(1), pi) else 2
 
 
 def first_occurrence(pi: OParams, tables: Optional[TableSet] = None) -> int:

@@ -148,6 +148,19 @@ def test_enumerate_substitutes_beta(capsys, beta, count):
     assert out.splitlines()[0] == f"{count} parameters"
 
 
+@pytest.mark.parametrize(
+    "plain,printed,beta",
+    [("0,1,2", "(0,1,2)", None), ("b,0,1", "(b,0,1)", "1/2"), ("b,0,1", " ( b, 0,1 ) ", "generic")],
+)
+def test_enumerate_reads_the_infchar_it_prints(capsys, plain, printed, beta):
+    """``--infchar`` takes the parenthesized text ``infchar`` prints as well
+    as the bare comma-separated entries, with the same output."""
+    extra = [] if beta is None else ["--beta", beta]
+    want = run(capsys, ["enumerate", "--n", "3", "--infchar", plain, *extra])
+    got = run(capsys, ["enumerate", "--n", "3", "--infchar", printed, *extra])
+    assert want[0] == 0 and got == want
+
+
 def test_enumerate_reaches_rank_seven(capsys):
     """Rank 7 is the enumerate cap; an all-zero character keeps its census
     small, down to the two rank-7 discrete series limits."""

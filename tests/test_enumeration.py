@@ -18,6 +18,7 @@ from thetalift.enumeration import (
     BETA_GRID,
     EXCEPTIONAL_THETA3_INPUT,
     EXCEPTIONAL_THETA3_OTHER,
+    SUITES,
     beta_scalar,
     enumerate_o_reps,
     enumerate_sp_reps,
@@ -242,7 +243,7 @@ def test_o_construction_equals_generate_and_filter_on_pool_grid(sig):
     grid = [Scalar.of(x) for x in POOL_GRID]
     chis = {InfChar.of(pair) for pair in combinations_with_replacement(grid, 2)}
     total = 0
-    for chi in sorted(chis, key=lambda c: [x.sort_key() for x in c.entries]):
+    for chi in sorted(chis, key=lambda c: c.entries):
         got = enumerate_o_reps(*sig, chi)
         assert got == reference_o_reps(*sig, chi), chi.render()
         total += len(got)
@@ -480,6 +481,21 @@ def test_verify_tables_all_is_green():
     assert rep.ok, rep.render()
     text = json.dumps(rep.to_json(), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_SHA256
+
+
+def test_verify_all_merges_the_suites_in_order():
+    """The ``all`` report is every suite's report, in ``SUITES`` order, each
+    label prefixed with the name of the suite's report."""
+    tables = load_tables()
+    want = []
+    for run in SUITES.values():
+        rep = run(tables)
+        want += [
+            {"label": f"{rep.name}: {c['label']}", "ok": c["ok"], "details": c["details"]}
+            for c in rep.to_json()["cases"]
+        ]
+    got = verify_tables("all", tables).to_json()
+    assert got == {"name": "all", "ok": all(c["ok"] for c in want), "cases": want}
 
 
 def test_oracle_ignores_hash_seed_and_optimize_flag():

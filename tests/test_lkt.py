@@ -128,7 +128,7 @@ def _census_lkt_lines(before_each=lambda: None) -> list[str]:
     grid = [Scalar.of(x) for x in (0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2))] + [GENERIC_B]
     chis = sorted(
         {InfChar.of(pair) for pair in combinations_with_replacement(grid, 2)},
-        key=lambda c: [x.sort_key() for x in c.entries],
+        key=lambda c: c.entries,
     )
     lines = []
     for p, q in ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4)):

@@ -139,8 +139,8 @@ def test_deleted_lift_row_breaks_coverage(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     tables = load_tables(dest)
     pi = parse_o("pi_{1}((2,0;),1,{e1+e2,e1-e2},0,0,0,0)")
-    assert lookup_lift(load_tables().theta2, pi) is not None
-    assert lookup_lift(tables.theta2, pi) is None
+    assert lookup_lift(load_tables().theta(2), pi) is not None
+    assert lookup_lift(tables.theta(2), pi) is None
 
 
 def test_malformed_row_raises(tmp_path):

@@ -480,7 +480,7 @@ def test_lookup_is_exhaustive_over_rank2_bases():
             for pi in enumerate_o_reps(p, q, InfChar.of(entries)):
                 if first_occurrence(pi, tables) <= 2:
                     count += 1
-                    assert lookup_lift(tables.theta2, pi) is not None
+                    assert lookup_lift(tables.theta(2), pi) is not None
     assert count > 20
 
 

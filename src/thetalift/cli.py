@@ -34,7 +34,6 @@ from .enumeration import (
 )
 from .ktypes import parse_oktype, parse_uktype, phi_n, phi_pq
 from .langlands import (
-    ParamError,
     SpParams,
     infchar_o,
     infchar_sp,
@@ -47,7 +46,6 @@ from .langlands import (
 )
 from .lkt import lowest_ktypes_o, lowest_ktypes_sp
 from .theta import (
-    TableError,
     ThetaError,
     first_occurrence,
     load_tables,
@@ -153,6 +151,8 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.n < 0:
+        raise ValueError(f"rank n must be nonnegative, got {args.n}")
     if args.n > MAX_ENUMERATE_RANK:
         raise ValueError(f"enumerate supports ranks n <= {MAX_ENUMERATE_RANK}, got {args.n}")
     chi = parse_infchar(args.infchar)
@@ -307,7 +307,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (ParamError, ThetaError, TableError, ValueError, ZeroDivisionError) as err:
+    except (ValueError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -429,7 +429,7 @@ _SIGS = _SUPPORTED
 _ALL_SIGS = _SUPPORTED + _SWAPPED
 
 # Scalar sample grid for continuous slots.
-_SCALAR_GRID: tuple = (0, 1, -1, 2, 5, Q(1, 2), "generic")
+_SCALAR_GRID = tuple(map(beta_scalar, (0, 1, -1, 2, 5, Q(1, 2), "generic")))
 _INT_GRID = (0, 1, 2, 3, 4)
 _SIGN_GRID = (1, -1)
 
@@ -437,21 +437,9 @@ _SIGN_GRID = (1, -1)
 def _pattern_samples(pattern, cond: Condition) -> list[dict]:
     """Sample variable assignments for a table row, cond-filtered."""
     names = sorted(pattern.var_names())
-    grids = []
-    for name in names:
-        if name in _INT_VARS:
-            grids.append(_INT_GRID)
-        elif name in _SIGN_VARS:
-            grids.append(_SIGN_GRID)
-        else:
-            grids.append(_SCALAR_GRID)
-    out = []
-    for combo in product(*grids):
-        env = {name: (val if name in _INT_VARS or name in _SIGN_VARS else beta_scalar(val))
-               for name, val in zip(names, combo)}
-        if cond_eval(cond, env):
-            out.append(env)
-    return out
+    grids = [_INT_GRID if n in _INT_VARS else _SIGN_GRID if n in _SIGN_VARS else _SCALAR_GRID for n in names]
+    envs = (dict(zip(names, combo)) for combo in product(*grids))
+    return [env for env in envs if cond_eval(cond, env)]
 
 
 def _instantiated_row_cases(rows) -> list[tuple[int, OParams, SpParams]]:
@@ -474,16 +462,16 @@ def suite_theta12(tables: TableSet) -> VerificationReport:
     the table covers every enumerated parameter with early occurrence."""
     cases = []
     for rank in (1, 2):
-        rows = tables.theta(rank)
+        table = tables.theta(rank)
         seen: set = set()
         details: list[str] = []
         count = 0
-        for line, pi, want in _instantiated_row_cases(rows):
+        for line, pi, want in _instantiated_row_cases(table.rows):
             if pi in seen:
                 continue
             seen.add(pi)
             count += 1
-            hits = matching_rows(rows, pi)
+            hits = matching_rows(table, pi)
             if len(hits) != 1:
                 details.append(
                     f"line {line}: {render_o(pi)} matches {len(hits)} rows, expected exactly 1"
@@ -548,7 +536,7 @@ def suite_theta3(tables: TableSet) -> VerificationReport:
     details_class: list[str] = []
     count = 0
     exceptional_seen = 0
-    for line, pi, want in _instantiated_row_cases(tables.theta(3)):
+    for line, pi, want in _instantiated_row_cases(tables.theta(3).rows):
         count += 1
         n0 = first_occurrence(pi, tables)
         if n0 != 3:
@@ -586,10 +574,11 @@ def suite_theta3(tables: TableSet) -> VerificationReport:
             )
 
         # the lift lives in the classification table at its own beta
-        entries = list(chi.entries)
-        for v in (Scalar.of(0), Scalar.of(1)):
-            entries.remove(v)
-        beta = entries[0]
+        rest = Counter(chi.entries) - Counter((Scalar.of(0), Scalar.of(1)))
+        if sum(rest.values()) != 1:
+            details_class.append(f"line {line}: character {chi.render()} of {render_sp(want)} lacks 0 or 1")
+            continue
+        (beta,) = rest
         table_lkts = appendix_rows_at(tables, beta).get(want)
         if table_lkts is None:
             details_class.append(f"line {line}: {render_sp(want)} missing at b={beta.render()}")
@@ -663,7 +652,7 @@ def suite_appendix_c(tables: TableSet) -> VerificationReport:
     return _merged("appendix-c", (regenerate_appendix_c(beta, tables) for beta in BETA_GRID))
 
 
-def _prop_samples(tables: TableSet) -> list[OParams]:
+def _prop_samples() -> list[OParams]:
     out = [trivial_o(p, q) for p, q in _ALL_SIGS]
     out += [det_o(p, q) for p, q in _ALL_SIGS]
     out += [
@@ -720,7 +709,7 @@ def suite_props(tables: TableSet) -> VerificationReport:
     identities, norm agreement with the root-system oracle, joint-harmonics
     round trips, and parse/render round trips."""
     rng = random.Random(_PROPS_SEED)
-    samples = _prop_samples(tables)
+    samples = _prop_samples()
 
     details: list[str] = []
     pairs = 0
@@ -894,6 +883,16 @@ SUITES = {
 }
 
 
+def _run_suite(name: str, tables: TableSet) -> VerificationReport:
+    """Run one suite; a table, lift or parameter error it raises (a table edit
+    that leaves a parameter with no row, or two) is its failed case."""
+    try:
+        return SUITES[name](tables)
+    except (TableError, ThetaError, ParamError) as err:
+        label = "suite runs without a table, lift or parameter error"
+        return VerificationReport(name, (CaseResult(label, False, (str(err),)),))
+
+
 def verify_tables(
     suite: str = "all", tables: Optional[TableSet] = None
 ) -> VerificationReport:
@@ -902,5 +901,5 @@ def verify_tables(
     if suite != "all":
         if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r} (have {', '.join(sorted(SUITES))}, all)")
-        return SUITES[suite](tables)
-    return _merged("all", (run(tables) for run in SUITES.values()))
+        return _run_suite(suite, tables)
+    return _merged("all", (_run_suite(name, tables) for name in SUITES))

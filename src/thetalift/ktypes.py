@@ -5,7 +5,9 @@ nonnegative weakly decreasing tuple of width floor(p/2) plus a sign; the
 sign is normalized to +1 whenever it carries no information (p even with
 no zero entry, or p = 0).  The correspondence maps phi_n / phi_pq between
 the two families follow the explicit occurrence criteria in the space of
-joint harmonics.
+joint harmonics.  phi_n is built on the U(p)-transfer of each factor
+(``u_from_o``, inverted by ``o_from_u``); ``degree_o`` keeps its own closed
+form, so that comparing it with the degree of phi_n checks the transfer.
 """
 
 from __future__ import annotations
@@ -212,24 +214,18 @@ def degree_u(sigma_prime: UKType, p_minus_q: int) -> int:
 
 def phi_n(sigma: OKType, p: int, q: int, n: int) -> Optional[UKType]:
     """The U(n)-type paired with sigma in the joint harmonics, or None
-    when sigma does not occur at this n."""
+    when sigma does not occur at this n: the nonzero weights of the left
+    factor's U(p)-transfer, then zeros, then the negated nonzero weights of
+    the right factor's U(q)-transfer in reverse, all shifted by (p-q)/2."""
     if (sigma.p, sigma.q) != (p, q):
         raise ValueError("signature mismatch")
-    x, y = sigma.left.nonzero_count, sigma.right.nonzero_count
-    c1 = (1 - sigma.left.sign) // 2 * (p - 2 * x)
-    c2 = (1 - sigma.right.sign) // 2 * (q - 2 * y)
-    mid = n - x - y - c1 - c2
+    left = [a for a in u_from_o(sigma.left).weights if a]
+    right = [-a for a in reversed(u_from_o(sigma.right).weights) if a]
+    mid = n - len(left) - len(right)
     if mid < 0:
         return None
     h = (p - q) // 2
-    body = (
-        [e for e in sigma.left.entries if e != 0]
-        + [1] * c1
-        + [0] * mid
-        + [-1] * c2
-        + [-e for e in reversed(sigma.right.entries) if e != 0]
-    )
-    return UKType.of(a + h for a in body)
+    return UKType.of(a + h for a in left + [0] * mid + right)
 
 
 def phi_pq(sigma_prime: UKType, p: int, q: int) -> Optional[OKType]:
@@ -253,18 +249,16 @@ def phi_pq(sigma_prime: UKType, p: int, q: int) -> Optional[OKType]:
 
 def sigma_one_one(sigma: OKType, p: int, q: int) -> OKType:
     """The K-type of O(p+1) x O(q+1) induced by adding one harmonic
-    variable on each side: append (1-sign)/2 after the nonzero entries,
-    then renormalize the signs."""
+    variable on each side: each factor's U-transfer with one more zero,
+    mapped back to an orthogonal factor."""
     if (sigma.p, sigma.q) != (p, q):
         raise ValueError("signature mismatch")
 
     def lift(factor: OFactor) -> OFactor:
-        width = (factor.p + 1) // 2
-        body = [e for e in factor.entries if e != 0] + [(1 - factor.sign) // 2]
-        body += [0] * (factor.p // 2 + 1 - len(body))
-        if any(body[width:]):
+        lifted = o_from_u(UKType(u_from_o(factor).weights + (0,)), factor.p + 1)
+        if lifted is None:
             raise AssertionError("sigma_one_one dropped a nonzero entry")
-        return OFactor.of(factor.p + 1, body[:width], factor.sign)
+        return lifted
 
     return OKType(lift(sigma.left), lift(sigma.right))
 

@@ -45,7 +45,7 @@ def _block_values(vec: Sequence[int]) -> list[int]:
 def _pos_value_data(entries: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
     """Distinct positive magnitudes of the discrete datum with cumulative
     counts of the positive (k-tilde) and negative (l-tilde) entries."""
-    vals = sorted({abs(x) for x in entries if x != 0}, reverse=True)
+    vals = _block_values(entries)
     ktil, ltil, kc, lc = [], [], 0, 0
     for a in vals:
         kc += entries.count(a)
@@ -120,10 +120,10 @@ def _sp_blocks(
     v = len(lam)
     lam2 = tuple(sorted([2 * x for x in lam] + list(mu) + [0] * t + [-m for m in mu], reverse=True))
     base2 = tuple(x + s for x, s in zip(lam2, twice_rho_shift(lam2, SpKind(len(lam2)))))
-    # positive minus negative entries of lam_a; the +-mu/2 pairs cancel
-    u_minus_r = sum(1 for x in lam if x > 0) - sum(1 for x in lam if x < 0)
     avals, ktil, ltil = _pos_value_data(lam)
-    k, z = (ktil[-1] if ktil else 0), lam.count(0)
+    k, neg = (ktil[-1], ltil[-1]) if ktil else (0, 0)
+    # positive minus negative entries of lam_a; the +-mu/2 pairs cancel
+    u_minus_r, z = k - neg, lam.count(0)
     by_values = _delta_options(
         lam2,
         base2,

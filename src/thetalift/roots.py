@@ -156,16 +156,27 @@ def pairing(vec: Sequence[Q | int], root: Root) -> Q | int:
     return sum(v * c for v, c in zip(vec, root))
 
 
+# A root as (i, ci, j, cj): it pairs with a vector v as v[i]*ci + v[j]*cj.
+# A root with one nonzero entry has j = i and cj = 0.
+Term = tuple[int, int, int, int]
+
+
+def _term(root: Root) -> Term:
+    nz = [(i, c) for i, c in enumerate(root) if c]
+    (i, ci), (j, cj) = nz if len(nz) == 2 else nz + [(nz[0][0], 0)]
+    return i, ci, j, cj
+
+
 @functools.cache
-def _rho_shift_terms(kind: GroupKind) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """(sign, nonzero (index, coef) terms) of every weight the rho shift
-    counts: +1 for the weights of p, -1 for the compact roots.  The short
-    roots of an odd frame are in both and cancel, so they are left out."""
+def _rho_shift_terms(kind: GroupKind) -> tuple[tuple[int, Term], ...]:
+    """(sign, term) of every weight the rho shift counts: +1 for the
+    weights of p, -1 for the compact roots.  The short roots of an odd
+    frame are in both and cancel, so they are left out."""
     noncompact, compact = noncompact_weights(kind), compact_roots(kind)
     both = set(noncompact) & set(compact)
     signed = [(1, w) for w in noncompact if w not in both]
     signed += [(-1, r) for r in compact if r not in both]
-    return tuple((sign, tuple((i, c) for i, c in enumerate(w) if c)) for sign, w in signed)
+    return tuple((sign, _term(w)) for sign, w in signed)
 
 
 def twice_rho_shift(ivec: Sequence[int], kind: GroupKind) -> list[int]:
@@ -173,19 +184,12 @@ def twice_rho_shift(ivec: Sequence[int], kind: GroupKind) -> list[int]:
     integer vector ``ivec``.
 
     u collects the weights strictly positive on ``ivec``, so any positive
-    multiple of a vector defines the same shift.  Every weight has one or
-    two nonzero terms, and the loop spells both cases out."""
+    multiple of a vector defines the same shift."""
     twice = [0] * kind.dim
-    for sign, terms in _rho_shift_terms(kind):
-        if len(terms) == 2:
-            (i, ci), (j, cj) = terms
-            if ivec[i] * ci + ivec[j] * cj > 0:
-                twice[i] += sign * ci
-                twice[j] += sign * cj
-        else:
-            ((i, ci),) = terms
-            if ivec[i] * ci > 0:
-                twice[i] += sign * ci
+    for sign, (i, ci, j, cj) in _rho_shift_terms(kind):
+        if ivec[i] * ci + ivec[j] * cj > 0:
+            twice[i] += sign * ci
+            twice[j] += sign * cj
     return twice
 
 
@@ -348,17 +352,6 @@ def simple_members(psi: PositiveSystem) -> tuple[Root, ...]:
     """Members of Psi that are not a sum of two members of Psi."""
     sums = _sums_within(psi.kind, psi.roots)
     return tuple(r for r in psi.roots if r not in sums)
-
-
-# A root as (i, ci, j, cj): it pairs with a vector v as v[i]*ci + v[j]*cj.
-# A root with one nonzero entry has j = i and cj = 0.
-Term = tuple[int, int, int, int]
-
-
-def _term(root: Root) -> Term:
-    nz = [(i, c) for i, c in enumerate(root) if c]
-    (i, ci), (j, cj) = nz if len(nz) == 2 else nz + [(nz[0][0], 0)]
-    return i, ci, j, cj
 
 
 @functools.lru_cache(maxsize=1024)

@@ -242,10 +242,8 @@ def parse_cond(text: str) -> Condition:
     return Condition(text, tuple(_parse_atom(atom.strip()) for atom in text.split("&")))
 
 
-def cond_eval(cond: "Condition | str", env: Env) -> bool:
-    """Whether the condition holds under ``env``; text is parsed first."""
-    if isinstance(cond, str):
-        cond = parse_cond(cond)
+def cond_eval(cond: Condition, env: Env) -> bool:
+    """Whether the condition holds under ``env``."""
     return all(atom(env) for atom in cond.atoms)
 
 
@@ -297,12 +295,6 @@ class LiftTable:
         for row in rows:
             groups.setdefault(_shape(row.pattern), []).append(row)
         return LiftTable(rows, {key: tuple(group) for key, group in groups.items()})
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
     def rows_for(self, pi: OParams) -> tuple[LiftRow, ...]:
         """The rows whose pattern has the shape of pi."""

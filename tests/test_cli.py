@@ -268,12 +268,19 @@ def test_table_dir_flag_accepts_a_copy(capsys, tmp_path):
 DROPPED_ROW_PARAMS = "pi_{1}((2,0;),1,{e1+e2,e1-e2},0,0,0,0)"
 
 
-def _copy_without_row(dest: Path) -> Path:
+def _copy_with_edit(dest: Path, name: str, edit) -> Path:
     shutil.copytree(TABLE_DIR, dest)
-    path = dest / "theta2.tbl"
-    kept = [l for l in path.read_text().splitlines() if "pi((m,l)" not in l.replace(" ", "")]
-    path.write_text("\n".join(kept) + "\n")
+    path = dest / name
+    path.write_text(edit(path.read_text()))
     return dest
+
+
+def _copy_without_row(dest: Path) -> Path:
+    def drop(text: str) -> str:
+        kept = [l for l in text.splitlines() if "pi((m,l)" not in l.replace(" ", "")]
+        return "\n".join(kept) + "\n"
+
+    return _copy_with_edit(dest, "theta2.tbl", drop)
 
 
 def test_relative_table_dir_follows_the_working_directory(capsys, tmp_path, monkeypatch):
@@ -287,6 +294,65 @@ def test_relative_table_dir_follows_the_working_directory(capsys, tmp_path, monk
         monkeypatch.chdir(tmp_path / "cut")
         code, _, err = run(capsys, argv)
         assert code == 2 and "no rank-2 table row matches" in err
+
+
+def _duplicate_row(text: str) -> str:
+    """theta2.tbl with the (m,l) row appended again under m>=l, so that
+    the m>l inputs match two rows."""
+    row = next(l for l in text.splitlines() if "pi_{1}((m,l;)" in l)
+    return text + row.replace("; m>l", "; m>=l") + "\n"
+
+
+# Table edits that leave a parameter without a rank-2 row, or with two:
+# verify reports each as a failed check (exit 1), naming the parameter.
+_LIFT_ROW_DEFECTS = {
+    "deleted": (
+        _copy_without_row,
+        "no rank-2 table row matches pi_{1}((1,0;),1,{e1+e2,e1-e2},0,0,0,0) @ O(4,0)",
+    ),
+    "duplicated": (
+        lambda dest: _copy_with_edit(dest, "theta2.tbl", _duplicate_row),
+        "pi_{1}((1,0;),1,{e1+e2,e1-e2},0,0,0,0) @ O(4,0) matches rows at lines 9, 25; "
+        "rows must be exclusive",
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", ["theta12", "props", "all"])
+@pytest.mark.parametrize("defect", sorted(_LIFT_ROW_DEFECTS))
+def test_verify_reports_a_lift_row_defect(capsys, tmp_path, defect, suite):
+    make, message = _LIFT_ROW_DEFECTS[defect]
+    dest = make(tmp_path / "tables")
+    code, out, err = run(capsys, ["--table-dir", str(dest), "verify", "--suite", suite])
+    assert (code, err) == (1, "")
+    assert "FAIL  " in out and f"    {message}" in out.splitlines()
+
+
+def test_verify_reports_a_rank3_template_off_the_classification(capsys, tmp_path):
+    """A theta3 template whose character lacks 1 is a classification
+    failure, not a crash."""
+    row = "pi_{-1}((m;),1,{},0,0,(1),(0)) => pi((m),{2e1},(1),(1),0,0) ; m>=1"
+    dest = _copy_with_edit(
+        tmp_path / "tables", "theta3.tbl", lambda text: text.replace(row, row.replace("(1),(1)", "(1),(3)"))
+    )
+    code, out, err = run(capsys, ["--table-dir", str(dest), "verify", "--suite", "theta3"])
+    assert (code, err) == (1, "")
+    assert "FAIL  each rank-3 lift appears in the classification table" in out
+    assert "    line 21: character (1,1,2) of pi((1),{2e1},(1),(3),0,0) lacks 0 or 1" in out
+
+
+def test_verify_reports_a_wrong_determinant_lift(capsys, tmp_path):
+    row = "pi_{-1}(0,1,{},0,0,(1,1),(0,1)) => pi(0,{},(1,1),(1,3),0,0) ; true"
+    dest = _copy_with_edit(
+        tmp_path / "tables", "theta4.tbl", lambda text: text.replace(row, row.replace("(1,3)", "(1,5)"))
+    )
+    code, out, err = run(capsys, ["--table-dir", str(dest), "verify", "--suite", "theta4"])
+    assert (code, err) == (1, "")
+    assert "FAIL  determinant lifts match their frozen values" in out
+    assert (
+        "    det O(2,2): rank-4 lift pi(0,{},(1,1),(1,5),0,0) expected pi(0,{},(1,1),(1,3),0,0)"
+        in out
+    )
 
 
 @pytest.fixture
@@ -366,6 +432,11 @@ def test_bad_parameter_text_exits_two(capsys):
 )
 def test_usage_errors_exit_two(capsys, argv):
     assert run(capsys, argv)[0] == 2
+
+
+def test_negative_enumerate_rank_is_named(capsys):
+    code, _, err = run(capsys, ["enumerate", "--n", "-1", "--infchar", ""])
+    assert code == 2 and err == "error: rank n must be nonnegative, got -1\n"
 
 
 def test_bad_signature_exits_two(capsys):

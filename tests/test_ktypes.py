@@ -149,3 +149,61 @@ def test_sigma_one_one():
 def test_sigma_prime_add():
     assert sigma_prime_add(UKType.of((3, 1, -2)), 0) == UKType.of((3, 1, 0, -2))
     assert sigma_prime_add(UKType.of((3, 1)), 4) == UKType.of((4, 3, 1))
+
+
+def _reference_phi_n(sigma, p, q, n):
+    # phi_n with the U-transfer spelled out inline: a sign -1 factor adds
+    # (p - 2x) ones after its x nonzero entries
+    x, y = sigma.left.nonzero_count, sigma.right.nonzero_count
+    c1 = (1 - sigma.left.sign) // 2 * (p - 2 * x)
+    c2 = (1 - sigma.right.sign) // 2 * (q - 2 * y)
+    mid = n - x - y - c1 - c2
+    if mid < 0:
+        return None
+    h = (p - q) // 2
+    body = (
+        [e for e in sigma.left.entries if e != 0]
+        + [1] * c1
+        + [0] * mid
+        + [-1] * c2
+        + [-e for e in reversed(sigma.right.entries) if e != 0]
+    )
+    return UKType.of(a + h for a in body)
+
+
+def _reference_sigma_one_one(sigma, p, q):
+    # append (1-sign)/2 after the nonzero entries, then renormalize the signs
+    def lift(factor):
+        width = (factor.p + 1) // 2
+        body = [e for e in factor.entries if e != 0] + [(1 - factor.sign) // 2]
+        body += [0] * (factor.p // 2 + 1 - len(body))
+        if any(body[width:]):
+            raise AssertionError("sigma_one_one dropped a nonzero entry")
+        return OFactor.of(factor.p + 1, body[:width], factor.sign)
+
+    return OKType(lift(sigma.left), lift(sigma.right))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AssertionError as err:
+        return AssertionError, str(err)
+
+
+def test_transfer_forms_match_the_inline_references():
+    """phi_n and sigma_one_one, built on the U(p) transfer, agree with
+    their inline forms on every O(p) x O(q)-type with p, q <= 5 and entries
+    <= 3, at every n <= 7; an AssertionError counts as an outcome too."""
+    nones = occurs = 0
+    for p in range(6):
+        for q in range(6):
+            for kt in _all_oktypes(p, q, 3):
+                want = _outcome(_reference_sigma_one_one, kt, p, q)
+                assert _outcome(sigma_one_one, kt, p, q) == want, kt.render()
+                for n in range(8):
+                    want = _reference_phi_n(kt, p, q, n)
+                    assert phi_n(kt, p, q, n) == want, (kt.render(), n)
+                    nones += want is None
+                    occurs += want is not None
+    assert nones > 0 and occurs > 0

@@ -44,7 +44,7 @@ def test_table_files_pinned():
 def test_loader_row_counts():
     tables = load_tables()
     for rank, count in ROW_COUNTS.items():
-        assert len(tables.theta(rank)) == count
+        assert len(tables.theta(rank).rows) == count
     assert len(tables.appendix_c) == APPENDIX_ROWS
 
 
@@ -67,7 +67,7 @@ def test_environment_directory_takes_effect_and_reverts(tmp_path, monkeypatch):
 def test_every_lift_row_has_condition_and_sides():
     tables = load_tables()
     for rank in (1, 2, 3, 4):
-        for row in tables.theta(rank):
+        for row in tables.theta(rank).rows:
             assert row.pattern.side == "o"
             assert row.template.side == "sp"
             assert row.cond

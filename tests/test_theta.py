@@ -55,6 +55,7 @@ from thetalift.theta import (
     match_o_pattern,
     matching_rows,
     o_infchar_from_sp,
+    parse_cond,
     row_lift,
     theta_n,
 )
@@ -101,34 +102,34 @@ def test_expr_bind_solves_and_type_checks():
 
 def test_cond_atoms():
     env = {"m": 3, "s1": -1, "c1": Scalar.of(0), "b": Scalar.of(Q(1, 2)), "l": 1}
-    assert cond_eval("true", env)
-    assert cond_eval("m>=1 & m>l", env)
-    assert not cond_eval("m>=4", env)
-    assert cond_eval("pair(s1,c1)!=(1,0)", env)
-    assert not cond_eval("pair(s1,c1)!=(-1,0)", env)
-    assert cond_eval("b notin {0,1,-1}", env)
-    assert not cond_eval("m notin {3}", env)
-    assert not cond_eval("b int", env)
-    assert cond_eval("m int & m odd", env)
-    assert not cond_eval("m even", env)
-    assert cond_eval("m=3", env)
-    assert cond_eval("b!=1", env)
+    assert cond_eval(parse_cond("true"), env)
+    assert cond_eval(parse_cond("m>=1 & m>l"), env)
+    assert not cond_eval(parse_cond("m>=4"), env)
+    assert cond_eval(parse_cond("pair(s1,c1)!=(1,0)"), env)
+    assert not cond_eval(parse_cond("pair(s1,c1)!=(-1,0)"), env)
+    assert cond_eval(parse_cond("b notin {0,1,-1}"), env)
+    assert not cond_eval(parse_cond("m notin {3}"), env)
+    assert not cond_eval(parse_cond("b int"), env)
+    assert cond_eval(parse_cond("m int & m odd"), env)
+    assert not cond_eval(parse_cond("m even"), env)
+    assert cond_eval(parse_cond("m=3"), env)
+    assert cond_eval(parse_cond("b!=1"), env)
 
 
 def test_cond_symbolic_scalars_are_generic():
     env = {"c1": GENERIC_B}
-    assert not cond_eval("c1 int", env)
-    assert not cond_eval("c1>=1", env)
-    assert not cond_eval("c1=2", env)
-    assert cond_eval("c1!=2", env)
-    assert cond_eval("c1 notin {0,1,-1}", env)
+    assert not cond_eval(parse_cond("c1 int"), env)
+    assert not cond_eval(parse_cond("c1>=1"), env)
+    assert not cond_eval(parse_cond("c1=2"), env)
+    assert cond_eval(parse_cond("c1!=2"), env)
+    assert cond_eval(parse_cond("c1 notin {0,1,-1}"), env)
 
 
 def test_cond_unknown_atom_and_unbound_variable():
     with pytest.raises(TableError):
-        cond_eval("m ~ 3", {"m": 1})
+        cond_eval(parse_cond("m ~ 3"), {"m": 1})
     with pytest.raises(TableError):
-        cond_eval("m>=1", {})
+        cond_eval(parse_cond("m>=1"), {})
 
 
 # -- patterns ----------------------------------------------------------------
@@ -621,7 +622,7 @@ def test_matching_by_binding_equals_instantiating_match():
     tables = load_tables()
     bindings = 0
     for rank in (1, 2, 3, 4):
-        for row in tables.theta(rank):
+        for row in tables.theta(rank).rows:
             for pi in params:
                 envs = match_o_pattern(row.pattern, pi)
                 assert envs == _instantiating_match(row.pattern, pi), (rank, row.line, render_o(pi))

@@ -305,15 +305,21 @@ def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
     return _census(candidates(), entries, validate_o, infchar_o, render_o)
 
 
+def _census_by_lkts(n: int, chi: InfChar) -> dict[frozenset, tuple[SpParams, ...]]:
+    """The rank-n parameters with infinitesimal character chi grouped by
+    their lowest K-type set, each group in census order."""
+    groups: dict[frozenset, list[SpParams]] = {}
+    for pi in enumerate_sp_reps(n, chi):
+        groups.setdefault(frozenset(lowest_ktypes_sp(pi)), []).append(pi)
+    return {lkts: tuple(members) for lkts, members in groups.items()}
+
+
 def verify_unique_by_invariants(
     n: int, chi: InfChar, lkts: Iterable[UKType]
 ) -> tuple[SpParams, ...]:
     """All rank-n parameters with the given infinitesimal character whose
     lowest K-type set equals ``lkts``."""
-    want = frozenset(lkts)
-    return tuple(
-        pi for pi in enumerate_sp_reps(n, chi) if frozenset(lowest_ktypes_sp(pi)) == want
-    )
+    return _census_by_lkts(n, chi).get(frozenset(lkts), ())
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +361,20 @@ class VerificationReport:
                 {"label": c.label, "ok": c.ok, "details": list(c.details)} for c in self.cases
             ],
         }
+
+
+def _once(fn: Callable) -> Callable:
+    """``fn`` computing each distinct argument tuple once for as long as the
+    returned function lives.  A suite makes its own on each run, so that no
+    answer outlives the tables it was built from."""
+    memo: dict = {}
+
+    def call(*args):
+        if args not in memo:
+            memo[args] = fn(*args)
+        return memo[args]
+
+    return call
 
 
 def _case(label: str, details: list[str]) -> CaseResult:
@@ -536,6 +556,8 @@ def suite_theta3(tables: TableSet) -> VerificationReport:
     details_class: list[str] = []
     count = 0
     exceptional_seen = 0
+    census_by_lkts = _once(_census_by_lkts)
+    rows_at = _once(partial(appendix_rows_at, tables))
     for line, pi, want in _instantiated_row_cases(tables.theta(3).rows):
         count += 1
         n0 = first_occurrence(pi, tables)
@@ -557,7 +579,7 @@ def suite_theta3(tables: TableSet) -> VerificationReport:
 
         chi = infchar_sp(want)
         lkts = frozenset(lowest_ktypes_sp(want))
-        same = verify_unique_by_invariants(3, chi, lkts)
+        same = census_by_lkts(3, chi).get(lkts, ())
         if pi == EXCEPTIONAL_THETA3_INPUT:
             exceptional_seen += 1
             expect = {want, EXCEPTIONAL_THETA3_OTHER}
@@ -579,7 +601,7 @@ def suite_theta3(tables: TableSet) -> VerificationReport:
             details_class.append(f"line {line}: character {chi.render()} of {render_sp(want)} lacks 0 or 1")
             continue
         (beta,) = rest
-        table_lkts = appendix_rows_at(tables, beta).get(want)
+        table_lkts = rows_at(beta).get(want)
         if table_lkts is None:
             details_class.append(f"line {line}: {render_sp(want)} missing at b={beta.render()}")
         elif table_lkts != lkts:
@@ -609,6 +631,7 @@ def suite_theta4(tables: TableSet) -> VerificationReport:
     }
     details: list[str] = []
     details_unique: list[str] = []
+    census_by_lkts = _once(_census_by_lkts)
     for (p, q), want in frozen.items():
         de = det_o(p, q)
         if first_occurrence(de, tables) != 4:
@@ -620,7 +643,7 @@ def suite_theta4(tables: TableSet) -> VerificationReport:
         if got.is_zero or got.params != want:
             details.append(f"det O({p},{q}): rank-4 lift {got.render()} expected {render_sp(want)}")
             continue
-        same = verify_unique_by_invariants(4, infchar_sp(want), lowest_ktypes_sp(want))
+        same = census_by_lkts(4, infchar_sp(want)).get(frozenset(lowest_ktypes_sp(want)), ())
         if same != (want,):
             details_unique.append(
                 f"det O({p},{q}): invariants select {[render_sp(x) for x in same]}"
@@ -695,8 +718,33 @@ def _all_ofactors(p: int, bound: int) -> list[OFactor]:
     return sorted(factors, key=lambda f: (f.entries, f.sign))
 
 
-def _all_uktypes(n: int, bound: int) -> list[UKType]:
-    return [UKType.of(w) for w in combinations_with_replacement(range(bound, -bound - 1, -1), n)]
+def _occurring_uktypes(n: int, p: int, q: int, bound: int) -> list[UKType]:
+    """The U(n)-types with weights in [-bound, bound] that occur in the
+    joint harmonics of O(p,q), in decreasing order of their weights.  They
+    are built from the occurrence count, not taken from the image of phi_n:
+    shifted to c = w - (p-q)/2, each entry c >= 2 takes two of the p left
+    places and each c = 1 one, and likewise c <= -2 and c = -1 of the q
+    right places."""
+    h = (p - q) // 2
+
+    def sides(top: int, room: int) -> list[tuple[int, ...]]:
+        # weakly decreasing magnitudes in [1, top] that fit in ``room`` places
+        return [
+            mags
+            for k in range(min(n, room) + 1)
+            for mags in combinations_with_replacement(range(top, 0, -1), k)
+            if 2 * k - mags.count(1) <= room
+        ]
+
+    out = []
+    for pos in sides(bound - h, p):
+        for neg in sides(bound + h, q):
+            zeros = n - len(pos) - len(neg)
+            if zeros < 0 or (zeros and abs(h) > bound):
+                continue
+            c = pos + (0,) * zeros + tuple(-m for m in reversed(neg))
+            out.append(UKType.of(x + h for x in c))
+    return sorted(out, key=lambda u: u.weights, reverse=True)
 
 
 _PROPS_SEED = 20240817
@@ -710,6 +758,7 @@ def suite_props(tables: TableSet) -> VerificationReport:
     round trips, and parse/render round trips."""
     rng = random.Random(_PROPS_SEED)
     samples = _prop_samples()
+    rows_at = _once(partial(appendix_rows_at, tables))
 
     details: list[str] = []
     pairs = 0
@@ -749,7 +798,7 @@ def suite_props(tables: TableSet) -> VerificationReport:
     details = []
     tried = 0
     for beta in (0, 1, 2, 5):
-        for pi3 in appendix_rows_at(tables, Scalar.of(beta)):
+        for pi3 in rows_at(Scalar.of(beta)):
             for (p, q) in _SIGS:
                 try:
                     up = induct_n(pi3, p, q, 1)
@@ -845,19 +894,19 @@ def suite_props(tables: TableSet) -> VerificationReport:
                 if degree_u(prime, p - q) != degree_o(sigma, p, q):
                     details.append(f"phi changed the degree of {sigma.render()} at n={n}")
         for n in range(0, 6):
-            for prime in _all_uktypes(n, 6):
+            for prime in _occurring_uktypes(n, p, q, 6):
+                checked += 1
                 sigma = phi_pq(prime, p, q)
                 if sigma is None:
-                    continue
-                checked += 1
-                if phi_n(sigma, p, q, n) != prime:
+                    details.append(f"phi inverse refused the occurring {prime.render()} O({p},{q})")
+                elif phi_n(sigma, p, q, n) != prime:
                     details.append(f"phi inverse round trip broke at {prime.render()} O({p},{q})")
     case_phi = _case(f"joint-harmonics maps round-trip with equal degree ({checked} cases)", details)
 
     details = []
     seen_params = list(samples)
-    seen_params += list(appendix_rows_at(tables, Scalar.of(2)))
-    seen_params += list(appendix_rows_at(tables, GENERIC_B))
+    seen_params += list(rows_at(Scalar.of(2)))
+    seen_params += list(rows_at(GENERIC_B))
     for pi in seen_params:
         text = render_params(pi)
         if parse_params(text) != pi:

@@ -192,7 +192,11 @@ def lowest_ktypes_o(params: OParams) -> tuple[OKType, ...]:
     form2 = ([0] * x_zeros, [2] * h + [0] * (y_zeros - h))
     if z + z2 == 0:
         eta_forms = [form1] if form1 == form2 else [form1, form2]
-    elif a == 0 or d == 0:
+    elif a == 0:
+        # one side has no discrete datum: the extra 2s go on its zeros, so
+        # that swapping the sides swaps the forms
+        eta_forms = [form1]
+    elif d == 0:
         eta_forms = [form2]
     else:
         root = pair_root(a + d, a - 1, a + d - 1, 1, -1)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as Q
 from functools import partial
 from itertools import combinations, combinations_with_replacement, product
@@ -27,7 +28,7 @@ from thetalift.enumeration import (
     verify_unique_by_invariants,
 )
 from thetalift.exact import GENERIC_B, InfChar, Scalar, parse_infchar
-from thetalift.ktypes import OFactor, UKType
+from thetalift.ktypes import OFactor, UKType, phi_pq
 from thetalift.langlands import (
     OParams,
     ParamError,
@@ -441,13 +442,21 @@ def test_regeneration_report_renders_and_serializes():
 # -- joint-harmonics sample sets --------------------------------------------------
 
 
+@pytest.mark.parametrize("p,q", enumeration._ALL_SIGS)
+def test_occurring_uktypes_are_the_box_filtered_by_phi_pq(p, q):
+    """The U(n)-types built from the occurrence count are exactly those of
+    the weakly decreasing [-6,6]^n box that phi_pq accepts, n <= 5, in the
+    box's decreasing order."""
+    for n in range(6):
+        box = [UKType.of(w) for w in combinations_with_replacement(range(6, -7, -1), n)]
+        want = [u for u in box if phi_pq(u, p, q) is not None]
+        assert enumeration._occurring_uktypes(n, p, q, 6) == want
+
+
 @pytest.mark.parametrize("size", range(6))
 def test_sample_ktype_sets_equal_the_filtered_products(size):
-    """The sample K-types are built directly as weakly decreasing tuples;
+    """The sample O-factors are built directly as weakly decreasing tuples;
     they come out as the filtered full products did, in the same order."""
-    values = range(6, -7, -1)
-    filtered = [UKType.of(w) for w in product(values, repeat=size) if list(w) == sorted(w, reverse=True)]
-    assert enumeration._all_uktypes(size, 6) == filtered
     factors = {
         OFactor.of(size, sorted(c, reverse=True), sign)
         for c in product(range(7), repeat=size // 2)
@@ -465,6 +474,45 @@ def test_verify_tables_runs_a_named_suite():
     labels = [c.label for c in rep.cases]
     assert any("determinant lifts match" in label for label in labels)
     assert any("conservation" in label for label in labels)
+
+
+def test_verify_builds_each_check_input_once(monkeypatch):
+    """In one ``verify_tables("all")`` run each suite builds each (n, chi)
+    census and each b's classification rows at most once, and phi_pq runs
+    once per joint-harmonics case (608 inverse and 760 forward)."""
+    running = [None]
+    calls = Counter()
+
+    def counted(name, key):
+        fn = getattr(enumeration, name)
+
+        def call(*args):
+            calls[name, running[0], key(args)] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(enumeration, name, call)
+
+    counted("enumerate_sp_reps", lambda args: args)
+    counted("enumerate_o_reps", lambda args: args)
+    counted("appendix_rows_at", lambda args: args[1])
+    counted("phi_pq", lambda args: None)
+
+    def tagged(name, run):
+        def call(tables):
+            running[0] = name
+            return run(tables)
+
+        return call
+
+    for name, run in list(SUITES.items()):
+        monkeypatch.setitem(SUITES, name, tagged(name, run))
+    assert verify_tables("all").ok
+    built = Counter((name, suite) for name, suite, _ in calls)
+    assert built["enumerate_sp_reps", "theta3"] and built["appendix_rows_at", "theta3"]
+    assert built["appendix_rows_at", "props"] == 5
+    repeated = [key for key, count in calls.items() if count > 1 and key[0] != "phi_pq"]
+    assert repeated == []
+    assert {key: n for key, n in calls.items() if key[0] == "phi_pq"} == {("phi_pq", "props", None): 1368}
 
 
 def test_verify_tables_rejects_unknown_suites():

@@ -6,7 +6,7 @@ import pytest
 
 from thetalift.enumeration import enumerate_o_reps, enumerate_sp_reps
 from thetalift.exact import GENERIC_B, InfChar, Scalar, parse_infchar
-from thetalift.ktypes import OKType, UKType
+from thetalift.ktypes import OKType, UKType, sigma_one_one
 from thetalift.langlands import (
     _validate_psi,
     _zero_flip_orbit,
@@ -38,6 +38,7 @@ from thetalift.roots import (
     pair_root,
     rho_shift,
 )
+from thetalift.theta import ThetaError, induct_pq, theta_n
 
 
 def test_one_dimensionals_have_one_dimensional_lkt():
@@ -115,6 +116,42 @@ def test_multiplicity_o31():
     assert multiplicity_o31(OKType.of(3, 1, (0,), (), 1, -1), sign_variant=True) == 0
     with pytest.raises(ValueError):
         multiplicity_o31(OKType.of(2, 2, (0,), (0,), 1, 1), sign_variant=False)
+
+
+def test_signature_raising_induction_adds_a_harmonic_variable_to_each_side():
+    """For every pool parameter pi and rank n <= 6 with a nonzero lift that
+    induct_pq accepts, the lowest K-types of induct_pq(pi, n, 1) are
+    sigma_one_one of those of pi."""
+    cases = 0
+    for pi in _o_pool():
+        want = {sigma_one_one(s, pi.p, pi.q) for s in lowest_ktypes_o(pi)}
+        for n in range(7):
+            if theta_n(pi, n).is_zero:
+                continue
+            try:
+                up = induct_pq(pi, n, 1)
+            except ThetaError:
+                continue
+            cases += 1
+            assert set(lowest_ktypes_o(up)) == want, f"{render_o(pi)} at n={n}"
+    assert cases == 310
+
+
+def test_lowest_ktypes_commute_with_the_swap_when_the_discrete_datum_has_a_zero():
+    """Every O(p,q), p+q=6, parameter on the character grid {0,1,2,1/2,b}
+    with a zero in its discrete datum: swap_pq swaps the factors of each
+    lowest K-type, whether the zero is on one side or both."""
+    grid = [Scalar.of(x) for x in (0, 1, 2, Fraction(1, 2))] + [GENERIC_B]
+    checked = 0
+    for p in range(7):
+        for triple in combinations_with_replacement(grid, 3):
+            for pi in enumerate_o_reps(p, 6 - p, InfChar.of(triple)):
+                if 0 not in pi.lam_left + pi.lam_right:
+                    continue
+                checked += 1
+                swapped = {OKType(k.right, k.left) for k in lowest_ktypes_o(pi)}
+                assert set(lowest_ktypes_o(swap_pq(pi))) == swapped, render_o(pi)
+    assert checked == 488
 
 
 # SHA-256 of the rendered ``params lkts`` lines below.  Any change to a
@@ -293,7 +330,9 @@ def reference_lowest_ktypes_o(params):
     form2 = ([Fraction(0)] * x_zeros, [Fraction(1)] * h + [Fraction(0)] * (y_zeros - h))
     if z + z2 == 0:
         eta_forms = [form1] if form1 == form2 else [form1, form2]
-    elif a == 0 or d == 0:
+    elif a == 0:
+        eta_forms = [form1]
+    elif d == 0:
         eta_forms = [form2]
     else:
         root = pair_root(a + d, a - 1, a + d - 1, 1, -1)
@@ -321,15 +360,21 @@ def test_integer_lkt_matches_fraction_reference_on_rank_five_census(text):
         assert lowest_ktypes_sp(pi) == reference_lowest_ktypes_sp(pi), render_sp(pi)
 
 
-def test_integer_lkt_matches_fraction_reference_on_the_o_pool():
+def _o_pool() -> list[OParams]:
+    """Every O(p,q), p+q=4, parameter whose infinitesimal character is a
+    pair from {0,1,2,3,1/2,3/2,b}."""
     grid = [Scalar.of(x) for x in (0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2))] + [GENERIC_B]
     chis = {InfChar.of(pair) for pair in combinations_with_replacement(grid, 2)}
-    pool = {
+    pool = [
         pi
         for p, q in ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4))
         for chi in chis
         for pi in enumerate_o_reps(p, q, chi)
-    }
+    ]
     assert len(pool) == 341
-    for pi in pool:
+    return pool
+
+
+def test_integer_lkt_matches_fraction_reference_on_the_o_pool():
+    for pi in _o_pool():
         assert lowest_ktypes_o(pi) == reference_lowest_ktypes_o(pi), render_o(pi)

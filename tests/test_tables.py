@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from thetalift.enumeration import regenerate_appendix_c
+from thetalift.enumeration import (
+    BETA_GRID,
+    _instantiated_row_cases,
+    beta_scalar,
+    regenerate_appendix_c,
+    suite_theta3,
+)
 from thetalift.exact import GENERIC_B, Scalar
 from thetalift.langlands import parse_o
 from thetalift.theta import (
@@ -15,6 +21,7 @@ from thetalift.theta import (
     TableError,
     appendix_rows_at,
     default_table_dir,
+    instantiate_lkt_row,
     load_tables,
     lookup_lift,
 )
@@ -92,7 +99,9 @@ def _copy_tables(tmp_path: Path) -> Path:
     return dest
 
 
-def test_corrupt_ktype_value_reported_as_mismatch(tmp_path):
+def _corrupt_first_ktype(tmp_path: Path) -> tuple[Path, int]:
+    """A copy of the tables whose first classification row has the first
+    entry of its first K-type shifted by one, and that row's line."""
     dest = _copy_tables(tmp_path)
     path = dest / "appendix_c.tbl"
     lines = path.read_text().splitlines()
@@ -106,10 +115,32 @@ def test_corrupt_ktype_value_reported_as_mismatch(tmp_path):
     bumped = str(int(body[first:stop]) + 1)
     lines[idx] = head + "=>" + body[:first] + bumped + body[stop:] + ";" + cond
     path.write_text("\n".join(lines) + "\n")
+    return dest, idx + 1
+
+
+def test_corrupt_ktype_value_reported_as_mismatch(tmp_path):
+    dest, _ = _corrupt_first_ktype(tmp_path)
     tables = load_tables(dest)
     report = regenerate_appendix_c(0, tables)
     assert not report.ok
     assert any("K-type mismatch" in d for c in report.cases for d in c.details)
+
+
+def test_theta3_keeps_nothing_from_a_run_on_other_tables(tmp_path):
+    """suite_theta3 builds each b's classification rows once per run: after
+    a run on the shipped tables, a run in the same process on a copy with
+    a corrupted K-type in a row that a rank-3 lift lands on reports it."""
+    shipped = load_tables()
+    assert suite_theta3(shipped).ok
+    dest, line = _corrupt_first_ktype(tmp_path)
+    lifts = {want for _, _, want in _instantiated_row_cases(shipped.theta(3).rows)}
+    (row,) = [row for row in shipped.appendix_c if row.line == line]
+    assert any(
+        hit is not None and hit[0] in lifts
+        for hit in (instantiate_lkt_row(row, beta_scalar(b)) for b in BETA_GRID)
+    )
+    report = suite_theta3(load_tables(dest))
+    assert any("classification K-types differ" in d for c in report.cases for d in c.details)
 
 
 def test_corrupt_condition_creates_duplicate_row_error(tmp_path):

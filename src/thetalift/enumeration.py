@@ -27,7 +27,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import partial
+from functools import partial, wraps
 from itertools import combinations_with_replacement, groupby, product
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -305,12 +305,12 @@ def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
     return _census(candidates(), entries, validate_o, infchar_o, render_o)
 
 
-def _census_by_lkts(n: int, chi: InfChar) -> dict[frozenset, tuple[SpParams, ...]]:
-    """The rank-n parameters with infinitesimal character chi grouped by
-    their lowest K-type set, each group in census order."""
+def _by_lkts(census: dict) -> dict[frozenset, tuple[SpParams, ...]]:
+    """The members of a census, given with their lowest K-type sets, grouped
+    by that set, each group in census order."""
     groups: dict[frozenset, list[SpParams]] = {}
-    for pi in enumerate_sp_reps(n, chi):
-        groups.setdefault(frozenset(lowest_ktypes_sp(pi)), []).append(pi)
+    for pi, lkts in census.items():
+        groups.setdefault(lkts, []).append(pi)
     return {lkts: tuple(members) for lkts, members in groups.items()}
 
 
@@ -318,8 +318,9 @@ def verify_unique_by_invariants(
     n: int, chi: InfChar, lkts: Iterable[UKType]
 ) -> tuple[SpParams, ...]:
     """All rank-n parameters with the given infinitesimal character whose
-    lowest K-type set equals ``lkts``."""
-    return _census_by_lkts(n, chi).get(frozenset(lkts), ())
+    lowest K-type set equals ``lkts``, in census order."""
+    target = frozenset(lkts)
+    return tuple(pi for pi in enumerate_sp_reps(n, chi) if frozenset(lowest_ktypes_sp(pi)) == target)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +366,8 @@ class VerificationReport:
 
 def _once(fn: Callable) -> Callable:
     """``fn`` computing each distinct argument tuple once for as long as the
-    returned function lives.  A suite makes its own on each run, so that no
-    answer outlives the tables it was built from."""
+    returned function lives.  A call that raises keeps nothing, so the same
+    arguments raise again."""
     memo: dict = {}
 
     def call(*args):
@@ -375,6 +376,43 @@ def _once(fn: Callable) -> Callable:
         return memo[args]
 
     return call
+
+
+class _Inputs:
+    """The check inputs of one verification run over ``tables``, each
+    computed once for as long as the object lives: classification rows per
+    b, censuses (rank-n ones with each member's lowest K-type set), lifts,
+    first occurrences, lowest K-type sets, and joint-harmonics images.
+    ``verify_tables`` makes one per call and its suites share it, so that
+    no answer outlives the tables it was built from.  Every memo calls its
+    function through this module's global of that name when it runs.  No
+    memo refers back to the object, which would make a reference cycle that
+    keeps a run's inputs alive until the cycle collector runs."""
+
+    def __init__(self, tables: TableSet):
+        self.tables = tables
+        self.rows_at = _once(lambda beta: appendix_rows_at(tables, beta))
+        self.lkts = lkts = _once(lambda pi: frozenset(lowest_ktypes_sp(pi)))
+        self.census = census = _once(lambda n, chi: {pi: lkts(pi) for pi in enumerate_sp_reps(n, chi)})
+        self.census_by_lkts = _once(lambda n, chi: _by_lkts(census(n, chi)))
+        self.o_census = _once(lambda p, q, chi: enumerate_o_reps(p, q, chi))
+        self.lift = _once(lambda pi, n: theta_n(pi, n, tables))
+        self.occurrence = _once(lambda pi: first_occurrence(pi, tables))
+        self.phi_n = _once(lambda sigma, p, q, n: phi_n(sigma, p, q, n))
+        self.phi_pq = _once(lambda prime, p, q: phi_pq(prime, p, q))
+
+
+def _suite(run: Callable[[_Inputs], VerificationReport]) -> Callable[[TableSet], VerificationReport]:
+    """The suite ``run`` as a function of the tables that builds its own
+    check inputs; ``verify_tables`` shares one set among the suites through
+    the function's ``run``."""
+
+    @wraps(run)
+    def suite(tables: TableSet) -> VerificationReport:
+        return run(_Inputs(tables))
+
+    suite.run = run
+    return suite
 
 
 def _case(label: str, details: list[str]) -> CaseResult:
@@ -414,16 +452,18 @@ def regenerate_appendix_c(beta, tables: Optional[TableSet] = None) -> Verificati
     """Re-derive the rank-3 classification at b = beta from scratch and
     compare it, parameter by parameter and K-type by K-type, with the
     stored table."""
-    tables = load_tables() if tables is None else tables
+    return _regenerate_appendix_c(beta, _Inputs(load_tables() if tables is None else tables))
+
+
+def _regenerate_appendix_c(beta, inputs: _Inputs) -> VerificationReport:
     b = beta_scalar(beta)
     name = f"appendix-c[b={b.render()}]"
     details: list[str] = []
     try:
-        expected = appendix_rows_at(tables, b)
+        expected = inputs.rows_at(b)
     except TableError as err:
         return VerificationReport(name, (CaseResult("table rows", False, (str(err),)),))
-    chi = InfChar.of([b, Q(0), Q(1)])
-    actual = {pi: frozenset(lowest_ktypes_sp(pi)) for pi in enumerate_sp_reps(3, chi)}
+    actual = inputs.census(3, InfChar.of([b, Q(0), Q(1)]))
     for pi in sorted(set(expected) - set(actual), key=render_sp):
         details.append(f"table row has no enumerated parameter: {render_sp(pi)}")
     for pi in sorted(set(actual) - set(expected), key=render_sp):
@@ -476,10 +516,12 @@ def _instantiated_row_cases(rows) -> list[tuple[int, OParams, SpParams]]:
     return cases
 
 
-def suite_theta12(tables: TableSet) -> VerificationReport:
+@_suite
+def suite_theta12(inputs: _Inputs) -> VerificationReport:
     """Rank-1/2 lifts: sampled rows reproduce their templates through the
     dispatcher, rows are mutually exclusive, lifts satisfy duality, and
     the table covers every enumerated parameter with early occurrence."""
+    tables = inputs.tables
     cases = []
     for rank in (1, 2):
         table = tables.theta(rank)
@@ -497,13 +539,13 @@ def suite_theta12(tables: TableSet) -> VerificationReport:
                     f"line {line}: {render_o(pi)} matches {len(hits)} rows, expected exactly 1"
                 )
                 continue
-            got = theta_n(pi, rank, tables)
+            got = inputs.lift(pi, rank)
             if got.is_zero or got.params != want:
                 details.append(
                     f"line {line}: dispatcher gave {got.render()} expected {render_sp(want)}"
                 )
                 continue
-            if first_occurrence(pi, tables) > rank:
+            if inputs.occurrence(pi) > rank:
                 details.append(f"line {line}: {render_o(pi)} occurs after rank {rank}")
             if not infchars_dual(infchar_o(pi), infchar_sp(want), 2, rank):
                 details.append(f"line {line}: infinitesimal characters not dual for {render_o(pi)}")
@@ -524,13 +566,13 @@ def suite_theta12(tables: TableSet) -> VerificationReport:
     covered = 0
     for (p, q) in _SIGS:
         for chi in chis:
-            for pi in enumerate_o_reps(p, q, chi):
-                n0 = first_occurrence(pi, tables)
+            for pi in inputs.o_census(p, q, chi):
+                n0 = inputs.occurrence(pi)
                 if n0 > 2:
                     continue
                 covered += 1
                 for rank in (1, 2):
-                    res = theta_n(pi, rank, tables)
+                    res = inputs.lift(pi, rank)
                     if rank >= n0 and res.is_zero:
                         details.append(f"{render_o(pi)}: zero rank-{rank} lift despite occurrence {n0}")
                     if rank < n0 and not res.is_zero:
@@ -546,7 +588,8 @@ EXCEPTIONAL_THETA3_INPUT: OParams = parse_o("pi_{-1}(0,1,{},0,0,(1,1),(0,2))")
 EXCEPTIONAL_THETA3_OTHER: SpParams = parse_sp("pi(0,{},(1),(3),(1),(0))")
 
 
-def suite_theta3(tables: TableSet) -> VerificationReport:
+@_suite
+def suite_theta3(inputs: _Inputs) -> VerificationReport:
     """Rank-3 lifts of parameters with first occurrence 3: dispatcher
     equals the stored template, earlier lifts vanish, later lifts persist,
     invariants pin the lift uniquely (with the one known two-parameter
@@ -556,17 +599,15 @@ def suite_theta3(tables: TableSet) -> VerificationReport:
     details_class: list[str] = []
     count = 0
     exceptional_seen = 0
-    census_by_lkts = _once(_census_by_lkts)
-    rows_at = _once(partial(appendix_rows_at, tables))
-    for line, pi, want in _instantiated_row_cases(tables.theta(3).rows):
+    for line, pi, want in _instantiated_row_cases(inputs.tables.theta(3).rows):
         count += 1
-        n0 = first_occurrence(pi, tables)
+        n0 = inputs.occurrence(pi)
         if n0 != 3:
             details_lift.append(f"line {line}: {render_o(pi)} has occurrence {n0}, expected 3")
             continue
-        if not theta_n(pi, 2, tables).is_zero:
+        if not inputs.lift(pi, 2).is_zero:
             details_lift.append(f"line {line}: {render_o(pi)} has a nonzero rank-2 lift")
-        got = theta_n(pi, 3, tables)
+        got = inputs.lift(pi, 3)
         if got.is_zero or got.params != want:
             details_lift.append(
                 f"line {line}: dispatcher gave {got.render()} expected {render_sp(want)}"
@@ -574,12 +615,12 @@ def suite_theta3(tables: TableSet) -> VerificationReport:
             continue
         if not infchars_dual(infchar_o(pi), infchar_sp(want), 2, 3):
             details_lift.append(f"line {line}: infinitesimal characters not dual for {render_o(pi)}")
-        if theta_n(pi, 4, tables).is_zero:
+        if inputs.lift(pi, 4).is_zero:
             details_lift.append(f"line {line}: rank-4 lift vanished for {render_o(pi)}")
 
         chi = infchar_sp(want)
-        lkts = frozenset(lowest_ktypes_sp(want))
-        same = census_by_lkts(3, chi).get(lkts, ())
+        lkts = inputs.lkts(want)
+        same = inputs.census_by_lkts(3, chi).get(lkts, ())
         if pi == EXCEPTIONAL_THETA3_INPUT:
             exceptional_seen += 1
             expect = {want, EXCEPTIONAL_THETA3_OTHER}
@@ -601,7 +642,7 @@ def suite_theta3(tables: TableSet) -> VerificationReport:
             details_class.append(f"line {line}: character {chi.render()} of {render_sp(want)} lacks 0 or 1")
             continue
         (beta,) = rest
-        table_lkts = rows_at(beta).get(want)
+        table_lkts = inputs.rows_at(beta).get(want)
         if table_lkts is None:
             details_class.append(f"line {line}: {render_sp(want)} missing at b={beta.render()}")
         elif table_lkts != lkts:
@@ -618,7 +659,8 @@ def suite_theta3(tables: TableSet) -> VerificationReport:
     )
 
 
-def suite_theta4(tables: TableSet) -> VerificationReport:
+@_suite
+def suite_theta4(inputs: _Inputs) -> VerificationReport:
     """Rank-4 lifts of the determinant characters: frozen values,
     uniqueness by invariants, vanishing below rank 4, and the
     occurrence-rank conservation identity."""
@@ -631,19 +673,18 @@ def suite_theta4(tables: TableSet) -> VerificationReport:
     }
     details: list[str] = []
     details_unique: list[str] = []
-    census_by_lkts = _once(_census_by_lkts)
     for (p, q), want in frozen.items():
         de = det_o(p, q)
-        if first_occurrence(de, tables) != 4:
+        if inputs.occurrence(de) != 4:
             details.append(f"det O({p},{q}): occurrence != 4")
         for rank in (1, 2, 3):
-            if not theta_n(de, rank, tables).is_zero:
+            if not inputs.lift(de, rank).is_zero:
                 details.append(f"det O({p},{q}): nonzero rank-{rank} lift")
-        got = theta_n(de, 4, tables)
+        got = inputs.lift(de, 4)
         if got.is_zero or got.params != want:
             details.append(f"det O({p},{q}): rank-4 lift {got.render()} expected {render_sp(want)}")
             continue
-        same = census_by_lkts(4, infchar_sp(want)).get(frozenset(lowest_ktypes_sp(want)), ())
+        same = inputs.census_by_lkts(4, infchar_sp(want)).get(inputs.lkts(want), ())
         if same != (want,):
             details_unique.append(
                 f"det O({p},{q}): invariants select {[render_sp(x) for x in same]}"
@@ -653,12 +694,12 @@ def suite_theta4(tables: TableSet) -> VerificationReport:
     conserved = 0
     for (p, q) in _SIGS:
         for chi in (InfChar.of([Q(0), Q(1)]), InfChar.of([Q(1), Q(3)]), InfChar.of([GENERIC_B, Q(1)])):
-            for pi in enumerate_o_reps(p, q, chi):
+            for pi in inputs.o_census(p, q, chi):
                 conserved += 1
-                total = first_occurrence(pi, tables) + first_occurrence(tensor_det_o(pi), tables)
+                total = inputs.occurrence(pi) + inputs.occurrence(tensor_det_o(pi))
                 if total != 4:
                     details_cons.append(f"{render_o(pi)}: occurrence sum {total} != 4")
-        if first_occurrence(trivial_o(p, q), tables) != 0:
+        if inputs.occurrence(trivial_o(p, q)) != 0:
             details_cons.append(f"trivial O({p},{q}): occurrence != 0")
     return VerificationReport(
         "theta4",
@@ -670,9 +711,10 @@ def suite_theta4(tables: TableSet) -> VerificationReport:
     )
 
 
-def suite_appendix_c(tables: TableSet) -> VerificationReport:
+@_suite
+def suite_appendix_c(inputs: _Inputs) -> VerificationReport:
     """Regenerate the rank-3 classification on the whole sample grid."""
-    return _merged("appendix-c", (regenerate_appendix_c(beta, tables) for beta in BETA_GRID))
+    return _merged("appendix-c", (_regenerate_appendix_c(beta, inputs) for beta in BETA_GRID))
 
 
 def _prop_samples() -> list[OParams]:
@@ -750,7 +792,8 @@ def _occurring_uktypes(n: int, p: int, q: int, bound: int) -> list[UKType]:
 _PROPS_SEED = 20240817
 
 
-def suite_props(tables: TableSet) -> VerificationReport:
+@_suite
+def suite_props(inputs: _Inputs) -> VerificationReport:
     """Structural properties: duality and persistence along towers,
     induction-path independence, lowest-K-type propagation under the
     rank-raising induction, modification-rule confluence, involution
@@ -758,15 +801,14 @@ def suite_props(tables: TableSet) -> VerificationReport:
     round trips, and parse/render round trips."""
     rng = random.Random(_PROPS_SEED)
     samples = _prop_samples()
-    rows_at = _once(partial(appendix_rows_at, tables))
 
     details: list[str] = []
     pairs = 0
     for pi in samples:
         chi_o = infchar_o(pi)
-        n0 = first_occurrence(pi, tables)
+        n0 = inputs.occurrence(pi)
         for n in range(0, 7):
-            res = theta_n(pi, n, tables)
+            res = inputs.lift(pi, n)
             if res.is_zero != (n < n0):
                 details.append(f"{render_o(pi)}: rank-{n} zero-ness disagrees with occurrence {n0}")
                 continue
@@ -779,9 +821,9 @@ def suite_props(tables: TableSet) -> VerificationReport:
 
     # the rank-2 lifts of the samples that occur by rank 2
     bases = [
-        (pi, theta_n(pi, 2, tables).params)
+        (pi, inputs.lift(pi, 2).params)
         for pi in samples
-        if (pi.p, pi.q) in _SIGS and first_occurrence(pi, tables) <= 2
+        if (pi.p, pi.q) in _SIGS and inputs.occurrence(pi) <= 2
     ]
 
     details = []
@@ -798,15 +840,15 @@ def suite_props(tables: TableSet) -> VerificationReport:
     details = []
     tried = 0
     for beta in (0, 1, 2, 5):
-        for pi3 in rows_at(Scalar.of(beta)):
+        for pi3 in inputs.rows_at(Scalar.of(beta)):
             for (p, q) in _SIGS:
                 try:
                     up = induct_n(pi3, p, q, 1)
                 except ThetaError:
                     continue
                 tried += 1
-                want = frozenset(sigma_prime_add(s, (p - q) // 2) for s in lowest_ktypes_sp(pi3))
-                if want != frozenset(lowest_ktypes_sp(up)):
+                want = frozenset(sigma_prime_add(s, (p - q) // 2) for s in inputs.lkts(pi3))
+                if want != inputs.lkts(up):
                     details.append(f"b={beta} {render_sp(pi3)} O({p},{q}): K-type propagation broke")
     for pi, base in bases:
         try:
@@ -814,8 +856,8 @@ def suite_props(tables: TableSet) -> VerificationReport:
         except ThetaError:
             continue
         tried += 1
-        want = frozenset(sigma_prime_add(s, (pi.p - pi.q) // 2) for s in lowest_ktypes_sp(base))
-        if want != frozenset(lowest_ktypes_sp(up)):
+        want = frozenset(sigma_prime_add(s, (pi.p - pi.q) // 2) for s in inputs.lkts(base))
+        if want != inputs.lkts(up):
             details.append(f"{render_o(pi)}: K-type propagation broke above rank 2")
     case_prop = _case(f"lowest K-types propagate through {tried} one-step inductions", details)
 
@@ -849,7 +891,7 @@ def suite_props(tables: TableSet) -> VerificationReport:
             details.append(f"{render_o(pi)}: signature swap is not an involution")
         if tensor_det_o(tensor_det_o(pi)) != canonicalize_o(pi):
             details.append(f"{render_o(pi)}: determinant twist is not an involution")
-        res = theta_n(pi, 4, tables)
+        res = inputs.lift(pi, 4)
         if res.params is not None:
             back = contragredient_sp(contragredient_sp(res.params))
             if back != res.params:
@@ -885,28 +927,28 @@ def suite_props(tables: TableSet) -> VerificationReport:
         ]
         for sigma in factors:
             for n in range(0, 6):
-                prime = phi_n(sigma, p, q, n)
+                prime = inputs.phi_n(sigma, p, q, n)
                 if prime is None:
                     continue
                 checked += 1
-                if phi_pq(prime, p, q) != sigma:
+                if inputs.phi_pq(prime, p, q) != sigma:
                     details.append(f"phi round trip broke at {sigma.render()} n={n}")
                 if degree_u(prime, p - q) != degree_o(sigma, p, q):
                     details.append(f"phi changed the degree of {sigma.render()} at n={n}")
         for n in range(0, 6):
             for prime in _occurring_uktypes(n, p, q, 6):
                 checked += 1
-                sigma = phi_pq(prime, p, q)
+                sigma = inputs.phi_pq(prime, p, q)
                 if sigma is None:
                     details.append(f"phi inverse refused the occurring {prime.render()} O({p},{q})")
-                elif phi_n(sigma, p, q, n) != prime:
+                elif inputs.phi_n(sigma, p, q, n) != prime:
                     details.append(f"phi inverse round trip broke at {prime.render()} O({p},{q})")
     case_phi = _case(f"joint-harmonics maps round-trip with equal degree ({checked} cases)", details)
 
     details = []
     seen_params = list(samples)
-    seen_params += list(rows_at(Scalar.of(2)))
-    seen_params += list(rows_at(GENERIC_B))
+    seen_params += list(inputs.rows_at(Scalar.of(2)))
+    seen_params += list(inputs.rows_at(GENERIC_B))
     for pi in seen_params:
         text = render_params(pi)
         if parse_params(text) != pi:
@@ -932,11 +974,12 @@ SUITES = {
 }
 
 
-def _run_suite(name: str, tables: TableSet) -> VerificationReport:
-    """Run one suite; a table, lift or parameter error it raises (a table edit
-    that leaves a parameter with no row, or two) is its failed case."""
+def _run_suite(name: str, inputs: _Inputs) -> VerificationReport:
+    """Run one suite on shared check inputs; a table, lift or parameter error
+    it raises (a table edit that leaves a parameter with no row, or two) is
+    its failed case."""
     try:
-        return SUITES[name](tables)
+        return SUITES[name].run(inputs)
     except (TableError, ThetaError, ParamError) as err:
         label = "suite runs without a table, lift or parameter error"
         return VerificationReport(name, (CaseResult(label, False, (str(err),)),))
@@ -945,10 +988,11 @@ def _run_suite(name: str, tables: TableSet) -> VerificationReport:
 def verify_tables(
     suite: str = "all", tables: Optional[TableSet] = None
 ) -> VerificationReport:
-    """Run one named verification suite, or all of them."""
-    tables = load_tables() if tables is None else tables
+    """Run one named verification suite, or all of them.  One call computes
+    each check input once, for all the suites it runs."""
+    inputs = _Inputs(load_tables() if tables is None else tables)
     if suite != "all":
         if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r} (have {', '.join(sorted(SUITES))}, all)")
-        return _run_suite(suite, tables)
-    return _merged("all", (_run_suite(name, tables) for name in SUITES))
+        return _run_suite(suite, inputs)
+    return _merged("all", (_run_suite(name, inputs) for name in SUITES))

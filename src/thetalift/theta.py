@@ -605,10 +605,10 @@ _SUPPORTED = ((4, 0), (3, 1), (2, 2))
 _SWAPPED = ((0, 4), (1, 3))
 
 
-def _occurrence(pi: OParams, tables: TableSet) -> int:
-    """The first occurrence of a valid and canonical pi."""
-    if (pi.p, pi.q) in _SWAPPED:
-        return _occurrence(swap_pq(pi), tables)
+def _fixed_occurrence(pi: OParams) -> Optional[int]:
+    """The first occurrence of a valid and canonical pi of supported
+    signature when its shape fixes it: 0, 3 or 4.  None when it is 1 or 2,
+    which the rank-1 table decides."""
     if (pi.p, pi.q) not in _SUPPORTED:
         raise ThetaError(f"unsupported signature O({pi.p},{pi.q})")
     if pi == trivial_o(pi.p, pi.q):
@@ -617,7 +617,17 @@ def _occurrence(pi: OParams, tables: TableSet) -> int:
         return 4
     if pi.xi == -1 or (pi.zeta == -1 and any(e == 1 and kap.is_zero for e, kap in zip(pi.eps, pi.kappa))):
         return 3
-    return 1 if matching_rows(tables.theta(1), pi) else 2
+    return None
+
+
+def _occurrence(pi: OParams, tables: TableSet) -> int:
+    """The first occurrence of a valid and canonical pi."""
+    if (pi.p, pi.q) in _SWAPPED:
+        return _occurrence(swap_pq(pi), tables)
+    n0 = _fixed_occurrence(pi)
+    if n0 is None:
+        return 1 if matching_rows(tables.theta(1), pi) else 2
+    return n0
 
 
 def first_occurrence(pi: OParams, tables: Optional[TableSet] = None) -> int:
@@ -654,7 +664,10 @@ def theta_n(pi: OParams, n: int, tables: Optional[TableSet] = None) -> ThetaResu
 
 
 def _theta_n(pi: OParams, n: int, tables: TableSet) -> ThetaResult:
-    """``theta_n`` of a valid and canonical pi."""
+    """``theta_n`` of a valid and canonical pi.  Above rank 1 an occurrence
+    of 1 or 2 makes no difference, so the rank-1 table is matched only for
+    a rank-1 lift, whose one lookup also decides between the two, and for
+    the provenance of a zero rank-0 lift."""
     if (pi.p, pi.q) in _SWAPPED:
         inner = _theta_n(swap_pq(pi), n, tables)
         if inner.is_zero:
@@ -662,15 +675,19 @@ def _theta_n(pi: OParams, n: int, tables: TableSet) -> ThetaResult:
         return ThetaResult(
             contragredient_sp(inner.params), inner.provenance + " (contragredient via signature swap)"
         )
-    n0 = _occurrence(pi, tables)
-    if n < n0:
+    n0 = _fixed_occurrence(pi)
+    if n0 is None and n == 0:
+        n0 = _occurrence(pi, tables)
+    if n0 is not None and n < n0:
         return ThetaResult(None, f"zero: rank {n} is below the first occurrence {n0}")
     if n == 0:
         empty = SpParams((), PositiveSystem.of(SpKind(0), ()), (), (), (), ())
         return ThetaResult(empty, "rank-zero lift of the trivial parameter")
-    start = n if n <= 2 else max(n0, 2)
+    start = n if n <= 2 else max(n0 or 2, 2)
     base = lookup_lift(tables.theta(start), pi)
     if base is None:
+        if n == 1 and n0 is None:
+            return ThetaResult(None, "zero: rank 1 is below the first occurrence 2")
         raise TableError(f"no rank-{start} table row matches {render_o(pi)}")
     provenance = f"theta{start} table"
     if n == start:

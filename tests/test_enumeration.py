@@ -1,11 +1,13 @@
 """Tests for the enumerators, classification-table regeneration,
 uniqueness-by-invariants, and the verification suites."""
 
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction as Q
 from functools import partial
@@ -477,42 +479,56 @@ def test_verify_tables_runs_a_named_suite():
 
 
 def test_verify_builds_each_check_input_once(monkeypatch):
-    """In one ``verify_tables("all")`` run each suite builds each (n, chi)
-    census and each b's classification rows at most once, and phi_pq runs
-    once per joint-harmonics case (608 inverse and 760 forward)."""
-    running = [None]
+    """One ``verify_tables("all")`` run, all five suites together, builds
+    each census, each b's classification rows, each (pi, n) lift, each
+    first occurrence, each lowest K-type set and each joint-harmonics image
+    at most once: phi_pq runs once per distinct U(n)-type, 760 times."""
     calls = Counter()
 
-    def counted(name, key):
+    def counted(name, key=lambda args: args):
         fn = getattr(enumeration, name)
 
         def call(*args):
-            calls[name, running[0], key(args)] += 1
+            calls[name, key(args)] += 1
             return fn(*args)
 
         monkeypatch.setattr(enumeration, name, call)
 
-    counted("enumerate_sp_reps", lambda args: args)
-    counted("enumerate_o_reps", lambda args: args)
+    counted("enumerate_sp_reps")
+    counted("enumerate_o_reps")
     counted("appendix_rows_at", lambda args: args[1])
-    counted("phi_pq", lambda args: None)
-
-    def tagged(name, run):
-        def call(tables):
-            running[0] = name
-            return run(tables)
-
-        return call
-
-    for name, run in list(SUITES.items()):
-        monkeypatch.setitem(SUITES, name, tagged(name, run))
+    counted("theta_n", lambda args: args[:2])
+    counted("first_occurrence", lambda args: args[0])
+    counted("lowest_ktypes_sp")
+    counted("phi_n")
+    counted("phi_pq")
     assert verify_tables("all").ok
-    built = Counter((name, suite) for name, suite, _ in calls)
-    assert built["enumerate_sp_reps", "theta3"] and built["appendix_rows_at", "theta3"]
-    assert built["appendix_rows_at", "props"] == 5
-    repeated = [key for key, count in calls.items() if count > 1 and key[0] != "phi_pq"]
-    assert repeated == []
-    assert {key: n for key, n in calls.items() if key[0] == "phi_pq"} == {("phi_pq", "props", None): 1368}
+    built = Counter()
+    for (name, _), count in calls.items():
+        built[name] += count
+    assert built["appendix_rows_at"] == len(BETA_GRID)
+    assert built["enumerate_sp_reps"] and built["theta_n"] and built["first_occurrence"]
+    assert built["phi_pq"] == 760
+    assert [key for key, count in calls.items() if count > 1] == []
+
+
+def test_verify_drops_its_inputs_when_it_returns(monkeypatch):
+    """The check inputs of a run are freed by reference counting when
+    ``verify_tables`` returns, not left for the cycle collector."""
+    made = []
+
+    class Recorded(enumeration._Inputs):
+        def __init__(self, tables):
+            super().__init__(tables)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(enumeration, "_Inputs", Recorded)
+    gc.disable()
+    try:
+        assert verify_tables("theta4").ok
+        assert len(made) == 1 and made[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_verify_tables_rejects_unknown_suites():

@@ -13,6 +13,7 @@ from thetalift.enumeration import (
     beta_scalar,
     regenerate_appendix_c,
     suite_theta3,
+    verify_tables,
 )
 from thetalift.exact import GENERIC_B, Scalar
 from thetalift.langlands import parse_o
@@ -141,6 +142,24 @@ def test_theta3_keeps_nothing_from_a_run_on_other_tables(tmp_path):
     )
     report = suite_theta3(load_tables(dest))
     assert any("classification K-types differ" in d for c in report.cases for d in c.details)
+
+
+def test_verify_keeps_nothing_from_a_run_on_other_tables(tmp_path):
+    """The check inputs ``verify_tables`` shares among its suites last one
+    call: after a run on the shipped tables, a run in the same process on a
+    copy with a corrupted K-type fails both the b = 0 regeneration and the
+    rank-3 classification check."""
+    assert verify_tables("all").ok
+    dest, _ = _corrupt_first_ktype(tmp_path)
+    report = verify_tables("all", load_tables(dest))
+
+    def failed(label: str) -> tuple[str, ...]:
+        (case,) = [c for c in report.cases if c.label.startswith(label)]
+        assert not case.ok
+        return case.details
+
+    assert any("K-type mismatch" in d for d in failed("appendix-c: appendix-c[b=0]: "))
+    assert any("classification K-types differ" in d for d in failed("theta3: each rank-3 lift appears"))
 
 
 def test_corrupt_condition_creates_duplicate_row_error(tmp_path):

@@ -648,6 +648,28 @@ def test_lifts_instantiate_no_orthogonal_pattern(pool, monkeypatch):
     assert sides == {"sp"}
 
 
+def test_lifts_above_rank_one_match_no_rank_one_row(pool, monkeypatch):
+    """Above rank 1 an occurrence of 1 or 2 makes no difference, so no lift
+    of rank n >= 2 matches the rank-1 table; a rank-1 lift matches it once."""
+    tables = load_tables()
+    original = theta_module.matching_rows
+    matched = []
+
+    def spy(table, pi):
+        matched.append(table is tables.theta(1))
+        return original(table, pi)
+
+    monkeypatch.setattr(theta_module, "matching_rows", spy)
+    for pi in pool:
+        for n in range(2, 7):
+            theta_n(pi, n, tables)
+    assert matched and not any(matched)
+    for pi in pool:
+        matched.clear()
+        theta_n(pi, 1, tables)
+        assert matched.count(True) <= 1
+
+
 def test_census_and_lifts_construct_no_fraction(pool):
     """Scalars compute on integers: with the tables warm, neither a rank-5
     census with its lowest K-types nor the lifts of the pool at ranks 0-6

@@ -55,10 +55,11 @@ from .theta import (
 
 
 # Census size grows about sixfold per rank: ``thetalift enumerate --n 7
-# --infchar 0,1,2,3,4,5,6`` takes 2.1-2.3 s end to end (59 592 parameters,
-# 52 MB peak RSS) and ``--n 6 --infchar 0,1,2,3,4,5`` 0.44-0.73 s (9932
-# parameters), three runs each on a 2-core Xeon box.  The library's
-# enumerators stay unbounded.
+# --infchar 0,1,2,3,4,5,6`` takes 2.0-2.9 s end to end (59 592 parameters,
+# 49-52 MB peak RSS) and ``--n 6 --infchar 0,1,2,3,4,5`` 0.49-0.77 s (9932
+# parameters), on a 2-core Xeon box whose speed drifts with other load:
+# 2.0-2.3 s and 0.49-0.52 s in one session of three runs each, 2.9 s and
+# 0.63-0.77 s in another of two.  The library's enumerators stay unbounded.
 MAX_ENUMERATE_RANK = 7
 
 # ``lift`` cost grows quadratically in n (0.05 s at n=100), ``phi``
@@ -119,7 +120,10 @@ def _parse_sig(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"signature must be 'p,q', got {text!r}")
-    p, q = int(parts[0]), int(parts[1])
+    try:
+        p, q = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"signature entries must be integers, got {text!r}") from None
     if p < 0 or q < 0:
         raise ValueError(f"signature entries must be nonnegative, got {text!r}")
     return p, q

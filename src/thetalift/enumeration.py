@@ -93,7 +93,6 @@ from .theta import (
     induct_n,
     instantiate_pattern,
     load_tables,
-    matching_rows,
     theta_n,
 )
 
@@ -382,15 +381,17 @@ class _Inputs:
     """The check inputs of one verification run over ``tables``, each
     computed once for as long as the object lives: classification rows per
     b, censuses (rank-n ones with each member's lowest K-type set), lifts,
-    first occurrences, lowest K-type sets, and joint-harmonics images.
-    ``verify_tables`` makes one per call and its suites share it, so that
-    no answer outlives the tables it was built from.  Every memo calls its
+    first occurrences, lowest K-type sets, joint-harmonics images, and,
+    through a ``TableSet.memoized`` copy of the tables, each (rank,
+    parameter) match against a lift table.  ``verify_tables`` makes one per
+    call and its suites share it, so that no answer outlives the tables it
+    was built from.  Every memo calls its
     function through this module's global of that name when it runs.  No
     memo refers back to the object, which would make a reference cycle that
     keeps a run's inputs alive until the cycle collector runs."""
 
     def __init__(self, tables: TableSet):
-        self.tables = tables
+        self.tables = tables = tables.memoized()
         self.rows_at = _once(lambda beta: appendix_rows_at(tables, beta))
         self.lkts = lkts = _once(lambda pi: frozenset(lowest_ktypes_sp(pi)))
         self.census = census = _once(lambda n, chi: {pi: lkts(pi) for pi in enumerate_sp_reps(n, chi)})
@@ -533,7 +534,7 @@ def suite_theta12(inputs: _Inputs) -> VerificationReport:
                 continue
             seen.add(pi)
             count += 1
-            hits = matching_rows(table, pi)
+            hits = tables.hits(rank, pi)
             if len(hits) != 1:
                 details.append(
                     f"line {line}: {render_o(pi)} matches {len(hits)} rows, expected exactly 1"
@@ -862,14 +863,13 @@ def suite_props(inputs: _Inputs) -> VerificationReport:
     case_prop = _case(f"lowest K-types propagate through {tried} one-step inductions", details)
 
     details = []
+    kappas = tuple(map(Scalar.of, (0, 1, 1, 2, 3, Q(1, 2))))
+    empty_psi = enumerate_positive_systems(SpKind(0))[0]
     for _ in range(500):
         t = rng.randrange(0, 7)
         eps = tuple(rng.choice((1, -1)) for _ in range(t))
-        kappa = tuple(
-            Scalar.of(rng.choice([0, 1, 1, 2, 3, Q(1, 2)])).scale(rng.choice((1, -1)))
-            for _ in range(t)
-        )
-        probe = SpParams((), enumerate_positive_systems(SpKind(0))[0], (), (), eps, kappa)
+        kappa = tuple(rng.choice(kappas).scale(rng.choice((1, -1))) for _ in range(t))
+        probe = SpParams((), empty_psi, (), (), eps, kappa)
         ordered = apply_modification(probe)
         idx = list(range(t))
         rng.shuffle(idx)

@@ -8,10 +8,13 @@ the two families follow the explicit occurrence criteria in the space of
 joint harmonics.  phi_n is built on the U(p)-transfer of each factor
 (``u_from_o``, inverted by ``o_from_u``); ``degree_o`` keeps its own closed
 form, so that comparing it with the degree of phi_n checks the transfer.
+Both transfers are bounded caches: they are pure functions of frozen
+K-types, and a joint-harmonics sweep meets each factor many times.
 """
 
 from __future__ import annotations
 
+import functools
 import re as _regex
 
 from dataclasses import dataclass
@@ -124,7 +127,10 @@ def _parse_factor(text: str, p: int) -> OFactor:
     if not m:
         raise ValueError(f"bad O-factor {text!r}")
     body, sign_text = m.group(1).strip(), m.group(2).strip()
-    entries = tuple(int(t) for t in body.split(",")) if body else ()
+    try:
+        entries = tuple(int(t) for t in body.split(",")) if body else ()
+    except ValueError:
+        raise ValueError(f"bad O-factor {text!r}: entries must be integers") from None
     if sign_text in ("", "+1", "1"):
         sign = 1
     elif sign_text == "-1":
@@ -146,7 +152,11 @@ def parse_uktype(text: str) -> UKType:
     if not (s.startswith("(") and s.endswith(")")):
         raise ValueError(f"bad U-type {text!r}")
     body = s[1:-1]
-    return UKType.of(int(t) for t in body.split(",")) if body else UKType.of(())
+    try:
+        weights = tuple(int(t) for t in body.split(",")) if body else ()
+    except ValueError:
+        raise ValueError(f"bad U-type {text!r}: weights must be integers") from None
+    return UKType.of(weights)
 
 
 def ktype_norm(t: "UKType | OKType", kind: GroupKind) -> int:
@@ -166,6 +176,7 @@ def ktype_norm(t: "UKType | OKType", kind: GroupKind) -> int:
     return left + right
 
 
+@functools.lru_cache(maxsize=1024)
 def u_from_o(factor: OFactor) -> UKType:
     """The U(p)-type matching an O(p)-factor (Lemma-style transfer)."""
     p = factor.p
@@ -175,6 +186,7 @@ def u_from_o(factor: OFactor) -> UKType:
     return UKType.of(body + [0] * (p - len(body)))
 
 
+@functools.lru_cache(maxsize=1024)
 def o_from_u(lam: UKType, p: int) -> Optional[OFactor]:
     """Invert u_from_o; None when the weight matches no O(p)-factor."""
     if lam.n != p:

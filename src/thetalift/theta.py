@@ -10,10 +10,17 @@ rule before canonicalization.
 
 Valid and canonical input.  ``theta_n`` and ``first_occurrence``
 validate their input once, put it in canonical form and hand it on;
-``matching_rows``, ``lookup_lift`` and ``match_o_pattern`` require a
-valid and canonical parameter, as ``parse_o``, ``instantiate_pattern``
-and the inductions return it.  ``induct_n`` and ``induct_pq`` accept any
-valid parameter and return a canonical one.
+``TableSet.hits``, ``matching_rows``, ``lookup_lift`` and
+``match_o_pattern`` require a valid and canonical parameter, as
+``parse_o``, ``instantiate_pattern`` and the inductions return it.
+``induct_n`` and ``induct_pq`` accept any valid parameter and return a
+canonical one.  ``theta_n`` and ``first_occurrence`` read a table
+through ``TableSet.hits``: the rows of the rank-n table that match pi,
+found by ``matching_rows``.  The tables of ``load_tables`` keep no match.
+A copy made by ``TableSet.memoized``, as each ``verify_tables`` run
+makes, matches each (n, pi) once for as long as the copy lives, so the
+first occurrence, the rank-1 lift and the lifts of ranks 2 to 6 that
+start from the rank-2 table read one match.
 
 Table grammar.  Each data row reads ``PATTERN => TEMPLATE ; CONDITION``.
 Patterns and templates are parameter text in the grammar of
@@ -41,7 +48,7 @@ import re
 from dataclasses import dataclass, field, replace
 from itertools import permutations
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .exact import GENERIC_B, InfChar, Scalar, dual_padding, parse_scalar
 from .ktypes import UKType
@@ -306,12 +313,31 @@ class TableSet:
     lifts: Mapping[int, LiftTable]
     appendix_c: tuple[LktRow, ...]
     source: str
+    # The matches of ``hits`` by (n, pi) in a copy made by ``memoized``;
+    # None, and nothing kept, in the tables of ``load_tables``.
+    _matches: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def theta(self, n: int) -> LiftTable:
         table = self.lifts.get(n)
         if table is None:
             raise TableError(f"no lift table for rank {n}")
         return table
+
+    def memoized(self) -> "TableSet":
+        """A copy of these tables whose ``hits`` matches each (n, pi) once
+        for as long as the copy lives."""
+        return replace(self, _matches={})
+
+    def hits(self, n: int, pi: OParams) -> Sequence[tuple[LiftRow, SpParams]]:
+        """Every row of the rank-n table that applies to the valid and
+        canonical pi, with the lift it gives (``matching_rows``)."""
+        memo = self._matches
+        if memo is None:
+            return matching_rows(self.theta(n), pi)
+        key = (n, pi)
+        if key not in memo:
+            memo[key] = tuple(matching_rows(self.theta(n), pi))
+        return memo[key]
 
 
 THETA_FILES = {1: "theta1.tbl", 2: "theta2.tbl", 3: "theta3.tbl", 4: "theta4.tbl"}
@@ -438,7 +464,11 @@ def lookup_lift(table: LiftTable, pi: OParams) -> Optional[SpParams]:
     """The lift of the one row of the table that applies to pi, or None.
     pi must be valid and canonical (see ``matching_rows``).  Two matching
     rows raise TableError: the rows of a table must be exclusive."""
-    hits = matching_rows(table, pi)
+    return _one_lift(matching_rows(table, pi), pi)
+
+
+def _one_lift(hits: Sequence[tuple[LiftRow, SpParams]], pi: OParams) -> Optional[SpParams]:
+    """The lift of the one hit, None for no hit; two hits raise TableError."""
     if len(hits) > 1:
         lines = ", ".join(str(r.line) for r, _ in hits)
         raise TableError(f"{render_o(pi)} matches rows at lines {lines}; rows must be exclusive")
@@ -626,7 +656,7 @@ def _occurrence(pi: OParams, tables: TableSet) -> int:
         return _occurrence(swap_pq(pi), tables)
     n0 = _fixed_occurrence(pi)
     if n0 is None:
-        return 1 if matching_rows(tables.theta(1), pi) else 2
+        return 1 if tables.hits(1, pi) else 2
     return n0
 
 
@@ -684,7 +714,7 @@ def _theta_n(pi: OParams, n: int, tables: TableSet) -> ThetaResult:
         empty = SpParams((), PositiveSystem.of(SpKind(0), ()), (), (), (), ())
         return ThetaResult(empty, "rank-zero lift of the trivial parameter")
     start = n if n <= 2 else max(n0 or 2, 2)
-    base = lookup_lift(tables.theta(start), pi)
+    base = _one_lift(tables.hits(start, pi), pi)
     if base is None:
         if n == 1 and n0 is None:
             return ThetaResult(None, "zero: rank 1 is below the first occurrence 2")

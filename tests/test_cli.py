@@ -446,6 +446,22 @@ def test_bad_signature_exits_two(capsys):
     assert code == 2 and "signature" in err
 
 
+@pytest.mark.parametrize(
+    "argv,bad",
+    [
+        (["phi", "--dir", "o2u", "--ktype", "(1;+1)x(0;+1)", "--sig", "2,x", "--n", "1"], "2,x"),
+        (["inverse-lookup", "--sp-params", "pi(0,{},0,0,(1),(1))", "--sig", "a,b"], "a,b"),
+        (["phi", "--dir", "u2o", "--ktype", "(a)", "--sig", "2,2", "--n", "1"], "(a)"),
+        (["phi", "--dir", "o2u", "--ktype", "(a;1)x(0;1)", "--sig", "2,2", "--n", "1"], "(a;1)"),
+    ],
+)
+def test_non_integer_text_is_named(capsys, argv, bad):
+    """A non-integer signature, U-type weight or O-factor entry is a usage
+    error that quotes the text, not the message of ``int``."""
+    code, _, err = run(capsys, argv)
+    assert code == 2 and repr(bad) in err and "int()" not in err
+
+
 @pytest.mark.parametrize("beta", ["1/0", "x", "b"])
 def test_bad_beta_names_the_value(capsys, beta):
     code, _, err = run(capsys, ["enumerate", "--n", "3", "--infchar", "b,0,1", "--beta", beta])

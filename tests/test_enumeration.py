@@ -51,6 +51,7 @@ from thetalift.langlands import (
 )
 from thetalift.lkt import lowest_ktypes_sp
 from thetalift.roots import OKind, SpKind, enumerate_positive_systems
+from thetalift import theta as theta_module
 from thetalift.theta import DET11_THETA3, first_occurrence, load_tables, theta_n
 
 
@@ -482,8 +483,18 @@ def test_verify_builds_each_check_input_once(monkeypatch):
     """One ``verify_tables("all")`` run, all five suites together, builds
     each census, each b's classification rows, each (pi, n) lift, each
     first occurrence, each lowest K-type set and each joint-harmonics image
-    at most once: phi_pq runs once per distinct U(n)-type, 760 times."""
+    at most once: phi_pq runs once per distinct U(n)-type, 760 times.  It
+    matches each (rank, pi) against a lift table at most once, for the
+    exclusivity check, the first occurrence and the lifts alike."""
     calls = Counter()
+    matched = Counter()
+    match = theta_module.matching_rows
+
+    def counted_match(table, pi):
+        matched[id(table), pi] += 1
+        return match(table, pi)
+
+    monkeypatch.setattr(theta_module, "matching_rows", counted_match)
 
     def counted(name, key=lambda args: args):
         fn = getattr(enumeration, name)
@@ -510,6 +521,7 @@ def test_verify_builds_each_check_input_once(monkeypatch):
     assert built["enumerate_sp_reps"] and built["theta_n"] and built["first_occurrence"]
     assert built["phi_pq"] == 760
     assert [key for key, count in calls.items() if count > 1] == []
+    assert matched and [key for key, count in matched.items() if count > 1] == []
 
 
 def test_verify_drops_its_inputs_when_it_returns(monkeypatch):
@@ -529,6 +541,27 @@ def test_verify_drops_its_inputs_when_it_returns(monkeypatch):
         assert len(made) == 1 and made[0]() is None
     finally:
         gc.enable()
+
+
+def test_loaded_tables_keep_no_match(monkeypatch):
+    """Only the copy of the tables that a verification run makes keeps its
+    table matches: after ``verify_tables("all")`` and a ``theta_n`` call on
+    the tables of ``load_tables``, each lift on them matches again."""
+    tables = load_tables()
+    pi = trivial_o(2, 2)
+    assert verify_tables("all", tables).ok
+    theta_n(pi, 2, tables)
+    match = theta_module.matching_rows
+    matched = []
+
+    def spy(table, target):
+        matched.append(table)
+        return match(table, target)
+
+    monkeypatch.setattr(theta_module, "matching_rows", spy)
+    for _ in range(2):
+        assert not theta_n(pi, 2, tables).is_zero
+    assert matched == [tables.theta(2)] * 2
 
 
 def test_verify_tables_rejects_unknown_suites():

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from thetalift import ktypes
+from thetalift.enumeration import _ALL_SIGS, _all_ofactors, _occurring_uktypes
 from thetalift.ktypes import (
     OFactor,
     OKType,
@@ -207,3 +209,35 @@ def test_transfer_forms_match_the_inline_references():
                     nones += want is None
                     occurs += want is not None
     assert nones > 0 and occurs > 0
+
+
+def test_cached_transfers_equal_their_originals(monkeypatch):
+    """The bounded caches of u_from_o and o_from_u return what the uncached
+    functions return on every argument the joint-harmonics round trip of
+    ``verify`` gives them: phi_n on every sample O-factor pair and phi_pq on
+    every occurring U-type, ranks 0..5, each image mapped back."""
+    seen = {u_from_o: set(), o_from_u: set()}
+
+    def recorded(cached):
+        def call(*args):
+            seen[cached].add(args)
+            return cached.__wrapped__(*args)
+
+        return call
+
+    for cached in seen:
+        monkeypatch.setattr(ktypes, cached.__name__, recorded(cached))
+    for p, q in _ALL_SIGS:
+        for n in range(6):
+            for left in _all_ofactors(p, 6):
+                for right in _all_ofactors(q, 6):
+                    prime = phi_n(OKType(left, right), p, q, n)
+                    if prime is not None:
+                        phi_pq(prime, p, q)
+            for prime in _occurring_uktypes(n, p, q, 6):
+                phi_n(phi_pq(prime, p, q), p, q, n)
+    monkeypatch.undo()
+    assert len(seen[u_from_o]) == 60 and len(seen[o_from_u]) == 60
+    for cached, calls in seen.items():
+        for args in calls:
+            assert cached(*args) == cached.__wrapped__(*args), (cached.__name__, args)

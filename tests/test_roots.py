@@ -397,6 +397,8 @@ _UNBOUNDED_BY_DESIGN = {
 # The data-keyed caches, each bounded.  A new cache must be listed here or
 # above, so that adding one is a visible decision.
 _BOUNDED = {
+    "ktypes.o_from_u",
+    "ktypes.u_from_o",
     "langlands._render_scalars",
     "langlands._validate_psi",
     "langlands._zero_flip_orbit",

@@ -8,7 +8,10 @@ Submodules:
   lkt          lowest K-types of a parameter
   theta        lift tables, induction principles, first occurrence, dispatcher
   enumeration  fixed-infinitesimal-character enumeration and verification suites
-  cli          the `thetalift` command
+  cli          the `thetalift` command (also ``python -m thetalift``)
+
+``import thetalift`` loads exact, roots, langlands and theta; the names
+from ``enumeration`` load it, with lkt and ktypes, on first access.
 """
 
 from .exact import GENERIC_B, InfChar, Scalar, infchars_dual, parse_scalar
@@ -34,13 +37,29 @@ from .theta import (
     load_tables,
     theta_n,
 )
-from .enumeration import (
-    enumerate_o_reps,
-    enumerate_sp_reps,
-    regenerate_appendix_c,
-    verify_tables,
-    verify_unique_by_invariants,
+# ``enumeration`` and the K-type code it imports load on first use of one
+# of these names.  Each access looks the name up there afresh and stores
+# nothing here, so a function rebound there (as a tracer does) is seen.
+_ENUMERATION_NAMES = (
+    "enumerate_o_reps",
+    "enumerate_sp_reps",
+    "regenerate_appendix_c",
+    "verify_tables",
+    "verify_unique_by_invariants",
 )
+
+
+def __getattr__(name: str):
+    if name in _ENUMERATION_NAMES:
+        from . import enumeration
+
+        return getattr(enumeration, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ENUMERATION_NAMES})
+
 
 __version__ = "0.1.0"
 

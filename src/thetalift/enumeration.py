@@ -503,16 +503,23 @@ def _pattern_samples(pattern, cond: Condition) -> list[dict]:
     return [env for env in envs if cond_eval(cond, env)]
 
 
-def _instantiated_row_cases(rows) -> list[tuple[int, OParams, SpParams]]:
-    """(line, input parameter, expected lift) for sampled instantiations."""
+def _instantiated_row_cases(rows, unique: bool = False) -> list[tuple[int, OParams, SpParams]]:
+    """(line, input parameter, expected lift) for sampled instantiations;
+    with ``unique``, only the first case of each input, whose template
+    alone is instantiated."""
     cases = []
+    seen: set = set()
     for row in rows:
         for env in _pattern_samples(row.pattern, row.cond):
             try:
                 pi = instantiate_pattern(row.pattern, env)
+                if pi in seen:
+                    continue
                 lift = instantiate_pattern(row.template, env)
             except ParamError:
                 continue
+            if unique:
+                seen.add(pi)
             cases.append((row.line, pi, lift))
     return cases
 
@@ -526,14 +533,9 @@ def suite_theta12(inputs: _Inputs) -> VerificationReport:
     cases = []
     for rank in (1, 2):
         table = tables.theta(rank)
-        seen: set = set()
         details: list[str] = []
-        count = 0
-        for line, pi, want in _instantiated_row_cases(table.rows):
-            if pi in seen:
-                continue
-            seen.add(pi)
-            count += 1
+        samples = _instantiated_row_cases(table.rows, unique=True)
+        for line, pi, want in samples:
             hits = tables.hits(rank, pi)
             if len(hits) != 1:
                 details.append(
@@ -550,7 +552,7 @@ def suite_theta12(inputs: _Inputs) -> VerificationReport:
                 details.append(f"line {line}: {render_o(pi)} occurs after rank {rank}")
             if not infchars_dual(infchar_o(pi), infchar_sp(want), 2, rank):
                 details.append(f"line {line}: infinitesimal characters not dual for {render_o(pi)}")
-        cases.append(_case(f"theta{rank}: {count} sampled inputs lift exclusively and dually", details))
+        cases.append(_case(f"theta{rank}: {len(samples)} sampled inputs lift exclusively and dually", details))
 
     # completeness: every enumerated early-occurrence parameter is covered
     details = []

@@ -494,7 +494,8 @@ def _parse_expr_group(text: str) -> tuple[Expr, ...]:
     return _parse_expr_list(t[1:-1])
 
 
-_O_HEAD = _regex.compile(r"pi_\{(-?1)\}\((.*?)\)\s*(?:@\s*O\((\d+),(\d+)\))?")
+_O_HEAD = _regex.compile(r"pi_\{(-?1)\}\((.*?)\)\s*(?:@\s*(.*))?")
+_O_SIG = _regex.compile(r"O\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 _SP_HEAD = _regex.compile(r"pi\((.*)\)")
 
 
@@ -525,10 +526,12 @@ def parse_param_pattern(text: str) -> ParamPattern:
             raise ParamError(f"bad xi {fields[1]!r}")
         mu, nu, eps, kappa = (_parse_expr_group(f) for f in fields[3:7])
         if m.group(3) is not None:
+            if not (sig := _O_SIG.fullmatch(m.group(3))):
+                raise ParamError(f"bad signature {m.group(3)!r}, expected O(p,q)")
             pairs = 2 * len(mu) + len(eps)
             p, q = 2 * len(left) + pairs, 2 * len(right) + pairs
-            if (int(m.group(3)), int(m.group(4))) != (p, q):
-                raise ParamError(f"declared signature O({m.group(3)},{m.group(4)}) does not match O({p},{q})")
+            if (int(sig[1]), int(sig[2])) != (p, q):
+                raise ParamError(f"declared signature O({sig[1]},{sig[2]}) does not match O({p},{q})")
         head, psi_text = ("o", int(m.group(1)), xi.as_int(), left, right), fields[2]
         kind: GroupKind = OKind(len(left), len(right))
     elif m := _SP_HEAD.fullmatch(s):

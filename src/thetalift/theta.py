@@ -51,7 +51,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .exact import GENERIC_B, InfChar, Scalar, dual_padding, parse_scalar
-from .ktypes import UKType
 from .langlands import (
     Expr,
     OParams,
@@ -478,6 +477,8 @@ def _one_lift(hits: Sequence[tuple[LiftRow, SpParams]], pi: OParams) -> Optional
 def instantiate_lkt_row(row: LktRow, beta: Scalar) -> Optional[tuple[SpParams, frozenset]]:
     """The (parameter, lowest-K-type set) a classification row contributes
     at b = beta, or None when its condition excludes beta."""
+    from .ktypes import UKType
+
     env = {"b": beta}
     if not cond_eval(row.cond, env):
         return None

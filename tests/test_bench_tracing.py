@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import thetalift
 from thetalift import cli
 from thetalift.exact import Scalar
 
@@ -50,8 +51,14 @@ def test_layer_tracer_wraps_every_traced_name_and_restores_them(tracing, capsys)
             for name in names:
                 assert getattr(module, name) is not before[(f"thetalift.{layer}", name)], f"{layer}.{name}"
         code = cli.main(["first-occurrence", "--params", "pi_{1}(0,1,{},0,0,(1,1),(0,1))"])
+        traced_verify = thetalift.verify_tables
     finally:
         tracer.uninstall()
+    # the package looks up the names from enumeration there on each access,
+    # so one read while traced leaves no wrapper behind
+    assert traced_verify is not before[("thetalift.enumeration", "verify_tables")]
+    assert thetalift.verify_tables is thetalift.enumeration.verify_tables
+    assert "verify_tables" not in vars(thetalift)
     assert code == 0 and capsys.readouterr().out == "0\n"
     assert tracer.calls["cli.main"] == 1
     assert tracer.calls["langlands.parse_o"] >= 1

@@ -434,6 +434,24 @@ def test_usage_errors_exit_two(capsys, argv):
     assert run(capsys, argv)[0] == 2
 
 
+def test_unknown_suite_names_every_suite(capsys):
+    code, _, err = run(capsys, ["verify", "--suite", "bogus"])
+    assert code == 2 and err.startswith("error: unknown suite 'bogus'")
+    assert all(name in err for name in ("appendixC", "theta12", "theta3", "theta4", "props"))
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sig", ["O(2, 2)", "O( 2 , 2 )", "O(2,2)"])
+def test_spaced_signature_tail_is_accepted(capsys, sig):
+    assert run(capsys, ["lkt", "--params", f"{TRIVIAL22} @ {sig}"]) == (0, "(0;+1)x(0;+1)\n", "")
+
+
+@pytest.mark.parametrize("sig", ["O(2,x)", "O(-2,6)", "Sp(4)"])
+def test_bad_signature_tail_is_named(capsys, sig):
+    code, _, err = run(capsys, ["lkt", "--params", f"{TRIVIAL22} @ {sig}"])
+    assert code == 2 and repr(sig) in err
+
+
 def test_negative_enumerate_rank_is_named(capsys):
     code, _, err = run(capsys, ["enumerate", "--n", "-1", "--infchar", ""])
     assert code == 2 and err == "error: rank n must be nonnegative, got -1\n"
@@ -512,7 +530,8 @@ _SP_TEXTS = [
 _TOKENS = [
     "(", ")", "{", "}", ",", ";", " ", "0", "1", "-1", "2", "3", "1/2", "-3/2", "b",
     "2b", "i", "c1", "m", "e1", "f1", "2e1", "e1+e2", "-e1-f1", "e3", "pi(", "pi_{1}(",
-    "pi_{-1}(", "pi_{2}(", "@ O(2,2)", "@ O(4,0)", "@ O(-1,5)", "+1", "-", "x", "",
+    "pi_{-1}(", "pi_{2}(", "@ O(2,2)", "@ O(4,0)", "@ O(-1,5)", "@ O( 2 , 2 )", "@ Sp(4)", "@",
+    "+1", "-", "x", "",
 ]
 
 

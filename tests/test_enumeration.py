@@ -485,10 +485,23 @@ def test_verify_builds_each_check_input_once(monkeypatch):
     first occurrence, each lowest K-type set and each joint-harmonics image
     at most once: phi_pq runs once per distinct U(n)-type, 760 times.  It
     matches each (rank, pi) against a lift table at most once, for the
-    exclusivity check, the first occurrence and the lifts alike."""
+    exclusivity check, the first occurrence and the lifts alike.  It
+    instantiates a rank-1 or rank-2 template once per distinct sampled
+    input (41 and 214 of 45 and 325 sampled cases) and every rank-3 one
+    (40 cases)."""
     calls = Counter()
     matched = Counter()
     match = theta_module.matching_rows
+    tables = load_tables()
+    template_rank = {id(row.template): rank for rank in (1, 2, 3) for row in tables.theta(rank).rows}
+    templates = Counter()
+    instantiate = enumeration.instantiate_pattern
+
+    def counted_instantiate(pattern, env):
+        templates[template_rank.get(id(pattern))] += 1
+        return instantiate(pattern, env)
+
+    monkeypatch.setattr(enumeration, "instantiate_pattern", counted_instantiate)
 
     def counted_match(table, pi):
         matched[id(table), pi] += 1
@@ -513,7 +526,7 @@ def test_verify_builds_each_check_input_once(monkeypatch):
     counted("lowest_ktypes_sp")
     counted("phi_n")
     counted("phi_pq")
-    assert verify_tables("all").ok
+    assert verify_tables("all", tables).ok
     built = Counter()
     for (name, _), count in calls.items():
         built[name] += count
@@ -522,6 +535,7 @@ def test_verify_builds_each_check_input_once(monkeypatch):
     assert built["phi_pq"] == 760
     assert [key for key, count in calls.items() if count > 1] == []
     assert matched and [key for key, count in matched.items() if count > 1] == []
+    assert (templates[1], templates[2], templates[3]) == (41, 214, 40)
 
 
 def test_verify_drops_its_inputs_when_it_returns(monkeypatch):

@@ -15,11 +15,14 @@ Everything is computed on doubled integers: 2*lambda_a, twice the shift
 (``roots.twice_rho_shift``), delta_L in {0, +-1} and eta in {0, +-2}, and
 each K-type entry is halved once at the end, where it must be even.
 
-On the symplectic side everything that depends on (lam, mu, t, Psi)
-alone -- 2*lambda_a, the shifted entries, u - r, k, z and the delta_L
-options -- is computed once per distinct block and kept as immutable
-tuples (``_sp_blocks``, a bounded cache); each parameter then only counts
-h, picks its eta forms and assembles its K-types.
+On the symplectic side the answer depends on (lam, mu, t, Psi) and on
+h_eps, the number of eps_i equal to (-1)^(u-r+1), alone; nu and kappa do
+not enter.  ``_sp_lowest`` computes it once per such key (a bounded
+cache), and each parameter only counts h_eps.  What depends on (lam, mu,
+t) alone -- 2*lambda_a, the shifted entries, k, z and the block values --
+sits under its own bounded cache (``_sp_shift``), so the shift is
+computed once per distinct (lam, mu, t); the delta_L options, which need
+Psi, are built inside ``_sp_lowest``.
 
 Each side keeps its own eta forms on the zero entries.  For O(p,q) a
 lowest K-type also carries a sign on each factor; the sign assignment
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import functools
 from itertools import product
-from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .ktypes import OKType, UKType
@@ -58,13 +60,12 @@ def _pos_value_data(entries: tuple[int, ...]) -> tuple[list[int], list[int], lis
 def _delta_options(
     lam2: Sequence[int],
     base2: Sequence[int],
-    avals: list[int],
+    avals: Sequence[int],
     psi: PositiveSystem,
     block_root: Callable[[int], Root],
-) -> tuple[Mapping[int, int], ...]:
+) -> list[dict[int, int]]:
     """Every choice of twice the correction delta_L on the blocks of
-    2*lambda_a (``lam2``), as a read-only map from doubled block value to
-    2*delta.
+    2*lambda_a (``lam2``), as a map from doubled block value to 2*delta.
 
     A block whose doubled shifted entry (``base2``) is even takes 0.  An odd
     block carrying the j-th discrete value ``avals[j]`` takes +-1 by whether
@@ -81,7 +82,7 @@ def _delta_options(
             options.append((1 if psi.contains(block_root(doubled.index(al))) else -1,))
         else:
             options.append((1, -1))
-    return tuple(MappingProxyType(dict(zip(alphas, combo))) for combo in product(*options))
+    return [dict(zip(alphas, combo)) for combo in product(*options)]
 
 
 def _assemble_half(
@@ -110,20 +111,28 @@ def _assemble_half(
 
 
 @functools.lru_cache(maxsize=4096)
-def _sp_blocks(
-    lam: tuple[int, ...], mu: tuple[int, ...], t: int, psi: PositiveSystem
-) -> tuple[tuple[int, ...], tuple[int, ...], int, int, int, tuple[Mapping[int, int], ...]]:
+def _sp_shift(lam: tuple[int, ...], mu: tuple[int, ...], t: int) -> tuple[
+    tuple[int, ...], tuple[int, ...], int, int, tuple[int, ...], tuple[int, ...], tuple[int, ...]
+]:
     """What the lowest K-types of a symplectic parameter take from its
-    (lam, mu, t, Psi) alone: 2*lambda_a, the doubled shifted entries, u - r,
-    k, z and the delta_L options, each immutable, computed once per
-    distinct block."""
-    v = len(lam)
+    (lam, mu, t) alone: 2*lambda_a, the doubled shifted entries, k, z and
+    the block values with their cumulative counts, each immutable,
+    computed once per distinct (lam, mu, t)."""
     lam2 = tuple(sorted([2 * x for x in lam] + list(mu) + [0] * t + [-m for m in mu], reverse=True))
     base2 = tuple(x + s for x, s in zip(lam2, twice_rho_shift(lam2, SpKind(len(lam2)))))
-    avals, ktil, ltil = _pos_value_data(lam)
-    k, neg = (ktil[-1], ltil[-1]) if ktil else (0, 0)
-    # positive minus negative entries of lam_a; the +-mu/2 pairs cancel
-    u_minus_r, z = k - neg, lam.count(0)
+    avals, ktil, ltil = map(tuple, _pos_value_data(lam))
+    k = ktil[-1] if ktil else 0
+    return lam2, base2, k, lam.count(0), avals, ktil, ltil
+
+
+@functools.lru_cache(maxsize=4096)
+def _sp_lowest(
+    lam: tuple[int, ...], mu: tuple[int, ...], t: int, psi: PositiveSystem, h_eps: int
+) -> tuple[UKType, ...]:
+    """The lowest K-types of every symplectic parameter with this (lam, mu,
+    t, Psi) and ``h_eps`` signs eps_i equal to (-1)^(u-r+1), sorted."""
+    v = len(lam)
+    lam2, base2, k, z, avals, ktil, ltil = _sp_shift(lam, mu, t)
     by_values = _delta_options(
         lam2,
         base2,
@@ -131,25 +140,14 @@ def _sp_blocks(
         psi,
         lambda j: pair_root(v, ktil[j - 1] if j > 0 else 0, v - ltil[j], 1, 1),
     )
-    return lam2, base2, u_minus_r, k, z, by_values
-
-
-def lowest_ktypes_sp(params: SpParams) -> tuple[UKType, ...]:
-    """Lowest K-types (U(n) highest weights) of a symplectic parameter."""
-    mu, v = params.mu, params.v
-    lam2, base2, u_minus_r, k, z, by_values = _sp_blocks(params.lam, mu, params.t, params.psi)
     w = lam2.count(0)
-    h = (
-        sum(1 for e in params.eps if e == (-1) ** (u_minus_r + 1))
-        + sum(1 for m in mu if m == 0)
-        + (z + 1) // 2
-    )
+    h = h_eps + mu.count(0) + (z + 1) // 2
     first = [2] * h + [0] * (w - h)
     second = [0] * (w - h) + [-2] * h
     if z == 0:
         etas = [first] if first == second else [first, second]
     else:
-        etas = [first] if params.psi.contains(pair_root(v, k, k + z - 1, 1, 1)) else [second]
+        etas = [first] if psi.contains(pair_root(v, k, k + z - 1, 1, 1)) else [second]
 
     out = {
         UKType.of(tuple(_assemble_half(lam2, base2, by_value, eta, +1)))
@@ -157,6 +155,15 @@ def lowest_ktypes_sp(params: SpParams) -> tuple[UKType, ...]:
         for eta in etas
     }
     return tuple(sorted(out, key=lambda kt: kt.weights))
+
+
+def lowest_ktypes_sp(params: SpParams) -> tuple[UKType, ...]:
+    """Lowest K-types (U(n) highest weights) of a symplectic parameter."""
+    lam = params.lam
+    # u - r, the positive minus the negative entries of lam_a (the +-mu/2
+    # pairs cancel), has the parity of the nonzero entries of lam
+    sign = 1 if (len(lam) - lam.count(0)) % 2 else -1
+    return _sp_lowest(lam, params.mu, params.t, params.psi, params.eps.count(sign))
 
 
 def lowest_ktypes_o(params: OParams) -> tuple[OKType, ...]:

@@ -452,6 +452,29 @@ def test_bad_signature_tail_is_named(capsys, sig):
     assert code == 2 and repr(sig) in err
 
 
+def _many_slots(template, s):
+    mu = ",".join(str(2 * i) for i in range(1, s + 1))
+    return template.format(mu=mu, nu=",".join(["1"] * s))
+
+
+@pytest.mark.parametrize(
+    "template, at_limit",
+    [
+        ("pi((1),{{2e1}},({mu}),({nu}),0,0)", 2048),
+        ("pi_{{1}}((;),1,{{}},({mu}),({nu}),0,0)", 4096),
+    ],
+    ids=["sp", "o"],
+)
+def test_lkt_slot_limit_is_named(capsys, template, at_limit):
+    """``lkt`` answers up to 12 (mu, nu) slots and refuses 13, whose answer
+    doubles, with a usage error."""
+    code, out, _ = run(capsys, ["lkt", "--params", _many_slots(template, 12)])
+    assert code == 0 and len(out.splitlines()) == at_limit
+    code, out, err = run(capsys, ["lkt", "--params", _many_slots(template, 13)])
+    assert (code, out) == (2, "")
+    assert err == "error: lkt supports at most 12 (mu, nu) slots, got 13\n"
+
+
 def test_negative_enumerate_rank_is_named(capsys):
     code, _, err = run(capsys, ["enumerate", "--n", "-1", "--infchar", ""])
     assert code == 2 and err == "error: rank n must be nonnegative, got -1\n"

@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+from thetalift import lkt
 from thetalift.enumeration import enumerate_o_reps, enumerate_sp_reps
 from thetalift.exact import GENERIC_B, InfChar, Scalar, parse_infchar
 from thetalift.ktypes import OKType, UKType, sigma_one_one
@@ -25,7 +26,8 @@ from thetalift.langlands import (
 from thetalift.lkt import (
     _pos_value_data,
     _sign_pairs,
-    _sp_blocks,
+    _sp_lowest,
+    _sp_shift,
     lowest_ktypes_o,
     lowest_ktypes_sp,
     multiplicity_o31,
@@ -37,6 +39,7 @@ from thetalift.roots import (
     _f1_terms,
     pair_root,
     rho_shift,
+    twice_rho_shift,
 )
 from thetalift.theta import ThetaError, induct_pq, theta_n
 
@@ -184,7 +187,7 @@ def _census_lkt_lines(before_each=lambda: None) -> list[str]:
 
 def _clear_census_caches():
     """Empty the caches that hold per-datum census work."""
-    for cached in (_validate_psi, _zero_flip_orbit, _f1_terms, _sp_blocks):
+    for cached in (_validate_psi, _zero_flip_orbit, _f1_terms, _sp_shift, _sp_lowest):
         cached.cache_clear()
 
 
@@ -218,6 +221,35 @@ def test_rank_five_census_is_the_same_with_caches_cleared():
         validate_sp(pi)
         _clear_census_caches()
         assert lowest_ktypes_sp(pi) == want, render_sp(pi)
+
+
+def test_rank_five_census_assembles_each_lowest_ktype_key_once(monkeypatch):
+    """Over the rank-5 census at (0,...,4), the lowest K-types are assembled
+    once per distinct (lam, mu, t, Psi, h_eps), and the rho shift runs once
+    per distinct (lam, mu, t)."""
+    reps = enumerate_sp_reps(5, InfChar.of([0, 1, 2, 3, 4]))
+    assert len(reps) == 1732
+    shifts = []
+
+    def counted(lam2, kind):
+        shifts.append(lam2)
+        return twice_rho_shift(lam2, kind)
+
+    monkeypatch.setattr(lkt, "twice_rho_shift", counted)
+    _clear_census_caches()
+    for pi in reps:
+        lowest_ktypes_sp(pi)
+    assert len({(pi.lam, pi.mu, pi.t) for pi in reps}) == 515
+    assert len(shifts) == 515
+
+    def key(pi):
+        u_minus_r = sum(1 for x in pi.lam if x > 0) - sum(1 for x in pi.lam if x < 0)
+        h_eps = sum(1 for e in pi.eps if e == (-1) ** (u_minus_r + 1))
+        return pi.lam, pi.mu, pi.t, pi.psi, h_eps
+
+    assert len({key(pi) for pi in reps}) == 1296
+    info = _sp_lowest.cache_info()
+    assert (info.misses, info.hits) == (1296, 1732 - 1296)
 
 
 # -- doubled integers against the Fraction computation ---------------------------
@@ -352,7 +384,7 @@ def reference_lowest_ktypes_o(params):
     )
 
 
-@pytest.mark.parametrize("text", ["(0,1,2,3,4)", "(1/2,3/2,5/2,7/2,9/2)"])
+@pytest.mark.parametrize("text", ["(0,1,2,3,4)", "(1/2,3/2,5/2,7/2,9/2)", "(b,0,1,2,3)"])
 def test_integer_lkt_matches_fraction_reference_on_rank_five_census(text):
     reps = enumerate_sp_reps(5, parse_infchar(text))
     assert reps

@@ -241,7 +241,7 @@ def test_rho_shift_matches_fraction_reference_on_rank_four_census():
     reps = enumerate_sp_reps(4, InfChar.of([0, 1, 2, 3]))
     assert reps
     for pi in reps:
-        lam2, base2 = lkt._sp_blocks(pi.lam, pi.mu, pi.t, pi.psi)[:2]
+        lam2, base2 = lkt._sp_shift(pi.lam, pi.mu, pi.t)[:2]
         want = [2 * x for x in pi.lam] + list(pi.mu) + [0] * pi.t + [-m for m in pi.mu]
         assert list(lam2) == sorted(want, reverse=True), pi
         shift = [b - x for x, b in zip(lam2, base2)]
@@ -402,7 +402,8 @@ _BOUNDED = {
     "langlands._render_scalars",
     "langlands._validate_psi",
     "langlands._zero_flip_orbit",
-    "lkt._sp_blocks",
+    "lkt._sp_lowest",
+    "lkt._sp_shift",
     "roots._f1_terms",
     "roots._root_sums",
 }

@@ -52,11 +52,10 @@ from .theta import (
 
 
 # Census size grows about sixfold per rank: ``thetalift enumerate --n 7
-# --infchar 0,1,2,3,4,5,6`` takes 2.0-2.9 s end to end (59 592 parameters,
-# 49-52 MB peak RSS) and ``--n 6 --infchar 0,1,2,3,4,5`` 0.49-0.77 s (9932
-# parameters), on a 2-core Xeon box whose speed drifts with other load:
-# 2.0-2.3 s and 0.49-0.52 s in one session of three runs each, 2.9 s and
-# 0.63-0.77 s in another of two.  The library's enumerators stay unbounded.
+# --infchar 0,1,2,3,4,5,6`` takes 1.6-1.8 s end to end (59 592 parameters,
+# 54 MB peak RSS) and ``--n 6 --infchar 0,1,2,3,4,5`` 0.44-0.54 s (9932
+# parameters), three runs each on a 2-core Xeon box whose speed drifts with
+# other load.  The library's enumerators stay unbounded.
 MAX_ENUMERATE_RANK = 7
 
 # ``lift`` cost grows quadratically in n (0.05 s at n=100), ``phi``

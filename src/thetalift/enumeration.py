@@ -14,9 +14,15 @@ that the zero entries and kappa zeros allow.  Each is built in its
 canonical form: nu and kappa sign-normalized, the (mu, nu) and (eps, kappa)
 slots sorted, and on O(p,q) Psi the representative of its orbit under the
 sign flips on the zero coordinates of the discrete datum that keep the
-compact positives.  Each is built exactly once, and validation checks
-every member: one that fails raises instead of being dropped.  The census
-is ordered by its rendered text.  Everything downstream (table
+compact positives.  Each is built exactly once.  A member is a discrete
+datum times continuous slots, shared by many members, so validation checks
+each factor once: each (lam, Psi) datum when its positive systems are
+found, each continuous part once per eps option of a slot split, on
+O(p,q) the (zeta, xi) rule once per datum, split and sign pair, and the
+infinitesimal character once per split.  Together these checks cover
+every member, and one that fails raises instead of dropping anything.
+The census is ordered by its text, joined from datum and continuous
+texts that are each built once.  Everything downstream (table
 regeneration, uniqueness-by-invariants, the lift suites) reduces to set
 comparisons over these enumerations.
 """
@@ -29,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import partial, wraps
 from itertools import combinations_with_replacement, groupby, product
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .exact import GENERIC_B, InfChar, Scalar, infchars_dual
@@ -53,21 +60,31 @@ from .langlands import (
     canonicalize,
     canonicalize_o,
     canonicalize_sp,
+    continuous_text,
     contragredient_sp,
     det_o,
     infchar_o,
     infchar_sp,
+    o_datum_text,
     parse_o,
     parse_params,
     parse_sp,
     render_o,
     render_params,
     render_sp,
+    slots_infchar,
+    sp_datum_text,
     swap_pq,
     tensor_det_o,
     trivial_o,
+    validate_continuous,
+    # unused here, where the census checks factors instead: bench/tracing.py
+    # counts census candidates by wrapping the two names bound in this module
     validate_o,
+    validate_o_datum,
     validate_sp,
+    validate_sp_datum,
+    validate_zeta_xi,
 )
 from .lkt import lowest_ktypes_sp
 from .roots import (
@@ -186,27 +203,29 @@ def _eps_options(kappa: tuple[Scalar, ...], zero_sign: Optional[int]) -> list[tu
     return out
 
 
-def _infchar_inputs(params) -> tuple:
-    """The fields that determine a parameter's infinitesimal character."""
-    datum = params.lam if isinstance(params, SpParams) else params.lam_left + params.lam_right
-    return datum, params.mu, params.nu, params.kappa
+def _check_split(entries, data: list[tuple[int, ...]], mu, nu, kappa) -> None:
+    """Raise unless every discrete datum of ``data`` with these continuous
+    slots has the infinitesimal character ``entries``.  The character reads
+    the discrete entries up to sign, and the data of one slot split share
+    their magnitudes, so this is one check per split."""
+    for mags in {tuple(sorted(map(abs, datum))) for datum in data}:
+        chi = slots_infchar(mags, mu, nu, kappa)
+        if chi.entries != entries:
+            raise AssertionError(f"enumerated slots have the wrong infinitesimal character {chi.render()}")
 
 
-def _census(candidates: Iterable, entries, validate, infchar, render) -> tuple:
-    """The candidates, which are built valid, canonical and each once,
-    checked and sorted by their text.  The infinitesimal character is
-    checked to be ``entries`` once per distinct input to it."""
-    members = list(candidates)
-    checked = set()
-    for params in members:
-        validate(params)
-        inputs = _infchar_inputs(params)
-        if inputs in checked:
-            continue
-        checked.add(inputs)
-        if infchar(params).entries != entries:
-            raise AssertionError(f"enumerated {render(params)} has the wrong infinitesimal character")
-    return tuple(sorted(members, key=render))
+def _continuous_parts(mu, nu, kappa, zero_sign: Optional[int], signature=None) -> list[tuple]:
+    """Each eps option of a slot split, checked, with its continuous text."""
+    parts = []
+    for eps in _eps_options(kappa, zero_sign):
+        validate_continuous(mu, nu, eps, kappa, zero_sign)
+        parts.append((eps, continuous_text(mu, nu, eps, kappa, signature)))
+    return parts
+
+
+def _by_text(candidates: Iterable[tuple[str, object]]) -> tuple:
+    """The members of (text, member) candidates, ordered by their text."""
+    return tuple(member for _, member in sorted(candidates, key=itemgetter(0)))
 
 
 def _infchar_entries(chi: InfChar, m: int) -> tuple[Scalar, ...]:
@@ -243,34 +262,44 @@ def _halves(a: int, mags: list[int]) -> list[tuple[tuple[int, ...], tuple[int, .
 
 
 def enumerate_sp_reps(n: int, chi: InfChar) -> tuple[SpParams, ...]:
-    """All canonical rank-n parameters with infinitesimal character chi."""
+    """All canonical rank-n parameters with infinitesimal character chi,
+    ordered by their text.  Each (lam, Psi) datum and each continuous part
+    is checked once, and the character once per slot split."""
     entries = _infchar_entries(chi, n)
-    # the positive systems for which each discrete datum is (F-1)-dominant
-    dominant: dict[tuple[int, ...], list[PositiveSystem]] = {}
+    # the positive systems for which each discrete datum is (F-1)-dominant,
+    # each with its datum text
+    dominant: dict[tuple[int, ...], list[tuple[PositiveSystem, str]]] = {}
 
     def candidates():
         for v in range(n + 1):
             psis = enumerate_positive_systems(SpKind(v))
             for s in range((n - v) // 2 + 1):
                 for lams, mu, nu, kappa in _slot_splits(entries, v, s, _signed_lams):
-                    eps_options = _eps_options(kappa, (-1) ** v)
+                    _check_split(entries, lams, mu, nu, kappa)
+                    continuous = _continuous_parts(mu, nu, kappa, (-1) ** v)
                     for lam in lams:
                         if lam not in dominant:
-                            dominant[lam] = [psi for psi in psis if check_dominance_f1(lam, psi)]
-                        for psi, eps in product(dominant[lam], eps_options):
-                            yield SpParams(lam, psi, mu, nu, eps, kappa)
+                            found = [psi for psi in psis if check_dominance_f1(lam, psi)]
+                            validate_sp_datum(lam, found)
+                            dominant[lam] = [(psi, sp_datum_text(lam, psi)) for psi in found]
+                        for (psi, datum), (eps, rest) in product(dominant[lam], continuous):
+                            yield datum + rest, SpParams(lam, psi, mu, nu, eps, kappa)
 
-    return _census(candidates(), entries, validate_sp, infchar_sp, render_sp)
+    return _by_text(candidates())
 
 
 def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
-    """All canonical O(p,q) parameters with infinitesimal character chi."""
+    """All canonical O(p,q) parameters with infinitesimal character chi,
+    ordered by their text.  Each (lam_left, lam_right, Psi) datum and each
+    continuous part is checked once, the (zeta, xi) rule once per datum,
+    slot split and sign pair, and the character once per slot split."""
     if (p + q) % 2 != 0:
         raise ValueError("p + q must be even")
     entries = _infchar_entries(chi, (p + q) // 2)
-    # the positive systems for which each discrete datum is (F-1)-dominant,
-    # one per orbit under sign flips on the datum's zero coordinates
-    dominant: dict[tuple[tuple[int, ...], tuple[int, ...]], list[PositiveSystem]] = {}
+    # each discrete datum's zero count, and for each (zeta, xi) that count
+    # allows the positive systems for which the datum is (F-1)-dominant, one
+    # per orbit under sign flips on its zero coordinates, with datum texts
+    dominant: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, dict]] = {}
 
     def candidates():
         for t in range(min(p, q) + 1):
@@ -282,7 +311,8 @@ def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
                     continue
                 psis = enumerate_positive_systems(OKind(a, d))
                 for halves, mu, nu, kappa in _slot_splits(entries, a + d, s, partial(_halves, a)):
-                    eps_options = _eps_options(kappa, None)
+                    _check_split(entries, [left + right for left, right in halves], mu, nu, kappa)
+                    continuous = _continuous_parts(mu, nu, kappa, None, (p, q))
                     kappa_zero = any(k.is_zero for k in kappa)
                     for left, right in halves:
                         if (left, right) not in dominant:
@@ -291,17 +321,23 @@ def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
                             reps = (
                                 _zero_flip_orbit(psi, slots) for psi in psis if check_dominance_f1(lam, psi)
                             )
-                            dominant[left, right] = list(dict.fromkeys(reps))
-                        zeros = left.count(0) + right.count(0)
-                        # xi = -1 needs a zero entry; zeta = -1 needs none and a kappa = 0
-                        xis = (1, -1) if zeros else (1,)
-                        zetas = (1, -1) if kappa_zero and not zeros else (1,)
-                        for psi, eps, zeta, xi in product(
-                            dominant[left, right], eps_options, zetas, xis
-                        ):
-                            yield OParams(zeta, xi, left, right, psi, mu, nu, eps, kappa)
+                            found = list(dict.fromkeys(reps))
+                            validate_o_datum(left, right, found)
+                            # xi = -1 needs a zero entry; zeta = -1 needs none and a kappa = 0
+                            signs = ((1, 1), (1, -1)) if slots else ((1, 1), (-1, 1))
+                            dominant[left, right] = len(slots), {
+                                sign: [(psi, o_datum_text(*sign, left, right, psi)) for psi in found]
+                                for sign in signs
+                            }
+                        zeros, by_signs = dominant[left, right]
+                        for (zeta, xi), data in by_signs.items():
+                            if zeta == -1 and not kappa_zero:
+                                continue
+                            validate_zeta_xi(zeta, xi, zeros, kappa)
+                            for (psi, datum), (eps, rest) in product(data, continuous):
+                                yield datum + rest, OParams(zeta, xi, left, right, psi, mu, nu, eps, kappa)
 
-    return _census(candidates(), entries, validate_o, infchar_o, render_o)
+    return _by_text(candidates())
 
 
 def _by_lkts(census: dict) -> dict[frozenset, tuple[SpParams, ...]]:

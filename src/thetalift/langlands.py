@@ -17,9 +17,15 @@ last flips.  canonicalize_* picks the unique representative used for
 equality tests throughout, and returns its input when that is canonical
 already.
 
-validate_* run every check on every call; only the Psi check, whose
-verdict depends on (Psi, kind, lam) alone, is remembered once it passes
-(``_validate_psi``, a bounded cache that stores no failure).
+validate_sp and validate_o are the conjunction of factor checks, so that
+a census, whose members share few factors, can run each once per factor:
+the datum check on (lam, Psi), the continuous check on (mu, nu, eps,
+kappa) with the parity of v, and on O(p,q) the (zeta, xi) rule, which
+reads the datum's zero count and whether some kappa is 0.  Each runs every
+check on every call; only the Psi check, whose verdict depends on (Psi,
+kind, lam) alone, is remembered once it passes (``_validate_psi``, a
+bounded cache that stores no failure).  Parameter text is likewise a
+datum text followed by a continuous text.
 """
 
 from __future__ import annotations
@@ -134,25 +140,37 @@ Params = Union[SpParams, OParams]
 # -- validation --------------------------------------------------------------
 
 
-def _validate_continuous(params: Params) -> None:
-    if len(params.mu) != len(params.nu):
+def validate_continuous(
+    mu: tuple[int, ...],
+    nu: tuple[Scalar, ...],
+    eps: tuple[int, ...],
+    kappa: tuple[Scalar, ...],
+    zero_sign: Optional[int],
+) -> None:
+    """The (mu, nu) and (eps, kappa) slots; kappa = 0 forces eps =
+    ``zero_sign`` unless that is None: (-1)^v on Sp, no rule on O(p,q)."""
+    if len(mu) != len(nu):
         raise ParamError("mu and nu must have equal length")
-    if len(params.eps) != len(params.kappa):
+    if len(eps) != len(kappa):
         raise ParamError("eps and kappa must have equal length")
-    _check_signs(params.eps, "eps")
-    for m in params.mu:
+    _check_signs(eps, "eps")
+    for m in mu:
         if not isinstance(m, int) or m < 0:
             raise ParamError(f"mu entries must be nonnegative integers, got {m}")
-    for m, nu in zip(params.mu, params.nu):
-        if nu.is_zero and m % 2 == 0:
+    for m, n in zip(mu, nu):
+        if n.is_zero and m % 2 == 0:
             raise ParamError(f"(mu,nu)=({m},0) needs mu odd")
     # slots whose kappas are equal up to sign form one class, keyed by its
     # sign-normalized kappa, and a class carries one eps
     first: dict[Scalar, int] = {}
-    for j, k in enumerate(params.kappa):
+    for j, k in enumerate(kappa):
         i = first.setdefault(k.normalized_sign(), j)
-        if params.eps[i] != params.eps[j]:
+        if eps[i] != eps[j]:
             raise ParamError(f"kappa_{i+1} = +-kappa_{j+1} forces equal eps")
+    if zero_sign is not None:
+        for i, k in enumerate(kappa):
+            if k.is_zero and eps[i] != zero_sign:
+                raise ParamError(f"kappa_{i+1}=0 forces eps=(-1)^v={zero_sign}")
 
 
 @functools.lru_cache(maxsize=4096)
@@ -173,8 +191,10 @@ def _validate_psi(psi: PositiveSystem, kind: GroupKind, lam: tuple[int, ...]) ->
         raise ParamError(f"lam={lam} is not (F-1)-dominant for Psi={psi}")
 
 
-def validate_sp(params: SpParams) -> None:
-    lam = params.lam
+def validate_sp_datum(lam: tuple[int, ...], psis: Iterable[PositiveSystem]) -> None:
+    """``lam`` is a discrete datum of Sp(2v) and each of ``psis`` a positive
+    system for it.  The checks on ``lam`` alone run even when ``psis`` is
+    empty."""
     if any(not isinstance(x, int) for x in lam):
         raise ParamError("lam entries must be integers")
     if list(lam) != sorted(lam, reverse=True):
@@ -183,16 +203,15 @@ def validate_sp(params: SpParams) -> None:
     neg = [-x for x in lam if x < 0]
     if not _block_multiplicities_ok(pos, neg):
         raise ParamError(f"lam block multiplicities differ by more than 1: {lam}")
-    _validate_psi(params.psi, SpKind(len(lam)), tuple(lam))
-    _validate_continuous(params)
-    forced = (-1) ** len(lam)
-    for i, ki in enumerate(params.kappa):
-        if ki.is_zero and params.eps[i] != forced:
-            raise ParamError(f"kappa_{i+1}=0 forces eps=(-1)^v={forced}")
+    for psi in psis:
+        _validate_psi(psi, SpKind(len(lam)), tuple(lam))
 
 
-def validate_o(params: OParams) -> None:
-    left, right = params.lam_left, params.lam_right
+def validate_o_datum(
+    left: tuple[int, ...], right: tuple[int, ...], psis: Iterable[PositiveSystem]
+) -> None:
+    """(``left``; ``right``) is a discrete datum of O(2a, 2d) and each of
+    ``psis`` a positive system for it, as in ``validate_sp_datum``."""
     for half in (left, right):
         if any(not isinstance(x, int) or x < 0 for x in half):
             raise ParamError("lam halves must be nonnegative integers")
@@ -202,17 +221,33 @@ def validate_o(params: OParams) -> None:
         raise ParamError("lam halves have block multiplicities differing by more than 1")
     if abs(left.count(0) - right.count(0)) > 1:
         raise ParamError("zero blocks of the lam halves differ by more than 1")
-    _validate_psi(params.psi, OKind(len(left), len(right)), tuple(left + right))
-    if params.xi not in (1, -1) or params.zeta not in (1, -1):
+    for psi in psis:
+        _validate_psi(psi, OKind(len(left), len(right)), tuple(left + right))
+
+
+def validate_zeta_xi(zeta: int, xi: int, zeros: int, kappa: tuple[Scalar, ...]) -> None:
+    """The sign characters of an O parameter whose discrete datum has
+    ``zeros`` zero entries and whose GL(1) slots carry ``kappa``."""
+    if xi not in (1, -1) or zeta not in (1, -1):
         raise ParamError("zeta and xi must be +-1")
-    if params.xi == -1 and params.zeros == 0:
+    if xi == -1 and zeros == 0:
         raise ParamError("xi=-1 requires a zero entry in lam")
-    if params.zeta == -1:
-        if params.zeros > 0:
+    if zeta == -1:
+        if zeros > 0:
             raise ParamError("zeta=-1 requires lam without zero entries")
-        if not any(k.is_zero for k in params.kappa):
+        if not any(k.is_zero for k in kappa):
             raise ParamError("zeta=-1 requires some kappa=0")
-    _validate_continuous(params)
+
+
+def validate_sp(params: SpParams) -> None:
+    validate_sp_datum(params.lam, (params.psi,))
+    validate_continuous(params.mu, params.nu, params.eps, params.kappa, (-1) ** params.v)
+
+
+def validate_o(params: OParams) -> None:
+    validate_o_datum(params.lam_left, params.lam_right, (params.psi,))
+    validate_zeta_xi(params.zeta, params.xi, params.zeros, params.kappa)
+    validate_continuous(params.mu, params.nu, params.eps, params.kappa, None)
 
 
 # -- canonical form ----------------------------------------------------------
@@ -273,19 +308,23 @@ def canonicalize(params: Params) -> Params:
 # -- infinitesimal characters ------------------------------------------------
 
 
-def _infchar(discrete: tuple[int, ...], params: Params) -> InfChar:
+def slots_infchar(
+    discrete: tuple[int, ...], mu: tuple[int, ...], nu: tuple[Scalar, ...], kappa: tuple[Scalar, ...]
+) -> InfChar:
+    """The infinitesimal character of a parameter with discrete entries
+    ``discrete`` and these continuous slots; eps does not enter."""
     entries = [Scalar.of(x) for x in discrete]
-    for m, nu in zip(params.mu, params.nu):
-        entries += [(nu + m).half(), (nu - m).half()]
-    return InfChar.of(entries + list(params.kappa))
+    for m, n in zip(mu, nu):
+        entries += [(n + m).half(), (n - m).half()]
+    return InfChar.of(entries + list(kappa))
 
 
 def infchar_sp(params: SpParams) -> InfChar:
-    return _infchar(params.lam, params)
+    return slots_infchar(params.lam, params.mu, params.nu, params.kappa)
 
 
 def infchar_o(params: OParams) -> InfChar:
-    return _infchar(params.lam_left + params.lam_right, params)
+    return slots_infchar(params.lam_left + params.lam_right, params.mu, params.nu, params.kappa)
 
 
 # -- structural maps ---------------------------------------------------------
@@ -394,24 +433,46 @@ def _render_o_lam(left: tuple[int, ...], right: tuple[int, ...]) -> str:
     return "(" + ",".join(map(str, left)) + ";" + ",".join(map(str, right)) + ")"
 
 
-def _continuous_texts(params: Params) -> list[str]:
-    return [
-        _render_ints(params.mu),
-        _render_scalars(params.nu),
-        _render_ints(params.eps),
-        _render_scalars(params.kappa),
-    ]
+# A parameter's text is its datum text followed by its continuous text, so
+# that a census builds each once and joins them for each member.
+
+
+def sp_datum_text(lam: tuple[int, ...], psi: PositiveSystem) -> str:
+    """The text of an Sp parameter up to its continuous slots."""
+    return f"pi({_render_ints(lam)},{psi.render()},"
+
+
+def o_datum_text(
+    zeta: int, xi: int, left: tuple[int, ...], right: tuple[int, ...], psi: PositiveSystem
+) -> str:
+    """The text of an O parameter up to its continuous slots."""
+    return f"pi_{{{zeta}}}({_render_o_lam(left, right)},{xi},{psi.render()},"
+
+
+def continuous_text(
+    mu: tuple[int, ...],
+    nu: tuple[Scalar, ...],
+    eps: tuple[int, ...],
+    kappa: tuple[Scalar, ...],
+    signature: Optional[tuple[int, int]] = None,
+) -> str:
+    """The text of a parameter from its continuous slots on; ``signature``
+    is the (p, q) of an O parameter, None on Sp."""
+    text = f"{_render_ints(mu)},{_render_scalars(nu)},{_render_ints(eps)},{_render_scalars(kappa)})"
+    return text if signature is None else f"{text} @ O({signature[0]},{signature[1]})"
 
 
 def render_sp(params: SpParams) -> str:
-    fields = [_render_ints(params.lam), params.psi.render()] + _continuous_texts(params)
-    return "pi(" + ",".join(fields) + ")"
+    return sp_datum_text(params.lam, params.psi) + continuous_text(
+        params.mu, params.nu, params.eps, params.kappa
+    )
 
 
 def render_o(params: OParams) -> str:
-    lam = _render_o_lam(params.lam_left, params.lam_right)
-    fields = [lam, str(params.xi), params.psi.render()] + _continuous_texts(params)
-    return f"pi_{{{params.zeta}}}(" + ",".join(fields) + f") @ O({params.p},{params.q})"
+    datum = o_datum_text(params.zeta, params.xi, params.lam_left, params.lam_right, params.psi)
+    return datum + continuous_text(
+        params.mu, params.nu, params.eps, params.kappa, (params.p, params.q)
+    )
 
 
 def render_params(params: Params) -> str:

@@ -476,14 +476,18 @@ def _one_lift(hits: Sequence[tuple[LiftRow, SpParams]], pi: OParams) -> Optional
 
 def instantiate_lkt_row(row: LktRow, beta: Scalar) -> Optional[tuple[SpParams, frozenset]]:
     """The (parameter, lowest-K-type set) a classification row contributes
-    at b = beta, or None when its condition excludes beta."""
+    at b = beta, or None when its condition excludes beta.  A K-type that
+    is no U(n)-type at beta raises TableError naming the row."""
     from .ktypes import UKType
 
     env = {"b": beta}
     if not cond_eval(row.cond, env):
         return None
     params = instantiate_pattern(row.pattern, env)
-    lkts = frozenset(UKType.of(tuple(expr_eval(e, env).as_int() for e in tup)) for tup in row.lkts)
+    try:
+        lkts = frozenset(UKType.of(tuple(expr_eval(e, env).as_int() for e in tup)) for tup in row.lkts)
+    except ValueError as err:
+        raise TableError(f"{APPENDIX_FILE}:{row.line}: {err} at b={beta.render()}") from None
     return params, lkts
 
 

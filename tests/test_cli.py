@@ -355,6 +355,30 @@ def test_verify_reports_a_wrong_determinant_lift(capsys, tmp_path):
     )
 
 
+# Edits of appendix_c.tbl:93 that leave a K-type that is no U(n)-type at b = 2.
+_APPENDIX_ROW = "pi(0,{},(b),(b),(1),(1)) => {(b/2+1,0,-b/2),(b/2,0,-b/2-1)} ; b int & b even & b>=2"
+_KTYPE_DEFECTS = {
+    "non-integral": (("b/2+1,0", "b+1/2+1,0"), "not an integer: 7/2 at b=2"),
+    "not-decreasing": (("(b/2,0,", "(0,b/2,"), "U(n) weight not weakly decreasing: (0, 1, -2) at b=2"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_KTYPE_DEFECTS))
+def test_verify_names_the_appendix_row_of_a_bad_ktype(capsys, tmp_path, defect):
+    """A classification K-type that is no U(n)-type at a grid b is a failed
+    check naming its row, not an error exit."""
+    (old, new), message = _KTYPE_DEFECTS[defect]
+
+    def edit(text: str) -> str:
+        assert _APPENDIX_ROW in text
+        return text.replace(_APPENDIX_ROW, _APPENDIX_ROW.replace(old, new))
+
+    dest = _copy_with_edit(tmp_path / "tables", "appendix_c.tbl", edit)
+    code, out, err = run(capsys, ["--table-dir", str(dest), "verify", "--suite", "all"])
+    assert (code, err) == (1, "")
+    assert f"    appendix_c.tbl:93: {message}" in out.splitlines()
+
+
 @pytest.fixture
 def fresh_parser():
     """The parser cache emptied before and after the test."""

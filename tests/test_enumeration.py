@@ -43,6 +43,7 @@ from thetalift.langlands import (
     parse_o,
     parse_sp,
     render_o,
+    render_params,
     render_sp,
     tensor_det_o,
     trivial_o,
@@ -309,18 +310,53 @@ def test_o_pool_grid_census_members_are_built_canonical(sig):
         _assert_built_canonical(reps, canonicalize_o, render_o)
 
 
-def _count_validations(monkeypatch) -> list:
-    """Record each parameter validated through enumeration's namespace."""
-    calls = []
-    for name in ("validate_sp", "validate_o"):
+FACTOR_CHECKS = ("validate_sp_datum", "validate_o_datum", "validate_continuous", "validate_zeta_xi")
+
+
+def _count_factor_checks(monkeypatch) -> dict[str, list]:
+    """Record the arguments of each factor check made through enumeration's
+    namespace, by check name."""
+    calls: dict[str, list] = {name: [] for name in FACTOR_CHECKS}
+    for name, seen in calls.items():
         original = getattr(enumeration, name)
 
-        def counting(params, original=original):
-            calls.append(params)
-            original(params)
+        def counting(*args, original=original, seen=seen):
+            seen.append(args)
+            original(*args)
 
         monkeypatch.setattr(enumeration, name, counting)
     return calls
+
+
+def _assert_factors_checked_once(calls: dict[str, list], census) -> tuple:
+    """Build ``census`` while ``calls`` records its checks and return it.
+    No member is built twice; each of its (lam, Psi) data and continuous
+    parts is checked exactly once, and nothing else is; every (zeta, xi)
+    of an O member goes through the (zeta, xi) rule; every member passes
+    the public validation."""
+    for seen in calls.values():
+        seen.clear()
+    reps = census()
+    assert len(set(reps)) == len(reps)
+    sp = census.func is enumerate_sp_reps
+    assert not calls["validate_o_datum" if sp else "validate_sp_datum"]
+    datum_calls = calls["validate_sp_datum" if sp else "validate_o_datum"]
+    datum_heads = [args[:-1] for args in datum_calls]
+    assert len(set(datum_heads)) == len(datum_heads)
+    data = Counter((*head, psi) for *head, psis in datum_calls for psi in psis)
+    parts = Counter(calls["validate_continuous"])
+    if sp:
+        assert set(data) == {(pi.lam, pi.psi) for pi in reps}
+        assert set(parts) == {(pi.mu, pi.nu, pi.eps, pi.kappa, (-1) ** pi.v) for pi in reps}
+    else:
+        assert set(data) == {(pi.lam_left, pi.lam_right, pi.psi) for pi in reps}
+        assert set(parts) == {(pi.mu, pi.nu, pi.eps, pi.kappa, None) for pi in reps}
+        signs = set(calls["validate_zeta_xi"])
+        assert all((pi.zeta, pi.xi, pi.zeros, pi.kappa) in signs for pi in reps)
+    assert set(data.values()) <= {1} and set(parts.values()) <= {1}
+    for pi in reps:
+        (validate_sp if sp else validate_o)(pi)
+    return reps
 
 
 @pytest.mark.parametrize(
@@ -334,17 +370,15 @@ def _count_validations(monkeypatch) -> list:
     ids=["sp5-(0,1,2,3,4)", "sp4-(1,1,2,2)", "sp4-(0,0,1,1)", "o22-(1,1)"],
 )
 def test_census_validates_little_more_than_it_keeps(monkeypatch, call):
-    """Construction emits only members that validate, each once: the
-    validate calls made from enumeration are the members."""
-    calls = _count_validations(monkeypatch)
-    reps = call()
-    assert reps and len(set(reps)) == len(reps)
-    assert len(calls) == len(reps) and set(calls) == set(reps)
+    """Construction emits only members that validate, each once, and the
+    factor checks made from enumeration are those of the members, each
+    factor checked once."""
+    assert _assert_factors_checked_once(_count_factor_checks(monkeypatch), call)
 
 
 # Every character of each size on this grid, at Sp ranks 0-5 and on every
-# O(p,q) with p+q in {4, 6}: no member is built twice, and none is built and
-# then rejected.
+# O(p,q) with p+q in {4, 6}: no member is built twice, and each factor is
+# checked once.
 ONCE_GRID = (0, 1, 2, Q(1, 2), GENERIC_B)
 ONCE_SIGNATURES = SIGNATURES + tuple((p, 6 - p) for p in range(7))
 
@@ -354,16 +388,24 @@ def _grid_characters(size):
     return [InfChar.of(c) for c in combinations_with_replacement(grid, size)]
 
 
-def _assert_each_member_validated_once(monkeypatch, censuses):
-    calls = _count_validations(monkeypatch)
+def _once_grid_censuses():
+    """The censuses of the once grid, Sp ranks 0-5 then each O(p,q)."""
+    for n in range(6):
+        for chi in _grid_characters(n):
+            yield partial(enumerate_sp_reps, n, chi)
+    for sig in ONCE_SIGNATURES:
+        for chi in _grid_characters(sum(sig) // 2):
+            yield partial(enumerate_o_reps, *sig, chi)
+
+
+def _assert_each_census_checks_factors_once(monkeypatch, censuses):
+    calls = _count_factor_checks(monkeypatch)
     for census in censuses:
-        before = len(calls)
-        reps = census()
-        assert len(set(reps)) == len(reps) == len(calls) - before, census
+        _assert_factors_checked_once(calls, census)
 
 
 def test_sp_census_validates_each_member_once(monkeypatch):
-    _assert_each_member_validated_once(
+    _assert_each_census_checks_factors_once(
         monkeypatch,
         [partial(enumerate_sp_reps, n, chi) for n in range(6) for chi in _grid_characters(n)],
     )
@@ -372,7 +414,46 @@ def test_sp_census_validates_each_member_once(monkeypatch):
 @pytest.mark.parametrize("sig", ONCE_SIGNATURES, ids=str)
 def test_o_census_validates_each_member_once(monkeypatch, sig):
     chis = _grid_characters(sum(sig) // 2)
-    _assert_each_member_validated_once(monkeypatch, [partial(enumerate_o_reps, *sig, chi) for chi in chis])
+    _assert_each_census_checks_factors_once(monkeypatch, [partial(enumerate_o_reps, *sig, chi) for chi in chis])
+
+
+# SHA-256 of every census text of the once grid, in census order, one line
+# each, taken before the census built its texts from factor texts.
+ONCE_GRID_TEXTS_SHA256 = "8a4b0057d1e0dcfcf3586ba4da5ed409be1fa0c7e72fe64f901f1434f1f0fe82"
+
+
+def test_once_grid_census_texts_are_pinned():
+    lines = [render_params(pi) for census in _once_grid_censuses() for pi in census()]
+    assert len(lines) == 18641
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ONCE_GRID_TEXTS_SHA256
+
+
+# -- planted defects: each factor check catches what a broken builder emits -----
+
+
+def test_census_rejects_a_discrete_datum_that_is_not_decreasing(monkeypatch):
+    original = enumeration._signed_lams
+    monkeypatch.setattr(enumeration, "_signed_lams", lambda mags: [lam[::-1] for lam in original(mags)])
+    with pytest.raises(ParamError, match="weakly decreasing"):
+        enumerate_sp_reps(2, InfChar.of([1, 2]))
+
+
+def test_census_rejects_a_wrong_eps_on_kappa_zero(monkeypatch):
+    original = enumeration._eps_options
+    monkeypatch.setattr(
+        enumeration, "_eps_options", lambda kappa, zero_sign: original(kappa, zero_sign and -zero_sign)
+    )
+    with pytest.raises(ParamError, match="kappa_1=0 forces eps"):
+        enumerate_sp_reps(1, InfChar.of([0]))
+
+
+def test_census_rejects_a_wrong_nu(monkeypatch):
+    original = enumeration._pair_options
+    monkeypatch.setattr(
+        enumeration, "_pair_options", lambda x, y: {(mu, nu + 2) for mu, nu in original(x, y)}
+    )
+    with pytest.raises(AssertionError, match="wrong infinitesimal character"):
+        enumerate_sp_reps(2, InfChar.of([1, 2]))
 
 
 # -- uniqueness by invariants ---------------------------------------------------

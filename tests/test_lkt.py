@@ -41,7 +41,7 @@ from thetalift.roots import (
     rho_shift,
     twice_rho_shift,
 )
-from thetalift.theta import ThetaError, induct_pq, theta_n
+from thetalift.theta import ThetaError, first_occurrence, induct_pq, theta_n
 
 
 def test_one_dimensionals_have_one_dimensional_lkt():
@@ -206,6 +206,29 @@ def test_census_lowest_ktypes_are_pinned():
 def test_census_lowest_ktypes_are_pinned_with_caches_cleared():
     """The same lines with the per-datum caches emptied before each member."""
     assert _census_lkt_digest(_clear_census_caches) == CENSUS_LKT_SHA256
+
+
+# SHA-256 of one line per lift-pool parameter: its text, its first
+# occurrence and theta_0 ... theta_6.  Any change to a lift, an occurrence,
+# the O census or rendering moves it.
+POOL_ANSWERS_SHA256 = "883251d5f722b5c532051561a05cb1f05b7a4ffce73aac9c5463b09e7a4a310c"
+
+
+def test_pool_answers_are_pinned():
+    """Every O(p,q), p+q=4, parameter over the pair grid of
+    {0,1,2,3,1/2,3/2,b}, in text order, keeps its first occurrence and its
+    lifts to ranks 0-6."""
+    grid = [Scalar.of(x) for x in (0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2))] + [GENERIC_B]
+    chis = {InfChar.of(pair) for pair in combinations_with_replacement(grid, 2)}
+    pool = sorted(
+        (pi for p in range(5) for chi in chis for pi in enumerate_o_reps(p, 4 - p, chi)), key=render_o
+    )
+    lines = []
+    for pi in pool:
+        lifts = " ".join(theta_n(pi, n).render() for n in range(7))
+        lines.append(f"{render_o(pi)} {first_occurrence(pi)} {lifts}")
+    assert len(lines) == 341
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == POOL_ANSWERS_SHA256
 
 
 def test_rank_five_census_is_the_same_with_caches_cleared():

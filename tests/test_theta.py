@@ -12,7 +12,6 @@ import pytest
 from thetalift.exact import GENERIC_B, InfChar, Scalar, infchars_dual, parse_scalar
 from thetalift.langlands import (
     ParamError,
-    _validate_continuous,
     SpParams,
     canonicalize_o,
     canonicalize_sp,
@@ -30,6 +29,7 @@ from thetalift.langlands import (
     render_sp,
     swap_pq,
     trivial_o,
+    validate_continuous,
 )
 from thetalift.enumeration import enumerate_o_reps, enumerate_sp_reps
 from thetalift.lkt import lowest_ktypes_sp
@@ -273,7 +273,7 @@ def test_kappa_classes_match_the_pairwise_references():
     for _ in range(4000):
         probe = _random_slots(rng)
         try:
-            _validate_continuous(probe)
+            validate_continuous(probe.mu, probe.nu, probe.eps, probe.kappa, None)
             accepted = True
         except ParamError:
             accepted = False

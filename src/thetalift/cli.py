@@ -52,8 +52,8 @@ from .theta import (
 
 
 # Census size grows about sixfold per rank: ``thetalift enumerate --n 7
-# --infchar 0,1,2,3,4,5,6`` takes 1.6-1.8 s end to end (59 592 parameters,
-# 54 MB peak RSS) and ``--n 6 --infchar 0,1,2,3,4,5`` 0.44-0.54 s (9932
+# --infchar 0,1,2,3,4,5,6`` takes 1.3-1.9 s end to end (59 592 parameters,
+# 54 MB peak RSS) and ``--n 6 --infchar 0,1,2,3,4,5`` 0.43-0.55 s (9932
 # parameters), three runs each on a 2-core Xeon box whose speed drifts with
 # other load.  The library's enumerators stay unbounded.
 MAX_ENUMERATE_RANK = 7

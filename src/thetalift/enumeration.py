@@ -17,14 +17,15 @@ sign flips on the zero coordinates of the discrete datum that keep the
 compact positives.  Each is built exactly once.  A member is a discrete
 datum times continuous slots, shared by many members, so validation checks
 each factor once: each (lam, Psi) datum when its positive systems are
-found, each continuous part once per eps option of a slot split, on
-O(p,q) the (zeta, xi) rule once per datum, split and sign pair, and the
-infinitesimal character once per split.  Together these checks cover
-every member, and one that fails raises instead of dropping anything.
-The census is ordered by its text, joined from datum and continuous
-texts that are each built once.  Everything downstream (table
-regeneration, uniqueness-by-invariants, the lift suites) reduces to set
-comparisons over these enumerations.
+found, as the discrete-series parameter it is (``validate_sp`` or
+``validate_o`` with no continuous slots), each continuous part once per
+eps option of a slot split, on O(p,q) the (zeta, xi) rule once per datum,
+split and sign pair, and the infinitesimal character once per split.
+Together these checks cover every member, and one that fails raises
+instead of dropping anything.  The census is ordered by its text, joined
+from datum and continuous texts that are each built once.  Everything
+downstream (table regeneration, uniqueness-by-invariants, the lift
+suites) reduces to set comparisons over these enumerations.
 """
 
 from __future__ import annotations
@@ -78,12 +79,9 @@ from .langlands import (
     tensor_det_o,
     trivial_o,
     validate_continuous,
-    # unused here, where the census checks factors instead: bench/tracing.py
-    # counts census candidates by wrapping the two names bound in this module
+    # bench/tracing.py counts the census's calls to these two as candidates
     validate_o,
-    validate_o_datum,
     validate_sp,
-    validate_sp_datum,
     validate_zeta_xi,
 )
 from .lkt import lowest_ktypes_sp
@@ -214,12 +212,12 @@ def _check_split(entries, data: list[tuple[int, ...]], mu, nu, kappa) -> None:
             raise AssertionError(f"enumerated slots have the wrong infinitesimal character {chi.render()}")
 
 
-def _continuous_parts(mu, nu, kappa, zero_sign: Optional[int], signature=None) -> list[tuple]:
+def _continuous_parts(mu, nu, kappa, zero_sign: Optional[int]) -> list[tuple]:
     """Each eps option of a slot split, checked, with its continuous text."""
     parts = []
     for eps in _eps_options(kappa, zero_sign):
         validate_continuous(mu, nu, eps, kappa, zero_sign)
-        parts.append((eps, continuous_text(mu, nu, eps, kappa, signature)))
+        parts.append((eps, continuous_text(mu, nu, eps, kappa)))
     return parts
 
 
@@ -280,7 +278,9 @@ def enumerate_sp_reps(n: int, chi: InfChar) -> tuple[SpParams, ...]:
                     for lam in lams:
                         if lam not in dominant:
                             found = [psi for psi in psis if check_dominance_f1(lam, psi)]
-                            validate_sp_datum(lam, found)
+                            for psi in found:
+                                # the discrete series pi(lam, Psi) of Sp(2v)
+                                validate_sp(SpParams(lam, psi, (), (), (), ()))
                             dominant[lam] = [(psi, sp_datum_text(lam, psi)) for psi in found]
                         for (psi, datum), (eps, rest) in product(dominant[lam], continuous):
                             yield datum + rest, SpParams(lam, psi, mu, nu, eps, kappa)
@@ -312,7 +312,7 @@ def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
                 psis = enumerate_positive_systems(OKind(a, d))
                 for halves, mu, nu, kappa in _slot_splits(entries, a + d, s, partial(_halves, a)):
                     _check_split(entries, [left + right for left, right in halves], mu, nu, kappa)
-                    continuous = _continuous_parts(mu, nu, kappa, None, (p, q))
+                    continuous = _continuous_parts(mu, nu, kappa, None)
                     kappa_zero = any(k.is_zero for k in kappa)
                     for left, right in halves:
                         if (left, right) not in dominant:
@@ -322,7 +322,9 @@ def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
                                 _zero_flip_orbit(psi, slots) for psi in psis if check_dominance_f1(lam, psi)
                             )
                             found = list(dict.fromkeys(reps))
-                            validate_o_datum(left, right, found)
+                            for psi in found:
+                                # the discrete series pi_1(lam, 1, Psi) of O(2a, 2d)
+                                validate_o(OParams(1, 1, left, right, psi, (), (), (), ()))
                             # xi = -1 needs a zero entry; zeta = -1 needs none and a kappa = 0
                             signs = ((1, 1), (1, -1)) if slots else ((1, 1), (-1, 1))
                             dominant[left, right] = len(slots), {
@@ -334,6 +336,7 @@ def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
                             if zeta == -1 and not kappa_zero:
                                 continue
                             validate_zeta_xi(zeta, xi, zeros, kappa)
+                            # sorted without the " @ O(p,q)" tail, which every member shares
                             for (psi, datum), (eps, rest) in product(data, continuous):
                                 yield datum + rest, OParams(zeta, xi, left, right, psi, mu, nu, eps, kappa)
 

@@ -21,11 +21,13 @@ validate_sp and validate_o are the conjunction of factor checks, so that
 a census, whose members share few factors, can run each once per factor:
 the datum check on (lam, Psi), the continuous check on (mu, nu, eps,
 kappa) with the parity of v, and on O(p,q) the (zeta, xi) rule, which
-reads the datum's zero count and whether some kappa is 0.  Each runs every
-check on every call; only the Psi check, whose verdict depends on (Psi,
-kind, lam) alone, is remembered once it passes (``_validate_psi``, a
-bounded cache that stores no failure).  Parameter text is likewise a
-datum text followed by a continuous text.
+reads the datum's zero count and whether some kappa is 0.  A datum with
+no continuous slots is a discrete-series parameter, so the census checks
+it with validate_sp or validate_o.  Each check runs on every call; only
+the Psi check, whose verdict depends on (Psi, kind, lam) alone, is
+remembered once it passes (``_validate_psi``, a bounded cache that stores
+no failure).  Parameter text is likewise a datum text followed by a
+continuous text.
 """
 
 from __future__ import annotations
@@ -191,10 +193,9 @@ def _validate_psi(psi: PositiveSystem, kind: GroupKind, lam: tuple[int, ...]) ->
         raise ParamError(f"lam={lam} is not (F-1)-dominant for Psi={psi}")
 
 
-def validate_sp_datum(lam: tuple[int, ...], psis: Iterable[PositiveSystem]) -> None:
-    """``lam`` is a discrete datum of Sp(2v) and each of ``psis`` a positive
-    system for it.  The checks on ``lam`` alone run even when ``psis`` is
-    empty."""
+def validate_sp_datum(lam: tuple[int, ...], psi: PositiveSystem) -> None:
+    """``lam`` is a discrete datum of Sp(2v) and ``psi`` a positive system
+    for it."""
     if any(not isinstance(x, int) for x in lam):
         raise ParamError("lam entries must be integers")
     if list(lam) != sorted(lam, reverse=True):
@@ -203,15 +204,12 @@ def validate_sp_datum(lam: tuple[int, ...], psis: Iterable[PositiveSystem]) -> N
     neg = [-x for x in lam if x < 0]
     if not _block_multiplicities_ok(pos, neg):
         raise ParamError(f"lam block multiplicities differ by more than 1: {lam}")
-    for psi in psis:
-        _validate_psi(psi, SpKind(len(lam)), tuple(lam))
+    _validate_psi(psi, SpKind(len(lam)), tuple(lam))
 
 
-def validate_o_datum(
-    left: tuple[int, ...], right: tuple[int, ...], psis: Iterable[PositiveSystem]
-) -> None:
-    """(``left``; ``right``) is a discrete datum of O(2a, 2d) and each of
-    ``psis`` a positive system for it, as in ``validate_sp_datum``."""
+def validate_o_datum(left: tuple[int, ...], right: tuple[int, ...], psi: PositiveSystem) -> None:
+    """(``left``; ``right``) is a discrete datum of O(2a, 2d) and ``psi`` a
+    positive system for it."""
     for half in (left, right):
         if any(not isinstance(x, int) or x < 0 for x in half):
             raise ParamError("lam halves must be nonnegative integers")
@@ -221,8 +219,7 @@ def validate_o_datum(
         raise ParamError("lam halves have block multiplicities differing by more than 1")
     if abs(left.count(0) - right.count(0)) > 1:
         raise ParamError("zero blocks of the lam halves differ by more than 1")
-    for psi in psis:
-        _validate_psi(psi, OKind(len(left), len(right)), tuple(left + right))
+    _validate_psi(psi, OKind(len(left), len(right)), tuple(left + right))
 
 
 def validate_zeta_xi(zeta: int, xi: int, zeros: int, kappa: tuple[Scalar, ...]) -> None:
@@ -240,12 +237,12 @@ def validate_zeta_xi(zeta: int, xi: int, zeros: int, kappa: tuple[Scalar, ...]) 
 
 
 def validate_sp(params: SpParams) -> None:
-    validate_sp_datum(params.lam, (params.psi,))
+    validate_sp_datum(params.lam, params.psi)
     validate_continuous(params.mu, params.nu, params.eps, params.kappa, (-1) ** params.v)
 
 
 def validate_o(params: OParams) -> None:
-    validate_o_datum(params.lam_left, params.lam_right, (params.psi,))
+    validate_o_datum(params.lam_left, params.lam_right, params.psi)
     validate_zeta_xi(params.zeta, params.xi, params.zeros, params.kappa)
     validate_continuous(params.mu, params.nu, params.eps, params.kappa, None)
 
@@ -450,16 +447,11 @@ def o_datum_text(
 
 
 def continuous_text(
-    mu: tuple[int, ...],
-    nu: tuple[Scalar, ...],
-    eps: tuple[int, ...],
-    kappa: tuple[Scalar, ...],
-    signature: Optional[tuple[int, int]] = None,
+    mu: tuple[int, ...], nu: tuple[Scalar, ...], eps: tuple[int, ...], kappa: tuple[Scalar, ...]
 ) -> str:
-    """The text of a parameter from its continuous slots on; ``signature``
-    is the (p, q) of an O parameter, None on Sp."""
-    text = f"{_render_ints(mu)},{_render_scalars(nu)},{_render_ints(eps)},{_render_scalars(kappa)})"
-    return text if signature is None else f"{text} @ O({signature[0]},{signature[1]})"
+    """The text of a parameter from its continuous slots to its closing
+    parenthesis."""
+    return f"{_render_ints(mu)},{_render_scalars(nu)},{_render_ints(eps)},{_render_scalars(kappa)})"
 
 
 def render_sp(params: SpParams) -> str:
@@ -470,9 +462,8 @@ def render_sp(params: SpParams) -> str:
 
 def render_o(params: OParams) -> str:
     datum = o_datum_text(params.zeta, params.xi, params.lam_left, params.lam_right, params.psi)
-    return datum + continuous_text(
-        params.mu, params.nu, params.eps, params.kappa, (params.p, params.q)
-    )
+    rest = continuous_text(params.mu, params.nu, params.eps, params.kappa)
+    return f"{datum}{rest} @ O({params.p},{params.q})"
 
 
 def render_params(params: Params) -> str:

@@ -310,11 +310,11 @@ def test_o_pool_grid_census_members_are_built_canonical(sig):
         _assert_built_canonical(reps, canonicalize_o, render_o)
 
 
-FACTOR_CHECKS = ("validate_sp_datum", "validate_o_datum", "validate_continuous", "validate_zeta_xi")
+FACTOR_CHECKS = ("validate_sp", "validate_o", "validate_continuous", "validate_zeta_xi")
 
 
 def _count_factor_checks(monkeypatch) -> dict[str, list]:
-    """Record the arguments of each factor check made through enumeration's
+    """Record the arguments of each check made through enumeration's
     namespace, by check name."""
     calls: dict[str, list] = {name: [] for name in FACTOR_CHECKS}
     for name, seen in calls.items():
@@ -330,8 +330,9 @@ def _count_factor_checks(monkeypatch) -> dict[str, list]:
 
 def _assert_factors_checked_once(calls: dict[str, list], census) -> tuple:
     """Build ``census`` while ``calls`` records its checks and return it.
-    No member is built twice; each of its (lam, Psi) data and continuous
-    parts is checked exactly once, and nothing else is; every (zeta, xi)
+    No member is built twice; each of its (lam, Psi) data is checked
+    exactly once, as a discrete-series parameter, and each of its
+    continuous parts exactly once, and nothing else is; every (zeta, xi)
     of an O member goes through the (zeta, xi) rule; every member passes
     the public validation."""
     for seen in calls.values():
@@ -339,16 +340,17 @@ def _assert_factors_checked_once(calls: dict[str, list], census) -> tuple:
     reps = census()
     assert len(set(reps)) == len(reps)
     sp = census.func is enumerate_sp_reps
-    assert not calls["validate_o_datum" if sp else "validate_sp_datum"]
-    datum_calls = calls["validate_sp_datum" if sp else "validate_o_datum"]
-    datum_heads = [args[:-1] for args in datum_calls]
-    assert len(set(datum_heads)) == len(datum_heads)
-    data = Counter((*head, psi) for *head, psis in datum_calls for psi in psis)
+    assert not calls["validate_o" if sp else "validate_sp"]
+    discrete = [params for (params,) in calls["validate_sp" if sp else "validate_o"]]
+    assert all(not (d.mu or d.nu or d.eps or d.kappa) for d in discrete)
     parts = Counter(calls["validate_continuous"])
     if sp:
+        data = Counter((d.lam, d.psi) for d in discrete)
         assert set(data) == {(pi.lam, pi.psi) for pi in reps}
         assert set(parts) == {(pi.mu, pi.nu, pi.eps, pi.kappa, (-1) ** pi.v) for pi in reps}
     else:
+        assert all(d.zeta == d.xi == 1 for d in discrete)
+        data = Counter((d.lam_left, d.lam_right, d.psi) for d in discrete)
         assert set(data) == {(pi.lam_left, pi.lam_right, pi.psi) for pi in reps}
         assert set(parts) == {(pi.mu, pi.nu, pi.eps, pi.kappa, None) for pi in reps}
         signs = set(calls["validate_zeta_xi"])
@@ -371,7 +373,7 @@ def _assert_factors_checked_once(calls: dict[str, list], census) -> tuple:
 )
 def test_census_validates_little_more_than_it_keeps(monkeypatch, call):
     """Construction emits only members that validate, each once, and the
-    factor checks made from enumeration are those of the members, each
+    checks made from enumeration are those of the members' factors, each
     factor checked once."""
     assert _assert_factors_checked_once(_count_factor_checks(monkeypatch), call)
 
@@ -382,60 +384,80 @@ def test_census_validates_little_more_than_it_keeps(monkeypatch, call):
 ONCE_GRID = (0, 1, 2, Q(1, 2), GENERIC_B)
 ONCE_SIGNATURES = SIGNATURES + tuple((p, 6 - p) for p in range(7))
 
+# Member count and SHA-256 of the census texts of each part of the once
+# grid, in census order, one line each, taken before the census built its
+# texts from factor texts.
+ONCE_GRID_TEXTS = {
+    "sp": (17184, "76a34bd68af6b4f86fcf60d985107de624992fc830bdf621a601993d58162723"),
+    (4, 0): (5, "fce180c8b734046d87d0c992841496a11901ea852a2d5effc1da0f40600cc36a"),
+    (3, 1): (44, "eb466e920c087d5ce9b1d2e2a6523bf0c99f2aad0dfe2562297bf2f3e2aafd3e"),
+    (2, 2): (95, "a99431a1530157eaa8cc361fca04103c404ffb820ee3ac075f6642abf73e4125"),
+    (1, 3): (44, "b8265cb61d8c7abbe8a50191c5359d28b9f3fdc3144e624d4f57bfc96d0ddb68"),
+    (0, 4): (5, "e7e1d0d4bdcba2f73603be00102f17c6a0a4bb0b4851ec6663e3214990bbee42"),
+    (0, 6): (2, "8d3773d7dd5979dbc2a062506763a88dcffcf9eb4996a95e16a7469fe4b1782b"),
+    (1, 5): (52, "4ed37e559e83129fe758119cd5c33507edf301380e777789fa0a94f356bedc8c"),
+    (2, 4): (302, "31645aaf954c43ed722ec69f424d6c728ccd7599ce5f17e5dfe51b301b498201"),
+    (3, 3): (552, "8da2174a0a0d918cc42c6c7fd795c00827ebf0df9239fe92fb7f2780bf0c61fb"),
+    (4, 2): (302, "6e582e2bbddb56c402860d76ca8d22d2eb83ef2066da73b8d86f858c05ad1f4d"),
+    (5, 1): (52, "57545353077790260ebee3b287bb0acf14d451f11438b9ac093c9488a2a106b1"),
+    (6, 0): (2, "d14e4350c46106ac57e8662abfcf82d6c3faf17172a0fad6df55ee88970d1da2"),
+}
+
 
 def _grid_characters(size):
     grid = [Scalar.of(x) for x in ONCE_GRID]
     return [InfChar.of(c) for c in combinations_with_replacement(grid, size)]
 
 
-def _once_grid_censuses():
-    """The censuses of the once grid, Sp ranks 0-5 then each O(p,q)."""
-    for n in range(6):
-        for chi in _grid_characters(n):
-            yield partial(enumerate_sp_reps, n, chi)
-    for sig in ONCE_SIGNATURES:
-        for chi in _grid_characters(sum(sig) // 2):
-            yield partial(enumerate_o_reps, *sig, chi)
-
-
-def _assert_each_census_checks_factors_once(monkeypatch, censuses):
+def _assert_each_census_checks_factors_once(monkeypatch, censuses, part):
+    """Each census checks each factor once, and their texts, in order, are
+    the pinned ones of ``part``."""
     calls = _count_factor_checks(monkeypatch)
-    for census in censuses:
-        _assert_factors_checked_once(calls, census)
+    lines = [render_params(pi) for census in censuses for pi in _assert_factors_checked_once(calls, census)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == ONCE_GRID_TEXTS[part]
 
 
 def test_sp_census_validates_each_member_once(monkeypatch):
     _assert_each_census_checks_factors_once(
         monkeypatch,
         [partial(enumerate_sp_reps, n, chi) for n in range(6) for chi in _grid_characters(n)],
+        "sp",
     )
 
 
 @pytest.mark.parametrize("sig", ONCE_SIGNATURES, ids=str)
 def test_o_census_validates_each_member_once(monkeypatch, sig):
     chis = _grid_characters(sum(sig) // 2)
-    _assert_each_census_checks_factors_once(monkeypatch, [partial(enumerate_o_reps, *sig, chi) for chi in chis])
-
-
-# SHA-256 of every census text of the once grid, in census order, one line
-# each, taken before the census built its texts from factor texts.
-ONCE_GRID_TEXTS_SHA256 = "8a4b0057d1e0dcfcf3586ba4da5ed409be1fa0c7e72fe64f901f1434f1f0fe82"
-
-
-def test_once_grid_census_texts_are_pinned():
-    lines = [render_params(pi) for census in _once_grid_censuses() for pi in census()]
-    assert len(lines) == 18641
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ONCE_GRID_TEXTS_SHA256
+    _assert_each_census_checks_factors_once(
+        monkeypatch, [partial(enumerate_o_reps, *sig, chi) for chi in chis], sig
+    )
 
 
 # -- planted defects: each factor check catches what a broken builder emits -----
 
 
 def test_census_rejects_a_discrete_datum_that_is_not_decreasing(monkeypatch):
-    original = enumeration._signed_lams
-    monkeypatch.setattr(enumeration, "_signed_lams", lambda mags: [lam[::-1] for lam in original(mags)])
+    """The dominance filter drops a lam out of order, so the planted builder
+    reverses each lam after the filter has judged it in order."""
+    signed, dominant = enumeration._signed_lams, enumeration.check_dominance_f1
+    monkeypatch.setattr(enumeration, "_signed_lams", lambda mags: [lam[::-1] for lam in signed(mags)])
+    monkeypatch.setattr(
+        enumeration, "check_dominance_f1", lambda lam, psi: dominant(tuple(sorted(lam, reverse=True)), psi)
+    )
     with pytest.raises(ParamError, match="weakly decreasing"):
         enumerate_sp_reps(2, InfChar.of([1, 2]))
+
+
+@pytest.mark.parametrize(
+    "census",
+    [partial(enumerate_sp_reps, 2, InfChar.of([1, 2])), partial(enumerate_o_reps, 2, 2, InfChar.of([1, 2]))],
+    ids=["sp", "o"],
+)
+def test_census_rejects_a_datum_whose_positive_system_does_not_fit(monkeypatch, census):
+    monkeypatch.setattr(enumeration, "check_dominance_f1", lambda lam, psi: True)
+    with pytest.raises(ParamError, match="F-1"):
+        census()
 
 
 def test_census_rejects_a_wrong_eps_on_kappa_zero(monkeypatch):

@@ -399,19 +399,18 @@ def _one_dim_o(p: int, q: int, det: bool) -> OParams:
 
 
 def _split_top(s: str) -> list[str]:
-    parts, depth, buf = [], 0, []
-    for ch in s:
+    """The comma-separated fields of ``s`` outside brackets, stripped."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(s):
         if ch in "({":
             depth += 1
         elif ch in ")}":
             depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    parts.append("".join(buf))
-    return [p.strip() for p in parts]
+        elif ch == "," and depth == 0:
+            parts.append(s[start:i].strip())
+            start = i + 1
+    parts.append(s[start:].strip())
+    return parts
 
 
 def _render_ints(xs: tuple[int, ...]) -> str:
@@ -473,7 +472,11 @@ def render_params(params: Params) -> str:
 # Parameter text has one grammar, for user input and for the rows of the
 # lift and classification tables alike: every integer or scalar slot holds
 # an affine expression in at most one variable.  Concrete text is the case
-# whose only variable is b, which then stands for itself.
+# whose only variable is b, which then stands for itself.  Slot tokens and
+# root sets come from a small vocabulary whatever the text, so each
+# distinct token (``parse_expr``) and each distinct (root-set text, kind)
+# (``roots.parse_psi``) is parsed once per process, through bounded caches
+# of immutable values; text that fails raises on every call.
 
 _VAR_ORDER = ("c1", "c2", "s1", "s2", "b", "m", "l")
 _INT_VARS = frozenset({"m", "l"})
@@ -493,6 +496,7 @@ class Expr:
     var: Optional[str] = None
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_expr(text: str) -> Expr:
     t = text.replace(" ", "")
     var = next((name for name in _VAR_ORDER if name in t), None)
@@ -548,7 +552,7 @@ def _parse_expr_group(text: str) -> tuple[Expr, ...]:
 
 _O_HEAD = _regex.compile(r"pi_\{(-?1)\}\((.*?)\)\s*(?:@\s*(.*))?")
 _O_SIG = _regex.compile(r"O\(\s*(\d+)\s*,\s*(\d+)\s*\)")
-_SP_HEAD = _regex.compile(r"pi\((.*)\)")
+_SP_HEAD = _regex.compile(r"pi\((.*?)\)\s*(?:@\s*(.*))?")
 
 
 def parse_param_pattern(text: str) -> ParamPattern:
@@ -556,8 +560,8 @@ def parse_param_pattern(text: str) -> ParamPattern:
 
     Psi is parsed in the root system the slot counts give.  An O-side
     ``@ O(p,q)`` tail is optional and must agree with the shape:
-    p = 2a+2s+t and q = 2d+2s+t.  Syntax errors, a bad root among them,
-    raise ParamError.
+    p = 2a+2s+t and q = 2d+2s+t; Sp-side text takes no tail.  Syntax
+    errors, a bad root among them, raise ParamError.
     """
     s = text.strip()
     if m := _O_HEAD.fullmatch(s):
@@ -587,6 +591,8 @@ def parse_param_pattern(text: str) -> ParamPattern:
         head, psi_text = ("o", int(m.group(1)), xi.as_int(), left, right), fields[2]
         kind: GroupKind = OKind(len(left), len(right))
     elif m := _SP_HEAD.fullmatch(s):
+        if m.group(2) is not None:
+            raise ParamError(f"Sp parameters take no signature tail, got {m.group(2)!r}")
         fields = _split_top(m.group(1))
         if len(fields) != 6:
             raise ParamError(f"Sp parameters need 6 fields, got {len(fields)}")

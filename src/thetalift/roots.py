@@ -21,7 +21,9 @@ checks read which roots add to a root from a per-kind sum table.
 Per-datum work is kept in a bounded cache, so that a census pays it once
 per distinct input rather than once per parameter: each Psi is compiled
 into integer (index, coefficient) terms for the (F-1) check once
-(``_f1_terms``).
+(``_f1_terms``), and each root-set text is parsed once per kind
+(``parse_psi``), so that table rows and queries sharing a Psi share its
+parse.
 """
 
 from __future__ import annotations
@@ -294,6 +296,7 @@ class PositiveSystem:
         return self.render()
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_psi(text: str, kind: GroupKind) -> PositiveSystem:
     s = text.strip()
     if not (s.startswith("{") and s.endswith("}")):

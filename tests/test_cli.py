@@ -476,6 +476,14 @@ def test_bad_signature_tail_is_named(capsys, sig):
     assert code == 2 and repr(sig) in err
 
 
+@pytest.mark.parametrize("sig", ["O(2,2)", "Sp(4)", "Sp(2,R)", ""])
+@pytest.mark.parametrize("command", ["infchar", "lkt"])
+def test_sp_signature_tail_is_named(capsys, command, sig):
+    """Sp parameter text takes no tail, and any tail is refused by name."""
+    code, out, err = run(capsys, [command, "--params", f"pi(0,{{}},0,0,(1),(0)) @ {sig}"])
+    assert (code, out) == (2, "") and repr(sig) in err
+
+
 def _many_slots(template, s):
     mu = ",".join(str(2 * i) for i in range(1, s + 1))
     return template.format(mu=mu, nu=",".join(["1"] * s))

@@ -214,17 +214,12 @@ def test_census_lowest_ktypes_are_pinned_with_caches_cleared():
 POOL_ANSWERS_SHA256 = "883251d5f722b5c532051561a05cb1f05b7a4ffce73aac9c5463b09e7a4a310c"
 
 
-def test_pool_answers_are_pinned():
+def test_pool_answers_are_pinned(lift_pool):
     """Every O(p,q), p+q=4, parameter over the pair grid of
     {0,1,2,3,1/2,3/2,b}, in text order, keeps its first occurrence and its
     lifts to ranks 0-6."""
-    grid = [Scalar.of(x) for x in (0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2))] + [GENERIC_B]
-    chis = {InfChar.of(pair) for pair in combinations_with_replacement(grid, 2)}
-    pool = sorted(
-        (pi for p in range(5) for chi in chis for pi in enumerate_o_reps(p, 4 - p, chi)), key=render_o
-    )
     lines = []
-    for pi in pool:
+    for pi in lift_pool:
         lifts = " ".join(theta_n(pi, n).render() for n in range(7))
         lines.append(f"{render_o(pi)} {first_occurrence(pi)} {lifts}")
     assert len(lines) == 341

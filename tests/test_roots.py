@@ -400,12 +400,14 @@ _BOUNDED = {
     "ktypes.o_from_u",
     "ktypes.u_from_o",
     "langlands._render_scalars",
+    "langlands.parse_expr",
     "langlands._validate_psi",
     "langlands._zero_flip_orbit",
     "lkt._sp_lowest",
     "lkt._sp_shift",
     "roots._f1_terms",
     "roots._root_sums",
+    "roots.parse_psi",
 }
 
 

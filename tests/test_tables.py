@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from thetalift import langlands
 from thetalift.enumeration import (
     BETA_GRID,
     _instantiated_row_cases,
@@ -16,7 +17,8 @@ from thetalift.enumeration import (
     verify_tables,
 )
 from thetalift.exact import GENERIC_B, Scalar
-from thetalift.langlands import parse_o
+from thetalift.langlands import ParamError, parse_expr, parse_o, parse_params, render_o
+from thetalift.roots import PositiveSystem, SpKind, parse_psi
 from thetalift.theta import (
     ENV_TABLE_DIR,
     TableError,
@@ -98,6 +100,67 @@ def _copy_tables(tmp_path: Path) -> Path:
     dest = tmp_path / "tables"
     shutil.copytree(TABLE_DIR, dest)
     return dest
+
+
+def _log_calls(monkeypatch, owner, name: str, log: list) -> None:
+    """Route the calls of ``owner.name`` through a wrapper that logs their
+    arguments."""
+    fn = getattr(owner, name)
+
+    def logged(*args):
+        log.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, staticmethod(logged) if isinstance(owner, type) else logged)
+
+
+def test_load_tables_parses_each_distinct_text_once(monkeypatch, tmp_path):
+    """Loading the tables asks for 914 slot-token and 155 root-set parses,
+    but parses each of the 31 distinct tokens and 20 distinct (root set,
+    kind) pairs once."""
+    parse_expr.cache_clear()
+    parse_psi.cache_clear()
+    tokens, root_sets, scalars, systems = [], [], [], []
+    _log_calls(monkeypatch, langlands, "parse_expr", tokens)
+    _log_calls(monkeypatch, langlands, "parse_psi", root_sets)
+    # each token parse reads one scalar, and each root-set parse builds
+    # one positive system
+    _log_calls(monkeypatch, langlands, "parse_scalar", scalars)
+    _log_calls(monkeypatch, PositiveSystem, "of", systems)
+    load_tables(_copy_tables(tmp_path))
+    assert (len(tokens), len(set(tokens)), len(scalars)) == (914, 31, 31)
+    assert (len(root_sets), len(set(root_sets)), len(systems)) == (155, 20, 20)
+    assert (parse_expr.cache_info().misses, parse_psi.cache_info().misses) == (31, 20)
+
+
+def test_cached_parses_equal_uncached(monkeypatch, tmp_path, lift_pool):
+    """On every slot token and every (root set, kind) of the shipped tables
+    and of the 341 pool texts, the cached parse equals the uncached one,
+    and bad text raises the same error on every call."""
+    tokens, root_sets = [], []
+    _log_calls(monkeypatch, langlands, "parse_expr", tokens)
+    _log_calls(monkeypatch, langlands, "parse_psi", root_sets)
+    load_tables(_copy_tables(tmp_path))
+    for pi in lift_pool:
+        parse_params(render_o(pi))
+    monkeypatch.undo()
+    assert (len(lift_pool), len(set(tokens)), len(set(root_sets))) == (341, 37, 24)
+    for (text,) in set(tokens):
+        assert parse_expr(text) == parse_expr.__wrapped__(text), text
+    for text, kind in set(root_sets):
+        assert parse_psi(text, kind) == parse_psi.__wrapped__(text, kind), text
+
+    def message(error, parse, *args) -> str:
+        with pytest.raises(error) as err:
+            parse(*args)
+        return str(err.value)
+
+    for text in ("1e5", "0/0"):
+        want = message(ParamError, parse_expr.__wrapped__, text)
+        assert message(ParamError, parse_expr, text) == message(ParamError, parse_expr, text) == want
+    bad = ("{e1+e3}", SpKind(2))
+    want = message(ValueError, parse_psi.__wrapped__, *bad)
+    assert message(ValueError, parse_psi, *bad) == message(ValueError, parse_psi, *bad) == want
 
 
 def _corrupt_first_ktype(tmp_path: Path) -> tuple[Path, int]:

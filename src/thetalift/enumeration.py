@@ -34,7 +34,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import partial, wraps
+from functools import cache, partial
 from itertools import combinations_with_replacement, groupby, product
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
@@ -402,57 +402,31 @@ class VerificationReport:
         }
 
 
-def _once(fn: Callable) -> Callable:
-    """``fn`` computing each distinct argument tuple once for as long as the
-    returned function lives.  A call that raises keeps nothing, so the same
-    arguments raise again."""
-    memo: dict = {}
-
-    def call(*args):
-        if args not in memo:
-            memo[args] = fn(*args)
-        return memo[args]
-
-    return call
-
-
 class _Inputs:
     """The check inputs of one verification run over ``tables``, each
     computed once for as long as the object lives: classification rows per
     b, censuses (rank-n ones with each member's lowest K-type set), lifts,
     first occurrences, lowest K-type sets, joint-harmonics images, and,
     through a ``TableSet.memoized`` copy of the tables, each (rank,
-    parameter) match against a lift table.  ``verify_tables`` makes one per
-    call and its suites share it, so that no answer outlives the tables it
-    was built from.  Every memo calls its
-    function through this module's global of that name when it runs.  No
-    memo refers back to the object, which would make a reference cycle that
-    keeps a run's inputs alive until the cycle collector runs."""
+    parameter) match against a lift table.  Each suite is a function of
+    this object; ``verify_tables`` makes one per call for its suites to
+    share, so no answer outlives the tables it was built from.  Every memo
+    is a ``functools.cache``, which keeps no exception, over this module's
+    global of that name.  No memo refers back to the object, which would
+    make a reference cycle that keeps a run's inputs alive until the cycle
+    collector runs."""
 
     def __init__(self, tables: TableSet):
         self.tables = tables = tables.memoized()
-        self.rows_at = _once(lambda beta: appendix_rows_at(tables, beta))
-        self.lkts = lkts = _once(lambda pi: frozenset(lowest_ktypes_sp(pi)))
-        self.census = census = _once(lambda n, chi: {pi: lkts(pi) for pi in enumerate_sp_reps(n, chi)})
-        self.census_by_lkts = _once(lambda n, chi: _by_lkts(census(n, chi)))
-        self.o_census = _once(lambda p, q, chi: enumerate_o_reps(p, q, chi))
-        self.lift = _once(lambda pi, n: theta_n(pi, n, tables))
-        self.occurrence = _once(lambda pi: first_occurrence(pi, tables))
-        self.phi_n = _once(lambda sigma, p, q, n: phi_n(sigma, p, q, n))
-        self.phi_pq = _once(lambda prime, p, q: phi_pq(prime, p, q))
-
-
-def _suite(run: Callable[[_Inputs], VerificationReport]) -> Callable[[TableSet], VerificationReport]:
-    """The suite ``run`` as a function of the tables that builds its own
-    check inputs; ``verify_tables`` shares one set among the suites through
-    the function's ``run``."""
-
-    @wraps(run)
-    def suite(tables: TableSet) -> VerificationReport:
-        return run(_Inputs(tables))
-
-    suite.run = run
-    return suite
+        self.rows_at = cache(lambda beta: appendix_rows_at(tables, beta))
+        self.lkts = lkts = cache(lambda pi: frozenset(lowest_ktypes_sp(pi)))
+        self.census = census = cache(lambda n, chi: {pi: lkts(pi) for pi in enumerate_sp_reps(n, chi)})
+        self.census_by_lkts = cache(lambda n, chi: _by_lkts(census(n, chi)))
+        self.o_census = cache(lambda p, q, chi: enumerate_o_reps(p, q, chi))
+        self.lift = cache(lambda pi, n: theta_n(pi, n, tables))
+        self.occurrence = cache(lambda pi: first_occurrence(pi, tables))
+        self.phi_n = cache(lambda sigma, p, q, n: phi_n(sigma, p, q, n))
+        self.phi_pq = cache(lambda prime, p, q: phi_pq(prime, p, q))
 
 
 def _case(label: str, details: list[str]) -> CaseResult:
@@ -563,7 +537,6 @@ def _instantiated_row_cases(rows, unique: bool = False) -> list[tuple[int, OPara
     return cases
 
 
-@_suite
 def suite_theta12(inputs: _Inputs) -> VerificationReport:
     """Rank-1/2 lifts: sampled rows reproduce their templates through the
     dispatcher, rows are mutually exclusive, lifts satisfy duality, and
@@ -630,7 +603,6 @@ EXCEPTIONAL_THETA3_INPUT: OParams = parse_o("pi_{-1}(0,1,{},0,0,(1,1),(0,2))")
 EXCEPTIONAL_THETA3_OTHER: SpParams = parse_sp("pi(0,{},(1),(3),(1),(0))")
 
 
-@_suite
 def suite_theta3(inputs: _Inputs) -> VerificationReport:
     """Rank-3 lifts of parameters with first occurrence 3: dispatcher
     equals the stored template, earlier lifts vanish, later lifts persist,
@@ -701,7 +673,6 @@ def suite_theta3(inputs: _Inputs) -> VerificationReport:
     )
 
 
-@_suite
 def suite_theta4(inputs: _Inputs) -> VerificationReport:
     """Rank-4 lifts of the determinant characters: frozen values,
     uniqueness by invariants, vanishing below rank 4, and the
@@ -753,7 +724,6 @@ def suite_theta4(inputs: _Inputs) -> VerificationReport:
     )
 
 
-@_suite
 def suite_appendix_c(inputs: _Inputs) -> VerificationReport:
     """Regenerate the rank-3 classification on the whole sample grid."""
     return _merged("appendix-c", (_regenerate_appendix_c(beta, inputs) for beta in BETA_GRID))
@@ -834,7 +804,6 @@ def _occurring_uktypes(n: int, p: int, q: int, bound: int) -> list[UKType]:
 _PROPS_SEED = 20240817
 
 
-@_suite
 def suite_props(inputs: _Inputs) -> VerificationReport:
     """Structural properties: duality and persistence along towers,
     induction-path independence, lowest-K-type propagation under the
@@ -1020,7 +989,7 @@ def _run_suite(name: str, inputs: _Inputs) -> VerificationReport:
     it raises (a table edit that leaves a parameter with no row, or two) is
     its failed case."""
     try:
-        return SUITES[name].run(inputs)
+        return SUITES[name](inputs)
     except (TableError, ThetaError, ParamError) as err:
         label = "suite runs without a table, lift or parameter error"
         return VerificationReport(name, (CaseResult(label, False, (str(err),)),))
@@ -1029,8 +998,9 @@ def _run_suite(name: str, inputs: _Inputs) -> VerificationReport:
 def verify_tables(
     suite: str = "all", tables: Optional[TableSet] = None
 ) -> VerificationReport:
-    """Run one named verification suite, or all of them.  One call computes
-    each check input once, for all the suites it runs."""
+    """Run one named verification suite, or all of them in ``SUITES`` order,
+    each through ``_run_suite``.  One call computes each check input once,
+    for all the suites it runs."""
     inputs = _Inputs(load_tables() if tables is None else tables)
     if suite != "all":
         if suite not in SUITES:

@@ -16,7 +16,7 @@ are always required to contain them.  The per-kind root tables depend
 only on the frozen kind and are computed once per process; the positive
 systems of a kind are built by a backtrack over signed permutations that
 prunes on the compact positives, and the positivity and simple-member
-checks read which roots add to a root from a per-kind sum table.
+checks read their answers off 2 rho_Psi, the sum of the roots of Psi.
 
 Per-datum work is kept in a bounded cache, so that a census pays it once
 per distinct input rather than once per parameter: each Psi is compiled
@@ -146,12 +146,16 @@ def noncompact_weights(kind: GroupKind) -> tuple[Root, ...]:
     )
 
 
-def two_rho_c(kind: GroupKind) -> tuple[int, ...]:
-    acc = [0] * kind.dim
-    for r in delta_c_plus(kind):
+def _root_sum(dim: int, roots: Iterable[Root]) -> tuple[int, ...]:
+    acc = [0] * dim
+    for r in roots:
         for i, c in enumerate(r):
             acc[i] += c
     return tuple(acc)
+
+
+def two_rho_c(kind: GroupKind) -> tuple[int, ...]:
+    return _root_sum(kind.dim, delta_c_plus(kind))
 
 
 def pairing(vec: Sequence[Q | int], root: Root) -> Q | int:
@@ -307,44 +311,18 @@ def parse_psi(text: str, kind: GroupKind) -> PositiveSystem:
     return PositiveSystem.of(kind, (parse_root(tok, kind) for tok in body.split(",")))
 
 
-@functools.lru_cache(maxsize=64)
-def _root_sums(kind: GroupKind) -> tuple[dict[Root, int], tuple[tuple[tuple[int, int], ...], ...]]:
-    """The index of each root in ``all_roots(kind)``, and for each index i
-    the pairs (j, k) of indices with root_i + root_j = root_k: the additive
-    structure of the root system, built once per kind."""
-    roots = all_roots(kind)
-    index = {r: i for i, r in enumerate(roots)}
-    sums = []
-    for x in roots:
-        row = []
-        for j, y in enumerate(roots):
-            k = index.get(tuple(cx + cy for cx, cy in zip(x, y)))
-            if k is not None:
-                row.append((j, k))
-        sums.append(tuple(row))
-    return index, tuple(sums)
-
-
-def _sums_within(kind: GroupKind, roots: Iterable[Root]) -> set[Root]:
-    """The roots that are a sum of two of ``roots``, read off the sum
-    table instead of adding every pair."""
-    index, sums = _root_sums(kind)
-    members = {index[r] for r in roots}
-    delta = all_roots(kind)
-    return {delta[k] for i in members for j, k in sums[i] if j in members}
-
-
 def is_positive_system(kind: GroupKind, roots: Iterable[Root]) -> bool:
-    """Exactly one of each +-pair, closed under addition inside the root system."""
+    """Roots of ``kind``, exactly one of each +-pair, each positive on their
+    sum 2 rho.  That sum is then regular and the roots are the positive
+    roots of its chamber; on the reduced systems of types B, C and D this
+    is the same as being closed under addition."""
     rset, delta = frozenset(roots), root_set(kind)
-    if not rset <= delta:
+    if not rset <= delta or 2 * len(rset) != len(delta):
         return False
-    if 2 * len(rset) != len(delta):
+    if any(tuple(-c for c in r) in rset for r in rset):
         return False
-    for r in rset:
-        if tuple(-c for c in r) in rset:
-            return False
-    return _sums_within(kind, rset) <= rset
+    two_rho = _root_sum(kind.dim, rset)
+    return all(pairing(two_rho, r) > 0 for r in rset)
 
 
 def contains_delta_c_plus(psi: PositiveSystem) -> bool:
@@ -352,9 +330,10 @@ def contains_delta_c_plus(psi: PositiveSystem) -> bool:
 
 
 def simple_members(psi: PositiveSystem) -> tuple[Root, ...]:
-    """Members of Psi that are not a sum of two members of Psi."""
-    sums = _sums_within(psi.kind, psi.roots)
-    return tuple(r for r in psi.roots if r not in sums)
+    """The simple roots of Psi, which must be a positive system: the members
+    alpha with <rho, alpha^vee> = 1, i.e. <alpha, 2 rho> = <alpha, alpha>."""
+    two_rho = _root_sum(psi.kind.dim, psi.roots)
+    return tuple(r for r in psi.roots if pairing(two_rho, r) == pairing(r, r))
 
 
 @functools.lru_cache(maxsize=1024)

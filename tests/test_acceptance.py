@@ -14,8 +14,7 @@ from thetalift.enumeration import (
     EXCEPTIONAL_THETA3_INPUT,
     enumerate_o_reps,
     regenerate_appendix_c,
-    suite_props,
-    suite_theta3,
+    verify_tables,
     verify_unique_by_invariants,
 )
 from thetalift.exact import GENERIC_B, InfChar, Scalar, infchars_dual
@@ -105,7 +104,7 @@ def test_criterion_2_rank_four_determinant_lifts():
 
 
 def test_criterion_3_rank_three_lifts_and_exceptional_case():
-    failures = _flatten(suite_theta3(TABLES))
+    failures = _flatten(verify_tables("theta3", TABLES))
     if not theta_n(canonicalize_o(det_o(2, 2)), 3, TABLES).is_zero:
         failures.append("det O(2,2) lifted below its occurrence rank")
     want = canonicalize_sp(parse_sp("pi(0,{},(1),(1),(1),(2))"))
@@ -175,7 +174,7 @@ def test_criterion_5_lowest_ktype_propagation():
 
 
 def test_criterion_6_property_suites():
-    failures = _flatten(suite_props(TABLES))
+    failures = _flatten(verify_tables("props", TABLES))
     _criterion(
         6,
         "property suites hold (norm oracle, joint harmonics, canonical "

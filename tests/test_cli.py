@@ -5,9 +5,12 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,8 @@ from hypothesis import strategies as st
 
 from thetalift.cli import main
 
-SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+REPO_DIR = Path(__file__).resolve().parents[1]
+SRC_DIR = REPO_DIR / "src"
 TABLE_DIR = SRC_DIR / "thetalift" / "tables"
 
 TRIVIAL22 = "pi_{1}(0,1,{},0,0,(1,1),(0,1))"
@@ -90,6 +94,38 @@ def test_lkt_accepts_both_sides(capsys):
     code, out, _ = run(capsys, ["lkt", "--params", DET22, "--json"])
     payload = json.loads(out)
     assert code == 0 and payload["lkts"] == ["(0;-1)x(0;-1)"]
+
+
+def _discrete_series_roots(m, long_roots):
+    """The roots positive on (m, ..., 1): e_i +- e_j for i < j, and 2e_i
+    when ``long_roots``."""
+    roots = [f"e{i}{s}e{j}" for i in range(1, m + 1) for j in range(i + 1, m + 1) for s in "+-"]
+    roots += [f"2e{i}" for i in range(1, m + 1)] if long_roots else []
+    return "{" + ",".join(roots) + "}"
+
+
+def test_large_discrete_series_validate_in_bounded_time(capsys):
+    """Checking that Psi is a positive system, and finding its simple
+    roots, costs time linear in the text of Psi: the rank-40 Sp discrete series
+    with lam = (40, ..., 1) and the O(60,0) one with lam = (30, ..., 1;)
+    each answer within 3 s of CPU time."""
+    lam40 = ",".join(map(str, range(40, 0, -1)))
+    lam30 = ",".join(map(str, range(30, 0, -1)))
+    cases = [
+        (
+            ["infchar", "--params", f"pi(({lam40}),{_discrete_series_roots(40, True)},0,0,0,0)"],
+            "(" + ",".join(map(str, range(1, 41))) + ")",
+        ),
+        (
+            ["lkt", "--params", f"pi_{{1}}(({lam30};),1,{_discrete_series_roots(30, False)},0,0,0,0)"],
+            "(" + ",".join(["1"] * 30) + ";+1)x(;)",
+        ),
+    ]
+    for argv, want in cases:
+        start = time.process_time()
+        code, out, _ = run(capsys, argv)
+        assert time.process_time() - start < 3, argv[0]
+        assert code == 0 and out.strip() == want
 
 
 # -- phi ---------------------------------------------------------------------------
@@ -563,6 +599,20 @@ def test_closed_stdout_ends_quietly():
     assert first == b"1732 parameters\n"
     assert code in (0, 1, 2)
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_readme_commands_run(capsys):
+    """Every README line that starts with ``thetalift `` runs through
+    ``main`` and exits 0, or N where the line ends in ``# exit N``."""
+    lines = [
+        line for line in (REPO_DIR / "README.md").read_text().splitlines()
+        if line.startswith("thetalift ")
+    ]
+    assert lines
+    for line in lines:
+        want = re.search(r"#\s*exit (\d+)", line)
+        code, _, err = run(capsys, shlex.split(line, comments=True)[1:])
+        assert code == (int(want.group(1)) if want else 0), (line, err)
 
 
 # -- fuzz -------------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import itertools
+import math
 import pkgutil
 from fractions import Fraction
 
@@ -304,7 +305,7 @@ def test_is_positive_system_depends_on_the_root_set_only(kind):
         assert is_positive_system(kind, roots)
 
 
-# -- sum-table checks against all pairs ------------------------------------------
+# -- 2 rho checks against all pairs ------------------------------------------------
 
 
 def _reference_is_positive_system(kind, roots):
@@ -331,21 +332,32 @@ def _reference_simple_members(psi):
     )
 
 
-# every Sp(2v) kind up to the enumerate cap, and the O frames the package uses
+def _weyl_order(kind):
+    """|W| of type C_m or B_m, 2^m m!, or of type D_m, 2^(m-1) m!."""
+    m = kind.dim
+    return math.factorial(m) * 2 ** (m - (kind.axis == 0))
+
+
+# every Sp(2v) kind up to the enumerate cap, the O frames the package uses,
+# and D3, D4 and B3 for the exhaustive sign choices
 _SUM_TABLE_KINDS = (
     [SpKind(v) for v in range(1, 8)]
     + [OKind(a, d) for a in range(3) for d in range(3 - a) if a + d > 0]
-    + [OKind(1, 0, odd=True), OKind(0, 1, odd=True), OKind(1, 1, odd=True)]
+    + [OKind(2, 1), OKind(2, 2)]
+    + [OKind(a, d, odd=True) for a, d in ((1, 0), (0, 1), (1, 1), (2, 1))]
 )
 
 
 @pytest.mark.parametrize("kind", _SUM_TABLE_KINDS, ids=lambda k: repr(k))
 def test_sum_table_checks_match_all_pairs(kind):
-    """``is_positive_system`` and ``simple_members`` read root sums from a
-    per-kind table; their verdicts equal the all-pairs versions on every
-    positive system and on it with one root negated: a simple member,
-    which reflects it to another positive system, or the first member that
-    is not simple, which leaves a set that is not closed."""
+    """``is_positive_system`` and ``simple_members`` read 2 rho_Psi, the sum
+    of the roots; their verdicts equal the all-pairs versions, which add
+    every pair of roots, on every positive system and on it with one root
+    negated: a simple member, which reflects it to another positive
+    system, or the first member that is not simple, which leaves a set
+    that is not closed.  On a kind with at most 12 +-pairs (C1-C3, D1-D4,
+    B1-B3) the positivity verdicts agree on every choice of one root from
+    each pair, and exactly |W| of those choices are positive systems."""
     for psi in enumerate_positive_systems(kind):
         roots = psi.roots
         assert is_positive_system(kind, roots) and _reference_is_positive_system(kind, roots)
@@ -356,6 +368,16 @@ def test_sum_table_checks_match_all_pairs(kind):
             flipped = [tuple(-c for c in x) if x == r else x for x in roots]
             want = _reference_is_positive_system(kind, flipped)
             assert is_positive_system(kind, flipped) == want == (r in simple), (psi, r)
+    pairs = [r for r in all_roots(kind) if r > tuple(-c for c in r)]
+    if len(pairs) > 12:
+        return
+    accepted = 0
+    for signs in itertools.product((1, -1), repeat=len(pairs)):
+        roots = [tuple(s * c for c in r) for s, r in zip(signs, pairs)]
+        verdict = is_positive_system(kind, roots)
+        assert verdict == _reference_is_positive_system(kind, roots), roots
+        accepted += verdict
+    assert accepted == _weyl_order(kind)
 
 
 # -- hashing --------------------------------------------------------------------------
@@ -406,7 +428,6 @@ _BOUNDED = {
     "lkt._sp_lowest",
     "lkt._sp_shift",
     "roots._f1_terms",
-    "roots._root_sums",
     "roots.parse_psi",
 }
 

@@ -13,7 +13,6 @@ from thetalift.enumeration import (
     _instantiated_row_cases,
     beta_scalar,
     regenerate_appendix_c,
-    suite_theta3,
     verify_tables,
 )
 from thetalift.exact import GENERIC_B, Scalar
@@ -191,11 +190,11 @@ def test_corrupt_ktype_value_reported_as_mismatch(tmp_path):
 
 
 def test_theta3_keeps_nothing_from_a_run_on_other_tables(tmp_path):
-    """suite_theta3 builds each b's classification rows once per run: after
+    """The theta3 suite builds each b's classification rows once per run: after
     a run on the shipped tables, a run in the same process on a copy with
     a corrupted K-type in a row that a rank-3 lift lands on reports it."""
     shipped = load_tables()
-    assert suite_theta3(shipped).ok
+    assert verify_tables("theta3", shipped).ok
     dest, line = _corrupt_first_ktype(tmp_path)
     lifts = {want for _, _, want in _instantiated_row_cases(shipped.theta(3).rows)}
     (row,) = [row for row in shipped.appendix_c if row.line == line]
@@ -203,7 +202,7 @@ def test_theta3_keeps_nothing_from_a_run_on_other_tables(tmp_path):
         hit is not None and hit[0] in lifts
         for hit in (instantiate_lkt_row(row, beta_scalar(b)) for b in BETA_GRID)
     )
-    report = suite_theta3(load_tables(dest))
+    report = verify_tables("theta3", load_tables(dest))
     assert any("classification K-types differ" in d for c in report.cases for d in c.details)
 
 

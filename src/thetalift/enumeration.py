@@ -57,6 +57,7 @@ from .langlands import (
     SpParams,
     _INT_VARS,
     _SIGN_VARS,
+    _zero_ends,
     _zero_flip_orbit,
     canonicalize,
     canonicalize_o,
@@ -317,17 +318,15 @@ def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
                     for left, right in halves:
                         if (left, right) not in dominant:
                             lam = left + right
-                            slots = tuple(i for i, x in enumerate(lam) if x == 0)
-                            reps = (
-                                _zero_flip_orbit(psi, slots) for psi in psis if check_dominance_f1(lam, psi)
-                            )
-                            found = list(dict.fromkeys(reps))
+                            ends = _zero_ends(left, right)
+                            dominant_psis = (psi for psi in psis if check_dominance_f1(lam, psi))
+                            found = [psi for psi in dominant_psis if _zero_flip_orbit(psi, ends) == psi]
                             for psi in found:
                                 # the discrete series pi_1(lam, 1, Psi) of O(2a, 2d)
                                 validate_o(OParams(1, 1, left, right, psi, (), (), (), ()))
                             # xi = -1 needs a zero entry; zeta = -1 needs none and a kappa = 0
-                            signs = ((1, 1), (1, -1)) if slots else ((1, 1), (-1, 1))
-                            dominant[left, right] = len(slots), {
+                            signs = ((1, 1), (1, -1)) if 0 in lam else ((1, 1), (-1, 1))
+                            dominant[left, right] = lam.count(0), {
                                 sign: [(psi, o_datum_text(*sign, left, right, psi)) for psi in found]
                                 for sign in signs
                             }

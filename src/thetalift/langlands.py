@@ -10,12 +10,11 @@ with p = 2a + 2s + t and q = 2d + 2s + t.
 Equivalence permutes the (mu,nu) and (eps,kappa) pairs and changes signs
 of individual nu_i, kappa_i; on the O side it also flips signs of Psi on
 zero coordinates of lam (the disconnected part of the maximal compact
-acting on the discrete datum), as far as the flipped Psi still contains the
-compact positives.  The compact positives e_i+-e_j of a block survive a
-flip of its last coordinate only, so of two zeros in one block only the
-last flips.  canonicalize_* picks the unique representative used for
-equality tests throughout, and returns its input when that is canonical
-already.
+acting on the discrete datum) as far as Psi keeps the compact positives.
+Those of a block, e_i+-e_j, survive a flip of its last coordinate only, and
+the zeros of each weakly decreasing half of lam end it, so the code flips
+only the last coordinate of a half.  canonicalize_* picks the representative
+used in equality tests, and returns its input when it is canonical already.
 
 validate_sp and validate_o are the conjunction of factor checks, so that
 a census, whose members share few factors, can run each once per factor:
@@ -271,28 +270,29 @@ def canonicalize_sp(params: SpParams) -> SpParams:
     return params if _unchanged(params, pairs) else replace(params, **pairs)
 
 
-def _zero_slots(params: OParams) -> tuple[int, ...]:
-    """The coordinates of the zero entries of the discrete datum."""
-    return tuple(i for i, x in enumerate(params.lam_left + params.lam_right) if x == 0)
+def _zero_ends(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+    """The last coordinate of each half of the discrete datum that ends in 0."""
+    return tuple(i for i, half in ((len(left) - 1, left), (len(left + right) - 1, right)) if 0 in half[-1:])
 
 
 @functools.lru_cache(maxsize=1024)
-def _zero_flip_orbit(psi: PositiveSystem, slots: tuple[int, ...]) -> PositiveSystem:
-    """Minimal representative of psi under the sign flips of the coordinates
-    in ``slots`` that keep the compact positives in Psi."""
+def _zero_flip_orbit(psi: PositiveSystem, ends: tuple[int, ...]) -> PositiveSystem:
+    """Minimal representative of psi, which must contain the compact positives,
+    under the sign flips of the ``_zero_ends`` coordinates: at most three."""
     best = psi
-    for rsub in range(1, 1 << len(slots)):
-        chosen = {slots[i] for i in range(len(slots)) if rsub >> i & 1}
+    for rsub in range(1, 1 << len(ends)):
+        chosen = {ends[i] for i in range(len(ends)) if rsub >> i & 1}
         roots = tuple(tuple(-c if i in chosen else c for i, c in enumerate(r)) for r in psi.roots)
         cand = PositiveSystem.of(psi.kind, roots)
-        if cand.roots < best.roots and contains_delta_c_plus(cand):
+        if cand.roots < best.roots:
             best = cand
     return best
 
 
 def canonicalize_o(params: OParams) -> OParams:
     """The canonical form; ``params`` itself when it is one already."""
-    fields = dict(_canonical_pairs(params), psi=_zero_flip_orbit(params.psi, _zero_slots(params)))
+    ends = _zero_ends(params.lam_left, params.lam_right)
+    fields = dict(_canonical_pairs(params), psi=_zero_flip_orbit(params.psi, ends))
     return params if _unchanged(params, fields) else replace(params, **fields)
 
 

@@ -61,8 +61,8 @@ from .langlands import (
     _VAR_ORDER,
     _parse_expr_group,
     _split_top,
+    _zero_ends,
     _zero_flip_orbit,
-    _zero_slots,
     canonicalize_o,
     canonicalize_sp,
     contragredient_sp,
@@ -78,7 +78,7 @@ from .langlands import (
     validate_o,
     validate_sp,
 )
-from .roots import PositiveSystem, SpKind, pair_root
+from .roots import PositiveSystem, SpKind, contains_delta_c_plus, is_positive_system, pair_root
 
 
 class TableError(ValueError):
@@ -163,7 +163,8 @@ def match_o_pattern(pat: ParamPattern, target: OParams) -> tuple[dict, ...]:
     compared once, up to sign flips on the target's zero coordinates."""
     if pat.side != "o":
         raise TableError("only orthogonal patterns are matched")
-    if _shape(pat) != _shape(target) or _zero_flip_orbit(pat.psi, _zero_slots(target)) != target.psi:
+    ends = _zero_ends(target.lam_left, target.lam_right)
+    if _shape(pat) != _shape(target) or _zero_flip_orbit(pat.psi, ends) != target.psi:
         return ()
     lam_vals = tuple(Scalar.of(x) for x in target.lam_left + target.lam_right)
     base = _bind_tuple(pat.lam_left + pat.lam_right, lam_vals, {})
@@ -355,6 +356,8 @@ def _lift_row(lineno: int, left: str, body: str, cond: str) -> LiftRow:
     pattern, template = parse_param_pattern(left), parse_param_pattern(body)
     if pattern.side != "o" or template.side != "sp":
         raise TableError("lift rows map O patterns to Sp templates")
+    if not (is_positive_system(pattern.psi.kind, pattern.psi.roots) and contains_delta_c_plus(pattern.psi)):
+        raise TableError("pattern Psi is not a positive system containing the compact positives")
     unbound = template.var_names() - pattern.var_names()
     if unbound:
         raise TableError(f"template variables {', '.join(sorted(unbound))} are not bound by the pattern")

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetalift.cli import main
+from thetalift.langlands import _zero_flip_orbit
 
 REPO_DIR = Path(__file__).resolve().parents[1]
 SRC_DIR = REPO_DIR / "src"
@@ -126,6 +127,36 @@ def test_large_discrete_series_validate_in_bounded_time(capsys):
         code, out, _ = run(capsys, argv)
         assert time.process_time() - start < 3, argv[0]
         assert code == 0 and out.strip() == want
+
+
+def _interleaved_roots(k):
+    """The roots of O(2k,2k) positive on e1 > f1 > e2 > f2 > ... > 0."""
+    order = [f"{x}{i}" for i in range(1, k + 1) for x in "ef"]
+    return "{" + ",".join(f"{hi}{s}{lo}" for i, hi in enumerate(order) for lo in order[i + 1 :] for s in "+-") + "}"
+
+
+@pytest.mark.parametrize(
+    "argv,want_code,want_err",
+    [
+        (["infchar"], 0, ""),
+        (["lkt"], 0, ""),
+        (["lift", "--n", "1"], 2, "unsupported signature O(14,14)"),
+        (["first-occurrence"], 2, ""),
+    ],
+    ids=["infchar", "lkt", "lift", "first-occurrence"],
+)
+def test_many_zeros_canonicalize_in_bounded_time(capsys, argv, want_code, want_err):
+    """Every command puts its parameter in canonical form while parsing it,
+    and that flips at most the two zero coordinates that end the halves of
+    lam: the O(14,14) discrete series with fourteen zeros in lam answers
+    within 1 s of CPU time, however its parameter is cached."""
+    zeros = ",".join(["0"] * 7)
+    text = f"pi_{{1}}(({zeros};{zeros}),1,{_interleaved_roots(7)},0,0,0,0)"
+    _zero_flip_orbit.cache_clear()
+    start = time.process_time()
+    code, _, err = run(capsys, argv + ["--params", text])
+    assert time.process_time() - start < 1
+    assert code == want_code and want_err in err
 
 
 # -- phi ---------------------------------------------------------------------------

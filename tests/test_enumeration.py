@@ -45,6 +45,7 @@ from thetalift.langlands import (
     render_o,
     render_params,
     render_sp,
+    swap_pq,
     tensor_det_o,
     trivial_o,
     validate_o,
@@ -435,6 +436,28 @@ def test_o_census_validates_each_member_once(monkeypatch, sig):
 
 
 # -- planted defects: each factor check catches what a broken builder emits -----
+
+
+# Member count and SHA-256 of the texts, in census order, of every O(p,q)
+# census with p+q in {4, 6, 8} on the grid (0, 1, 2, b).
+WIDE_O_CENSUS_TEXTS = (4965, "7e85bdb99db41b62dc085392a0405ecd1a2eaec6f8d94350c98a35278d5bd855")
+
+
+def test_wide_o_censuses_are_canonical_forms():
+    """Each member of every O(p,q) census up to p+q = 8 is its own canonical
+    form and text, and swap_pq and tensoring with det are involutions on it."""
+    grid = [Scalar.of(x) for x in (0, 1, 2)] + [GENERIC_B]
+    lines = []
+    for n in (4, 6, 8):
+        for p, chi in product(range(n + 1), combinations_with_replacement(grid, n // 2)):
+            for pi in enumerate_o_reps(p, n - p, InfChar.of(chi)):
+                assert swap_pq(swap_pq(pi)) == pi
+                assert canonicalize_o(pi) is pi
+                assert tensor_det_o(tensor_det_o(pi)) == pi
+                text = render_o(pi)
+                assert parse_o(text) == pi
+                lines.append(text)
+    assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == WIDE_O_CENSUS_TEXTS
 
 
 def test_census_rejects_a_discrete_datum_that_is_not_decreasing(monkeypatch):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from thetalift.exact import GENERIC_B, InfChar, Scalar
@@ -5,6 +7,8 @@ from thetalift.langlands import (
     OParams,
     ParamError,
     SpParams,
+    _zero_ends,
+    _zero_flip_orbit,
     canonicalize_o,
     canonicalize_sp,
     contragredient_sp,
@@ -24,7 +28,14 @@ from thetalift.langlands import (
     validate_o,
     validate_sp,
 )
-from thetalift.roots import OKind, PositiveSystem, SpKind, parse_psi
+from thetalift.roots import (
+    OKind,
+    PositiveSystem,
+    SpKind,
+    contains_delta_c_plus,
+    enumerate_positive_systems,
+    parse_psi,
+)
 
 
 def sp(text):
@@ -225,6 +236,40 @@ def test_zero_flip_keeps_the_compact_positives(text):
     pi = o(text)
     assert render_o(pi) == text
     assert o(render_o(pi)) == pi
+
+
+def _reference_zero_flip_orbit(psi, zero_coords):
+    """The minimal Psi over the sign flips of every subset of the zero
+    coordinates that keep the compact positives."""
+    best = psi
+    for k in range(1, len(zero_coords) + 1):
+        for chosen in combinations(zero_coords, k):
+            roots = tuple(tuple(-c if i in chosen else c for i, c in enumerate(r)) for r in psi.roots)
+            cand = PositiveSystem.of(psi.kind, roots)
+            if cand.roots < best.roots and contains_delta_c_plus(cand):
+                best = cand
+    return best
+
+
+def test_zero_flip_orbit_equals_the_search_over_every_zero_subset():
+    """Flipping only the zero coordinates that end a half finds the same
+    representative as flipping every subset of the zero coordinates, for
+    every positive system of every O(2a,2d) with a + d <= 5 and every
+    number of zeros ending each half."""
+    cases = 0
+    for a in range(6):
+        for d in range(6 - a):
+            for psi in enumerate_positive_systems(OKind(a, d)):
+                for z_left in range(a + 1):
+                    for z_right in range(d + 1):
+                        left = (1,) * (a - z_left) + (0,) * z_left
+                        right = (1,) * (d - z_right) + (0,) * z_right
+                        zero_coords = tuple(i for i, x in enumerate(left + right) if x == 0)
+                        ends = _zero_ends(left, right)
+                        assert len(ends) <= 2
+                        assert _zero_flip_orbit(psi, ends) == _reference_zero_flip_orbit(psi, zero_coords)
+                        cases += 1
+    assert cases == 1045
 
 
 def test_infchar():

@@ -286,6 +286,20 @@ def test_row_defects_fail_at_load_naming_the_line(tmp_path, name, row, message):
         load_tables(dest)
 
 
+def test_lift_pattern_psi_must_hold_the_compact_positives(tmp_path):
+    """Matching a row flips its Psi only where a flip keeps the compact
+    positives, so a row whose Psi lacks one fails at load:
+    {e1+e2,-e1+e2} is a positive system of O(4,0) without e1-e2."""
+    dest = _copy_tables(tmp_path)
+    path = dest / "theta1.tbl"
+    lines = path.read_text().splitlines()
+    assert "{e1+e2,e1-e2}" in lines[8]
+    lines[8] = lines[8].replace("{e1+e2,e1-e2}", "{e1+e2,-e1+e2}")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TableError, match=r"theta1\.tbl:9: .*compact positives"):
+        load_tables(dest)
+
+
 def test_appendix_b_values_partition():
     """Every row is active somewhere on the sample grid, and no two rows
     produce the same parameter at the same b."""

@@ -36,6 +36,7 @@ from .langlands import (
     infchar_o,
     infchar_sp,
     parse_o,
+    parse_param_pattern,
     parse_params,
     parse_sp,
     render_o,
@@ -88,14 +89,15 @@ def _cmd_lift(args) -> int:
     tables = load_tables(args.table_dir)
     pi = parse_o(args.params)
     res = theta_n(pi, args.n, tables)
+    text = res.render()
     payload = {
         "input": render_o(pi),
         "n": args.n,
         "zero": res.is_zero,
-        "params": None if res.is_zero else render_sp(res.params),
+        "params": None if res.is_zero else text,
         "provenance": res.provenance,
     }
-    _emit(args, payload, res.render())
+    _emit(args, payload, text)
     if args.expect_nonzero and res.is_zero:
         return 1
     return 0
@@ -104,12 +106,13 @@ def _cmd_lift(args) -> int:
 def _cmd_infchar(args) -> int:
     pi = parse_params(args.params)
     chi = infchar_sp(pi) if isinstance(pi, SpParams) else infchar_o(pi)
+    text = chi.render()
     payload = {
         "input": render_params(pi),
         "entries": [x.render() for x in chi.entries],
-        "infchar": chi.render(),
+        "infchar": text,
     }
-    _emit(args, payload, chi.render())
+    _emit(args, payload, text)
     return 0
 
 
@@ -201,14 +204,16 @@ def _cmd_first_occurrence(args) -> int:
 def _cmd_inverse_lookup(args) -> int:
     from .enumeration import enumerate_o_reps
 
-    tables = load_tables(args.table_dir)
-    target = parse_sp(args.sp_params)
     p, q = _parse_sig(args.sig)
     if p + q != 4:
         raise ValueError("inverse lookup supports p + q = 4 signatures")
-    n = target.n
-    if n > MAX_RANK:
+    # The rank is refused before validation, whose cost grows as its cube.
+    pattern = parse_param_pattern(args.sp_params)
+    n = len(pattern.lam_left) + 2 * len(pattern.mu) + len(pattern.eps)
+    if pattern.side == "sp" and n > MAX_RANK:
         raise ValueError(f"inverse lookup supports targets of rank n <= {MAX_RANK}, got {n}")
+    target = parse_sp(args.sp_params)
+    tables = load_tables(args.table_dir)
     try:
         chi_o = o_infchar_from_sp(infchar_sp(target), (p + q) // 2, n)
     except ThetaError:

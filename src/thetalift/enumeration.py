@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache, partial
 from itertools import combinations_with_replacement, groupby, product
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .exact import GENERIC_B, InfChar, Scalar, infchars_dual
 from .ktypes import (
@@ -365,8 +364,7 @@ def verify_unique_by_invariants(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     label: str
     ok: bool
     details: tuple[str, ...] = ()
@@ -376,8 +374,7 @@ class CaseResult:
         return "\n".join([head] + [f"    {d}" for d in self.details])
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     name: str
     cases: tuple[CaseResult, ...]
 
@@ -392,13 +389,7 @@ class VerificationReport:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "cases": [
-                {"label": c.label, "ok": c.ok, "details": list(c.details)} for c in self.cases
-            ],
-        }
+        return {"name": self.name, "ok": self.ok, "cases": [c._asdict() for c in self.cases]}
 
 
 class _Inputs:

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import re as _regex
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 QLike = Union[int, Fraction]
 
@@ -321,8 +320,7 @@ def parse_scalar(text: str) -> Scalar:
     return Scalar(*nums, den)
 
 
-@dataclass(frozen=True)
-class InfChar:
+class InfChar(NamedTuple):
     """An infinitesimal character: a canonically ordered multiset of scalars.
 
     Entries are defined up to permutation and individual sign changes, so

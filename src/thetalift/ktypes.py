@@ -17,8 +17,7 @@ from __future__ import annotations
 import functools
 import re as _regex
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .roots import GroupKind, OKind, SpKind
 
@@ -27,8 +26,7 @@ def _weakly_decreasing(seq: tuple[int, ...]) -> bool:
     return all(a >= b for a, b in zip(seq, seq[1:]))
 
 
-@dataclass(frozen=True)
-class UKType:
+class UKType(NamedTuple):
     """Highest weight of a U(n)-type."""
 
     weights: tuple[int, ...]
@@ -51,8 +49,7 @@ class UKType:
         return self.render()
 
 
-@dataclass(frozen=True)
-class OFactor:
+class OFactor(NamedTuple):
     """One O(p)-factor of an O(p) x O(q) type: entries plus a sign."""
 
     p: int
@@ -86,8 +83,7 @@ class OFactor:
         return self.render()
 
 
-@dataclass(frozen=True)
-class OKType:
+class OKType(NamedTuple):
     """A K-type for O(p) x O(q)."""
 
     left: OFactor

@@ -27,6 +27,10 @@ the Psi check, whose verdict depends on (Psi, kind, lam) alone, is
 remembered once it passes (``_validate_psi``, a bounded cache that stores
 no failure).  Parameter text is likewise a datum text followed by a
 continuous text.
+
+The parameter records are NamedTuples, so they are tuples: each compares
+equal to a plain tuple of its fields, and JSON would encode it as a list.
+Every payload renders them to text first.
 """
 
 from __future__ import annotations
@@ -34,8 +38,7 @@ from __future__ import annotations
 import functools
 import re as _regex
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .exact import GENERIC_B, InfChar, Scalar, parse_scalar
 from .roots import (
@@ -67,8 +70,7 @@ def _block_multiplicities_ok(values: list[int], mirror: list[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SpParams:
+class SpParams(NamedTuple):
     lam: tuple[int, ...]
     psi: PositiveSystem
     mu: tuple[int, ...]
@@ -93,8 +95,7 @@ class SpParams:
         return self.v + 2 * self.s + self.t
 
 
-@dataclass(frozen=True)
-class OParams:
+class OParams(NamedTuple):
     zeta: int
     xi: int
     lam_left: tuple[int, ...]
@@ -267,7 +268,7 @@ def _unchanged(params: Params, fields: dict) -> bool:
 def canonicalize_sp(params: SpParams) -> SpParams:
     """The canonical form; ``params`` itself when it is one already."""
     pairs = _canonical_pairs(params)
-    return params if _unchanged(params, pairs) else replace(params, **pairs)
+    return params if _unchanged(params, pairs) else params._replace(**pairs)
 
 
 def _zero_ends(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
@@ -293,7 +294,7 @@ def canonicalize_o(params: OParams) -> OParams:
     """The canonical form; ``params`` itself when it is one already."""
     ends = _zero_ends(params.lam_left, params.lam_right)
     fields = dict(_canonical_pairs(params), psi=_zero_flip_orbit(params.psi, ends))
-    return params if _unchanged(params, fields) else replace(params, **fields)
+    return params if _unchanged(params, fields) else params._replace(**fields)
 
 
 def canonicalize(params: Params) -> Params:
@@ -334,9 +335,7 @@ def contragredient_sp(params: SpParams) -> SpParams:
     v = len(params.lam)
     lam = tuple(-x for x in reversed(params.lam))
     roots = tuple(tuple(-r[v - 1 - i] for i in range(v)) for r in params.psi.roots)
-    return canonicalize_sp(
-        replace(params, lam=lam, psi=PositiveSystem.of(params.psi.kind, roots))
-    )
+    return canonicalize_sp(params._replace(lam=lam, psi=PositiveSystem.of(params.psi.kind, roots)))
 
 
 def swap_pq(params: OParams) -> OParams:
@@ -344,8 +343,7 @@ def swap_pq(params: OParams) -> OParams:
     a, d = params.a, params.d
     roots = tuple(r[a:] + r[:a] for r in params.psi.roots)
     return canonicalize_o(
-        replace(
-            params,
+        params._replace(
             lam_left=params.lam_right,
             lam_right=params.lam_left,
             psi=PositiveSystem.of(OKind(d, a), roots),
@@ -361,9 +359,9 @@ def tensor_det_o(params: OParams) -> OParams:
     parameters are fixed.
     """
     if params.zeros > 0:
-        return canonicalize_o(replace(params, xi=-params.xi))
+        return canonicalize_o(params._replace(xi=-params.xi))
     if any(k.is_zero for k in params.kappa):
-        return canonicalize_o(replace(params, zeta=-params.zeta))
+        return canonicalize_o(params._replace(zeta=-params.zeta))
     return canonicalize_o(params)
 
 
@@ -484,8 +482,7 @@ _SIGN_VARS = frozenset({"s1", "s2"})
 _SIGNS = (Scalar.of(1), Scalar.of(-1))
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(NamedTuple):
     """An affine expression in at most one variable.
 
     The expression is stored as a Scalar whose formal part stands in for
@@ -516,8 +513,7 @@ def expr_eval(expr: Expr, env: Mapping[str, "Scalar | int"]) -> Scalar:
     return expr.form.substitute(Scalar.of(env[expr.var]))
 
 
-@dataclass(frozen=True)
-class ParamPattern:
+class ParamPattern(NamedTuple):
     side: str  # "sp" or "o"
     zeta: Optional[int]
     xi: Optional[int]

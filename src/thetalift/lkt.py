@@ -219,9 +219,7 @@ def lowest_ktypes_o(params: OParams) -> tuple[OKType, ...]:
                 params, z + z2, beta_count, gamma_count, zero_pairs, lft, rgt
             ):
                 out.add(OKType.of(p, q, tuple(lft), tuple(rgt), s1, s2))
-    return tuple(
-        sorted(out, key=lambda kt: (kt.left.entries, kt.left.sign, kt.right.entries, kt.right.sign))
-    )
+    return tuple(sorted(out))
 
 
 def _sign_pairs(

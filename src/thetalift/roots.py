@@ -33,17 +33,15 @@ import itertools
 import math
 import re as _regex
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Q = Fraction
 
 Root = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SpKind:
+class SpKind(NamedTuple):
     rank: int
 
     axis = 2
@@ -62,8 +60,7 @@ class SpKind:
         return f"Sp({2 * self.rank},R)"
 
 
-@dataclass(frozen=True)
-class OKind:
+class OKind(NamedTuple):
     """Coordinate frame for O(p,q): `left` e-coordinates, `right` f-coordinates.
 
     odd=False models O(2*left, 2*right); odd=True models O(2*left+1, 2*right+1).
@@ -212,9 +209,14 @@ def rho_shift(vec: Sequence[Q | int], kind: GroupKind) -> tuple[Q, ...]:
 _ROOT_TERM = _regex.compile(r"([+-]?)(2?)([ef])(\d+)")
 
 
+@functools.cache
+def _coord_slots(kind: GroupKind) -> dict[str, int]:
+    return {kind.coord_name(i): i for i in range(kind.dim)}
+
+
 def parse_root(text: str, kind: GroupKind) -> Root:
     s = text.replace(" ", "")
-    slots = {kind.coord_name(i): i for i in range(kind.dim)}
+    slots = _coord_slots(kind)
     v = [0] * kind.dim
     pos = 0
     seen = False
@@ -257,12 +259,41 @@ def root_sort_key(root: Root, kind: GroupKind) -> tuple:
     return ((1, i, -c) if abs(c) == 2 else (2, i, -c))
 
 
-@dataclass(frozen=True)
-class PositiveSystem:
+class Frozen:
+    """An immutable record that, unlike a NamedTuple, can carry state that
+    does not count: equality, the hash (computed once) and repr read only
+    the attributes in ``_fields``.  Constructors set ``__dict__`` directly."""
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({pairs})"
+
+
+class PositiveSystem(Frozen):
     """A positive system Psi of the full root system, stored sorted."""
 
-    kind: GroupKind
-    roots: tuple[Root, ...]
+    _fields = ("kind", "roots")
+
+    def __init__(self, kind: GroupKind, roots: tuple[Root, ...]):
+        self.__dict__.update(kind=kind, roots=roots)
 
     @staticmethod
     def of(kind: GroupKind, roots: Iterable[Root]) -> "PositiveSystem":
@@ -276,18 +307,10 @@ class PositiveSystem:
     def contains(self, root: Root) -> bool:
         return root in self._members
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def render(self) -> str:
         return self._text
 
     # Computed once per instance; not fields, so equality ignores them.
-    # Equal systems have equal (kind, roots), so they hash alike.
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.kind, self.roots))
-
     @functools.cached_property
     def _members(self) -> frozenset[Root]:
         return frozenset(self.roots)

@@ -45,10 +45,9 @@ from __future__ import annotations
 import operator
 import os
 import re
-from dataclasses import dataclass, field, replace
 from itertools import permutations
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .exact import GENERIC_B, InfChar, Scalar, dual_padding, parse_scalar
 from .langlands import (
@@ -78,7 +77,7 @@ from .langlands import (
     validate_o,
     validate_sp,
 )
-from .roots import PositiveSystem, SpKind, contains_delta_c_plus, is_positive_system, pair_root
+from .roots import Frozen, PositiveSystem, SpKind, contains_delta_c_plus, is_positive_system, pair_root
 
 
 class TableError(ValueError):
@@ -236,13 +235,14 @@ def _parse_atom(atom: str) -> Atom:
     raise TableError(f"unrecognized condition atom {atom!r}")
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(Frozen):
     """A row condition parsed once: the ``&``-separated atoms of ``text``
     as predicates.  Conditions compare by their text."""
 
-    text: str
-    atoms: tuple[Atom, ...] = field(compare=False, repr=False)
+    _fields = ("text",)
+
+    def __init__(self, text: str, atoms: tuple[Atom, ...]):
+        self.__dict__.update(text=text, atoms=atoms)
 
 
 def parse_cond(text: str) -> Condition:
@@ -270,52 +270,47 @@ def _check_cond(text: str, names: Iterable[str]) -> Condition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiftRow:
+class LiftRow(NamedTuple):
     pattern: ParamPattern
     template: ParamPattern
     cond: Condition
     line: int
 
 
-@dataclass(frozen=True)
-class LktRow:
+class LktRow(NamedTuple):
     pattern: ParamPattern
     lkts: tuple[tuple[Expr, ...], ...]
     cond: Condition
     line: int
 
 
-@dataclass(frozen=True)
-class LiftTable:
+class LiftTable(Frozen):
     """The rows of one lift table, in file order, and the same rows
     grouped by the shape of their patterns, so that a lookup tries only
     the rows that can match."""
 
-    rows: tuple[LiftRow, ...]
-    by_shape: Mapping[tuple, tuple[LiftRow, ...]] = field(compare=False, repr=False)
+    _fields = ("rows",)
 
-    @staticmethod
-    def of(rows: Iterable[LiftRow]) -> "LiftTable":
+    def __init__(self, rows: Iterable[LiftRow]):
         rows = tuple(rows)
         groups: dict[tuple, list[LiftRow]] = {}
         for row in rows:
             groups.setdefault(_shape(row.pattern), []).append(row)
-        return LiftTable(rows, {key: tuple(group) for key, group in groups.items()})
+        self.__dict__.update(rows=rows, by_shape={key: tuple(group) for key, group in groups.items()})
 
     def rows_for(self, pi: OParams) -> tuple[LiftRow, ...]:
         """The rows whose pattern has the shape of pi."""
         return self.by_shape.get(_shape(pi), ())
 
 
-@dataclass(frozen=True)
-class TableSet:
-    lifts: Mapping[int, LiftTable]
-    appendix_c: tuple[LktRow, ...]
-    source: str
-    # The matches of ``hits`` by (n, pi) in a copy made by ``memoized``;
-    # None, and nothing kept, in the tables of ``load_tables``.
-    _matches: Optional[dict] = field(default=None, compare=False, repr=False)
+class TableSet(Frozen):
+    _fields = ("lifts", "appendix_c", "source")
+
+    # ``matches`` holds the matches of ``hits`` by (n, pi) in a copy made by
+    # ``memoized``; None, and nothing kept, in the tables of ``load_tables``.
+    def __init__(self, lifts: Mapping[int, LiftTable], appendix_c: tuple[LktRow, ...], source: str,
+                 matches: Optional[dict] = None):
+        self.__dict__.update(lifts=lifts, appendix_c=appendix_c, source=source, _matches=matches)
 
     def theta(self, n: int) -> LiftTable:
         table = self.lifts.get(n)
@@ -326,7 +321,7 @@ class TableSet:
     def memoized(self) -> "TableSet":
         """A copy of these tables whose ``hits`` matches each (n, pi) once
         for as long as the copy lives."""
-        return replace(self, _matches={})
+        return TableSet(*self._key(), {})
 
     def hits(self, n: int, pi: OParams) -> Sequence[tuple[LiftRow, SpParams]]:
         """Every row of the rank-n table that applies to the valid and
@@ -422,7 +417,7 @@ def load_tables(table_dir: "str | Path | None" = None) -> TableSet:
     root = Path(table_dir) if table_dir is not None else default_table_dir()
     key = str(root.resolve())
     if key not in _CACHE:
-        lifts = {n: LiftTable.of(_load_rows(root / name, _lift_row)) for n, name in THETA_FILES.items()}
+        lifts = {n: LiftTable(_load_rows(root / name, _lift_row)) for n, name in THETA_FILES.items()}
         appendix = _load_rows(root / APPENDIX_FILE, _lkt_row)
         _CACHE[key] = TableSet(lifts, appendix, key)
     if root.is_absolute():
@@ -564,8 +559,7 @@ def apply_modification(params):
             mu.append(0)
             nu.append(k.scale(2))
     keep = [idx for idx in range(len(params.eps)) if idx not in paired]
-    return replace(
-        params,
+    return params._replace(
         mu=tuple(mu),
         nu=tuple(nu),
         eps=tuple(params.eps[idx] for idx in keep),
@@ -608,7 +602,7 @@ def induct_n(pi_prime: SpParams, p: int, q: int, k: int) -> SpParams:
     sign = 1 if ((p - q) // 2) % 2 == 0 else -1
     eps = pi_prime.eps + (sign,) * k
     kappa = pi_prime.kappa + tuple(Scalar.of(i + n0 - m) for i in range(1, k + 1))
-    out = apply_modification(replace(pi_prime, eps=eps, kappa=kappa))
+    out = apply_modification(pi_prime._replace(eps=eps, kappa=kappa))
     validate_sp(out)
     return canonicalize_sp(out)
 
@@ -630,7 +624,7 @@ def induct_pq(pi: OParams, n: int, k: int, tables: Optional[TableSet] = None) ->
         raise ThetaError("discrete datum does not admit the signature-raising induction")
     eps = pi.eps + (1,) * k
     kappa = pi.kappa + tuple(Scalar.of(n - m - i) for i in range(k))
-    out = apply_modification(replace(pi, eps=eps, kappa=kappa))
+    out = apply_modification(pi._replace(eps=eps, kappa=kappa))
     validate_o(out)
     return canonicalize_o(out)
 
@@ -676,8 +670,7 @@ def first_occurrence(pi: OParams, tables: Optional[TableSet] = None) -> int:
     return _occurrence(canonicalize_o(pi), tables)
 
 
-@dataclass(frozen=True)
-class ThetaResult:
+class ThetaResult(NamedTuple):
     """A rank-n lift: parameters when nonzero, plus how they were found."""
 
     params: Optional[SpParams]

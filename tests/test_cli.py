@@ -307,6 +307,20 @@ def test_inverse_lookup_rejects_other_signatures(capsys):
     assert code == 2 and "p + q = 4" in err
 
 
+def test_inverse_lookup_refuses_a_large_rank_before_validating(capsys):
+    """The rank-150 Sp discrete series, a 193 kB argument whose validation
+    takes over 3 s of CPU time, is refused within 1 s, and a bad signature
+    before its text is parsed."""
+    lam = ",".join(map(str, range(150, 0, -1)))
+    target = f"pi(({lam}),{_discrete_series_roots(150, True)},0,0,0,0)"
+    start = time.process_time()
+    code, _, err = run(capsys, ["inverse-lookup", "--sp-params", target, "--sig", "2,2"])
+    assert time.process_time() - start < 1
+    assert code == 2 and "rank n <= 100, got 150" in err
+    code, _, err = run(capsys, ["inverse-lookup", "--sp-params", "bogus", "--sig", "3,3"])
+    assert code == 2 and "p + q = 4" in err
+
+
 # -- table-directory overrides -----------------------------------------------------------
 
 

@@ -3,10 +3,13 @@
 ``import thetalift`` with ``load_tables()``, and the ``lift``,
 ``first-occurrence`` and ``infchar`` commands, never load the census and
 verification code (``enumeration``) or the K-type code (``lkt``,
-``ktypes``).  Fresh interpreters run with ``-X importtime``, which logs
-every module the first time it is imported.
+``ktypes``).  No entry point loads ``dataclasses`` or ``inspect``, which
+cost more at start-up than a lift query's work.  Fresh interpreters run
+with ``-X importtime``, which logs every module the first time it is
+imported.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -29,9 +32,13 @@ ENUMERATION_NAMES = (
 )
 
 
+# Standard-library modules that take tens of milliseconds to import.
+SLOW_TO_IMPORT = {"dataclasses", "inspect"}
+
+
 def _fresh(*args: str) -> tuple[int, str, set]:
-    """Run ``python -X importtime *args``: the exit status, stdout, and the
-    thetalift modules the interpreter loaded."""
+    """Run ``python -X importtime *args``: the exit status, stdout, and
+    every module the interpreter loaded."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *args],
         env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
@@ -44,13 +51,27 @@ def _fresh(*args: str) -> tuple[int, str, set]:
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
-    return proc.returncode, proc.stdout, {m for m in loaded if m.startswith("thetalift")}
+    return proc.returncode, proc.stdout, loaded
+
+
+@functools.cache
+def _bare() -> set:
+    """The modules a bare interpreter loads."""
+    return _fresh("-c", "pass")[2]
+
+
+def _assert_fast_imports(loaded: set) -> None:
+    """Nothing of ``SLOW_TO_IMPORT`` beyond what a bare interpreter loads."""
+    assert SLOW_TO_IMPORT & loaded <= _bare()
 
 
 def test_import_and_table_load_skip_census_and_ktype_code():
     code, _, loaded = _fresh("-c", "import thetalift; thetalift.load_tables()")
     assert code == 0
-    assert loaded == {"thetalift", "thetalift.exact", "thetalift.roots", "thetalift.langlands", "thetalift.theta"}
+    assert {m for m in loaded if m.startswith("thetalift")} == {
+        "thetalift", "thetalift.exact", "thetalift.roots", "thetalift.langlands", "thetalift.theta"
+    }
+    _assert_fast_imports(loaded)
 
 
 @pytest.mark.parametrize(
@@ -66,6 +87,7 @@ def test_lift_commands_skip_census_and_ktype_code(argv, out):
     code, stdout, loaded = _fresh("-m", "thetalift", *argv)
     assert (code, stdout) == (0, out)
     assert "thetalift.cli" in loaded and loaded.isdisjoint(CENSUS_AND_KTYPES)
+    _assert_fast_imports(loaded)
 
 
 @pytest.mark.parametrize(
@@ -80,6 +102,7 @@ def test_other_commands_load_what_they_need(argv, out):
     code, stdout, loaded = _fresh("-m", "thetalift", *argv)
     assert code == 0 and out in stdout
     assert "thetalift.lkt" in loaded
+    _assert_fast_imports(loaded)
 
 
 def test_public_names_resolve_without_being_stored():

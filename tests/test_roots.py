@@ -407,6 +407,7 @@ _UNBOUNDED_BY_DESIGN = {
     "cli._parser",
     "langlands._one_dim_o",
     "roots.all_roots",
+    "roots._coord_slots",
     "roots.root_set",
     "roots.compact_roots",
     "roots.delta_c_plus",

@@ -3,7 +3,6 @@ induction principles, the modification rule, first occurrence, and the
 dispatcher, against hand-frozen values."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction as Q
 from itertools import combinations, combinations_with_replacement
 
@@ -244,7 +243,7 @@ def _reference_modification(params):
             del kappa[idx]
         mu.append(0)
         nu.append(fresh_nu)
-    return replace(params, mu=tuple(mu), nu=tuple(nu), eps=tuple(eps), kappa=tuple(kappa))
+    return params._replace(mu=tuple(mu), nu=tuple(nu), eps=tuple(eps), kappa=tuple(kappa))
 
 
 _KAPPA_VALUES = [Scalar.of(x) for x in (0, 1, 2, 3, Q(1, 2))] + [Scalar(im=1), GENERIC_B]
@@ -463,7 +462,7 @@ def test_invalid_input_raises_param_error(message):
     parameter raises ParamError at every rank instead of lifting to 0 at
     low ranks and failing a table lookup above them."""
     text, change = _INVALID_O[message]
-    pi = replace(parse_o(text), **change)
+    pi = parse_o(text)._replace(**change)
     with pytest.raises(ParamError, match=message):
         first_occurrence(pi)
     for n in range(7):
@@ -545,7 +544,7 @@ def _scrambled_o(pi):
     """pi with its pairs scrambled and Psi flipped on every zero coordinate."""
     zeros = {i for i, x in enumerate(pi.lam_left + pi.lam_right) if x == 0}
     roots = (tuple(-c if i in zeros else c for i, c in enumerate(r)) for r in pi.psi.roots)
-    return replace(pi, psi=PositiveSystem.of(pi.psi.kind, roots), **_scrambled_pairs(pi))
+    return pi._replace(psi=PositiveSystem.of(pi.psi.kind, roots), **_scrambled_pairs(pi))
 
 
 def _outcome(fn, *args):
@@ -574,7 +573,7 @@ def test_non_canonical_input_gives_the_canonical_answers(pool):
             assert _outcome(induct_pq, odd, n, 1, tables) == _outcome(induct_pq, pi, n, 1, tables)
             if lift.is_zero or n > 4:
                 continue
-            odd_sp = replace(lift.params, **_scrambled_pairs(lift.params))
+            odd_sp = lift.params._replace(**_scrambled_pairs(lift.params))
             assert canonicalize_sp(odd_sp) == lift.params
             for k in (1, 2):
                 want = _outcome(induct_n, lift.params, pi.p, pi.q, k)

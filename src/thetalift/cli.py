@@ -30,11 +30,13 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .exact import parse_infchar
+from .exact import GENERIC_B, parse_infchar
 from .langlands import (
+    OParams,
     SpParams,
     infchar_o,
     infchar_sp,
+    instantiate_pattern,
     parse_o,
     parse_param_pattern,
     parse_params,
@@ -83,11 +85,25 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+def _parse_query(text: str) -> OParams:
+    """The O parameter of a ``lift`` or ``first-occurrence`` query.  A
+    signature other than p + q = 4 is refused before validation, whose cost
+    grows as the cube of the rank."""
+    pattern = parse_param_pattern(text)
+    if pattern.side != "o":
+        return parse_o(text)  # raises: no O parameter
+    pairs = 2 * len(pattern.mu) + len(pattern.eps)
+    p, q = 2 * len(pattern.lam_left) + pairs, 2 * len(pattern.lam_right) + pairs
+    if p + q != 4:
+        raise ThetaError(f"unsupported signature O({p},{q})")
+    return instantiate_pattern(pattern, {"b": GENERIC_B})
+
+
 def _cmd_lift(args) -> int:
     if args.n > MAX_RANK:
         raise ValueError(f"lift supports ranks n <= {MAX_RANK}, got {args.n}")
     tables = load_tables(args.table_dir)
-    pi = parse_o(args.params)
+    pi = _parse_query(args.params)
     res = theta_n(pi, args.n, tables)
     text = res.render()
     payload = {
@@ -195,7 +211,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_first_occurrence(args) -> int:
     tables = load_tables(args.table_dir)
-    pi = parse_o(args.params)
+    pi = _parse_query(args.params)
     n0 = first_occurrence(pi, tables)
     _emit(args, {"input": render_o(pi), "first_occurrence": n0}, str(n0))
     return 0

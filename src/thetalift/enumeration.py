@@ -95,6 +95,7 @@ from .roots import (
 )
 from .theta import (
     DET11_THETA3,
+    THETA_FILES,
     _SUPPORTED,
     _SWAPPED,
     Condition,
@@ -506,25 +507,39 @@ def _pattern_samples(pattern, cond: Condition) -> list[dict]:
     return [env for env in envs if cond_eval(cond, env)]
 
 
-def _instantiated_row_cases(rows, unique: bool = False) -> list[tuple[int, OParams, SpParams]]:
-    """(line, input parameter, expected lift) for sampled instantiations;
-    with ``unique``, only the first case of each input, whose template
-    alone is instantiated."""
-    cases = []
+def _instantiated_row_cases(
+    tables: TableSet, rank: int, unique: bool = False
+) -> tuple[list[tuple[int, OParams, SpParams]], list[CaseResult]]:
+    """(line, input parameter, expected lift) for sampled instantiations
+    of the rank-n table's rows; with ``unique``, only the first case of each
+    input, whose template alone is instantiated.  A binding at which a
+    row's pattern is no parameter is skipped.  A row whose template is no
+    parameter where its pattern is one gives a failed case, naming the row
+    and each such binding."""
+    cases, failed = [], []
     seen: set = set()
-    for row in rows:
+    for row in tables.theta(rank).rows:
+        bad = []
         for env in _pattern_samples(row.pattern, row.cond):
             try:
                 pi = instantiate_pattern(row.pattern, env)
-                if pi in seen:
-                    continue
-                lift = instantiate_pattern(row.template, env)
             except ParamError:
+                continue
+            if pi in seen:
+                continue
+            try:
+                lift = instantiate_pattern(row.template, env)
+            except ParamError as err:
+                binding = ", ".join(f"{k}={v.render() if isinstance(v, Scalar) else v}" for k, v in env.items())
+                bad.append(f"at {{{binding}}}: {err}")
                 continue
             if unique:
                 seen.add(pi)
             cases.append((row.line, pi, lift))
-    return cases
+        if bad:
+            label = f"{THETA_FILES[rank]}:{row.line}: template instantiates where the pattern does"
+            failed.append(_case(label, bad))
+    return cases, failed
 
 
 def suite_theta12(inputs: _Inputs) -> VerificationReport:
@@ -534,9 +549,8 @@ def suite_theta12(inputs: _Inputs) -> VerificationReport:
     tables = inputs.tables
     cases = []
     for rank in (1, 2):
-        table = tables.theta(rank)
         details: list[str] = []
-        samples = _instantiated_row_cases(table.rows, unique=True)
+        samples, failed = _instantiated_row_cases(tables, rank, unique=True)
         for line, pi, want in samples:
             hits = tables.hits(rank, pi)
             if len(hits) != 1:
@@ -555,6 +569,7 @@ def suite_theta12(inputs: _Inputs) -> VerificationReport:
             if not infchars_dual(infchar_o(pi), infchar_sp(want), 2, rank):
                 details.append(f"line {line}: infinitesimal characters not dual for {render_o(pi)}")
         cases.append(_case(f"theta{rank}: {len(samples)} sampled inputs lift exclusively and dually", details))
+        cases.extend(failed)
 
     # completeness: every enumerated early-occurrence parameter is covered
     details = []
@@ -603,7 +618,8 @@ def suite_theta3(inputs: _Inputs) -> VerificationReport:
     details_class: list[str] = []
     count = 0
     exceptional_seen = 0
-    for line, pi, want in _instantiated_row_cases(inputs.tables.theta(3).rows):
+    samples, failed = _instantiated_row_cases(inputs.tables, 3)
+    for line, pi, want in samples:
         count += 1
         n0 = inputs.occurrence(pi)
         if n0 != 3:
@@ -659,6 +675,7 @@ def suite_theta3(inputs: _Inputs) -> VerificationReport:
             _case(f"{count} sampled rank-3 inputs lift as tabulated", details_lift),
             _case("invariants pin each lift (one known two-parameter case)", details_unique),
             _case("each rank-3 lift appears in the classification table", details_class),
+            *failed,
         ),
     )
 

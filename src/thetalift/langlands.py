@@ -22,11 +22,14 @@ the datum check on (lam, Psi), the continuous check on (mu, nu, eps,
 kappa) with the parity of v, and on O(p,q) the (zeta, xi) rule, which
 reads the datum's zero count and whether some kappa is 0.  A datum with
 no continuous slots is a discrete-series parameter, so the census checks
-it with validate_sp or validate_o.  Each check runs on every call; only
-the Psi check, whose verdict depends on (Psi, kind, lam) alone, is
-remembered once it passes (``_validate_psi``, a bounded cache that stores
-no failure).  Parameter text is likewise a datum text followed by a
-continuous text.
+it with validate_sp or validate_o.  Parameter text is likewise a datum
+text followed by a continuous text.
+
+checked_sp and checked_o validate a whole parameter and return its
+canonical form, remembered per value in a cache of 4096 entries that
+stores no failure, as ``_validate_psi`` remembers the Psi check.  A value
+whose integer slots (zeta, xi, lam, mu, eps) hold anything but exact ints
+is checked afresh: 2.0 and True equal 2 and 1 and hash alike.
 
 The parameter records are NamedTuples, so they are tuples: each compares
 equal to a plain tuple of its fields, and JSON would encode it as a list.
@@ -301,6 +304,33 @@ def canonicalize(params: Params) -> Params:
     if isinstance(params, SpParams):
         return canonicalize_sp(params)
     return canonicalize_o(params)
+
+
+def _check(memo, params: Params, *int_slots: tuple) -> Params:
+    return (memo if all(type(x) is int for slot in int_slots for x in slot) else memo.__wrapped__)(params)
+
+
+@functools.lru_cache(maxsize=4096)
+def _checked_sp(params: SpParams) -> SpParams:
+    validate_sp(params)
+    return canonicalize_sp(params)
+
+
+@functools.lru_cache(maxsize=4096)
+def _checked_o(params: OParams) -> OParams:
+    validate_o(params)
+    return canonicalize_o(params)
+
+
+def checked_sp(params: SpParams) -> SpParams:
+    """The canonical form of valid ``params``; ParamError when invalid."""
+    return _check(_checked_sp, params, params.lam, params.mu, params.eps)
+
+
+def checked_o(params: OParams) -> OParams:
+    """The canonical form of valid ``params``; ParamError when invalid."""
+    ints = ((params.zeta, params.xi), params.lam_left, params.lam_right, params.mu, params.eps)
+    return _check(_checked_o, params, *ints)
 
 
 # -- infinitesimal characters ------------------------------------------------
@@ -627,12 +657,8 @@ def instantiate_pattern(pat: ParamPattern, env: Mapping[str, "Scalar | int"]) ->
         return ints(pat.mu), scalars(pat.nu), ints(pat.eps), scalars(pat.kappa)
 
     if pat.side == "sp":
-        params = SpParams(ints(pat.lam_left), pat.psi, *continuous())
-        validate_sp(params)
-        return canonicalize_sp(params)
-    params = OParams(pat.zeta, pat.xi, ints(pat.lam_left), ints(pat.lam_right), pat.psi, *continuous())
-    validate_o(params)
-    return canonicalize_o(params)
+        return checked_sp(SpParams(ints(pat.lam_left), pat.psi, *continuous()))
+    return checked_o(OParams(pat.zeta, pat.xi, ints(pat.lam_left), ints(pat.lam_right), pat.psi, *continuous()))
 
 
 def _parse_side(text: str, side: str) -> Params:

@@ -8,8 +8,8 @@ symplectic rank and ``induct_pq`` raises the orthogonal signature, both
 feeding the freshly appended (eps, kappa) slots through the modification
 rule before canonicalization.
 
-Valid and canonical input.  ``theta_n`` and ``first_occurrence``
-validate their input once, put it in canonical form and hand it on;
+Valid and canonical input.  ``theta_n`` and ``first_occurrence`` pass
+their input once through ``checked_o`` and hand its canonical form on;
 ``TableSet.hits``, ``matching_rows``, ``lookup_lift`` and
 ``match_o_pattern`` require a valid and canonical parameter, as
 ``parse_o``, ``instantiate_pattern`` and the inductions return it.
@@ -62,8 +62,8 @@ from .langlands import (
     _split_top,
     _zero_ends,
     _zero_flip_orbit,
-    canonicalize_o,
-    canonicalize_sp,
+    checked_o,
+    checked_sp,
     contragredient_sp,
     det_o,
     expr_eval,
@@ -74,8 +74,6 @@ from .langlands import (
     render_sp,
     swap_pq,
     trivial_o,
-    validate_o,
-    validate_sp,
 )
 from .roots import Frozen, PositiveSystem, SpKind, contains_delta_c_plus, is_positive_system, pair_root
 
@@ -602,9 +600,7 @@ def induct_n(pi_prime: SpParams, p: int, q: int, k: int) -> SpParams:
     sign = 1 if ((p - q) // 2) % 2 == 0 else -1
     eps = pi_prime.eps + (sign,) * k
     kappa = pi_prime.kappa + tuple(Scalar.of(i + n0 - m) for i in range(1, k + 1))
-    out = apply_modification(pi_prime._replace(eps=eps, kappa=kappa))
-    validate_sp(out)
-    return canonicalize_sp(out)
+    return checked_sp(apply_modification(pi_prime._replace(eps=eps, kappa=kappa)))
 
 
 def induct_pq(pi: OParams, n: int, k: int, tables: Optional[TableSet] = None) -> OParams:
@@ -624,9 +620,7 @@ def induct_pq(pi: OParams, n: int, k: int, tables: Optional[TableSet] = None) ->
         raise ThetaError("discrete datum does not admit the signature-raising induction")
     eps = pi.eps + (1,) * k
     kappa = pi.kappa + tuple(Scalar.of(n - m - i) for i in range(k))
-    out = apply_modification(pi._replace(eps=eps, kappa=kappa))
-    validate_o(out)
-    return canonicalize_o(out)
+    return checked_o(apply_modification(pi._replace(eps=eps, kappa=kappa)))
 
 
 # ---------------------------------------------------------------------------
@@ -665,9 +659,9 @@ def _occurrence(pi: OParams, tables: TableSet) -> int:
 def first_occurrence(pi: OParams, tables: Optional[TableSet] = None) -> int:
     """The smallest n with a nonzero rank-n lift (p + q = 4 only).  An
     invalid pi raises ParamError."""
-    validate_o(pi)
+    pi = checked_o(pi)
     tables = load_tables() if tables is None else tables
-    return _occurrence(canonicalize_o(pi), tables)
+    return _occurrence(pi, tables)
 
 
 class ThetaResult(NamedTuple):
@@ -689,9 +683,9 @@ def theta_n(pi: OParams, n: int, tables: Optional[TableSet] = None) -> ThetaResu
     invalid pi raises ParamError."""
     if n < 0:
         raise ThetaError("rank n must be >= 0")
-    validate_o(pi)
+    pi = checked_o(pi)
     tables = load_tables() if tables is None else tables
-    return _theta_n(canonicalize_o(pi), n, tables)
+    return _theta_n(pi, n, tables)
 
 
 def _theta_n(pi: OParams, n: int, tables: TableSet) -> ThetaResult:

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetalift.cli import main
-from thetalift.langlands import _zero_flip_orbit
+from thetalift.langlands import _checked_o, _zero_flip_orbit
+from thetalift.roots import parse_psi
 
 REPO_DIR = Path(__file__).resolve().parents[1]
 SRC_DIR = REPO_DIR / "src"
@@ -305,6 +306,22 @@ def test_inverse_lookup_rejects_other_signatures(capsys):
         capsys, ["inverse-lookup", "--sp-params", "pi(0,{},0,0,(1),(1))", "--sig", "3,3"]
     )
     assert code == 2 and "p + q = 4" in err
+
+
+@pytest.mark.parametrize("argv", [["lift", "--n", "1"], ["first-occurrence"]], ids=["lift", "first-occurrence"])
+def test_lift_queries_refuse_other_signatures_before_validating(capsys, argv):
+    """The O(120,120) discrete series with lam = 0, a 110 kB argument whose
+    validation takes over 1 s of CPU time, is refused within 1 s, from a
+    cold root-set parse."""
+    zeros = ",".join(["0"] * 60)
+    text = f"pi_{{1}}(({zeros};{zeros}),1,{_interleaved_roots(60)},0,0,0,0)"
+    parse_psi.cache_clear()
+    _checked_o.cache_clear()
+    start = time.process_time()
+    code, _, err = run(capsys, argv + ["--params", text])
+    assert time.process_time() - start < 1
+    assert code == 2 and "unsupported signature O(120,120)" in err
+    assert _checked_o.cache_info().currsize == 0
 
 
 def test_inverse_lookup_refuses_a_large_rank_before_validating(capsys):

@@ -32,6 +32,8 @@ from thetalift.enumeration import (
 from thetalift.exact import GENERIC_B, InfChar, Scalar, parse_infchar
 from thetalift.ktypes import OFactor, UKType, phi_pq
 from thetalift.langlands import (
+    _checked_o,
+    _checked_sp,
     OParams,
     ParamError,
     SpParams,
@@ -718,6 +720,17 @@ def test_verify_tables_all_is_green():
     assert rep.ok, rep.render()
     text = json.dumps(rep.to_json(), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_SHA256
+
+
+def test_verify_tables_all_is_the_same_from_cold_and_warm_value_memos():
+    """Two runs in one process, the first from empty memos of checked_sp
+    and checked_o and the second from the memos the first left, both give
+    the oracle."""
+    _checked_sp.cache_clear()
+    _checked_o.cache_clear()
+    for _ in range(2):
+        text = json.dumps(verify_tables("all").to_json(), indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_SHA256
 
 
 def test_verify_all_merges_the_suites_in_order():

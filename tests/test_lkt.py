@@ -9,6 +9,8 @@ from thetalift.enumeration import enumerate_o_reps, enumerate_sp_reps
 from thetalift.exact import GENERIC_B, InfChar, Scalar, parse_infchar
 from thetalift.ktypes import OKType, UKType, sigma_one_one
 from thetalift.langlands import (
+    _checked_o,
+    _checked_sp,
     _validate_psi,
     _zero_flip_orbit,
     OParams,
@@ -214,16 +216,36 @@ def test_census_lowest_ktypes_are_pinned_with_caches_cleared():
 POOL_ANSWERS_SHA256 = "883251d5f722b5c532051561a05cb1f05b7a4ffce73aac9c5463b09e7a4a310c"
 
 
+def _pool_answers_digest(lift_pool, before_each=lambda: None) -> str:
+    def cold(query, *args):
+        before_each()
+        return query(*args)
+
+    lines = []
+    for pi in lift_pool:
+        lifts = " ".join(cold(theta_n, pi, n).render() for n in range(7))
+        lines.append(f"{render_o(pi)} {cold(first_occurrence, pi)} {lifts}")
+    assert len(lines) == 341
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _clear_value_memos():
+    """Empty the memos of checked_sp and checked_o."""
+    _checked_sp.cache_clear()
+    _checked_o.cache_clear()
+
+
 def test_pool_answers_are_pinned(lift_pool):
     """Every O(p,q), p+q=4, parameter over the pair grid of
     {0,1,2,3,1/2,3/2,b}, in text order, keeps its first occurrence and its
     lifts to ranks 0-6."""
-    lines = []
-    for pi in lift_pool:
-        lifts = " ".join(theta_n(pi, n).render() for n in range(7))
-        lines.append(f"{render_o(pi)} {first_occurrence(pi)} {lifts}")
-    assert len(lines) == 341
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == POOL_ANSWERS_SHA256
+    assert _pool_answers_digest(lift_pool) == POOL_ANSWERS_SHA256
+
+
+def test_pool_answers_are_pinned_with_value_memos_cleared(lift_pool):
+    """The same answers when every ``theta_n`` and ``first_occurrence``
+    call starts from empty value memos."""
+    assert _pool_answers_digest(lift_pool, _clear_value_memos) == POOL_ANSWERS_SHA256
 
 
 def test_rank_five_census_is_the_same_with_caches_cleared():

@@ -422,6 +422,8 @@ _UNBOUNDED_BY_DESIGN = {
 _BOUNDED = {
     "ktypes.o_from_u",
     "ktypes.u_from_o",
+    "langlands._checked_o",
+    "langlands._checked_sp",
     "langlands._render_scalars",
     "langlands.parse_expr",
     "langlands._validate_psi",

@@ -196,7 +196,7 @@ def test_theta3_keeps_nothing_from_a_run_on_other_tables(tmp_path):
     shipped = load_tables()
     assert verify_tables("theta3", shipped).ok
     dest, line = _corrupt_first_ktype(tmp_path)
-    lifts = {want for _, _, want in _instantiated_row_cases(shipped.theta(3).rows)}
+    lifts = {want for _, _, want in _instantiated_row_cases(shipped, 3)[0]}
     (row,) = [row for row in shipped.appendix_c if row.line == line]
     assert any(
         hit is not None and hit[0] in lifts
@@ -222,6 +222,24 @@ def test_verify_keeps_nothing_from_a_run_on_other_tables(tmp_path):
 
     assert any("K-type mismatch" in d for d in failed("appendix-c: appendix-c[b=0]: "))
     assert any("classification K-types differ" in d for d in failed("theta3: each rank-3 lift appears"))
+
+
+@pytest.mark.parametrize("line", [8, 25])
+def test_template_that_no_longer_instantiates_fails_verify(tmp_path, line):
+    """Negating e1+e2 in the template Psi of a rank-3 row leaves no positive
+    system, so the row's lift is no parameter where its pattern is one:
+    ``verify`` fails that row by file, line and binding."""
+    dest = _copy_tables(tmp_path)
+    path = dest / "theta3.tbl"
+    lines = path.read_text().splitlines()
+    pattern, _, template = lines[line - 1].partition("=>")
+    assert "{e1+e2," in template
+    lines[line - 1] = pattern + "=>" + template.replace("{e1+e2,", "{-e1-e2,", 1)
+    path.write_text("\n".join(lines) + "\n")
+    report = verify_tables("all", load_tables(dest))
+    (case,) = [c for c in report.cases if not c.ok]
+    assert case.label == f"theta3: theta3.tbl:{line}: template instantiates where the pattern does"
+    assert case.details[0] == f"at {{{'m=2' if line == 8 else 'c1=2'}}}: Psi is not a positive system"
 
 
 def test_corrupt_condition_creates_duplicate_row_error(tmp_path):

@@ -721,3 +721,29 @@ def test_one_induction_from_the_table_rank_equals_a_stop_at_rank_four(pool):
             assert theta_n(pi, n, tables).params == direct
             cases += 1
     assert cases == 1012
+
+
+# -- the value memos ----------------------------------------------------------
+
+
+def test_value_memos_weaken_no_check():
+    """After valid queries have filled the memos of checked_o and
+    checked_sp, a twin that holds floats where ints belong, equal to a
+    remembered value and hashing alike, raises as validation does; and an
+    invalid parameter raises on every call, since no failure is stored."""
+    pi = parse_o("pi_{1}((2,0;),1,{e1+e2,e1-e2},0,0,0,0)")
+    base = parse_sp("pi((0),{2e1},0,0,(1),(1))")
+    assert not theta_n(pi, 2).is_zero and first_occurrence(pi) == 1
+    assert induct_n(base, 3, 1, 1) == parse_sp("pi((0),{2e1},(0),(2),0,0)")
+    twin = pi._replace(lam_left=(2.0, 0))
+    assert twin == pi and hash(twin) == hash(pi)
+    with pytest.raises(ParamError, match="^lam halves must be nonnegative integers$"):
+        theta_n(twin, 2)
+    with pytest.raises(ParamError, match="^lam halves must be nonnegative integers$"):
+        first_occurrence(twin)
+    with pytest.raises(ParamError, match="^lam entries must be integers$"):
+        induct_n(base._replace(lam=(0.0,)), 3, 1, 1)
+    bad = pi._replace(zeta=-1)
+    for _ in range(2):
+        with pytest.raises(ParamError, match="^zeta=-1 requires lam without zero entries$"):
+            theta_n(bad, 2)

@@ -30,13 +30,12 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .exact import GENERIC_B, parse_infchar
+from .exact import parse_infchar
 from .langlands import (
     OParams,
     SpParams,
     infchar_o,
     infchar_sp,
-    instantiate_pattern,
     parse_o,
     parse_param_pattern,
     parse_params,
@@ -90,13 +89,9 @@ def _parse_query(text: str) -> OParams:
     signature other than p + q = 4 is refused before validation, whose cost
     grows as the cube of the rank."""
     pattern = parse_param_pattern(text)
-    if pattern.side != "o":
-        return parse_o(text)  # raises: no O parameter
-    pairs = 2 * len(pattern.mu) + len(pattern.eps)
-    p, q = 2 * len(pattern.lam_left) + pairs, 2 * len(pattern.lam_right) + pairs
-    if p + q != 4:
-        raise ThetaError(f"unsupported signature O({p},{q})")
-    return instantiate_pattern(pattern, {"b": GENERIC_B})
+    if pattern.side == "o" and pattern.p + pattern.q != 4:
+        raise ThetaError(f"unsupported signature O({pattern.p},{pattern.q})")
+    return parse_o(text)
 
 
 def _cmd_lift(args) -> int:
@@ -225,7 +220,7 @@ def _cmd_inverse_lookup(args) -> int:
         raise ValueError("inverse lookup supports p + q = 4 signatures")
     # The rank is refused before validation, whose cost grows as its cube.
     pattern = parse_param_pattern(args.sp_params)
-    n = len(pattern.lam_left) + 2 * len(pattern.mu) + len(pattern.eps)
+    n = pattern.n
     if pattern.side == "sp" and n > MAX_RANK:
         raise ValueError(f"inverse lookup supports targets of rank n <= {MAX_RANK}, got {n}")
     target = parse_sp(args.sp_params)

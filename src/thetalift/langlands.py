@@ -555,6 +555,21 @@ class ParamPattern(NamedTuple):
     eps: tuple[Expr, ...]
     kappa: tuple[Expr, ...]
 
+    @property
+    def n(self) -> int:
+        """The rank n = v + 2s + t of an Sp-side pattern."""
+        return len(self.lam_left) + 2 * len(self.mu) + len(self.eps)
+
+    @property
+    def p(self) -> int:
+        """p = 2a + 2s + t of an O-side pattern."""
+        return 2 * len(self.lam_left) + 2 * len(self.mu) + len(self.eps)
+
+    @property
+    def q(self) -> int:
+        """q = 2d + 2s + t of an O-side pattern."""
+        return 2 * len(self.lam_right) + 2 * len(self.mu) + len(self.eps)
+
     def var_names(self) -> frozenset[str]:
         groups = (self.lam_left, self.lam_right, self.mu, self.nu, self.eps, self.kappa)
         return frozenset(e.var for g in groups for e in g if e.var is not None)
@@ -607,13 +622,11 @@ def parse_param_pattern(text: str) -> ParamPattern:
         if xi not in _SIGNS:
             raise ParamError(f"bad xi {fields[1]!r}")
         mu, nu, eps, kappa = (_parse_expr_group(f) for f in fields[3:7])
+        declared = None
         if m.group(3) is not None:
             if not (sig := _O_SIG.fullmatch(m.group(3))):
                 raise ParamError(f"bad signature {m.group(3)!r}, expected O(p,q)")
-            pairs = 2 * len(mu) + len(eps)
-            p, q = 2 * len(left) + pairs, 2 * len(right) + pairs
-            if (int(sig[1]), int(sig[2])) != (p, q):
-                raise ParamError(f"declared signature O({sig[1]},{sig[2]}) does not match O({p},{q})")
+            declared = (int(sig[1]), int(sig[2]))
         head, psi_text = ("o", int(m.group(1)), xi.as_int(), left, right), fields[2]
         kind: GroupKind = OKind(len(left), len(right))
     elif m := _SP_HEAD.fullmatch(s):
@@ -624,13 +637,17 @@ def parse_param_pattern(text: str) -> ParamPattern:
             raise ParamError(f"Sp parameters need 6 fields, got {len(fields)}")
         lam, mu, nu, eps, kappa = (_parse_expr_group(f) for f in fields[:1] + fields[2:])
         head, psi_text, kind = ("sp", None, None, lam, ()), fields[1], SpKind(len(lam))
+        declared = None
     else:
         raise ParamError(f"bad parameter text {text!r}")
     try:
         psi = parse_psi(psi_text, kind)
     except ValueError as err:
         raise ParamError(str(err)) from None
-    return ParamPattern(*head, psi, mu, nu, eps, kappa)
+    pattern = ParamPattern(*head, psi, mu, nu, eps, kappa)
+    if declared not in (None, (pattern.p, pattern.q)):
+        raise ParamError(f"declared signature O({declared[0]},{declared[1]}) does not match O({pattern.p},{pattern.q})")
+    return pattern
 
 
 def instantiate_pattern(pat: ParamPattern, env: Mapping[str, "Scalar | int"]) -> Params:

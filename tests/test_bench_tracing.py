@@ -61,7 +61,7 @@ def test_layer_tracer_wraps_every_traced_name_and_restores_them(tracing, capsys)
     assert "verify_tables" not in vars(thetalift)
     assert code == 0 and capsys.readouterr().out == "0\n"
     assert tracer.calls["cli.main"] == 1
-    assert tracer.calls["langlands.render_o"] >= 1
+    assert tracer.calls["langlands.parse_o"] >= 1
     assert tracer.calls["theta.first_occurrence"] == 1
     metrics = tracer.layer_metrics(1)
     assert metrics["theta.first_occurrence.calls"] == (1.0, "count")

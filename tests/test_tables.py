@@ -224,22 +224,31 @@ def test_verify_keeps_nothing_from_a_run_on_other_tables(tmp_path):
     assert any("classification K-types differ" in d for d in failed("theta3: each rank-3 lift appears"))
 
 
-@pytest.mark.parametrize("line", [8, 25])
-def test_template_that_no_longer_instantiates_fails_verify(tmp_path, line):
-    """Negating e1+e2 in the template Psi of a rank-3 row leaves no positive
-    system, so the row's lift is no parameter where its pattern is one:
-    ``verify`` fails that row by file, line and binding."""
+@pytest.mark.parametrize(
+    "name, line, binding",
+    [("theta3.tbl", 8, "m=2"), ("theta3.tbl", 25, "c1=2"), ("theta2.tbl", 14, "m=1")],
+    ids=["theta3.tbl:8", "theta3.tbl:25", "theta2.tbl:14"],
+)
+def test_template_that_no_longer_instantiates_fails_verify(tmp_path, name, line, binding):
+    """Negating e1+e2 in the template Psi of a lift-table row leaves no
+    positive system, so the row's lift is no parameter where its pattern is
+    one: ``verify`` fails that row by file, line and binding, and the row's
+    suite still runs its other checks."""
     dest = _copy_tables(tmp_path)
-    path = dest / "theta3.tbl"
+    path = dest / name
     lines = path.read_text().splitlines()
     pattern, _, template = lines[line - 1].partition("=>")
     assert "{e1+e2," in template
     lines[line - 1] = pattern + "=>" + template.replace("{e1+e2,", "{-e1-e2,", 1)
     path.write_text("\n".join(lines) + "\n")
     report = verify_tables("all", load_tables(dest))
-    (case,) = [c for c in report.cases if not c.ok]
-    assert case.label == f"theta3: theta3.tbl:{line}: template instantiates where the pattern does"
-    assert case.details[0] == f"at {{{'m=2' if line == 8 else 'c1=2'}}}: Psi is not a positive system"
+    suite = "theta3" if name == "theta3.tbl" else "theta12"
+    failed = {c.label: c.details for c in report.cases if not c.ok}
+    label = f"{suite}: {name}:{line}: template instantiates where the pattern does"
+    assert failed[label][0] == f"at {{{binding}}}: Psi is not a positive system"
+    assert f"{suite}: suite runs without a table, lift or parameter error" not in failed
+    if suite == "theta3":
+        assert list(failed) == [label]
 
 
 def test_corrupt_condition_creates_duplicate_row_error(tmp_path):

@@ -109,6 +109,7 @@ from .theta import (
     induct_n,
     instantiate_pattern,
     load_tables,
+    matching_rows,
     theta_n,
 )
 
@@ -397,18 +398,19 @@ class _Inputs:
     """The check inputs of one verification run over ``tables``, each
     computed once for as long as the object lives: classification rows per
     b, censuses (rank-n ones with each member's lowest K-type set), lifts,
-    first occurrences, lowest K-type sets, joint-harmonics images, and,
-    through a ``TableSet.memoized`` copy of the tables, each (rank,
-    parameter) match against a lift table.  Each suite is a function of
-    this object; ``verify_tables`` makes one per call for its suites to
-    share, so no answer outlives the tables it was built from.  Every memo
-    is a ``functools.cache``, which keeps no exception, over this module's
+    first occurrences, lowest K-type sets and joint-harmonics images.  Each
+    suite is a function of this object; ``verify_tables`` makes one per
+    call for its suites to share, so no answer outlives the tables it was
+    built from.  The (rank, parameter) matches against a lift table that
+    the exclusivity check, the first occurrences and the lifts share are
+    kept by ``matching_rows``, keyed by the table's rows.  Every memo is a
+    ``functools.cache``, which keeps no exception, over this module's
     global of that name.  No memo refers back to the object, which would
     make a reference cycle that keeps a run's inputs alive until the cycle
     collector runs."""
 
     def __init__(self, tables: TableSet):
-        self.tables = tables = tables.memoized()
+        self.tables = tables
         self.rows_at = cache(lambda beta: appendix_rows_at(tables, beta))
         self.lkts = lkts = cache(lambda pi: frozenset(lowest_ktypes_sp(pi)))
         self.census = census = cache(lambda n, chi: {pi: lkts(pi) for pi in enumerate_sp_reps(n, chi)})
@@ -552,7 +554,7 @@ def suite_theta12(inputs: _Inputs) -> VerificationReport:
         details: list[str] = []
         samples, failed = _instantiated_row_cases(tables, rank, unique=True)
         for line, pi, want in samples:
-            hits = tables.hits(rank, pi)
+            hits = matching_rows(tables.theta(rank), pi)
             if len(hits) != 1:
                 details.append(
                     f"line {line}: {render_o(pi)} matches {len(hits)} rows, expected exactly 1"
@@ -826,11 +828,17 @@ def suite_props(inputs: _Inputs) -> VerificationReport:
 
     details: list[str] = []
     pairs = 0
+    lifted = []
     for pi in samples:
+        try:
+            n0 = inputs.occurrence(pi)
+            lifts = [inputs.lift(pi, n) for n in range(0, 7)]
+        except ParamError as err:  # through a row whose template fails, a case of its table's suite
+            details.append(f"{render_o(pi)}: {err}")
+            continue
+        lifted.append(pi)
         chi_o = infchar_o(pi)
-        n0 = inputs.occurrence(pi)
-        for n in range(0, 7):
-            res = inputs.lift(pi, n)
+        for n, res in enumerate(lifts):
             if res.is_zero != (n < n0):
                 details.append(f"{render_o(pi)}: rank-{n} zero-ness disagrees with occurrence {n0}")
                 continue
@@ -840,6 +848,7 @@ def suite_props(inputs: _Inputs) -> VerificationReport:
             if not infchars_dual(chi_o, infchar_sp(res.params), 2, n):
                 details.append(f"{render_o(pi)}: rank-{n} infinitesimal characters not dual")
     case_dual = _case(f"duality and persistence over {pairs} lifts (ranks 0..6)", details)
+    samples = lifted
 
     # the rank-2 lifts of the samples that occur by rank 2
     bases = [

@@ -62,7 +62,7 @@ class ParamError(ValueError):
 
 def _check_signs(seq: Iterable[int], what: str) -> None:
     for x in seq:
-        if x not in (1, -1):
+        if type(x) is not int or x not in (1, -1):
             raise ParamError(f"{what} entries must be +-1, got {x}")
 
 
@@ -160,7 +160,7 @@ def validate_continuous(
         raise ParamError("eps and kappa must have equal length")
     _check_signs(eps, "eps")
     for m in mu:
-        if not isinstance(m, int) or m < 0:
+        if type(m) is not int or m < 0:
             raise ParamError(f"mu entries must be nonnegative integers, got {m}")
     for m, n in zip(mu, nu):
         if n.is_zero and m % 2 == 0:
@@ -199,7 +199,7 @@ def _validate_psi(psi: PositiveSystem, kind: GroupKind, lam: tuple[int, ...]) ->
 def validate_sp_datum(lam: tuple[int, ...], psi: PositiveSystem) -> None:
     """``lam`` is a discrete datum of Sp(2v) and ``psi`` a positive system
     for it."""
-    if any(not isinstance(x, int) for x in lam):
+    if any(type(x) is not int for x in lam):
         raise ParamError("lam entries must be integers")
     if list(lam) != sorted(lam, reverse=True):
         raise ParamError(f"lam must be weakly decreasing: {lam}")
@@ -214,7 +214,7 @@ def validate_o_datum(left: tuple[int, ...], right: tuple[int, ...], psi: Positiv
     """(``left``; ``right``) is a discrete datum of O(2a, 2d) and ``psi`` a
     positive system for it."""
     for half in (left, right):
-        if any(not isinstance(x, int) or x < 0 for x in half):
+        if any(type(x) is not int or x < 0 for x in half):
             raise ParamError("lam halves must be nonnegative integers")
         if list(half) != sorted(half, reverse=True):
             raise ParamError(f"lam halves must be weakly decreasing: {half}")
@@ -228,7 +228,7 @@ def validate_o_datum(left: tuple[int, ...], right: tuple[int, ...], psi: Positiv
 def validate_zeta_xi(zeta: int, xi: int, zeros: int, kappa: tuple[Scalar, ...]) -> None:
     """The sign characters of an O parameter whose discrete datum has
     ``zeros`` zero entries and whose GL(1) slots carry ``kappa``."""
-    if xi not in (1, -1) or zeta not in (1, -1):
+    if any(type(x) is not int or x not in (1, -1) for x in (zeta, xi)):
         raise ParamError("zeta and xi must be +-1")
     if xi == -1 and zeros == 0:
         raise ParamError("xi=-1 requires a zero entry in lam")

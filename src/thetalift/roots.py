@@ -260,9 +260,12 @@ def root_sort_key(root: Root, kind: GroupKind) -> tuple:
 
 
 class Frozen:
-    """An immutable record that, unlike a NamedTuple, can carry state that
-    does not count: equality, the hash (computed once) and repr read only
-    the attributes in ``_fields``.  Constructors set ``__dict__`` directly."""
+    """An immutable record that, unlike a NamedTuple, can carry state
+    derived from its fields that does not count: equality, the hash
+    (computed once) and repr read only the attributes in ``_fields``.
+    Constructors set ``__dict__`` directly.  Three records keep such state:
+    ``PositiveSystem`` (its member set and text), ``theta.Condition`` (its
+    parsed atoms) and ``theta.LiftTable`` (its rows grouped by shape)."""
 
     def __setattr__(self, name: str, *value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set or delete {name!r}")

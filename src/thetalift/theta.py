@@ -10,17 +10,14 @@ rule before canonicalization.
 
 Valid and canonical input.  ``theta_n`` and ``first_occurrence`` pass
 their input once through ``checked_o`` and hand its canonical form on;
-``TableSet.hits``, ``matching_rows``, ``lookup_lift`` and
-``match_o_pattern`` require a valid and canonical parameter, as
-``parse_o``, ``instantiate_pattern`` and the inductions return it.
-``induct_n`` and ``induct_pq`` accept any valid parameter and return a
-canonical one.  ``theta_n`` and ``first_occurrence`` read a table
-through ``TableSet.hits``: the rows of the rank-n table that match pi,
-found by ``matching_rows``.  The tables of ``load_tables`` keep no match.
-A copy made by ``TableSet.memoized``, as each ``verify_tables`` run
-makes, matches each (n, pi) once for as long as the copy lives, so the
-first occurrence, the rank-1 lift and the lifts of ranks 2 to 6 that
-start from the rank-2 table read one match.
+``matching_rows``, ``lookup_lift`` and ``match_o_pattern`` require a
+valid and canonical parameter, as ``parse_o``, ``instantiate_pattern``
+and the inductions return it.  ``induct_n`` and ``induct_pq`` accept any
+valid parameter and return a canonical one.  Every table is read through
+``matching_rows``, a bounded memo keyed by the table, which compares by
+its rows, and the parameter: the first occurrence, the rank-1 lift and
+the lifts of ranks 2 to 6 that start from the rank-2 table read one
+match, and an edited copy of a table is matched afresh.
 
 Table grammar.  Each data row reads ``PATTERN => TEMPLATE ; CONDITION``.
 Patterns and templates are parameter text in the grammar of
@@ -42,12 +39,13 @@ negative atoms are true, so "generic" means "no special value".
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 import re
 from itertools import permutations
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .exact import GENERIC_B, InfChar, Scalar, dual_padding, parse_scalar
 from .langlands import (
@@ -301,36 +299,16 @@ class LiftTable(Frozen):
         return self.by_shape.get(_shape(pi), ())
 
 
-class TableSet(Frozen):
-    _fields = ("lifts", "appendix_c", "source")
-
-    # ``matches`` holds the matches of ``hits`` by (n, pi) in a copy made by
-    # ``memoized``; None, and nothing kept, in the tables of ``load_tables``.
-    def __init__(self, lifts: Mapping[int, LiftTable], appendix_c: tuple[LktRow, ...], source: str,
-                 matches: Optional[dict] = None):
-        self.__dict__.update(lifts=lifts, appendix_c=appendix_c, source=source, _matches=matches)
+class TableSet(NamedTuple):
+    lifts: Mapping[int, LiftTable]
+    appendix_c: tuple[LktRow, ...]
+    source: str
 
     def theta(self, n: int) -> LiftTable:
         table = self.lifts.get(n)
         if table is None:
             raise TableError(f"no lift table for rank {n}")
         return table
-
-    def memoized(self) -> "TableSet":
-        """A copy of these tables whose ``hits`` matches each (n, pi) once
-        for as long as the copy lives."""
-        return TableSet(*self._key(), {})
-
-    def hits(self, n: int, pi: OParams) -> Sequence[tuple[LiftRow, SpParams]]:
-        """Every row of the rank-n table that applies to the valid and
-        canonical pi, with the lift it gives (``matching_rows``)."""
-        memo = self._matches
-        if memo is None:
-            return matching_rows(self.theta(n), pi)
-        key = (n, pi)
-        if key not in memo:
-            memo[key] = tuple(matching_rows(self.theta(n), pi))
-        return memo[key]
 
 
 THETA_FILES = {1: "theta1.tbl", 2: "theta2.tbl", 3: "theta3.tbl", 4: "theta4.tbl"}
@@ -442,28 +420,29 @@ def row_lift(row: LiftRow, pi: OParams) -> Optional[SpParams]:
     return results.pop()
 
 
-def matching_rows(table: LiftTable, pi: OParams) -> list[tuple[LiftRow, SpParams]]:
+@functools.lru_cache(maxsize=4096)
+def matching_rows(table: LiftTable, pi: OParams) -> tuple[tuple[LiftRow, SpParams], ...]:
     """Every row of the table that applies to pi, with the lift it gives.
     pi must be valid and canonical, as ``parse_o``, ``instantiate_pattern``
     and the inductions return it.  Only the rows of pi's shape are tried:
-    no other row can match."""
+    no other row can match.
+
+    The answer depends on the table's rows and pi alone, so each distinct
+    pair is matched once; an edited copy of a table compares unequal and
+    is matched afresh, and a row that raises is not remembered."""
     out = []
     for row in table.rows_for(pi):
         lifted = row_lift(row, pi)
         if lifted is not None:
             out.append((row, lifted))
-    return out
+    return tuple(out)
 
 
 def lookup_lift(table: LiftTable, pi: OParams) -> Optional[SpParams]:
     """The lift of the one row of the table that applies to pi, or None.
     pi must be valid and canonical (see ``matching_rows``).  Two matching
     rows raise TableError: the rows of a table must be exclusive."""
-    return _one_lift(matching_rows(table, pi), pi)
-
-
-def _one_lift(hits: Sequence[tuple[LiftRow, SpParams]], pi: OParams) -> Optional[SpParams]:
-    """The lift of the one hit, None for no hit; two hits raise TableError."""
+    hits = matching_rows(table, pi)
     if len(hits) > 1:
         lines = ", ".join(str(r.line) for r, _ in hits)
         raise TableError(f"{render_o(pi)} matches rows at lines {lines}; rows must be exclusive")
@@ -652,7 +631,7 @@ def _occurrence(pi: OParams, tables: TableSet) -> int:
         return _occurrence(swap_pq(pi), tables)
     n0 = _fixed_occurrence(pi)
     if n0 is None:
-        return 1 if tables.hits(1, pi) else 2
+        return 1 if matching_rows(tables.theta(1), pi) else 2
     return n0
 
 
@@ -709,7 +688,7 @@ def _theta_n(pi: OParams, n: int, tables: TableSet) -> ThetaResult:
         empty = SpParams((), PositiveSystem.of(SpKind(0), ()), (), (), (), ())
         return ThetaResult(empty, "rank-zero lift of the trivial parameter")
     start = n if n <= 2 else max(n0 or 2, 2)
-    base = _one_lift(tables.hits(start, pi), pi)
+    base = lookup_lift(tables.theta(start), pi)
     if base is None:
         if n == 1 and n0 is None:
             return ThetaResult(None, "zero: rank 1 is below the first occurrence 2")

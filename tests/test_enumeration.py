@@ -56,7 +56,7 @@ from thetalift.langlands import (
 from thetalift.lkt import lowest_ktypes_sp
 from thetalift.roots import OKind, SpKind, enumerate_positive_systems
 from thetalift import theta as theta_module
-from thetalift.theta import DET11_THETA3, first_occurrence, load_tables, theta_n
+from thetalift.theta import DET11_THETA3, TableSet, first_occurrence, load_tables, theta_n
 
 
 # -- enumerators --------------------------------------------------------------
@@ -612,14 +612,13 @@ def test_verify_builds_each_check_input_once(monkeypatch):
     each census, each b's classification rows, each (pi, n) lift, each
     first occurrence, each lowest K-type set and each joint-harmonics image
     at most once: phi_pq runs once per distinct U(n)-type, 760 times.  It
-    matches each (rank, pi) against a lift table at most once, for the
-    exclusivity check, the first occurrence and the lifts alike.  It
-    instantiates a rank-1 or rank-2 template once per distinct sampled
-    input (41 and 214 of 45 and 325 sampled cases) and every rank-3 one
-    (40 cases)."""
+    tries each lift-table row on each pi at most once, for the exclusivity
+    check, the first occurrence and the lifts alike.  It instantiates a
+    rank-1 or rank-2 template once per distinct sampled input (41 and 214
+    of 45 and 325 sampled cases) and every rank-3 one (40 cases)."""
     calls = Counter()
     matched = Counter()
-    match = theta_module.matching_rows
+    row_lift = theta_module.row_lift
     tables = load_tables()
     template_rank = {id(row.template): rank for rank in (1, 2, 3) for row in tables.theta(rank).rows}
     templates = Counter()
@@ -631,11 +630,12 @@ def test_verify_builds_each_check_input_once(monkeypatch):
 
     monkeypatch.setattr(enumeration, "instantiate_pattern", counted_instantiate)
 
-    def counted_match(table, pi):
-        matched[id(table), pi] += 1
-        return match(table, pi)
+    def counted_row_lift(row, pi):
+        matched[id(row), pi] += 1
+        return row_lift(row, pi)
 
-    monkeypatch.setattr(theta_module, "matching_rows", counted_match)
+    monkeypatch.setattr(theta_module, "row_lift", counted_row_lift)
+    theta_module.matching_rows.cache_clear()
 
     def counted(name, key=lambda args: args):
         fn = getattr(enumeration, name)
@@ -686,24 +686,31 @@ def test_verify_drops_its_inputs_when_it_returns(monkeypatch):
 
 
 def test_loaded_tables_keep_no_match(monkeypatch):
-    """Only the copy of the tables that a verification run makes keeps its
-    table matches: after ``verify_tables("all")`` and a ``theta_n`` call on
-    the tables of ``load_tables``, each lift on them matches again."""
+    """The tables hold no match: a ``TableSet`` is its three fields, and a
+    match is kept by ``matching_rows`` alone.  After ``verify_tables("all")``
+    and a ``theta_n`` call on the tables of ``load_tables``, each lift on
+    them asks ``matching_rows`` again, which answers without trying a row."""
     tables = load_tables()
     pi = trivial_o(2, 2)
     assert verify_tables("all", tables).ok
     theta_n(pi, 2, tables)
-    match = theta_module.matching_rows
-    matched = []
+    assert not hasattr(tables, "__dict__") and tables == TableSet(*tables)
+    match, row_lift = theta_module.matching_rows, theta_module.row_lift
+    matched, tried = [], []
 
     def spy(table, target):
         matched.append(table)
         return match(table, target)
 
+    def spy_row(row, target):
+        tried.append(row)
+        return row_lift(row, target)
+
     monkeypatch.setattr(theta_module, "matching_rows", spy)
+    monkeypatch.setattr(theta_module, "row_lift", spy_row)
     for _ in range(2):
         assert not theta_n(pi, 2, tables).is_zero
-    assert matched == [tables.theta(2)] * 2
+    assert matched == [tables.theta(2)] * 2 and tried == []
 
 
 def test_verify_tables_rejects_unknown_suites():
@@ -725,9 +732,10 @@ def test_verify_tables_all_is_green():
 def test_verify_tables_all_is_the_same_from_cold_and_warm_value_memos():
     """Two runs in one process, the first from empty memos of checked_sp
     and checked_o and the second from the memos the first left, both give
-    the oracle."""
+    the oracle.  The table-match memo starts empty too."""
     _checked_sp.cache_clear()
     _checked_o.cache_clear()
+    theta_module.matching_rows.cache_clear()
     for _ in range(2):
         text = json.dumps(verify_tables("all").to_json(), indent=2, sort_keys=True) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_SHA256

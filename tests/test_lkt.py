@@ -43,7 +43,7 @@ from thetalift.roots import (
     rho_shift,
     twice_rho_shift,
 )
-from thetalift.theta import ThetaError, first_occurrence, induct_pq, theta_n
+from thetalift.theta import ThetaError, first_occurrence, induct_pq, matching_rows, theta_n
 
 
 def test_one_dimensionals_have_one_dimensional_lkt():
@@ -230,9 +230,10 @@ def _pool_answers_digest(lift_pool, before_each=lambda: None) -> str:
 
 
 def _clear_value_memos():
-    """Empty the memos of checked_sp and checked_o."""
+    """Empty the memos of checked_sp, checked_o and matching_rows."""
     _checked_sp.cache_clear()
     _checked_o.cache_clear()
+    matching_rows.cache_clear()
 
 
 def test_pool_answers_are_pinned(lift_pool):

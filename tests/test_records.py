@@ -61,8 +61,6 @@ def test_value_types_are_immutable_and_hash_as_their_fields():
                 hash(fields)
         else:
             assert hash(x) == hash(fields), name
-    tables = load_tables()
-    assert tables.memoized() == tables
     assert parse_cond("m>=1 & b notin {0,1}") == parse_cond("m>=1 & b notin {0,1}")
     assert repr(OKind(1, 2)) == "OKind(left=1, right=2, odd=False)"
     assert repr(SpKind(rank=2)) == "SpKind(rank=2)"

@@ -432,6 +432,7 @@ _BOUNDED = {
     "lkt._sp_shift",
     "roots._f1_terms",
     "roots.parse_psi",
+    "theta.matching_rows",
 }
 
 

@@ -23,9 +23,11 @@ from thetalift.theta import (
     TableError,
     appendix_rows_at,
     default_table_dir,
+    first_occurrence,
     instantiate_lkt_row,
     load_tables,
     lookup_lift,
+    theta_n,
 )
 
 TABLE_DIR = Path(__file__).resolve().parents[1] / "src" / "thetalift" / "tables"
@@ -232,8 +234,8 @@ def test_verify_keeps_nothing_from_a_run_on_other_tables(tmp_path):
 def test_template_that_no_longer_instantiates_fails_verify(tmp_path, name, line, binding):
     """Negating e1+e2 in the template Psi of a lift-table row leaves no
     positive system, so the row's lift is no parameter where its pattern is
-    one: ``verify`` fails that row by file, line and binding, and the row's
-    suite still runs its other checks."""
+    one: ``verify`` fails that row by file, line and binding, and every
+    suite, ``props`` among them, still runs its other checks."""
     dest = _copy_tables(tmp_path)
     path = dest / name
     lines = path.read_text().splitlines()
@@ -246,7 +248,8 @@ def test_template_that_no_longer_instantiates_fails_verify(tmp_path, name, line,
     failed = {c.label: c.details for c in report.cases if not c.ok}
     label = f"{suite}: {name}:{line}: template instantiates where the pattern does"
     assert failed[label][0] == f"at {{{binding}}}: Psi is not a positive system"
-    assert f"{suite}: suite runs without a table, lift or parameter error" not in failed
+    for each in ("theta3", "theta12", "props"):
+        assert f"{each}: suite runs without a table, lift or parameter error" not in failed
     if suite == "theta3":
         assert list(failed) == [label]
 
@@ -280,6 +283,41 @@ def test_deleted_lift_row_breaks_coverage(tmp_path):
     pi = parse_o("pi_{1}((2,0;),1,{e1+e2,e1-e2},0,0,0,0)")
     assert lookup_lift(load_tables().theta(2), pi) is not None
     assert lookup_lift(tables.theta(2), pi) is None
+
+
+def test_lifts_follow_an_edited_copy_of_the_tables(tmp_path):
+    """A remembered table match belongs to the table's rows, not to its rank
+    or directory: after lifts on the shipped tables, the same queries in
+    the same process answer from a copy with a rank-1 template changed to
+    another parameter, and from one with that rank-1 row and the rank-2 row
+    of pi deleted."""
+    pi = parse_o("pi_{1}((2,0;),1,{e1+e2,e1-e2},0,0,0,0)")
+    row1 = "pi_{1}((m,0;),1,{e1+e2,e1-e2},0,0,0,0) => pi((m),{2e1},0,0,0,0) ; m>=1"
+    row2 = "pi_{1}((m,l;),1,{e1+e2,e1-e2},0,0,0,0) => pi((m,l),{e1+e2,e1-e2,2e1,2e2},0,0,0,0) ; m>l"
+    shipped = load_tables()
+    for _ in range(2):
+        assert first_occurrence(pi, shipped) == 1
+        assert theta_n(pi, 1, shipped).render() == "pi((2),{2e1},0,0,0,0)"
+        assert theta_n(pi, 3, shipped).provenance == "theta2 table + induct_n(k=1)"
+
+    def edited(name: str, edits: dict) -> Path:
+        dest = _copy_tables(tmp_path / name)
+        for file, (row, new) in edits.items():
+            text = (dest / file).read_text()
+            assert text.count(row + "\n") == 1
+            (dest / file).write_text(text.replace(row + "\n", new))
+        return dest
+
+    negated = row1.replace("pi((m),{2e1}", "pi((-m),{-2e1}") + "\n"
+    changed = load_tables(edited("changed", {"theta1.tbl": (row1, negated)}))
+    assert first_occurrence(pi, changed) == 1
+    assert theta_n(pi, 1, changed).render() == "pi((-2),{-2e1},0,0,0,0)"
+    deleted = load_tables(edited("deleted", {"theta1.tbl": (row1, ""), "theta2.tbl": (row2, "")}))
+    assert first_occurrence(pi, deleted) == 2
+    assert theta_n(pi, 1, deleted).is_zero
+    with pytest.raises(TableError, match="^no rank-2 table row matches"):
+        theta_n(pi, 3, deleted)
+    assert theta_n(pi, 1, shipped).render() == "pi((2),{2e1},0,0,0,0)"
 
 
 def test_malformed_row_raises(tmp_path):

@@ -521,7 +521,7 @@ def test_shape_index_equals_a_full_scan(pool):
         assert sorted(r.line for r in grouped) == sorted(r.line for r in table.rows)
         hits = 0
         for pi in pool:
-            scan = [(row, lift) for row in table.rows if (lift := row_lift(row, pi)) is not None]
+            scan = tuple((row, lift) for row in table.rows if (lift := row_lift(row, pi)) is not None)
             assert matching_rows(table, pi) == scan, (rank, pi)
             hits += len(scan)
         assert hits > 0, rank
@@ -640,6 +640,7 @@ def test_lifts_instantiate_no_orthogonal_pattern(pool, monkeypatch):
         return original(pat, env)
 
     monkeypatch.setattr(theta_module, "instantiate_pattern", spy)
+    theta_module.matching_rows.cache_clear()  # a remembered match instantiates nothing
     tables = load_tables()
     for pi in pool:
         for n in range(7):
@@ -727,20 +728,28 @@ def test_one_induction_from_the_table_rank_equals_a_stop_at_rank_four(pool):
 
 
 def test_value_memos_weaken_no_check():
-    """After valid queries have filled the memos of checked_o and
-    checked_sp, a twin that holds floats where ints belong, equal to a
-    remembered value and hashing alike, raises as validation does; and an
-    invalid parameter raises on every call, since no failure is stored."""
+    """After valid queries have filled the memos of checked_o, checked_sp
+    and matching_rows, a twin that holds floats or bools where ints belong,
+    equal to a remembered value and hashing alike, raises as validation
+    does; and an invalid parameter raises on every call, since no failure
+    is stored."""
     pi = parse_o("pi_{1}((2,0;),1,{e1+e2,e1-e2},0,0,0,0)")
+    slots = parse_o("pi_{1}(0,1,{},0,0,(1,1),(0,2))")
     base = parse_sp("pi((0),{2e1},0,0,(1),(1))")
     assert not theta_n(pi, 2).is_zero and first_occurrence(pi) == 1
+    assert not theta_n(slots, 2).is_zero and first_occurrence(slots) == 1
     assert induct_n(base, 3, 1, 1) == parse_sp("pi((0),{2e1},(0),(2),0,0)")
-    twin = pi._replace(lam_left=(2.0, 0))
-    assert twin == pi and hash(twin) == hash(pi)
-    with pytest.raises(ParamError, match="^lam halves must be nonnegative integers$"):
-        theta_n(twin, 2)
-    with pytest.raises(ParamError, match="^lam halves must be nonnegative integers$"):
-        first_occurrence(twin)
+    twins = [
+        (pi._replace(lam_left=(2.0, 0)), "lam halves must be nonnegative integers"),
+        (pi._replace(zeta=True), r"zeta and xi must be \+-1"),
+        (slots._replace(eps=(1.0, 1.0)), r"eps entries must be \+-1, got 1.0"),
+    ]
+    for twin, error in twins:
+        assert twin in (pi, slots) and hash(twin) in (hash(pi), hash(slots))
+        with pytest.raises(ParamError, match=f"^{error}$"):
+            theta_n(twin, 2)
+        with pytest.raises(ParamError, match=f"^{error}$"):
+            first_occurrence(twin)
     with pytest.raises(ParamError, match="^lam entries must be integers$"):
         induct_n(base._replace(lam=(0.0,)), 3, 1, 1)
     bad = pi._replace(zeta=-1)

@@ -6,9 +6,10 @@ Exit codes: 0 on success, 1 when a verification reports a mismatch, when
 finds no preimage, or when stdout is closed before the output is written
 (a broken pipe, as in ``thetalift enumerate ... | head -1``); 2 on usage
 or input errors, including ``lift --n`` and ``phi --n`` above ``MAX_RANK``,
-an ``inverse-lookup`` target of rank above ``MAX_RANK``,
-``enumerate --n`` above ``MAX_ENUMERATE_RANK``, and an ``lkt`` parameter
-with more than ``MAX_LKT_SLOTS`` (mu, nu) slots.
+a ``--params`` or ``--sp-params`` text of rank above ``MAX_RANK`` (n on
+the Sp side, (p+q)/2 on the O side; ``infchar`` and ``lkt`` answered such
+text with exit 0 before), ``enumerate --n`` above ``MAX_ENUMERATE_RANK``,
+and an ``lkt`` parameter with more than ``MAX_LKT_SLOTS`` (mu, nu) slots.
 
 Each command imports the modules it needs when it runs: ``lift``,
 ``first-occurrence`` and ``infchar`` load only exact, roots, langlands and
@@ -32,7 +33,6 @@ from typing import Optional, Sequence
 
 from .exact import parse_infchar
 from .langlands import (
-    OParams,
     SpParams,
     infchar_o,
     infchar_sp,
@@ -61,10 +61,10 @@ from .theta import (
 MAX_ENUMERATE_RANK = 7
 
 # ``lift`` cost grows quadratically in n (0.05 s at n=100), ``phi``
-# builds a weight of length n, and ``inverse-lookup`` lifts every O(p,q)
+# builds a weight of length n, ``inverse-lookup`` lifts every O(p,q)
 # parameter of the target's character to its rank n (about n^2.6: 1.15 s
-# at n=200), so all three stop at this rank.  The library's functions stay
-# unbounded.
+# at n=200), and validating any parameter text costs its rank cubed, so
+# all stop at this rank.  The library's functions stay unbounded.
 MAX_RANK = 100
 
 # Only the blocks that come from mu take two delta corrections, so a
@@ -84,21 +84,33 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _parse_query(text: str) -> OParams:
-    """The O parameter of a ``lift`` or ``first-occurrence`` query.  A
-    signature other than p + q = 4 is refused before validation, whose cost
-    grows as the cube of the rank."""
+def _read_params(command: str, text: str, parse):
+    """The parameter ``text`` of ``command``, read through ``parse``
+    (``parse_o``, ``parse_sp`` or ``parse_params``).  Validation costs the
+    cube of the rank, so the pattern is read first and refused on its
+    shape: an O signature other than p + q = 4 for ``lift`` and
+    ``first-occurrence``, a rank above ``MAX_RANK`` (n on the Sp side,
+    (p+q)/2 on the O side), and for ``lkt`` more than ``MAX_LKT_SLOTS``
+    (mu, nu) slots.  ``parse`` then finds the pattern in
+    ``parse_param_pattern``'s memo, so the text is parsed once."""
     pattern = parse_param_pattern(text)
-    if pattern.side == "o" and pattern.p + pattern.q != 4:
+    sp = pattern.side == "sp"
+    if not sp and command in ("lift", "first-occurrence") and pattern.p + pattern.q != 4:
         raise ThetaError(f"unsupported signature O({pattern.p},{pattern.q})")
-    return parse_o(text)
+    rank = pattern.n if sp else (pattern.p + pattern.q) // 2
+    if rank > MAX_RANK:
+        got = rank if sp else f"O({pattern.p},{pattern.q}), of rank {rank}"
+        raise ValueError(f"{command} supports parameters of rank n <= {MAX_RANK}, got {got}")
+    if command == "lkt" and len(pattern.mu) > MAX_LKT_SLOTS:
+        raise ValueError(f"lkt supports at most {MAX_LKT_SLOTS} (mu, nu) slots, got {len(pattern.mu)}")
+    return parse(text)
 
 
 def _cmd_lift(args) -> int:
     if args.n > MAX_RANK:
         raise ValueError(f"lift supports ranks n <= {MAX_RANK}, got {args.n}")
     tables = load_tables(args.table_dir)
-    pi = _parse_query(args.params)
+    pi = _read_params(args.command, args.params, parse_o)
     res = theta_n(pi, args.n, tables)
     text = res.render()
     payload = {
@@ -115,7 +127,7 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_infchar(args) -> int:
-    pi = parse_params(args.params)
+    pi = _read_params(args.command, args.params, parse_params)
     chi = infchar_sp(pi) if isinstance(pi, SpParams) else infchar_o(pi)
     text = chi.render()
     payload = {
@@ -130,9 +142,7 @@ def _cmd_infchar(args) -> int:
 def _cmd_lkt(args) -> int:
     from .lkt import lowest_ktypes_o, lowest_ktypes_sp
 
-    pi = parse_params(args.params)
-    if pi.s > MAX_LKT_SLOTS:
-        raise ValueError(f"lkt supports at most {MAX_LKT_SLOTS} (mu, nu) slots, got {pi.s}")
+    pi = _read_params(args.command, args.params, parse_params)
     lowest = lowest_ktypes_sp if isinstance(pi, SpParams) else lowest_ktypes_o
     lkts = sorted(s.render() for s in lowest(pi))
     _emit(args, {"input": render_params(pi), "lkts": lkts}, "\n".join(lkts))
@@ -206,7 +216,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_first_occurrence(args) -> int:
     tables = load_tables(args.table_dir)
-    pi = _parse_query(args.params)
+    pi = _read_params(args.command, args.params, parse_o)
     n0 = first_occurrence(pi, tables)
     _emit(args, {"input": render_o(pi), "first_occurrence": n0}, str(n0))
     return 0
@@ -218,12 +228,8 @@ def _cmd_inverse_lookup(args) -> int:
     p, q = _parse_sig(args.sig)
     if p + q != 4:
         raise ValueError("inverse lookup supports p + q = 4 signatures")
-    # The rank is refused before validation, whose cost grows as its cube.
-    pattern = parse_param_pattern(args.sp_params)
-    n = pattern.n
-    if pattern.side == "sp" and n > MAX_RANK:
-        raise ValueError(f"inverse lookup supports targets of rank n <= {MAX_RANK}, got {n}")
-    target = parse_sp(args.sp_params)
+    target = _read_params(args.command, args.sp_params, parse_sp)
+    n = target.n
     tables = load_tables(args.table_dir)
     try:
         chi_o = o_infchar_from_sp(infchar_sp(target), (p + q) // 2, n)

@@ -503,8 +503,9 @@ def render_params(params: Params) -> str:
 # whose only variable is b, which then stands for itself.  Slot tokens and
 # root sets come from a small vocabulary whatever the text, so each
 # distinct token (``parse_expr``) and each distinct (root-set text, kind)
-# (``roots.parse_psi``) is parsed once per process, through bounded caches
-# of immutable values; text that fails raises on every call.
+# (``roots.parse_psi``) is parsed once per process, as is each whole text
+# (``parse_param_pattern``), through bounded caches of immutable values;
+# text that fails raises on every call.
 
 _VAR_ORDER = ("c1", "c2", "s1", "s2", "b", "m", "l")
 _INT_VARS = frozenset({"m", "l"})
@@ -596,6 +597,7 @@ _O_SIG = _regex.compile(r"O\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 _SP_HEAD = _regex.compile(r"pi\((.*?)\)\s*(?:@\s*(.*))?")
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_param_pattern(text: str) -> ParamPattern:
     """Parse parameter text whose slots may hold variables.
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetalift.cli import main
-from thetalift.langlands import _checked_o, _zero_flip_orbit
+from thetalift.langlands import _checked_o, _zero_flip_orbit, parse_param_pattern
 from thetalift.roots import parse_psi
 
 REPO_DIR = Path(__file__).resolve().parents[1]
@@ -315,6 +315,7 @@ def test_lift_queries_refuse_other_signatures_before_validating(capsys, argv):
     cold root-set parse."""
     zeros = ",".join(["0"] * 60)
     text = f"pi_{{1}}(({zeros};{zeros}),1,{_interleaved_roots(60)},0,0,0,0)"
+    parse_param_pattern.cache_clear()
     parse_psi.cache_clear()
     _checked_o.cache_clear()
     start = time.process_time()
@@ -322,6 +323,53 @@ def test_lift_queries_refuse_other_signatures_before_validating(capsys, argv):
     assert time.process_time() - start < 1
     assert code == 2 and "unsupported signature O(120,120)" in err
     assert _checked_o.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("command", ["infchar", "lkt"])
+def test_infchar_and_lkt_refuse_a_large_rank_before_validating(capsys, command):
+    """A parameter of rank above 100 (n on the Sp side, (p+q)/2 on the O
+    side) is refused on its parsed shape: the O(120,120) discrete series
+    with lam = 0, a 110 kB argument, within 1 s of CPU time from cold
+    pattern and root-set parses, and no value is validated."""
+    zeros = ",".join(["0"] * 60)
+    text = f"pi_{{1}}(({zeros};{zeros}),1,{_interleaved_roots(60)},0,0,0,0)"
+    parse_param_pattern.cache_clear()
+    parse_psi.cache_clear()
+    _checked_o.cache_clear()
+    start = time.process_time()
+    code, out, err = run(capsys, [command, "--params", text])
+    assert time.process_time() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: {command} supports parameters of rank n <= 100, got O(120,120), of rank 120\n"
+    assert _checked_o.cache_info().currsize == 0
+    wide = "pi_{1}((1;),1,{},0,0,(" + ",".join(["1"] * 100) + "),(" + ",".join(["0"] * 100) + "))"
+    for params, got in ((RANK101_TARGET, "101"), (wide, "O(102,100), of rank 101")):
+        code, out, err = run(capsys, [command, "--params", params])
+        assert (code, out) == (2, "")
+        assert err == f"error: {command} supports parameters of rank n <= 100, got {got}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["lift", "--params", TRIVIAL22, "--n", "2"], "pi(0,{},0,0,(1,1),(0,1))"),
+        (["first-occurrence", "--params", DET22], "4"),
+        (
+            ["inverse-lookup", "--sp-params", "pi(0,{},0,0,(1),(1))", "--sig", "2,2"],
+            "pi_{1}(0,1,{},0,0,(1,1),(0,1)) @ O(2,2)",
+        ),
+    ],
+    ids=["lift", "first-occurrence", "inverse-lookup"],
+)
+def test_a_query_parses_its_text_once(capsys, argv, want):
+    """A query reads its text's pattern to refuse it on its shape, and its
+    parse entry then finds that pattern in the memo: with the memo cleared,
+    one call misses once and hits once, and answers as before."""
+    assert run(capsys, argv) == (0, want + "\n", "")  # imports and the other memos
+    parse_param_pattern.cache_clear()
+    assert run(capsys, argv) == (0, want + "\n", "")
+    info = parse_param_pattern.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_inverse_lookup_refuses_a_large_rank_before_validating(capsys):

@@ -426,6 +426,7 @@ _BOUNDED = {
     "langlands._checked_sp",
     "langlands._render_scalars",
     "langlands.parse_expr",
+    "langlands.parse_param_pattern",
     "langlands._validate_psi",
     "langlands._zero_flip_orbit",
     "lkt._sp_lowest",

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from thetalift import langlands
+from thetalift import theta as theta_module
 from thetalift.enumeration import (
     BETA_GRID,
     _instantiated_row_cases,
@@ -16,7 +17,7 @@ from thetalift.enumeration import (
     verify_tables,
 )
 from thetalift.exact import GENERIC_B, Scalar
-from thetalift.langlands import ParamError, parse_expr, parse_o, parse_params, render_o
+from thetalift.langlands import ParamError, parse_expr, parse_o, parse_param_pattern, parse_params, render_o
 from thetalift.roots import PositiveSystem, SpKind, parse_psi
 from thetalift.theta import (
     ENV_TABLE_DIR,
@@ -116,9 +117,10 @@ def _log_calls(monkeypatch, owner, name: str, log: list) -> None:
 
 
 def test_load_tables_parses_each_distinct_text_once(monkeypatch, tmp_path):
-    """Loading the tables asks for 914 slot-token and 155 root-set parses,
-    but parses each of the 31 distinct tokens and 20 distinct (root set,
-    kind) pairs once."""
+    """Loading the tables parses each distinct row text once, and so asks
+    for 869 slot-token and 140 root-set parses, but parses each of the 31
+    distinct tokens and 20 distinct (root set, kind) pairs once."""
+    parse_param_pattern.cache_clear()
     parse_expr.cache_clear()
     parse_psi.cache_clear()
     tokens, root_sets, scalars, systems = [], [], [], []
@@ -129,27 +131,35 @@ def test_load_tables_parses_each_distinct_text_once(monkeypatch, tmp_path):
     _log_calls(monkeypatch, langlands, "parse_scalar", scalars)
     _log_calls(monkeypatch, PositiveSystem, "of", systems)
     load_tables(_copy_tables(tmp_path))
-    assert (len(tokens), len(set(tokens)), len(scalars)) == (914, 31, 31)
-    assert (len(root_sets), len(set(root_sets)), len(systems)) == (155, 20, 20)
+    assert (len(tokens), len(set(tokens)), len(scalars)) == (869, 31, 31)
+    assert (len(root_sets), len(set(root_sets)), len(systems)) == (140, 20, 20)
     assert (parse_expr.cache_info().misses, parse_psi.cache_info().misses) == (31, 20)
 
 
 def test_cached_parses_equal_uncached(monkeypatch, tmp_path, lift_pool):
-    """On every slot token and every (root set, kind) of the shipped tables
-    and of the 341 pool texts, the cached parse equals the uncached one,
-    and bad text raises the same error on every call."""
-    tokens, root_sets = [], []
+    """On every row text of the shipped tables and every one of the 341
+    pool texts, and on each of their slot tokens and (root set, kind)
+    pairs, the cached parse equals the uncached one, and bad text raises
+    the same error on every call."""
+    parse_param_pattern.cache_clear()
+    tokens, root_sets, rows = [], [], []
     _log_calls(monkeypatch, langlands, "parse_expr", tokens)
     _log_calls(monkeypatch, langlands, "parse_psi", root_sets)
+    _log_calls(monkeypatch, theta_module, "parse_param_pattern", rows)
     load_tables(_copy_tables(tmp_path))
-    for pi in lift_pool:
-        parse_params(render_o(pi))
+    pool = [render_o(pi) for pi in lift_pool]
+    for text in pool:
+        parse_params(text)
     monkeypatch.undo()
     assert (len(lift_pool), len(set(tokens)), len(set(root_sets))) == (341, 37, 24)
     for (text,) in set(tokens):
         assert parse_expr(text) == parse_expr.__wrapped__(text), text
     for text, kind in set(root_sets):
         assert parse_psi(text, kind) == parse_psi.__wrapped__(text, kind), text
+    texts = {text for (text,) in rows}
+    assert (len(rows), len(texts)) == (155, 140)
+    for text in texts | set(pool):
+        assert parse_param_pattern(text) == parse_param_pattern.__wrapped__(text), text
 
     def message(error, parse, *args) -> str:
         with pytest.raises(error) as err:
@@ -162,6 +172,10 @@ def test_cached_parses_equal_uncached(monkeypatch, tmp_path, lift_pool):
     bad = ("{e1+e3}", SpKind(2))
     want = message(ValueError, parse_psi.__wrapped__, *bad)
     assert message(ValueError, parse_psi, *bad) == message(ValueError, parse_psi, *bad) == want
+    for text in ("pi_{1}(0,1,bogus)", "pi((1,0),{e1+e3},0,0,0,0)", "pi_{1}(0,1,{},0,0,(1,1),(0,1)) @ O(3,1)"):
+        want = message(ParamError, parse_param_pattern.__wrapped__, text)
+        got = [message(ParamError, parse_param_pattern, text) for _ in range(2)]
+        assert got == [want, want], text
 
 
 def _corrupt_first_ktype(tmp_path: Path) -> tuple[Path, int]:

@@ -18,12 +18,14 @@ compact positives.  Each is built exactly once.  A member is a discrete
 datum times continuous slots, shared by many members, so validation checks
 each factor once: each (lam, Psi) datum when its positive systems are
 found, as the discrete-series parameter it is (``validate_sp`` or
-``validate_o`` with no continuous slots), each continuous part once per
-eps option of a slot split, on O(p,q) the (zeta, xi) rule once per datum,
-split and sign pair, and the infinitesimal character once per split.
-Together these checks cover every member, and one that fails raises
-instead of dropping anything.  The census is ordered by its text, joined
-from datum and continuous texts that are each built once.  Everything
+``validate_o`` with no continuous slots), on O(p,q) the (zeta, xi) rule
+once per datum, split and sign pair, and the infinitesimal character once
+per split.  The continuous factor of a split (each eps option, checked,
+with its text, and the split's character entries) depends on the slots
+alone, so it is built once per process, in a bounded memo.  Together
+these checks cover every member, and one that fails raises instead of
+dropping anything.  The census is ordered by its text, joined from datum
+and continuous texts that are each built once.  Everything
 downstream (table regeneration, uniqueness-by-invariants, the lift
 suites) reduces to set comparisons over these enumerations.
 """
@@ -33,7 +35,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction as Q
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import combinations_with_replacement, groupby, product
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -129,12 +131,13 @@ def _matchings(values: tuple):
             yield ((first, rest[i]),) + tail
 
 
-def _pair_options(x: Scalar, y: Scalar) -> set[tuple[int, Scalar]]:
+@lru_cache(maxsize=4096)
+def _pair_options(x: Scalar, y: Scalar) -> frozenset[tuple[int, Scalar]]:
     """The (mu, nu) slots whose infinitesimal-character contribution is
     the multiset {x, y}: solve (nu+mu)/2 = u, (nu-mu)/2 = w over sign
     choices of u, w with mu a nonnegative integer, leaving out mu even
     with nu = 0, which is no parameter.  nu is sign-normalized, as in the
-    canonical form."""
+    canonical form.  Censuses at many characters share these pairs."""
     out: set[tuple[int, Scalar]] = set()
     for u in {x, -x}:
         for w in {y, -y}:
@@ -146,7 +149,7 @@ def _pair_options(x: Scalar, y: Scalar) -> set[tuple[int, Scalar]]:
             if mu_int < 0 or (nu.is_zero and mu_int % 2 == 0):
                 continue
             out.add((mu_int, nu.normalized_sign()))
-    return out
+    return frozenset(out)
 
 
 def _sub_multisets(values: tuple, size: int):
@@ -203,24 +206,28 @@ def _eps_options(kappa: tuple[Scalar, ...], zero_sign: Optional[int]) -> list[tu
     return out
 
 
-def _check_split(entries, data: list[tuple[int, ...]], mu, nu, kappa) -> None:
-    """Raise unless every discrete datum of ``data`` with these continuous
-    slots has the infinitesimal character ``entries``.  The character reads
-    the discrete entries up to sign, and the data of one slot split share
-    their magnitudes, so this is one check per split."""
+def _check_split(entries, data: list[tuple[int, ...]], split: tuple[Scalar, ...]) -> None:
+    """Raise unless every discrete datum of ``data``, with the continuous
+    slots whose character entries are ``split``, has the infinitesimal
+    character ``entries``.  The character reads the discrete entries up to
+    sign, and the data of one slot split share their magnitudes, so this
+    is one check per split, made on every census."""
     for mags in {tuple(sorted(map(abs, datum))) for datum in data}:
-        chi = slots_infchar(mags, mu, nu, kappa)
+        chi = InfChar.of(mags + split)
         if chi.entries != entries:
             raise AssertionError(f"enumerated slots have the wrong infinitesimal character {chi.render()}")
 
 
-def _continuous_parts(mu, nu, kappa, zero_sign: Optional[int]) -> list[tuple]:
-    """Each eps option of a slot split, checked, with its continuous text."""
+@lru_cache(maxsize=4096)
+def _continuous_factor(mu, nu, kappa, zero_sign: Optional[int]) -> tuple[tuple, tuple[Scalar, ...]]:
+    """The continuous factor of a slot split: each eps option, checked,
+    with its continuous text, and the split's infinitesimal-character
+    entries.  It depends on the slots alone, not on the tables."""
     parts = []
     for eps in _eps_options(kappa, zero_sign):
         validate_continuous(mu, nu, eps, kappa, zero_sign)
         parts.append((eps, continuous_text(mu, nu, eps, kappa)))
-    return parts
+    return tuple(parts), slots_infchar((), mu, nu, kappa).entries
 
 
 def _by_text(candidates: Iterable[tuple[str, object]]) -> tuple:
@@ -263,8 +270,8 @@ def _halves(a: int, mags: list[int]) -> list[tuple[tuple[int, ...], tuple[int, .
 
 def enumerate_sp_reps(n: int, chi: InfChar) -> tuple[SpParams, ...]:
     """All canonical rank-n parameters with infinitesimal character chi,
-    ordered by their text.  Each (lam, Psi) datum and each continuous part
-    is checked once, and the character once per slot split."""
+    ordered by their text.  Each (lam, Psi) datum is checked once, each
+    continuous factor once per process, and the character once per split."""
     entries = _infchar_entries(chi, n)
     # the positive systems for which each discrete datum is (F-1)-dominant,
     # each with its datum text
@@ -275,8 +282,8 @@ def enumerate_sp_reps(n: int, chi: InfChar) -> tuple[SpParams, ...]:
             psis = enumerate_positive_systems(SpKind(v))
             for s in range((n - v) // 2 + 1):
                 for lams, mu, nu, kappa in _slot_splits(entries, v, s, _signed_lams):
-                    _check_split(entries, lams, mu, nu, kappa)
-                    continuous = _continuous_parts(mu, nu, kappa, (-1) ** v)
+                    continuous, split = _continuous_factor(mu, nu, kappa, (-1) ** v)
+                    _check_split(entries, lams, split)
                     for lam in lams:
                         if lam not in dominant:
                             found = [psi for psi in psis if check_dominance_f1(lam, psi)]
@@ -292,9 +299,9 @@ def enumerate_sp_reps(n: int, chi: InfChar) -> tuple[SpParams, ...]:
 
 def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
     """All canonical O(p,q) parameters with infinitesimal character chi,
-    ordered by their text.  Each (lam_left, lam_right, Psi) datum and each
-    continuous part is checked once, the (zeta, xi) rule once per datum,
-    slot split and sign pair, and the character once per slot split."""
+    ordered by their text.  Each (lam_left, lam_right, Psi) datum is checked
+    once, each continuous factor once per process, the (zeta, xi) rule once
+    per datum, slot split and sign pair, and the character once per split."""
     if (p + q) % 2 != 0:
         raise ValueError("p + q must be even")
     entries = _infchar_entries(chi, (p + q) // 2)
@@ -313,8 +320,8 @@ def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
                     continue
                 psis = enumerate_positive_systems(OKind(a, d))
                 for halves, mu, nu, kappa in _slot_splits(entries, a + d, s, partial(_halves, a)):
-                    _check_split(entries, [left + right for left, right in halves], mu, nu, kappa)
-                    continuous = _continuous_parts(mu, nu, kappa, None)
+                    continuous, split = _continuous_factor(mu, nu, kappa, None)
+                    _check_split(entries, [left + right for left, right in halves], split)
                     kappa_zero = any(k.is_zero for k in kappa)
                     for left, right in halves:
                         if (left, right) not in dominant:

@@ -349,6 +349,70 @@ def test_infchar_and_lkt_refuse_a_large_rank_before_validating(capsys, command):
         assert err == f"error: {command} supports parameters of rank n <= 100, got {got}\n"
 
 
+# One argv argument holds at most 128 kB, its closing NUL included.
+ARG_TEXT_MAX = 128 * 1024 - 1
+
+
+def _largest_fitting(make) -> str:
+    """``make(k)`` for the largest k whose text fits in one argv argument,
+    found by bisection; the texts grow with k, and ``make(1)`` fits."""
+    fits = lambda k: len(make(k).encode()) <= ARG_TEXT_MAX
+    low, high = 1, 2
+    while fits(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if fits(mid) else (low, mid)
+    return make(low)
+
+
+# The rank-125 Sp discrete series with lam = (125, ..., 1), the O(130,130)
+# one with lam = 0, a U-type of 65 535 entries, an O-type of 65 531 and a
+# character of 65 536 zeros: the largest of each kind of text that fits.
+ARG_MAX_SP = _largest_fitting(
+    lambda m: f"pi(({','.join(map(str, range(m, 0, -1)))}),{_discrete_series_roots(m, True)},0,0,0,0)"
+)
+ARG_MAX_O = _largest_fitting(
+    lambda k: f"pi_{{1}}(({','.join(['0'] * k)};{','.join(['0'] * k)}),1,{_interleaved_roots(k)},0,0,0,0)"
+)
+ARG_MAX_UTYPE = _largest_fitting(lambda n: "(" + ",".join(["1"] * n) + ")")
+ARG_MAX_OTYPE = _largest_fitting(lambda n: "(" + ",".join(["1"] * n) + ";+1)x(;)")
+ARG_MAX_INFCHAR = _largest_fitting(lambda n: ",".join(["0"] * n))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lift", "--n", "1", "--params", ARG_MAX_O],
+        ["first-occurrence", "--params", ARG_MAX_O],
+        ["infchar", "--params", ARG_MAX_SP],
+        ["infchar", "--params", ARG_MAX_O],
+        ["lkt", "--params", ARG_MAX_SP],
+        ["lkt", "--params", ARG_MAX_O],
+        ["phi", "--dir", "u2o", "--ktype", ARG_MAX_UTYPE, "--sig", "2,2", "--n", "100"],
+        ["phi", "--dir", "o2u", "--ktype", ARG_MAX_OTYPE, "--sig", "2,2", "--n", "100"],
+        ["enumerate", "--n", "7", "--infchar", ARG_MAX_INFCHAR],
+        ["inverse-lookup", "--sp-params", ARG_MAX_SP, "--sig", "2,2"],
+        ["verify", "--suite", "x" * ARG_TEXT_MAX],
+    ],
+    ids=[
+        "lift-o", "first-occurrence-o", "infchar-sp", "infchar-o", "lkt-sp", "lkt-o",
+        "phi-u2o", "phi-o2u", "enumerate", "inverse-lookup-sp", "verify",
+    ],
+)
+def test_every_command_bounds_its_work_on_the_largest_argument(capsys, argv):
+    """Every subcommand given the largest text of its kind that fits in one
+    argv argument answers, or refuses it, within 1 s of CPU time, from cold
+    pattern and root-set parses."""
+    assert max(len(arg.encode()) for arg in argv) > 120 * 1024
+    parse_param_pattern.cache_clear()
+    parse_psi.cache_clear()
+    start = time.process_time()
+    code, _, _ = run(capsys, argv)
+    assert time.process_time() - start < 1
+    assert code in (0, 1, 2)
+
+
 @pytest.mark.parametrize(
     "argv, want",
     [

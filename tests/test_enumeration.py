@@ -331,13 +331,45 @@ def _count_factor_checks(monkeypatch) -> dict[str, list]:
     return calls
 
 
-def _assert_factors_checked_once(calls: dict[str, list], census) -> tuple:
+# The census's memos of continuous factors and (mu, nu) pairs, held here so
+# that they can be emptied while a test has patched enumeration's names.
+CENSUS_MEMOS = (enumeration._continuous_factor, enumeration._pair_options)
+
+
+def _clear_census_memos() -> None:
+    for memo in CENSUS_MEMOS:
+        memo.cache_clear()
+
+
+@pytest.fixture
+def cold_census_memos():
+    """A test that plants a defect in the census starts from empty census
+    memos and leaves them empty, whatever ran before or runs after it."""
+    _clear_census_memos()
+    yield
+    _clear_census_memos()
+
+
+def _assert_factors_checked_once(calls: dict[str, list], census) -> tuple[tuple, tuple]:
+    """Build ``census`` from empty census memos while ``calls`` records its
+    checks, build it again from the memos the first build left, and return
+    both builds, which have the same members.  Each build is checked by
+    ``_assert_census_checks``: the first checks each continuous part of
+    its members exactly once, and the second checks none."""
+    _clear_census_memos()
+    reps = _assert_census_checks(calls, census, cold=True)
+    again = _assert_census_checks(calls, census, cold=False)
+    assert again == reps
+    return reps, again
+
+
+def _assert_census_checks(calls: dict[str, list], census, cold: bool) -> tuple:
     """Build ``census`` while ``calls`` records its checks and return it.
     No member is built twice; each of its (lam, Psi) data is checked
-    exactly once, as a discrete-series parameter, and each of its
-    continuous parts exactly once, and nothing else is; every (zeta, xi)
-    of an O member goes through the (zeta, xi) rule; every member passes
-    the public validation."""
+    exactly once, as a discrete-series parameter, and, from ``cold``
+    census memos, each of its continuous parts exactly once, and nothing
+    else is; every (zeta, xi) of an O member goes through the (zeta, xi)
+    rule; every member passes the public validation."""
     for seen in calls.values():
         seen.clear()
     reps = census()
@@ -350,14 +382,15 @@ def _assert_factors_checked_once(calls: dict[str, list], census) -> tuple:
     if sp:
         data = Counter((d.lam, d.psi) for d in discrete)
         assert set(data) == {(pi.lam, pi.psi) for pi in reps}
-        assert set(parts) == {(pi.mu, pi.nu, pi.eps, pi.kappa, (-1) ** pi.v) for pi in reps}
+        members = {(pi.mu, pi.nu, pi.eps, pi.kappa, (-1) ** pi.v) for pi in reps}
     else:
         assert all(d.zeta == d.xi == 1 for d in discrete)
         data = Counter((d.lam_left, d.lam_right, d.psi) for d in discrete)
         assert set(data) == {(pi.lam_left, pi.lam_right, pi.psi) for pi in reps}
-        assert set(parts) == {(pi.mu, pi.nu, pi.eps, pi.kappa, None) for pi in reps}
+        members = {(pi.mu, pi.nu, pi.eps, pi.kappa, None) for pi in reps}
         signs = set(calls["validate_zeta_xi"])
         assert all((pi.zeta, pi.xi, pi.zeros, pi.kappa) in signs for pi in reps)
+    assert set(parts) == (members if cold else set())
     assert set(data.values()) <= {1} and set(parts.values()) <= {1}
     for pi in reps:
         (validate_sp if sp else validate_o)(pi)
@@ -377,8 +410,9 @@ def _assert_factors_checked_once(calls: dict[str, list], census) -> tuple:
 def test_census_validates_little_more_than_it_keeps(monkeypatch, call):
     """Construction emits only members that validate, each once, and the
     checks made from enumeration are those of the members' factors, each
-    factor checked once."""
-    assert _assert_factors_checked_once(_count_factor_checks(monkeypatch), call)
+    factor checked once: each continuous part once from empty census memos
+    and not again when the census is built a second time."""
+    assert _assert_factors_checked_once(_count_factor_checks(monkeypatch), call)[0]
 
 
 # Every character of each size on this grid, at Sp ranks 0-5 and on every
@@ -413,12 +447,15 @@ def _grid_characters(size):
 
 
 def _assert_each_census_checks_factors_once(monkeypatch, censuses, part):
-    """Each census checks each factor once, and their texts, in order, are
-    the pinned ones of ``part``."""
+    """Each census, built from empty census memos and then again from warm
+    ones, checks each factor once, and the texts of either build, in
+    order, are the pinned ones of ``part``."""
     calls = _count_factor_checks(monkeypatch)
-    lines = [render_params(pi) for census in censuses for pi in _assert_factors_checked_once(calls, census)]
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert (len(lines), digest) == ONCE_GRID_TEXTS[part]
+    builds = [_assert_factors_checked_once(calls, census) for census in censuses]
+    for reps in ([pi for build in builds for pi in build[k]] for k in (0, 1)):
+        lines = [render_params(pi) for pi in reps]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == ONCE_GRID_TEXTS[part]
 
 
 def test_sp_census_validates_each_member_once(monkeypatch):
@@ -462,7 +499,7 @@ def test_wide_o_censuses_are_canonical_forms():
     assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == WIDE_O_CENSUS_TEXTS
 
 
-def test_census_rejects_a_discrete_datum_that_is_not_decreasing(monkeypatch):
+def test_census_rejects_a_discrete_datum_that_is_not_decreasing(monkeypatch, cold_census_memos):
     """The dominance filter drops a lam out of order, so the planted builder
     reverses each lam after the filter has judged it in order."""
     signed, dominant = enumeration._signed_lams, enumeration.check_dominance_f1
@@ -479,22 +516,37 @@ def test_census_rejects_a_discrete_datum_that_is_not_decreasing(monkeypatch):
     [partial(enumerate_sp_reps, 2, InfChar.of([1, 2])), partial(enumerate_o_reps, 2, 2, InfChar.of([1, 2]))],
     ids=["sp", "o"],
 )
-def test_census_rejects_a_datum_whose_positive_system_does_not_fit(monkeypatch, census):
+def test_census_rejects_a_datum_whose_positive_system_does_not_fit(monkeypatch, cold_census_memos, census):
     monkeypatch.setattr(enumeration, "check_dominance_f1", lambda lam, psi: True)
     with pytest.raises(ParamError, match="F-1"):
         census()
 
 
-def test_census_rejects_a_wrong_eps_on_kappa_zero(monkeypatch):
+def _plant_a_wrong_eps_on_kappa_zero(monkeypatch) -> None:
     original = enumeration._eps_options
     monkeypatch.setattr(
         enumeration, "_eps_options", lambda kappa, zero_sign: original(kappa, zero_sign and -zero_sign)
     )
+
+
+def test_census_rejects_a_wrong_eps_on_kappa_zero(monkeypatch, cold_census_memos):
+    _plant_a_wrong_eps_on_kappa_zero(monkeypatch)
     with pytest.raises(ParamError, match="kappa_1=0 forces eps"):
         enumerate_sp_reps(1, InfChar.of([0]))
 
 
-def test_census_rejects_a_wrong_nu(monkeypatch):
+def test_census_rejects_a_wrong_eps_and_keeps_nothing_of_it(monkeypatch, cold_census_memos):
+    """A defect planted inside the continuous factor raises and is not
+    remembered: the unpatched census then gives its true members."""
+    _plant_a_wrong_eps_on_kappa_zero(monkeypatch)
+    with pytest.raises(ParamError, match="kappa_1=0 forces eps"):
+        enumerate_sp_reps(1, InfChar.of([0]))
+    monkeypatch.undo()
+    got = [render_sp(pi) for pi in enumerate_sp_reps(1, InfChar.of([0]))]
+    assert got == ["pi((0),{-2e1},0,0,0,0)", "pi((0),{2e1},0,0,0,0)", "pi(0,{},0,0,(1),(0))"]
+
+
+def test_census_rejects_a_wrong_nu(monkeypatch, cold_census_memos):
     original = enumeration._pair_options
     monkeypatch.setattr(
         enumeration, "_pair_options", lambda x, y: {(mu, nu + 2) for mu, nu in original(x, y)}
@@ -732,10 +784,12 @@ def test_verify_tables_all_is_green():
 def test_verify_tables_all_is_the_same_from_cold_and_warm_value_memos():
     """Two runs in one process, the first from empty memos of checked_sp
     and checked_o and the second from the memos the first left, both give
-    the oracle.  The table-match memo starts empty too."""
+    the oracle.  The table-match memo and the census memos start empty
+    too."""
     _checked_sp.cache_clear()
     _checked_o.cache_clear()
     theta_module.matching_rows.cache_clear()
+    _clear_census_memos()
     for _ in range(2):
         text = json.dumps(verify_tables("all").to_json(), indent=2, sort_keys=True) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_SHA256

@@ -420,6 +420,8 @@ _UNBOUNDED_BY_DESIGN = {
 # The data-keyed caches, each bounded.  A new cache must be listed here or
 # above, so that adding one is a visible decision.
 _BOUNDED = {
+    "enumeration._continuous_factor",
+    "enumeration._pair_options",
     "ktypes.o_from_u",
     "ktypes.u_from_o",
     "langlands._checked_o",

@@ -58,8 +58,7 @@ from .langlands import (
     SpParams,
     _INT_VARS,
     _SIGN_VARS,
-    _zero_ends,
-    _zero_flip_orbit,
+    canonical_o_psi,
     canonicalize,
     canonicalize_o,
     canonicalize_sp,
@@ -326,9 +325,8 @@ def enumerate_o_reps(p: int, q: int, chi: InfChar) -> tuple[OParams, ...]:
                     for left, right in halves:
                         if (left, right) not in dominant:
                             lam = left + right
-                            ends = _zero_ends(left, right)
                             dominant_psis = (psi for psi in psis if check_dominance_f1(lam, psi))
-                            found = [psi for psi in dominant_psis if _zero_flip_orbit(psi, ends) == psi]
+                            found = [psi for psi in dominant_psis if canonical_o_psi(psi, left, right) == psi]
                             for psi in found:
                                 # the discrete series pi_1(lam, 1, Psi) of O(2a, 2d)
                                 validate_o(OParams(1, 1, left, right, psi, (), (), (), ()))

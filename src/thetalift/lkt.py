@@ -18,11 +18,10 @@ each K-type entry is halved once at the end, where it must be even.
 On the symplectic side the answer depends on (lam, mu, t, Psi) and on
 h_eps, the number of eps_i equal to (-1)^(u-r+1), alone; nu and kappa do
 not enter.  ``_sp_lowest`` computes it once per such key (a bounded
-cache), and each parameter only counts h_eps.  What depends on (lam, mu,
-t) alone -- 2*lambda_a, the shifted entries, k, z and the block values --
-sits under its own bounded cache (``_sp_shift``), so the shift is
-computed once per distinct (lam, mu, t); the delta_L options, which need
-Psi, are built inside ``_sp_lowest``.
+cache), and each parameter only counts h_eps.  The shift depends on
+2*lambda_a alone, so ``roots.twice_rho_shift`` remembers it per doubled
+vector and kind (a bounded cache that both sides read): parameters with
+different (lam, mu, t) but the same 2*lambda_a share one computation.
 
 Each side keeps its own eta forms on the zero entries.  For O(p,q) a
 lowest K-type also carries a sign on each factor; the sign assignment
@@ -111,28 +110,16 @@ def _assemble_half(
 
 
 @functools.lru_cache(maxsize=4096)
-def _sp_shift(lam: tuple[int, ...], mu: tuple[int, ...], t: int) -> tuple[
-    tuple[int, ...], tuple[int, ...], int, int, tuple[int, ...], tuple[int, ...], tuple[int, ...]
-]:
-    """What the lowest K-types of a symplectic parameter take from its
-    (lam, mu, t) alone: 2*lambda_a, the doubled shifted entries, k, z and
-    the block values with their cumulative counts, each immutable,
-    computed once per distinct (lam, mu, t)."""
-    lam2 = tuple(sorted([2 * x for x in lam] + list(mu) + [0] * t + [-m for m in mu], reverse=True))
-    base2 = tuple(x + s for x, s in zip(lam2, twice_rho_shift(lam2, SpKind(len(lam2)))))
-    avals, ktil, ltil = map(tuple, _pos_value_data(lam))
-    k = ktil[-1] if ktil else 0
-    return lam2, base2, k, lam.count(0), avals, ktil, ltil
-
-
-@functools.lru_cache(maxsize=4096)
 def _sp_lowest(
     lam: tuple[int, ...], mu: tuple[int, ...], t: int, psi: PositiveSystem, h_eps: int
 ) -> tuple[UKType, ...]:
     """The lowest K-types of every symplectic parameter with this (lam, mu,
     t, Psi) and ``h_eps`` signs eps_i equal to (-1)^(u-r+1), sorted."""
     v = len(lam)
-    lam2, base2, k, z, avals, ktil, ltil = _sp_shift(lam, mu, t)
+    lam2 = tuple(sorted([2 * x for x in lam] + list(mu) + [0] * t + [-m for m in mu], reverse=True))
+    base2 = [x + s for x, s in zip(lam2, twice_rho_shift(lam2, SpKind(len(lam2))))]
+    avals, ktil, ltil = _pos_value_data(lam)
+    k, z = (ktil[-1] if ktil else 0), lam.count(0)
     by_values = _delta_options(
         lam2,
         base2,
@@ -179,7 +166,7 @@ def lowest_ktypes_o(params: OParams) -> tuple[OKType, ...]:
     lam2_left = sorted([2 * x for x in left_d] + pad, reverse=True)
     lam2_right = sorted([2 * x for x in right_d] + pad, reverse=True)
     vec2 = lam2_left + lam2_right
-    base2 = [x + s for x, s in zip(vec2, twice_rho_shift(vec2, kind))]
+    base2 = [x + s for x, s in zip(vec2, twice_rho_shift(tuple(vec2), kind))]
     base2_left, base2_right = base2[:p0], base2[p0:]
 
     x_zeros, y_zeros = lam2_left.count(0), lam2_right.count(0)

@@ -21,9 +21,10 @@ checks read their answers off 2 rho_Psi, the sum of the roots of Psi.
 Per-datum work is kept in a bounded cache, so that a census pays it once
 per distinct input rather than once per parameter: each Psi is compiled
 into integer (index, coefficient) terms for the (F-1) check once
-(``_f1_terms``), and each root-set text is parsed once per kind
+(``_f1_terms``), each root-set text is parsed once per kind
 (``parse_psi``), so that table rows and queries sharing a Psi share its
-parse.
+parse, and the rho shift is computed once per doubled vector and kind
+(``twice_rho_shift``), which both sides' lowest K-types share.
 """
 
 from __future__ import annotations
@@ -182,9 +183,10 @@ def _rho_shift_terms(kind: GroupKind) -> tuple[tuple[int, Term], ...]:
     return tuple((sign, _term(w)) for sign, w in signed)
 
 
-def twice_rho_shift(ivec: Sequence[int], kind: GroupKind) -> list[int]:
+@functools.lru_cache(maxsize=4096)
+def twice_rho_shift(ivec: tuple[int, ...], kind: GroupKind) -> tuple[int, ...]:
     """2 * (rho(u cap p) - rho(u cap k)) for the parabolic defined by the
-    integer vector ``ivec``.
+    integer vector ``ivec``, which must be a tuple: it is the memo's key.
 
     u collects the weights strictly positive on ``ivec``, so any positive
     multiple of a vector defines the same shift."""
@@ -193,14 +195,14 @@ def twice_rho_shift(ivec: Sequence[int], kind: GroupKind) -> list[int]:
         if ivec[i] * ci + ivec[j] * cj > 0:
             twice[i] += sign * ci
             twice[j] += sign * cj
-    return twice
+    return tuple(twice)
 
 
 def rho_shift(vec: Sequence[Q | int], kind: GroupKind) -> tuple[Q, ...]:
     """rho(u cap p) - rho(u cap k) for the parabolic defined by ``vec``:
     ``twice_rho_shift`` of ``vec`` scaled to integers, halved."""
     scale = math.lcm(*(x.denominator for x in vec))
-    ivec = [x.numerator * (scale // x.denominator) for x in vec]
+    ivec = tuple(x.numerator * (scale // x.denominator) for x in vec)
     return tuple(Q(x, 2) for x in twice_rho_shift(ivec, kind))
 
 

@@ -58,8 +58,7 @@ from .langlands import (
     _VAR_ORDER,
     _parse_expr_group,
     _split_top,
-    _zero_ends,
-    _zero_flip_orbit,
+    canonical_o_psi,
     checked_o,
     checked_sp,
     contragredient_sp,
@@ -158,8 +157,7 @@ def match_o_pattern(pat: ParamPattern, target: OParams) -> tuple[dict, ...]:
     compared once, up to sign flips on the target's zero coordinates."""
     if pat.side != "o":
         raise TableError("only orthogonal patterns are matched")
-    ends = _zero_ends(target.lam_left, target.lam_right)
-    if _shape(pat) != _shape(target) or _zero_flip_orbit(pat.psi, ends) != target.psi:
+    if _shape(pat) != _shape(target) or canonical_o_psi(pat.psi, target.lam_left, target.lam_right) != target.psi:
         return ()
     lam_vals = tuple(Scalar.of(x) for x in target.lam_left + target.lam_right)
     base = _bind_tuple(pat.lam_left + pat.lam_right, lam_vals, {})

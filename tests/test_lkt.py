@@ -4,7 +4,6 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from thetalift import lkt
 from thetalift.enumeration import enumerate_o_reps, enumerate_sp_reps
 from thetalift.exact import GENERIC_B, InfChar, Scalar, parse_infchar
 from thetalift.ktypes import OKType, UKType, sigma_one_one
@@ -29,7 +28,6 @@ from thetalift.lkt import (
     _pos_value_data,
     _sign_pairs,
     _sp_lowest,
-    _sp_shift,
     lowest_ktypes_o,
     lowest_ktypes_sp,
     multiplicity_o31,
@@ -189,7 +187,7 @@ def _census_lkt_lines(before_each=lambda: None) -> list[str]:
 
 def _clear_census_caches():
     """Empty the caches that hold per-datum census work."""
-    for cached in (_validate_psi, _zero_flip_orbit, _f1_terms, _sp_shift, _sp_lowest):
+    for cached in (_validate_psi, _zero_flip_orbit, _f1_terms, twice_rho_shift, _sp_lowest):
         cached.cache_clear()
 
 
@@ -264,24 +262,22 @@ def test_rank_five_census_is_the_same_with_caches_cleared():
         assert lowest_ktypes_sp(pi) == want, render_sp(pi)
 
 
-def test_rank_five_census_assembles_each_lowest_ktype_key_once(monkeypatch):
+def test_rank_five_census_assembles_each_lowest_ktype_key_once():
     """Over the rank-5 census at (0,...,4), the lowest K-types are assembled
-    once per distinct (lam, mu, t, Psi, h_eps), and the rho shift runs once
-    per distinct (lam, mu, t)."""
+    once per distinct (lam, mu, t, Psi, h_eps), and the rho shift once per
+    distinct 2*lambda_a (326), not once per distinct (lam, mu, t) (515)."""
     reps = enumerate_sp_reps(5, InfChar.of([0, 1, 2, 3, 4]))
     assert len(reps) == 1732
-    shifts = []
-
-    def counted(lam2, kind):
-        shifts.append(lam2)
-        return twice_rho_shift(lam2, kind)
-
-    monkeypatch.setattr(lkt, "twice_rho_shift", counted)
     _clear_census_caches()
     for pi in reps:
         lowest_ktypes_sp(pi)
     assert len({(pi.lam, pi.mu, pi.t) for pi in reps}) == 515
-    assert len(shifts) == 515
+
+    def lam2(pi):
+        return tuple(sorted([2 * x for x in pi.lam] + list(pi.mu) + [0] * pi.t + [-m for m in pi.mu]))
+
+    assert len({lam2(pi) for pi in reps}) == 326
+    assert twice_rho_shift.cache_info().misses == 326
 
     def key(pi):
         u_minus_r = sum(1 for x in pi.lam if x > 0) - sum(1 for x in pi.lam if x < 0)
@@ -291,6 +287,18 @@ def test_rank_five_census_assembles_each_lowest_ktype_key_once(monkeypatch):
     assert len({key(pi) for pi in reps}) == 1296
     info = _sp_lowest.cache_info()
     assert (info.misses, info.hits) == (1296, 1732 - 1296)
+
+
+def test_pool_lowest_ktypes_compute_each_rho_shift_once(lift_pool):
+    """The lowest K-types of the 341 pool parameters read the rho shift
+    through the memo the symplectic side uses: 39 computed, one per
+    distinct (2*lambda_a, kind)."""
+    assert len(lift_pool) == 341
+    twice_rho_shift.cache_clear()
+    for pi in lift_pool:
+        lowest_ktypes_o(pi)
+    info = twice_rho_shift.cache_info()
+    assert (info.misses, info.hits) == (39, 341 - 39)
 
 
 # -- doubled integers against the Fraction computation ---------------------------

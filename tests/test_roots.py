@@ -235,20 +235,61 @@ def test_rho_shift_matches_fraction_reference_on_half_integer_grid(kind):
         assert all(isinstance(x, Fraction) for x in got)
 
 
-def test_rho_shift_matches_fraction_reference_on_rank_four_census():
+def _record_shifts(monkeypatch) -> list[list]:
+    """Record, for each shift ``lkt`` computes, [kind, 2*lambda_a, the
+    shift ``twice_rho_shift`` returned, the shift ``lkt`` added]: the last
+    is read off the shifted entries it passes to ``_delta_options``."""
+    seen: list[list] = []
+    delta_options = lkt._delta_options
+
+    def shift(vec2, kind):
+        seen.append([kind, list(vec2), list(twice_rho_shift(vec2, kind))])
+        return seen[-1][2]
+
+    def options(lam2, base2, *rest):
+        seen[-1].append([b - x for x, b in zip(lam2, base2)])
+        return delta_options(lam2, base2, *rest)
+
+    monkeypatch.setattr(lkt, "twice_rho_shift", shift)
+    monkeypatch.setattr(lkt, "_delta_options", options)
+    return seen
+
+
+def test_rho_shift_matches_fraction_reference_on_rank_four_census(monkeypatch):
     """For every member of a rank-4 census, the doubled vector 2*lambda_a
     that ``lkt`` builds is the member's (lam, mu, t) doubled, and half of
     the shift ``lkt`` adds to it is the Fraction shift of lambda_a."""
     reps = enumerate_sp_reps(4, InfChar.of([0, 1, 2, 3]))
     assert reps
+    seen = _record_shifts(monkeypatch)
     for pi in reps:
-        lam2, base2 = lkt._sp_shift(pi.lam, pi.mu, pi.t)[:2]
+        lkt._sp_lowest.cache_clear()
+        seen.clear()
+        lkt.lowest_ktypes_sp(pi)
+        ((kind, lam2, shift, added),) = seen
+        assert kind == SpKind(pi.n), pi
         want = [2 * x for x in pi.lam] + list(pi.mu) + [0] * pi.t + [-m for m in pi.mu]
-        assert list(lam2) == sorted(want, reverse=True), pi
-        shift = [b - x for x, b in zip(lam2, base2)]
-        assert shift == twice_rho_shift(lam2, SpKind(pi.n)), pi
-        half = tuple(Fraction(x, 2) for x in shift)
-        assert half == _reference_rho_shift([Fraction(x, 2) for x in lam2], SpKind(pi.n)), pi
+        assert lam2 == sorted(want, reverse=True), pi
+        assert added == shift, pi
+        half = tuple(Fraction(x, 2) for x in added)
+        assert half == _reference_rho_shift([Fraction(x, 2) for x in lam2], kind), pi
+    lkt._sp_lowest.cache_clear()
+
+
+def test_rho_shift_matches_fraction_reference_on_lift_pool(monkeypatch, lift_pool):
+    """For every O(p,q) parameter of the lift pool, half of the shift
+    ``lowest_ktypes_o`` adds to 2*lambda_a is the Fraction shift of
+    lambda_a."""
+    assert len(lift_pool) == 341
+    seen = _record_shifts(monkeypatch)
+    for pi in lift_pool:
+        seen.clear()
+        lkt.lowest_ktypes_o(pi)
+        ((kind, vec2, shift, added),) = seen
+        assert kind == OKind(pi.p // 2, pi.q // 2, odd=pi.p % 2 == 1), pi
+        assert added == shift, pi
+        half = tuple(Fraction(x, 2) for x in added)
+        assert half == _reference_rho_shift([Fraction(x, 2) for x in vec2], kind), pi
 
 
 def test_pairing_matches_fraction_reference():
@@ -432,9 +473,9 @@ _BOUNDED = {
     "langlands._validate_psi",
     "langlands._zero_flip_orbit",
     "lkt._sp_lowest",
-    "lkt._sp_shift",
     "roots._f1_terms",
     "roots.parse_psi",
+    "roots.twice_rho_shift",
     "theta.matching_rows",
 }
 

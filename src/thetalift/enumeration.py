@@ -40,7 +40,7 @@ from itertools import combinations_with_replacement, groupby, product
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .exact import GENERIC_B, InfChar, Scalar, infchars_dual
+from .exact import GENERIC_B, InfChar, Scalar, infchars_dual, parse_scalar
 from .ktypes import (
     OFactor,
     OKType,
@@ -451,13 +451,16 @@ BETA_GRID: tuple = (0, 1, 2, 5, Q(1, 2), "generic", 3, 4)
 
 def beta_scalar(beta) -> Scalar:
     """The value of b: ``"generic"`` keeps it formal; anything else is a
-    rational number or its text."""
+    rational number or its text in the scalar grammar."""
     if beta == "generic":
         return GENERIC_B
     try:
-        return Scalar.of(Q(beta))
+        value = parse_scalar(beta) if isinstance(beta, str) else Scalar.of(Q(beta))
     except (TypeError, ValueError, ZeroDivisionError):
-        raise ValueError(f"b must be a rational number or 'generic', got {beta!r}") from None
+        value = None
+    if value is None or not value.is_rational():
+        raise ValueError(f"b must be a rational number or 'generic', got {beta!r}")
+    return value
 
 
 def regenerate_appendix_c(beta, tables: Optional[TableSet] = None) -> VerificationReport:

@@ -281,8 +281,8 @@ _ZERO = (0, 0, 0, 0, 1)
 GENERIC_B = Scalar(bre=1)
 
 _TERM = _regex.compile(r"([+-]?)([^+-]+)")
-_SYMBOLIC = _regex.compile(r"(?:(\d+)(?:/(\d+))?\*)?(b\*i|b|i)(?:/(\d+))?$")
-_NUMERIC = _regex.compile(r"(\d+)(?:/(\d+))?$")
+_SYMBOLIC = _regex.compile(r"(?:(\d+)(?:/(\d+))?\*)?(b\*i|b|i)(?:/(\d+))?", _regex.ASCII)
+_NUMERIC = _regex.compile(r"(\d+)(?:/(\d+))?", _regex.ASCII)
 _SLOT = {"i": 1, "b": 2, "b*i": 3}
 
 
@@ -298,11 +298,11 @@ def parse_scalar(text: str) -> Scalar:
             raise ValueError(f"bad scalar {text!r}")
         pos = m.end()
         body = m.group(2)
-        if sm := _SYMBOLIC.match(body):
+        if sm := _SYMBOLIC.fullmatch(body):
             num = int(sm.group(1) or 1)
             q = int(sm.group(2) or 1) * int(sm.group(4) or 1)
             slot = _SLOT[sm.group(3)]
-        elif nm := _NUMERIC.match(body):
+        elif nm := _NUMERIC.fullmatch(body):
             num, q, slot = int(nm.group(1)), int(nm.group(2) or 1), 0
         else:
             raise ValueError(f"bad scalar term {body!r} in {text!r}")

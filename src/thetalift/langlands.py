@@ -52,7 +52,9 @@ from .roots import (
     check_dominance_f1,
     contains_delta_c_plus,
     is_positive_system,
+    pair_root,
     parse_psi,
+    vector_key,
 )
 
 
@@ -279,25 +281,17 @@ def _zero_ends(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]
     return tuple(i for i, half in ((len(left) - 1, left), (len(left + right) - 1, right)) if 0 in half[-1:])
 
 
-@functools.lru_cache(maxsize=1024)
-def _zero_flip_orbit(psi: PositiveSystem, ends: tuple[int, ...]) -> PositiveSystem:
-    """Minimal representative of psi, which must contain the compact positives,
-    under the sign flips of the ``_zero_ends`` coordinates: at most three."""
-    best = psi
-    for rsub in range(1, 1 << len(ends)):
-        chosen = {ends[i] for i in range(len(ends)) if rsub >> i & 1}
-        roots = tuple(tuple(-c if i in chosen else c for i, c in enumerate(r)) for r in psi.roots)
-        cand = PositiveSystem.of(psi.kind, roots)
-        if cand.roots < best.roots:
-            best = cand
-    return best
-
-
 def canonical_o_psi(psi: PositiveSystem, left: tuple[int, ...], right: tuple[int, ...]) -> PositiveSystem:
     """The canonical Psi of an O(p,q) parameter with discrete datum (left,
-    right): the least under sign flips of each half's last coordinate when
-    that entry is 0."""
-    return _zero_flip_orbit(psi, _zero_ends(left, right))
+    right), whose Psi must contain the compact positives: the least, as a
+    tuple of coefficient vectors, under sign flips of each half's last
+    coordinate when that entry is 0, at most three."""
+    orbit = [psi]
+    for e in _zero_ends(left, right):
+        for p in list(orbit):
+            roots = ((i, -ci if i == e else ci, j, -cj if j == e else cj) for i, ci, j, cj in p.roots)
+            orbit.append(PositiveSystem.of(psi.kind, roots))
+    return min(orbit, key=lambda p: tuple(map(vector_key, p.roots))) if len(orbit) > 1 else psi
 
 
 def canonicalize_o(params: OParams) -> OParams:
@@ -370,14 +364,17 @@ def contragredient_sp(params: SpParams) -> SpParams:
     the usual sign equivalences."""
     v = len(params.lam)
     lam = tuple(-x for x in reversed(params.lam))
-    roots = tuple(tuple(-r[v - 1 - i] for i in range(v)) for r in params.psi.roots)
+    roots = (pair_root(v - 1 - i, v - 1 - j, -ci, -cj) for i, ci, j, cj in params.psi.roots)
     return canonicalize_sp(params._replace(lam=lam, psi=PositiveSystem.of(params.psi.kind, roots)))
 
 
 def swap_pq(params: OParams) -> OParams:
     """The parameter of the same representation seen through O(p,q) ~ O(q,p)."""
     a, d = params.a, params.d
-    roots = tuple(r[a:] + r[:a] for r in params.psi.roots)
+    roots = (
+        pair_root(i + d if i < a else i - a, j + d if j < a else j - a, ci, cj)
+        for i, ci, j, cj in params.psi.roots
+    )
     return canonicalize_o(
         params._replace(
             lam_left=params.lam_right,
@@ -600,9 +597,9 @@ def _parse_expr_group(text: str) -> tuple[Expr, ...]:
     return _parse_expr_list(t[1:-1])
 
 
-_O_HEAD = _regex.compile(r"pi_\{(-?1)\}\((.*?)\)\s*(?:@\s*(.*))?")
-_O_SIG = _regex.compile(r"O\(\s*(\d+)\s*,\s*(\d+)\s*\)")
-_SP_HEAD = _regex.compile(r"pi\((.*?)\)\s*(?:@\s*(.*))?")
+_O_HEAD = _regex.compile(r"pi_\{(-?1)\}\((.*?)\)\s*(?:@\s*(.*))?", _regex.ASCII)
+_O_SIG = _regex.compile(r"O\(\s*(\d+)\s*,\s*(\d+)\s*\)", _regex.ASCII)
+_SP_HEAD = _regex.compile(r"pi\((.*?)\)\s*(?:@\s*(.*))?", _regex.ASCII)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -125,7 +125,7 @@ def _sp_lowest(
         base2,
         avals,
         psi,
-        lambda j: pair_root(v, ktil[j - 1] if j > 0 else 0, v - ltil[j], 1, 1),
+        lambda j: pair_root(ktil[j - 1] if j > 0 else 0, v - ltil[j], 1, 1),
     )
     w = lam2.count(0)
     h = h_eps + mu.count(0) + (z + 1) // 2
@@ -134,7 +134,7 @@ def _sp_lowest(
     if z == 0:
         etas = [first] if first == second else [first, second]
     else:
-        etas = [first] if psi.contains(pair_root(v, k, k + z - 1, 1, 1)) else [second]
+        etas = [first] if psi.contains(pair_root(k, k + z - 1, 1, 1)) else [second]
 
     out = {
         UKType.of(tuple(_assemble_half(lam2, base2, by_value, eta, +1)))
@@ -176,7 +176,7 @@ def lowest_ktypes_o(params: OParams) -> tuple[OKType, ...]:
         base2,
         avals,
         params.psi,
-        lambda j: pair_root(a + d, ktil[j] - 1, a + ltil[j] - 1, 1, -1),
+        lambda j: pair_root(ktil[j] - 1, a + ltil[j] - 1, 1, -1),
     )
 
     beta_count = sum(1 for e in params.eps if e == 1)
@@ -193,7 +193,7 @@ def lowest_ktypes_o(params: OParams) -> tuple[OKType, ...]:
     elif d == 0:
         eta_forms = [form2]
     else:
-        root = pair_root(a + d, a - 1, a + d - 1, 1, -1)
+        root = pair_root(a - 1, a + d - 1, 1, -1)
         eta_forms = [form1] if params.psi.contains(root) else [form2]
 
     zero_pairs = any(k.is_zero for k in params.kappa)

@@ -1,8 +1,11 @@
 """Root-system helpers for Sp(2n,R) and O(p,q).
 
 Weights are integer coefficient tuples over the basis e_1..e_a, f_1..f_d
-(O side) or e_1..e_v (Sp side).  Each kind states two facts, and every
-per-kind table is derived from them:
+(O side) or e_1..e_v (Sp side).  A root has at most two nonzero
+coefficients, so it is stored sparse, as (i, ci, j, cj): ci*e_i + cj*e_j
+with i < j, or (i, c, i, 0) for c*e_i.  It pairs with a vector v as
+v[i]*ci + v[j]*cj.  Each kind states two facts, and every per-kind table
+is derived from them:
 
 - its axis coefficient c, so that the roots are +-e_i+-e_j and +-c*e_i:
   2 on Sp(2n,R) (type C), 1 on an odd orthogonal frame (type B), and 0,
@@ -19,12 +22,12 @@ prunes on the compact positives, and the positivity and simple-member
 checks read their answers off 2 rho_Psi, the sum of the roots of Psi.
 
 Per-datum work is kept in a bounded cache, so that a census pays it once
-per distinct input rather than once per parameter: each Psi is compiled
-into integer (index, coefficient) terms for the (F-1) check once
-(``_f1_terms``), each root-set text is parsed once per kind
-(``parse_psi``), so that table rows and queries sharing a Psi share its
-parse, and the rho shift is computed once per doubled vector and kind
-(``twice_rho_shift``), which both sides' lowest K-types share.
+per distinct input rather than once per parameter: each root-set text is
+parsed once per kind (``parse_psi``), so that table rows and queries
+sharing a Psi share its parse, and the rho shift is computed once per
+doubled vector and kind (``twice_rho_shift``), which both sides' lowest
+K-types share.  A Psi finds its compact simple members, which the (F-1)
+check reads, once per instance.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 Q = Fraction
 
-Root = tuple[int, ...]
+# (i, ci, j, cj): ci*e_i + cj*e_j with i < j, or (i, c, i, 0) for c*e_i
+Root = tuple[int, int, int, int]
 
 
 class SpKind(NamedTuple):
@@ -52,7 +56,7 @@ class SpKind(NamedTuple):
         return self.rank
 
     def is_compact(self, root: Root) -> bool:
-        return sum(root) == 0
+        return root[1] + root[3] == 0
 
     def coord_name(self, i: int) -> str:
         return f"e{i + 1}"
@@ -80,7 +84,7 @@ class OKind(NamedTuple):
         return 1 if self.odd else 0
 
     def is_compact(self, root: Root) -> bool:
-        return not (any(root[: self.left]) and any(root[self.left :]))
+        return not root[0] < self.left <= root[2]
 
     def coord_name(self, i: int) -> str:
         if i < self.left:
@@ -95,13 +99,11 @@ class OKind(NamedTuple):
 GroupKind = Union[SpKind, OKind]
 
 
-def pair_root(dim: int, i: int, j: int, ci: int, cj: int) -> Root:
-    """The root ci*e_i + cj*e_j of a frame with ``dim`` coordinates;
-    i == j gives (ci+cj)*e_i."""
-    root = [0] * dim
-    root[i] += ci
-    root[j] += cj
-    return tuple(root)
+def pair_root(i: int, j: int, ci: int, cj: int) -> Root:
+    """The root ci*e_i + cj*e_j; i == j gives (ci+cj)*e_i."""
+    if i == j:
+        return (i, ci + cj, i, 0)
+    return (i, ci, j, cj) if i < j else (j, cj, i, ci)
 
 
 @functools.cache
@@ -109,12 +111,12 @@ def all_roots(kind: GroupKind) -> tuple[Root, ...]:
     """+-e_i+-e_j, plus +-c*e_i for the kind's axis coefficient c."""
     m, c = kind.dim, kind.axis
     out = [
-        pair_root(m, i, j, si, sj)
+        (i, si, j, sj)
         for i, j in itertools.combinations(range(m), 2)
         for si, sj in itertools.product((1, -1), repeat=2)
     ]
     if c:
-        out += [pair_root(m, i, i, s * c, 0) for i in range(m) for s in (1, -1)]
+        out += [(i, s * c, i, 0) for i in range(m) for s in (1, -1)]
     return tuple(out)
 
 
@@ -140,15 +142,15 @@ def noncompact_weights(kind: GroupKind) -> tuple[Root, ...]:
     """Weights of the complexified p-part (both signs): the noncompact
     roots, plus the short roots +-e_i of an odd frame, which are compact too."""
     return tuple(
-        r for r in all_roots(kind) if not kind.is_compact(r) or sum(map(abs, r)) == 1
+        r for r in all_roots(kind) if not kind.is_compact(r) or abs(r[1]) + abs(r[3]) == 1
     )
 
 
 def _root_sum(dim: int, roots: Iterable[Root]) -> tuple[int, ...]:
     acc = [0] * dim
-    for r in roots:
-        for i, c in enumerate(r):
-            acc[i] += c
+    for i, ci, j, cj in roots:
+        acc[i] += ci
+        acc[j] += cj
     return tuple(acc)
 
 
@@ -157,30 +159,29 @@ def two_rho_c(kind: GroupKind) -> tuple[int, ...]:
 
 
 def pairing(vec: Sequence[Q | int], root: Root) -> Q | int:
-    return sum(v * c for v, c in zip(vec, root))
+    i, ci, j, cj = root
+    return vec[i] * ci + vec[j] * cj
 
 
-# A root as (i, ci, j, cj): it pairs with a vector v as v[i]*ci + v[j]*cj.
-# A root with one nonzero entry has j = i and cj = 0.
-Term = tuple[int, int, int, int]
-
-
-def _term(root: Root) -> Term:
-    nz = [(i, c) for i, c in enumerate(root) if c]
-    (i, ci), (j, cj) = nz if len(nz) == 2 else nz + [(nz[0][0], 0)]
-    return i, ci, j, cj
+def vector_key(root: Root) -> tuple:
+    """A key under which roots compare as their coefficient vectors do:
+    per nonzero entry c at i in order, (0, i, c) if c < 0 and (1, -i, c)
+    if c > 0, then (1,), which sorts between the two kinds of entry."""
+    i, ci, j, cj = root
+    entries = ((i, ci), (j, cj)) if cj else ((i, ci),)
+    return tuple((0, k, c) if c < 0 else (1, -k, c) for k, c in entries) + ((1,),)
 
 
 @functools.cache
-def _rho_shift_terms(kind: GroupKind) -> tuple[tuple[int, Term], ...]:
-    """(sign, term) of every weight the rho shift counts: +1 for the
+def _rho_shift_terms(kind: GroupKind) -> tuple[tuple[int, Root], ...]:
+    """(sign, weight) of every weight the rho shift counts: +1 for the
     weights of p, -1 for the compact roots.  The short roots of an odd
     frame are in both and cancel, so they are left out."""
     noncompact, compact = noncompact_weights(kind), compact_roots(kind)
     both = set(noncompact) & set(compact)
     signed = [(1, w) for w in noncompact if w not in both]
     signed += [(-1, r) for r in compact if r not in both]
-    return tuple((sign, _term(w)) for sign, w in signed)
+    return tuple(signed)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -208,7 +209,7 @@ def rho_shift(vec: Sequence[Q | int], kind: GroupKind) -> tuple[Q, ...]:
 
 # -- rendering and parsing -------------------------------------------------
 
-_ROOT_TERM = _regex.compile(r"([+-]?)(2?)([ef])(\d+)")
+_ROOT_TERM = _regex.compile(r"([+-]?)(2?)([ef])(\d+)", _regex.ASCII)
 
 
 @functools.cache
@@ -217,48 +218,41 @@ def _coord_slots(kind: GroupKind) -> dict[str, int]:
 
 
 def parse_root(text: str, kind: GroupKind) -> Root:
+    """The root of ``kind`` that ``text``, a sum of signed terms such as
+    ``e1-f2`` or ``-2e3``, adds up to."""
     s = text.replace(" ", "")
     slots = _coord_slots(kind)
-    v = [0] * kind.dim
+    coefs: dict[int, int] = {}
     pos = 0
-    seen = False
     for m in _ROOT_TERM.finditer(s):
         if m.start() != pos:
             raise ValueError(f"bad root {text!r}")
         pos = m.end()
-        seen = True
-        sign = -1 if m.group(1) == "-" else 1
-        coef = 2 if m.group(2) else 1
         slot = slots.get(f"{m.group(3)}{int(m.group(4))}")
         if slot is None:
             raise ValueError(f"bad root {text!r} for {kind.render()}")
-        v[slot] += sign * coef
-    if not seen or pos != len(s):
+        coefs[slot] = coefs.get(slot, 0) + (-1 if m.group(1) == "-" else 1) * (2 if m.group(2) else 1)
+    if not coefs or pos != len(s):
         raise ValueError(f"bad root {text!r}")
-    return tuple(v)
+    nz = [(i, c) for i, c in sorted(coefs.items()) if c]
+    root = (*nz[0], *nz[1]) if len(nz) == 2 else (*nz[0], nz[0][0], 0) if len(nz) == 1 else None
+    if root not in root_set(kind):
+        raise ValueError(f"bad root {text!r} for {kind.render()}")
+    return root
 
 
 def render_root(root: Root, kind: GroupKind) -> str:
-    nz = [(i, c) for i, c in enumerate(root) if c != 0]
-    if len(nz) == 1:
-        i, c = nz[0]
-        mag = "2" if abs(c) == 2 else ""
-        return ("-" if c < 0 else "") + mag + kind.coord_name(i)
-    if len(nz) == 2 and all(abs(c) == 1 for _, c in nz):
-        (i, ci), (j, cj) = nz
-        first = ("-" if ci < 0 else "") + kind.coord_name(i)
-        second = ("-" if cj < 0 else "+") + kind.coord_name(j)
-        return first + second
-    raise ValueError(f"not a renderable root: {root}")
+    i, ci, j, cj = root
+    first = ("-" if ci < 0 else "") + ("2" if abs(ci) == 2 else "") + kind.coord_name(i)
+    return first + ("-" if cj < 0 else "+") + kind.coord_name(j) if cj else first
 
 
-def root_sort_key(root: Root, kind: GroupKind) -> tuple:
-    nz = [(i, c) for i, c in enumerate(root) if c != 0]
-    if len(nz) == 2:
-        (i, ci), (j, cj) = nz
+def root_sort_key(root: Root) -> tuple:
+    """Pair roots first, then the long and the short axis roots."""
+    i, ci, j, cj = root
+    if cj:
         return (0, i, j, -cj, -ci)
-    (i, c) = nz[0]
-    return ((1, i, -c) if abs(c) == 2 else (2, i, -c))
+    return (1 if abs(ci) == 2 else 2, i, -ci)
 
 
 class Frozen:
@@ -302,7 +296,7 @@ class PositiveSystem(Frozen):
 
     @staticmethod
     def of(kind: GroupKind, roots: Iterable[Root]) -> "PositiveSystem":
-        uniq = sorted(set(roots), key=lambda r: root_sort_key(r, kind))
+        uniq = sorted(set(roots), key=root_sort_key)
         allowed = root_set(kind)
         for r in uniq:
             if r not in allowed:
@@ -323,6 +317,12 @@ class PositiveSystem(Frozen):
     @functools.cached_property
     def _text(self) -> str:
         return "{" + ",".join(render_root(r, self.kind) for r in self.roots) + "}"
+
+    @functools.cached_property
+    def _compact_simple(self) -> tuple[Root, ...]:
+        """The compact simple members, which (F-1) needs strictly
+        positive; Psi must be a positive system."""
+        return tuple(r for r in simple_members(self) if self.kind.is_compact(r))
 
     def __str__(self) -> str:
         return self.render()
@@ -347,7 +347,7 @@ def is_positive_system(kind: GroupKind, roots: Iterable[Root]) -> bool:
     rset, delta = frozenset(roots), root_set(kind)
     if not rset <= delta or 2 * len(rset) != len(delta):
         return False
-    if any(tuple(-c for c in r) in rset for r in rset):
+    if any((i, -ci, j, -cj) in rset for i, ci, j, cj in rset):
         return False
     two_rho = _root_sum(kind.dim, rset)
     return all(pairing(two_rho, r) > 0 for r in rset)
@@ -361,26 +361,16 @@ def simple_members(psi: PositiveSystem) -> tuple[Root, ...]:
     """The simple roots of Psi, which must be a positive system: the members
     alpha with <rho, alpha^vee> = 1, i.e. <alpha, 2 rho> = <alpha, alpha>."""
     two_rho = _root_sum(psi.kind.dim, psi.roots)
-    return tuple(r for r in psi.roots if pairing(two_rho, r) == pairing(r, r))
-
-
-@functools.lru_cache(maxsize=1024)
-def _f1_terms(psi: PositiveSystem) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
-    """The terms of every member of Psi, and of its compact simple members:
-    (F-1) compiled once per Psi."""
-    compact = set(compact_roots(psi.kind))
-    strict = (r for r in simple_members(psi) if r in compact)
-    return tuple(map(_term, psi.roots)), tuple(map(_term, strict))
+    return tuple(r for r in psi.roots if pairing(two_rho, r) == r[1] ** 2 + r[3] ** 2)
 
 
 def check_dominance_f1(vec: Sequence[Q | int], psi: PositiveSystem) -> bool:
     """Weak dominance on all of Psi plus strict positivity on compact
     simple members (condition F-1)."""
-    weak, strict = _f1_terms(psi)
-    for i, ci, j, cj in weak:
+    for i, ci, j, cj in psi.roots:
         if vec[i] * ci + vec[j] * cj < 0:
             return False
-    for i, ci, j, cj in strict:
+    for i, ci, j, cj in psi._compact_simple:
         if vec[i] * ci + vec[j] * cj <= 0:
             return False
     return True
@@ -401,9 +391,9 @@ def enumerate_positive_systems(kind: GroupKind) -> tuple[PositiveSystem, ...]:
     delta = all_roots(kind)
     # the compact positives checked once coordinate k is set: those whose
     # last nonzero coordinate is k
-    closing: list[list[Term]] = [[] for _ in range(m)]
-    for i, ci, j, cj in map(_term, delta_c_plus(kind)):
-        closing[max(i, j)].append((i, ci, j, cj))
+    closing: list[list[Root]] = [[] for _ in range(m)]
+    for r in delta_c_plus(kind):
+        closing[r[2]].append(r)
     seen: dict[tuple[Root, ...], PositiveSystem] = {}
 
     def extend(vec: list[int], free: tuple[int, ...]) -> None:
@@ -420,4 +410,4 @@ def enumerate_positive_systems(kind: GroupKind) -> tuple[PositiveSystem, ...]:
                 vec.pop()
 
     extend([], tuple(range(1, m + 1)))
-    return tuple(sorted(seen.values(), key=lambda p: p.roots))
+    return tuple(sorted(seen.values(), key=lambda p: tuple(map(vector_key, p.roots))))

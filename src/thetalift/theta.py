@@ -552,7 +552,7 @@ def cond_lambda(lam: tuple[int, ...], psi: PositiveSystem, half_diff: int) -> bo
         return True
     if z == 0:
         return False
-    root = pair_root(len(lam), k, k + z - 1, 1, 1)
+    root = pair_root(k, k + z - 1, 1, 1)
     if half_diff == k - neg + 1:
         return psi.contains(root)
     if half_diff == k - neg - 1:

@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetalift.cli import main
-from thetalift.langlands import _checked_o, _zero_flip_orbit, parse_param_pattern
-from thetalift.roots import parse_psi
+from thetalift.langlands import _checked_o, _checked_sp, _validate_psi, parse_param_pattern
+from thetalift.roots import all_roots, parse_psi, root_set
 
 REPO_DIR = Path(__file__).resolve().parents[1]
 SRC_DIR = REPO_DIR / "src"
@@ -153,7 +153,7 @@ def test_many_zeros_canonicalize_in_bounded_time(capsys, argv, want_code, want_e
     within 1 s of CPU time, however its parameter is cached."""
     zeros = ",".join(["0"] * 7)
     text = f"pi_{{1}}(({zeros};{zeros}),1,{_interleaved_roots(7)},0,0,0,0)"
-    _zero_flip_orbit.cache_clear()
+    _checked_o.cache_clear()
     start = time.process_time()
     code, _, err = run(capsys, argv + ["--params", text])
     assert time.process_time() - start < 1
@@ -411,6 +411,27 @@ def test_every_command_bounds_its_work_on_the_largest_argument(capsys, argv):
     code, _, _ = run(capsys, argv)
     assert time.process_time() - start < 1
     assert code in (0, 1, 2)
+
+
+# The largest discrete series that infchar and lkt accept: the rank-100 Sp
+# one with lam = (100, ..., 1), 78 kB, and the O(100,100) one with lam = 0,
+# 76 kB.
+RANK100_SP = f"pi(({','.join(map(str, range(100, 0, -1)))}),{_discrete_series_roots(100, True)},0,0,0,0)"
+RANK100_O = f"pi_{{1}}(({','.join(['0'] * 50)};{','.join(['0'] * 50)}),1,{_interleaved_roots(50)},0,0,0,0)"
+
+
+@pytest.mark.parametrize("text", [RANK100_SP, RANK100_O], ids=["sp", "o"])
+@pytest.mark.parametrize("command", ["infchar", "lkt"])
+def test_accepted_rank_100_texts_answer_in_bounded_time(capsys, command, text):
+    """The largest accepted texts are parsed, validated and answered within
+    0.5 s of CPU time, from cold parses, root tables and validation memos:
+    each root is parsed, sorted, checked and paired in constant time."""
+    for memo in (parse_param_pattern, parse_psi, all_roots, root_set, _validate_psi, _checked_sp, _checked_o):
+        memo.cache_clear()
+    start = time.process_time()
+    code, out, err = run(capsys, [command, "--params", text])
+    assert time.process_time() - start < 0.5
+    assert (code, err) == (0, "") and out
 
 
 @pytest.mark.parametrize(
@@ -745,10 +766,56 @@ def test_non_integer_text_is_named(capsys, argv, bad):
     assert code == 2 and repr(bad) in err and "int()" not in err
 
 
-@pytest.mark.parametrize("beta", ["1/0", "x", "b"])
+@pytest.mark.parametrize("beta", ["1/0", "x", "b", "1e1", "1_0", "0.5"])
 def test_bad_beta_names_the_value(capsys, beta):
     code, _, err = run(capsys, ["enumerate", "--n", "3", "--infchar", "b,0,1", "--beta", beta])
     assert code == 2 and f"got {beta!r}" in err
+
+
+_BAD_ROOT_SP = "pi((2,1),{{{root},e1+e2,2e1,2e2}},0,0,0,0)"
+_BAD_ROOT_O = "pi_{{1}}((2,1;),1,{{{root},e1+e2}},0,0,0,0)"
+
+
+@pytest.mark.parametrize("root", ["e1-e1", "e1+e2+e1", "e1+e1+e1", "e1+e2-e2"])
+@pytest.mark.parametrize(
+    "argv, template, group",
+    [
+        (["infchar", "--params"], _BAD_ROOT_SP, "Sp(4,R)"),
+        (["lkt", "--params"], _BAD_ROOT_O, "O(4,0)"),
+        (["lift", "--n", "1", "--params"], _BAD_ROOT_O, "O(4,0)"),
+        (["first-occurrence", "--params"], _BAD_ROOT_O, "O(4,0)"),
+        (["inverse-lookup", "--sig", "2,2", "--sp-params"], _BAD_ROOT_SP, "Sp(4,R)"),
+    ],
+    ids=["infchar", "lkt", "lift", "first-occurrence", "inverse-lookup"],
+)
+def test_a_sum_that_is_no_root_is_named(capsys, argv, template, group, root):
+    """A member of Psi that cancels to zero, or adds up to no root of the
+    group, is refused by its text with exit 2."""
+    code, out, err = run(capsys, argv + [template.format(root=root)])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad root {root!r} for {group}\n"
+
+
+@pytest.mark.parametrize("digit", ["\u0661", "\u0967", "\uff11"], ids=["arabic-indic", "devanagari", "fullwidth"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["infchar", "--params", "pi((1),{2e{d}},0,0,0,0)"],
+        ["lkt", "--params", "pi(({d}),{2e1},0,0,0,0)"],
+        ["lkt", "--params", "pi_{1}((0;),-1,{},0,0,(1),(1)) @ O(3,{d})"],
+        ["lift", "--n", "1", "--params", "pi_{1}(0,1,{},0,0,(1,1),(0,{d}))"],
+        ["enumerate", "--n", "1", "--infchar", "{d}"],
+        ["enumerate", "--n", "1", "--infchar", "b", "--beta", "{d}"],
+    ],
+    ids=["root", "lam", "signature", "kappa", "infchar", "beta"],
+)
+def test_non_ascii_digits_exit_two(capsys, argv, digit):
+    """Every number the text grammars read is written in ASCII digits: each
+    text is accepted with the digit 1 where ``{d}`` stands, and refused with
+    the digit one of another script there."""
+    assert run(capsys, [arg.replace("{d}", "1") for arg in argv])[0] == 0
+    code, out, err = run(capsys, [arg.replace("{d}", digit) for arg in argv])
+    assert (code, out) == (2, "") and err.startswith("error:")
 
 
 def test_help_exits_zero(capsys):
@@ -810,7 +877,7 @@ _TOKENS = [
     "(", ")", "{", "}", ",", ";", " ", "0", "1", "-1", "2", "3", "1/2", "-3/2", "b",
     "2b", "i", "c1", "m", "e1", "f1", "2e1", "e1+e2", "-e1-f1", "e3", "pi(", "pi_{1}(",
     "pi_{-1}(", "pi_{2}(", "@ O(2,2)", "@ O(4,0)", "@ O(-1,5)", "@ O( 2 , 2 )", "@ Sp(4)", "@",
-    "+1", "-", "x", "",
+    "+1", "-", "x", "", "-e1", "+e1", "-2e1",
 ]
 
 
@@ -825,6 +892,16 @@ def _mutated(draw, seeds):
     return text
 
 
+@st.composite
+def _foreign_digit(draw, seeds):
+    """A valid text with one of its ASCII digits replaced by a decimal digit
+    of another script."""
+    text = draw(st.sampled_from(seeds))
+    k = draw(st.sampled_from([k for k, ch in enumerate(text) if ch in "0123456789"]))
+    digit = draw(st.characters(whitelist_categories=("Nd",), min_codepoint=128))
+    return text[:k] + digit + text[k + 1 :]
+
+
 _RANKS = st.integers(-2, 7).map(str)
 _SIGS = _mutated(["2,2", "3,1", "4,0", "1,3", "0,4"])
 _PHI_ARGS = st.one_of(
@@ -837,6 +914,10 @@ _ARGVS = st.one_of(
     st.tuples(
         st.sampled_from(["lkt", "infchar"]), st.just("--params"), _mutated(_O_TEXTS + _SP_TEXTS)
     ),
+    st.tuples(
+        st.sampled_from(["lkt", "infchar"]), st.just("--params"), _foreign_digit(_O_TEXTS + _SP_TEXTS)
+    ),
+    st.tuples(st.just("first-occurrence"), st.just("--params"), _foreign_digit(_O_TEXTS)),
     st.builds(
         lambda dk, sig, n: ("phi", "--dir", dk[0], "--ktype", dk[1], "--sig", sig, "--n", n),
         _PHI_ARGS,

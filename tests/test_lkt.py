@@ -11,7 +11,6 @@ from thetalift.langlands import (
     _checked_o,
     _checked_sp,
     _validate_psi,
-    _zero_flip_orbit,
     OParams,
     SpParams,
     det_o,
@@ -36,7 +35,6 @@ from thetalift.roots import (
     OKind,
     PositiveSystem,
     SpKind,
-    _f1_terms,
     pair_root,
     rho_shift,
     twice_rho_shift,
@@ -187,7 +185,7 @@ def _census_lkt_lines(before_each=lambda: None) -> list[str]:
 
 def _clear_census_caches():
     """Empty the caches that hold per-datum census work."""
-    for cached in (_validate_psi, _zero_flip_orbit, _f1_terms, twice_rho_shift, _sp_lowest):
+    for cached in (_validate_psi, twice_rho_shift, _sp_lowest):
         cached.cache_clear()
 
 
@@ -359,7 +357,7 @@ def reference_lowest_ktypes_sp(params):
         base,
         avals,
         params.psi,
-        lambda j: pair_root(v, ktil[j - 1] if j > 0 else 0, v - ltil[j], 1, 1),
+        lambda j: pair_root(ktil[j - 1] if j > 0 else 0, v - ltil[j], 1, 1),
     )
     h = (
         sum(1 for e in params.eps if e == (-1) ** (u_minus_r + 1))
@@ -371,7 +369,7 @@ def reference_lowest_ktypes_sp(params):
     if z == 0:
         etas = [first] if first == second else [first, second]
     else:
-        etas = [first] if params.psi.contains(pair_root(v, k, k + z - 1, 1, 1)) else [second]
+        etas = [first] if params.psi.contains(pair_root(k, k + z - 1, 1, 1)) else [second]
     out = {
         UKType.of(tuple(_ref_assemble_half(lam_a, base, by_value, eta, +1)))
         for by_value in by_values
@@ -402,7 +400,7 @@ def reference_lowest_ktypes_o(params):
         base,
         avals,
         params.psi,
-        lambda j: pair_root(a + d, ktil[j] - 1, a + ltil[j] - 1, 1, -1),
+        lambda j: pair_root(ktil[j] - 1, a + ltil[j] - 1, 1, -1),
     )
     beta_count = sum(1 for e in params.eps if e == 1)
     gamma_count = sum(1 for e in params.eps if e == -1)
@@ -416,7 +414,7 @@ def reference_lowest_ktypes_o(params):
     elif d == 0:
         eta_forms = [form2]
     else:
-        root = pair_root(a + d, a - 1, a + d - 1, 1, -1)
+        root = pair_root(a - 1, a + d - 1, 1, -1)
         eta_forms = [form1] if params.psi.contains(root) else [form2]
     zero_pairs = any(k.is_zero for k in params.kappa)
     out = set()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dense_roots import dense
 from thetalift.enumeration import enumerate_sp_reps
 from thetalift.exact import (
     GENERIC_B,
@@ -139,7 +140,7 @@ def _oracle_norm(weights, kind):
     dim = kind.dim if isinstance(kind, OKind) else kind.rank
     rho = [0] * dim
     for root in delta_c_plus(kind):
-        rho = [r + c for r, c in zip(rho, root)]
+        rho = [r + c for r, c in zip(rho, dense(root, dim))]
     return sum((int(w) + int(r)) ** 2 for w, r in zip(weights, rho))
 
 

@@ -3,11 +3,13 @@ import importlib
 import itertools
 import math
 import pkgutil
+import re
 from fractions import Fraction
 
 import pytest
 
 import thetalift
+from dense_roots import dense
 from thetalift import lkt
 from thetalift.enumeration import enumerate_sp_reps
 from thetalift.exact import InfChar
@@ -32,7 +34,13 @@ from thetalift.roots import (
     simple_members,
     twice_rho_shift,
     two_rho_c,
+    vector_key,
 )
+
+
+def _neg(root):
+    i, ci, j, cj = root
+    return (i, -ci, j, -cj)
 
 
 def test_system_counts_sp():
@@ -83,11 +91,12 @@ def test_two_rho_c():
 def test_parse_render_round_trip():
     psi = parse_psi("{e1+e2,e1-e2,2e1,2e2}", SpKind(2))
     assert psi.render() == "{e1+e2,e1-e2,2e1,2e2}"
-    assert parse_root("e1-f1", OKind(1, 1)) == (1, -1)
-    assert parse_root("-2e1", SpKind(2)) == (-2, 0)
-    assert render_root((0, -1), OKind(1, 1)) == "-f1"
+    assert parse_root("e1-f1", OKind(1, 1)) == (0, 1, 1, -1)
+    assert parse_root("-2e1", SpKind(2)) == (0, -2, 0, 0)
+    assert render_root((1, -1, 1, 0), OKind(1, 1, odd=True)) == "-f1"
     assert parse_psi("{}", SpKind(0)).render() == "{}"
-    assert parse_root("f2-e01", OKind(1, 2)) == (-1, 0, 1)
+    assert parse_root("f2-e01", OKind(1, 2)) == (0, -1, 2, 1)
+    assert parse_root("e2+e1-e2+e2", SpKind(2)) == (0, 1, 1, 1)
     for text, kind in [
         ("e1+e2", SpKind(1)),
         ("f1", SpKind(1)),
@@ -100,6 +109,27 @@ def test_parse_render_round_trip():
             parse_root(text, kind)
 
 
+@pytest.mark.parametrize(
+    "text,kind",
+    [
+        ("e1-e1", SpKind(1)),
+        ("2e1-2e1", SpKind(2)),
+        ("e1+e2+e1", SpKind(2)),
+        ("e1+e1+e1", SpKind(1)),
+        ("e1+e2+f1", OKind(2, 1)),
+        ("e1", SpKind(1)),
+        ("e1", OKind(1, 1)),
+        ("2e1", OKind(1, 1, odd=True)),
+        ("e1+e1", OKind(1, 1)),
+    ],
+)
+def test_parse_root_refuses_a_sum_that_is_no_root_of_its_kind(text, kind):
+    """A sum that cancels to zero, has three coordinates, or is a vector
+    of the wrong length for its kind is refused with its own text."""
+    with pytest.raises(ValueError, match=re.escape(f"bad root '{text}' for {kind.render()}")):
+        parse_root(text, kind)
+
+
 def test_dominance_f1_picks_out_psi_for_zero_datum():
     """For Sp(4) with lam=(0,0) exactly the two systems where e1-e2 is a sum
     of two members survive the strict-on-compact-simples condition."""
@@ -107,7 +137,7 @@ def test_dominance_f1_picks_out_psi_for_zero_datum():
     good = [psi for psi in systems if check_dominance_f1((0, 0), psi)]
     assert len(good) == 2
     for psi in good:
-        assert (1, -1) not in simple_members(psi)
+        assert (0, 1, 1, -1) not in simple_members(psi)
     renders = {psi.render() for psi in good}
     assert renders == {"{e1+e2,e1-e2,2e1,-2e2}", "{e1-e2,-e1-e2,2e1,-2e2}"}
 
@@ -131,11 +161,15 @@ def test_rho_shift_o_odd_shorts_cancel():
     assert rho_shift((3,), OKind(1, 0, odd=True)) == (Fraction(0),)
 
 
+def _vectors(roots, kind):
+    return {dense(r, kind.dim) for r in roots}
+
+
 def test_delta_c_plus_tables():
-    assert set(delta_c_plus(OKind(1, 1))) == set()
-    assert set(delta_c_plus(OKind(1, 1, odd=True))) == {(1, 0), (0, 1)}
-    assert set(delta_c_plus(SpKind(2))) == {(1, -1)}
-    assert set(delta_c_plus(OKind(2, 1))) == {(1, 1, 0), (1, -1, 0)}
+    assert _vectors(delta_c_plus(OKind(1, 1)), OKind(1, 1)) == set()
+    assert _vectors(delta_c_plus(OKind(1, 1, odd=True)), OKind(1, 1)) == {(1, 0), (0, 1)}
+    assert _vectors(delta_c_plus(SpKind(2)), SpKind(2)) == {(1, -1)}
+    assert _vectors(delta_c_plus(OKind(2, 1)), OKind(2, 1)) == {(1, 1, 0), (1, -1, 0)}
 
 
 def test_all_roots_is_the_root_system():
@@ -156,7 +190,8 @@ def test_all_roots_is_the_root_system():
                 for s in (c, -c):
                     want.add(tuple(s if k == i else 0 for k in range(m)))
         roots = all_roots(kind)
-        assert len(roots) == len(want) and set(roots) == want, kind
+        assert len(roots) == len(want) and _vectors(roots, kind) == want, kind
+        assert all(i < j or (i == j and cj == 0) for i, _, j, cj in roots), kind
 
 
 ROOT_TABLES_SHA256 = "72d118149e08db5ef802e328811409b0493e1e20aa13c44e9e1700481bdfac27"
@@ -172,31 +207,52 @@ def test_root_tables_are_pinned():
     lines = []
     for kind in kinds:
         tables = (delta_c_plus(kind), compact_roots(kind), noncompact_weights(kind))
-        lines.append(repr((kind, *(sorted(t) for t in tables))))
+        lines.append(repr((kind, *(sorted(dense(r, kind.dim) for r in t) for t in tables))))
         if isinstance(kind, SpKind) or kind.dim <= 4:
-            lines.append(repr([psi.roots for psi in enumerate_positive_systems(kind)]))
+            systems = enumerate_positive_systems(kind)
+            lines.append(repr([tuple(dense(r, kind.dim) for r in psi.roots) for psi in systems]))
     assert len(lines) == 72
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ROOT_TABLES_SHA256
 
 
 def test_pair_root():
-    assert pair_root(3, 0, 2, 1, -1) == (1, 0, -1)
-    assert pair_root(3, 1, 1, 1, 1) == (0, 2, 0)
-    assert pair_root(2, 0, 0, -2, 0) == (-2, 0)
+    assert pair_root(0, 2, 1, -1) == (0, 1, 2, -1)
+    assert pair_root(2, 0, -1, 1) == (0, 1, 2, -1)
+    assert pair_root(1, 1, 1, 1) == (1, 2, 1, 0)
+    assert pair_root(0, 0, -2, 0) == (0, -2, 0, 0)
+
+
+_KINDS_TO_RANK_FIVE = [SpKind(v) for v in range(1, 6)] + [
+    OKind(a, d, odd) for a in range(6) for d in range(6 - a) for odd in (False, True) if a + d > 0
+]
+
+
+def test_vector_key_orders_roots_as_their_vectors():
+    """Every two roots of every kind of rank at most 5 compare under
+    ``vector_key`` as their coefficient vectors do."""
+    pairs = 0
+    for kind in _KINDS_TO_RANK_FIVE:
+        roots = all_roots(kind)
+        for x, y in itertools.product(roots, repeat=2):
+            vx, vy = dense(x, kind.dim), dense(y, kind.dim)
+            assert (vector_key(x) < vector_key(y)) == (vx < vy), (kind, x, y)
+            assert (vector_key(x) == vector_key(y)) == (vx == vy), (kind, x, y)
+            pairs += 1
+    assert pairs == 38636
 
 
 def test_positive_system_rejects_foreign_roots():
     with pytest.raises(ValueError):
-        PositiveSystem.of(SpKind(2), ((1, 1, 0),))
-    assert not is_positive_system(SpKind(2), ((1, 1), (-1, -1), (2, 0), (0, 2)))
-    assert not is_positive_system(SpKind(2), ((1, 1), (2, 0), (0, 2)))
+        PositiveSystem.of(SpKind(2), ((0, 1, 2, 1),))
+    assert not is_positive_system(SpKind(2), ((0, 1, 1, 1), (0, -1, 1, -1), (0, 2, 0, 0), (1, 2, 1, 0)))
+    assert not is_positive_system(SpKind(2), ((0, 1, 1, 1), (0, 2, 0, 0), (1, 2, 1, 0)))
 
 
 # -- integer arithmetic against the Fraction reference ------------------------
 
 
 def _reference_pairing(vec, root):
-    return sum((Fraction(v) * c for v, c in zip(vec, root)), start=Fraction(0))
+    return sum((Fraction(v) * c for v, c in zip(vec, dense(root, len(vec)))), start=Fraction(0))
 
 
 def _reference_rho_shift(vec, kind):
@@ -204,11 +260,11 @@ def _reference_rho_shift(vec, kind):
     acc = [Fraction(0)] * kind.dim
     for w in noncompact_weights(kind):
         if _reference_pairing(vec, w) > 0:
-            for i, c in enumerate(w):
+            for i, c in enumerate(dense(w, kind.dim)):
                 acc[i] += Fraction(c, 2)
     for r in compact_roots(kind):
         if _reference_pairing(vec, r) > 0:
-            for i, c in enumerate(r):
+            for i, c in enumerate(dense(r, kind.dim)):
                 acc[i] -= Fraction(c, 2)
     return tuple(acc)
 
@@ -338,7 +394,7 @@ def test_is_positive_system_depends_on_the_root_set_only(kind):
         assert is_positive_system(kind, list(roots) + [roots[0]])
         simple = set(simple_members(psi))
         for r in roots:
-            neg = tuple(-c for c in r)
+            neg = _neg(r)
             flipped = [neg if x == r else x for x in roots]
             # flipping a simple root reflects Psi to another positive system
             assert is_positive_system(kind, flipped) == (r in simple)
@@ -350,8 +406,9 @@ def test_is_positive_system_depends_on_the_root_set_only(kind):
 
 
 def _reference_is_positive_system(kind, roots):
-    """Exactly one of each +-pair, closed under addition: every pair added."""
-    rset, delta = frozenset(roots), frozenset(all_roots(kind))
+    """Exactly one of each +-pair, closed under addition: every pair of
+    coefficient vectors added."""
+    rset, delta = _vectors(roots, kind), _vectors(all_roots(kind), kind)
     if not rset <= delta or 2 * len(rset) != len(delta):
         return False
     if any(tuple(-c for c in r) in rset for r in rset):
@@ -364,13 +421,14 @@ def _reference_is_positive_system(kind, roots):
 
 
 def _reference_simple_members(psi):
-    """Members of Psi from which no other member subtracts to a member."""
-    rset = set(psi.roots)
-    return tuple(
-        r
-        for r in psi.roots
-        if not any(tuple(rc - xc for rc, xc in zip(r, x)) in rset for x in rset if x != r)
-    )
+    """Members of Psi from which no other member subtracts to a member,
+    as coefficient vectors."""
+    rset = _vectors(psi.roots, psi.kind)
+
+    def simple(v):
+        return not any(tuple(a - b for a, b in zip(v, x)) in rset for x in rset if x != v)
+
+    return tuple(r for r in psi.roots if simple(dense(r, psi.kind.dim)))
 
 
 def _weyl_order(kind):
@@ -406,15 +464,15 @@ def test_sum_table_checks_match_all_pairs(kind):
         assert simple == _reference_simple_members(psi)
         others = [r for r in roots if r not in simple]
         for r in list(simple) + others[:1]:
-            flipped = [tuple(-c for c in x) if x == r else x for x in roots]
+            flipped = [_neg(x) if x == r else x for x in roots]
             want = _reference_is_positive_system(kind, flipped)
             assert is_positive_system(kind, flipped) == want == (r in simple), (psi, r)
-    pairs = [r for r in all_roots(kind) if r > tuple(-c for c in r)]
+    pairs = [r for r in all_roots(kind) if dense(r, kind.dim) > dense(_neg(r), kind.dim)]
     if len(pairs) > 12:
         return
     accepted = 0
     for signs in itertools.product((1, -1), repeat=len(pairs)):
-        roots = [tuple(s * c for c in r) for s, r in zip(signs, pairs)]
+        roots = [r if s == 1 else _neg(r) for s, r in zip(signs, pairs)]
         verdict = is_positive_system(kind, roots)
         assert verdict == _reference_is_positive_system(kind, roots), roots
         accepted += verdict
@@ -471,9 +529,7 @@ _BOUNDED = {
     "langlands.parse_expr",
     "langlands.parse_param_pattern",
     "langlands._validate_psi",
-    "langlands._zero_flip_orbit",
     "lkt._sp_lowest",
-    "roots._f1_terms",
     "roots.parse_psi",
     "roots.twice_rho_shift",
     "theta.matching_rows",

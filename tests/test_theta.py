@@ -305,8 +305,8 @@ def test_cond_lambda_cases():
     assert not cond_lambda(minus.lam, minus.psi, 1)
     # two zeros: the connecting root e_{k+1}+e_{k+z}
     two = parse_sp("pi((0,0),{e1+e2,e1-e2,2e1,-2e2},0,0,0,0)")
-    assert cond_lambda(two.lam, two.psi, 1) == two.psi.contains((1, 1))
-    assert cond_lambda(two.lam, two.psi, -1) == (not two.psi.contains((1, 1)))
+    assert cond_lambda(two.lam, two.psi, 1) == two.psi.contains((0, 1, 1, 1))
+    assert cond_lambda(two.lam, two.psi, -1) == (not two.psi.contains((0, 1, 1, 1)))
 
 
 # -- induction principles ----------------------------------------------------
@@ -543,7 +543,7 @@ def _scrambled_pairs(params) -> dict:
 def _scrambled_o(pi):
     """pi with its pairs scrambled and Psi flipped on every zero coordinate."""
     zeros = {i for i, x in enumerate(pi.lam_left + pi.lam_right) if x == 0}
-    roots = (tuple(-c if i in zeros else c for i, c in enumerate(r)) for r in pi.psi.roots)
+    roots = ((i, -ci if i in zeros else ci, j, -cj if j in zeros else cj) for i, ci, j, cj in pi.psi.roots)
     return pi._replace(psi=PositiveSystem.of(pi.psi.kind, roots), **_scrambled_pairs(pi))
 
 

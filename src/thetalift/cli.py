@@ -7,9 +7,9 @@ finds no preimage, or when stdout is closed before the output is written
 (a broken pipe, as in ``thetalift enumerate ... | head -1``); 2 on usage
 or input errors, including ``lift --n`` and ``phi --n`` above ``MAX_RANK``,
 a ``--params`` or ``--sp-params`` text of rank above ``MAX_RANK`` (n on
-the Sp side, (p+q)/2 on the O side; ``infchar`` and ``lkt`` answered such
-text with exit 0 before), ``enumerate --n`` above ``MAX_ENUMERATE_RANK``,
-and an ``lkt`` parameter with more than ``MAX_LKT_SLOTS`` (mu, nu) slots.
+the Sp side, (p+q)/2 on the O side), ``enumerate --n`` above
+``MAX_ENUMERATE_RANK``, and an ``lkt`` parameter with more than
+``MAX_LKT_SLOTS`` (mu, nu) slots.
 
 Each command imports the modules it needs when it runs: ``lift``,
 ``first-occurrence`` and ``infchar`` load only exact, roots, langlands and
@@ -31,7 +31,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .exact import parse_infchar
+from .exact import parse_infchar, parse_int
 from .langlands import (
     SpParams,
     infchar_o,
@@ -54,8 +54,8 @@ from .theta import (
 
 
 # Census size grows about sixfold per rank: ``thetalift enumerate --n 7
-# --infchar 0,1,2,3,4,5,6`` takes 1.3-1.9 s end to end (59 592 parameters,
-# 54 MB peak RSS) and ``--n 6 --infchar 0,1,2,3,4,5`` 0.43-0.55 s (9932
+# --infchar 0,1,2,3,4,5,6`` takes 0.96-1.00 s end to end (59 592 parameters,
+# 54 MB peak RSS) and ``--n 6 --infchar 0,1,2,3,4,5`` 0.40-0.42 s (9932
 # parameters), three runs each on a 2-core Xeon box whose speed drifts with
 # other load.  The library's enumerators stay unbounded.
 MAX_ENUMERATE_RANK = 7
@@ -154,7 +154,7 @@ def _parse_sig(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise ValueError(f"signature must be 'p,q', got {text!r}")
     try:
-        p, q = int(parts[0]), int(parts[1])
+        p, q = parse_int(parts[0]), parse_int(parts[1])
     except ValueError:
         raise ValueError(f"signature entries must be integers, got {text!r}") from None
     if p < 0 or q < 0:
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", help="compute the rank-n lift of an O(p,q) parameter")
     p.add_argument("--params", required=True, help="O-side parameter text")
-    p.add_argument("--n", type=int, required=True, help=f"symplectic rank n, at most {MAX_RANK}")
+    p.add_argument("--n", type=parse_int, required=True, help=f"symplectic rank n, at most {MAX_RANK}")
     p.add_argument(
         "--expect-nonzero", action="store_true", help="exit 1 when the lift is zero"
     )
@@ -294,13 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", choices=("o2u", "u2o"), required=True)
     p.add_argument("--ktype", required=True, help="K-type text")
     p.add_argument("--sig", required=True, help="orthogonal signature p,q")
-    p.add_argument("--n", type=int, required=True, help=f"symplectic rank n, at most {MAX_RANK}")
+    p.add_argument("--n", type=parse_int, required=True, help=f"symplectic rank n, at most {MAX_RANK}")
     add_json(p)
     p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser("enumerate", help="enumerate rank-n parameters with an infinitesimal character")
     p.add_argument(
-        "--n", type=int, required=True, help=f"symplectic rank n, at most {MAX_ENUMERATE_RANK}"
+        "--n", type=parse_int, required=True, help=f"symplectic rank n, at most {MAX_ENUMERATE_RANK}"
     )
     p.add_argument("--infchar", required=True, help="comma-separated entries, e.g. 'b,0,1' or '(b,0,1)'")
     p.add_argument("--beta", default=None, help="value substituted for b ('generic' keeps it formal)")

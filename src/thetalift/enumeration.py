@@ -130,7 +130,7 @@ def _matchings(values: tuple):
             yield ((first, rest[i]),) + tail
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096)  # census fills 30; without: census 213->185, verify 9.33->9.10 ops/s
 def _pair_options(x: Scalar, y: Scalar) -> frozenset[tuple[int, Scalar]]:
     """The (mu, nu) slots whose infinitesimal-character contribution is
     the multiset {x, y}: solve (nu+mu)/2 = u, (nu-mu)/2 = w over sign
@@ -217,7 +217,8 @@ def _check_split(entries, data: list[tuple[int, ...]], split: tuple[Scalar, ...]
             raise AssertionError(f"enumerated slots have the wrong infinitesimal character {chi.render()}")
 
 
-@lru_cache(maxsize=4096)
+# Bench censuses fill 484 keys and a rank-7 one 4640, but ``thetalift enumerate`` builds one per process.
+@lru_cache(maxsize=4096)  # without: census 211->126, verify 9.22->8.99 ops/s
 def _continuous_factor(mu, nu, kappa, zero_sign: Optional[int]) -> tuple[tuple, tuple[Scalar, ...]]:
     """The continuous factor of a slot split: each eps option, checked,
     with its continuous text, and the split's infinitesimal-character
@@ -403,12 +404,13 @@ class _Inputs:
     """The check inputs of one verification run over ``tables``, each
     computed once for as long as the object lives: classification rows per
     b, censuses (rank-n ones with each member's lowest K-type set), lifts,
-    first occurrences, lowest K-type sets and joint-harmonics images.  Each
-    suite is a function of this object; ``verify_tables`` makes one per
-    call for its suites to share, so no answer outlives the tables it was
-    built from.  The (rank, parameter) matches against a lift table that
-    the exclusivity check, the first occurrences and the lifts share are
-    kept by ``matching_rows``, keyed by the table's rows.  Every memo is a
+    first occurrences and lowest K-type sets.  Each suite is a function of
+    this object; ``verify_tables`` makes one per call for its suites to
+    share, so no answer outlives the tables it was built from.  The
+    (rank, parameter) matches against a lift table that the exclusivity
+    check, the first occurrences and the lifts share are kept by
+    ``matching_rows``, keyed by the table's rows; the joint-harmonics
+    images, which read no table, by ``phi_n`` and ``phi_pq``.  Every memo is a
     ``functools.cache``, which keeps no exception, over this module's
     global of that name.  No memo refers back to the object, which would
     make a reference cycle that keeps a run's inputs alive until the cycle
@@ -423,8 +425,6 @@ class _Inputs:
         self.o_census = cache(lambda p, q, chi: enumerate_o_reps(p, q, chi))
         self.lift = cache(lambda pi, n: theta_n(pi, n, tables))
         self.occurrence = cache(lambda pi: first_occurrence(pi, tables))
-        self.phi_n = cache(lambda sigma, p, q, n: phi_n(sigma, p, q, n))
-        self.phi_pq = cache(lambda prime, p, q: phi_pq(prime, p, q))
 
 
 def _case(label: str, details: list[str]) -> CaseResult:
@@ -965,21 +965,21 @@ def suite_props(inputs: _Inputs) -> VerificationReport:
         ]
         for sigma in factors:
             for n in range(0, 6):
-                prime = inputs.phi_n(sigma, p, q, n)
+                prime = phi_n(sigma, p, q, n)
                 if prime is None:
                     continue
                 checked += 1
-                if inputs.phi_pq(prime, p, q) != sigma:
+                if phi_pq(prime, p, q) != sigma:
                     details.append(f"phi round trip broke at {sigma.render()} n={n}")
                 if degree_u(prime, p - q) != degree_o(sigma, p, q):
                     details.append(f"phi changed the degree of {sigma.render()} at n={n}")
         for n in range(0, 6):
             for prime in _occurring_uktypes(n, p, q, 6):
                 checked += 1
-                sigma = inputs.phi_pq(prime, p, q)
+                sigma = phi_pq(prime, p, q)
                 if sigma is None:
                     details.append(f"phi inverse refused the occurring {prime.render()} O({p},{q})")
-                elif inputs.phi_n(sigma, p, q, n) != prime:
+                elif phi_n(sigma, p, q, n) != prime:
                     details.append(f"phi inverse round trip broke at {prime.render()} O({p},{q})")
     case_phi = _case(f"joint-harmonics maps round-trip with equal degree ({checked} cases)", details)
 

@@ -268,8 +268,7 @@ class Scalar:
             terms.append(sign + body)
         return "".join(terms) if terms else "0"
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()
+    __str__ = render
 
     def __repr__(self) -> str:
         return f"Scalar({self.render()})"
@@ -284,6 +283,16 @@ _TERM = _regex.compile(r"([+-]?)([^+-]+)")
 _SYMBOLIC = _regex.compile(r"(?:(\d+)(?:/(\d+))?\*)?(b\*i|b|i)(?:/(\d+))?", _regex.ASCII)
 _NUMERIC = _regex.compile(r"(\d+)(?:/(\d+))?", _regex.ASCII)
 _SLOT = {"i": 1, "b": 2, "b*i": 3}
+_INT = _regex.compile(r"\s*([+-]?\d+)\s*", _regex.ASCII)
+
+
+def parse_int(text: str) -> int:
+    """An integer written in ASCII digits with an optional sign, spaces
+    around it allowed: ``int`` would also take ``1_0`` and other scripts'
+    digits."""
+    if m := _INT.fullmatch(text):
+        return int(m.group(1))
+    raise ValueError(f"bad integer {text!r}")
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -109,7 +109,7 @@ def _assemble_half(
     return entries
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=4096)  # census fills 1661; without: census 212->76 ops/s
 def _sp_lowest(
     lam: tuple[int, ...], mu: tuple[int, ...], t: int, psi: PositiveSystem, h_eps: int
 ) -> tuple[UKType, ...]:

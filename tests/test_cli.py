@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetalift.cli import main
@@ -902,12 +902,29 @@ def _foreign_digit(draw, seeds):
     return text[:k] + digit + text[k + 1 :]
 
 
-_RANKS = st.integers(-2, 7).map(str)
-_SIGS = _mutated(["2,2", "3,1", "4,0", "1,3", "0,4"])
+@st.composite
+def _underscored(draw, seeds):
+    """A valid text with ``_0`` put after one of its ASCII digits, which
+    ``int`` would read as a digit separator."""
+    text = draw(st.sampled_from(seeds))
+    k = draw(st.sampled_from([k for k, ch in enumerate(text) if ch in "0123456789"]))
+    return text[: k + 1] + "_0" + text[k + 1 :]
+
+
+def _integer_texts(seeds):
+    digits = [text for text in seeds if any(ch in "0123456789" for ch in text)]
+    return st.one_of(_mutated(seeds), _foreign_digit(digits), _underscored(digits))
+
+
+_RANKS = st.one_of(st.integers(-2, 7).map(str), _foreign_digit(["0", "2", "-1"]), _underscored(["1"]))
+_SIGS = _integer_texts(["2,2", "3,1", "4,0", "1,3", "0,4"])
 _PHI_ARGS = st.one_of(
-    st.tuples(st.just("o2u"), _mutated(["(1;+1)x(0;+1)", "(0;-1)x(2;+1)", "(1,0;+1)x(;-1)"])),
-    st.tuples(st.just("u2o"), _mutated(["(1)", "(1,0)", "(2,0,-1)", "()"])),
+    st.tuples(st.just("o2u"), _integer_texts(["(1;+1)x(0;+1)", "(0;-1)x(2;+1)", "(1,0;+1)x(;-1)"])),
+    st.tuples(st.just("u2o"), _integer_texts(["(1)", "(1,0)", "(2,0,-1)", "()"])),
 )
+# The integer arguments: a value that is not ASCII or holds an underscore
+# must be refused, as ``int`` alone would not.
+_INTEGER_FLAGS = ("--n", "--sig", "--ktype")
 _ARGVS = st.one_of(
     st.tuples(st.just("lift"), st.just("--params"), _mutated(_O_TEXTS), st.just("--n"), _RANKS),
     st.tuples(st.just("first-occurrence"), st.just("--params"), _mutated(_O_TEXTS)),
@@ -936,10 +953,17 @@ _ARGVS = st.one_of(
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(argv=_ARGVS, as_json=st.booleans())
+@example(argv=("lift", "--params", "pi_{1}(0,1,{},0,0,(1,1),(0,1))", "--n", "1_0"), as_json=False)
+@example(argv=("phi", "--dir", "o2u", "--ktype", "(1_0,0;)x(;)", "--sig", "4,0", "--n", "2"), as_json=False)
+@example(argv=("phi", "--dir", "u2o", "--ktype", "(\u0661,0)", "--sig", "2,2", "--n", "2"), as_json=False)
 def test_fuzzed_argv_exits_cleanly(argv, as_json):
-    """Mutated parameter, K-type and signature texts end in a documented
-    exit code, never in an exception."""
+    """Mutated parameter, K-type, signature and rank texts end in a
+    documented exit code, never in an exception, and an integer argument
+    in other digits than ASCII, or with an underscore, exits 2."""
     argv = list(argv) + (["--json"] if as_json else [])
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2), argv
+    values = [value for flag, value in zip(argv, argv[1:]) if flag in _INTEGER_FLAGS]
+    if any(not value.isascii() or "_" in value for value in values):
+        assert code == 2, argv

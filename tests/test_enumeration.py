@@ -30,7 +30,7 @@ from thetalift.enumeration import (
     verify_unique_by_invariants,
 )
 from thetalift.exact import GENERIC_B, InfChar, Scalar, parse_infchar
-from thetalift.ktypes import OFactor, UKType, phi_pq
+from thetalift.ktypes import OFactor, UKType, phi_n, phi_pq
 from thetalift.langlands import (
     _checked_o,
     _checked_sp,
@@ -662,8 +662,9 @@ def test_verify_tables_runs_a_named_suite():
 def test_verify_builds_each_check_input_once(monkeypatch):
     """One ``verify_tables("all")`` run, all five suites together, builds
     each census, each b's classification rows, each (pi, n) lift, each
-    first occurrence, each lowest K-type set and each joint-harmonics image
-    at most once: phi_pq runs once per distinct U(n)-type, 760 times.  It
+    first occurrence and each lowest K-type set at most once, and each
+    joint-harmonics image once: phi_n's memo misses 1140 times and phi_pq's
+    once per distinct U(n)-type, 760 times.  It
     tries each lift-table row on each pi at most once, for the exclusivity
     check, the first occurrence and the lifts alike.  It instantiates a
     rank-1 or rank-2 template once per distinct sampled input (41 and 214
@@ -688,6 +689,8 @@ def test_verify_builds_each_check_input_once(monkeypatch):
 
     monkeypatch.setattr(theta_module, "row_lift", counted_row_lift)
     theta_module.matching_rows.cache_clear()
+    phi_n.cache_clear()
+    phi_pq.cache_clear()
 
     def counted(name, key=lambda args: args):
         fn = getattr(enumeration, name)
@@ -704,18 +707,26 @@ def test_verify_builds_each_check_input_once(monkeypatch):
     counted("theta_n", lambda args: args[:2])
     counted("first_occurrence", lambda args: args[0])
     counted("lowest_ktypes_sp")
-    counted("phi_n")
-    counted("phi_pq")
     assert verify_tables("all", tables).ok
     built = Counter()
     for (name, _), count in calls.items():
         built[name] += count
     assert built["appendix_rows_at"] == len(BETA_GRID)
     assert built["enumerate_sp_reps"] and built["theta_n"] and built["first_occurrence"]
-    assert built["phi_pq"] == 760
+    assert (phi_n.cache_info().misses, phi_pq.cache_info().misses) == (1140, 760)
     assert [key for key, count in calls.items() if count > 1] == []
     assert matched and [key for key, count in matched.items() if count > 1] == []
     assert (templates[1], templates[2], templates[3]) == (41, 214, 40)
+
+
+def test_second_verify_run_asks_phi_for_nothing_new():
+    """The joint-harmonics images outlive a verification run: a second
+    ``verify_tables("all")`` in the same process finds every phi_n and
+    phi_pq image in their memos."""
+    assert verify_tables("all").ok
+    before = phi_n.cache_info().misses, phi_pq.cache_info().misses
+    assert verify_tables("all").ok
+    assert (phi_n.cache_info().misses, phi_pq.cache_info().misses) == before
 
 
 def test_verify_drops_its_inputs_when_it_returns(monkeypatch):

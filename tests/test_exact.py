@@ -11,6 +11,7 @@ from thetalift.exact import (
     Scalar,
     infchars_dual,
     parse_infchar,
+    parse_int,
     parse_scalar,
 )
 
@@ -18,6 +19,15 @@ from thetalift.exact import (
 def test_scalar_parse_render_round_trip():
     for text in ["0", "3", "-3", "1/2", "b", "-b", "b+1", "1/2*b", "3/2-1*i", "2*b*i+1"]:
         assert parse_scalar(text).render() == text
+
+
+def test_parse_int_reads_ascii_digits_only():
+    """Integers are a sign and ASCII digits, spaces around them allowed;
+    ``int`` would also read digit separators and other scripts' digits."""
+    assert [parse_int(t) for t in ("0", "-3", "+2", " 12 ", "\t7\n")] == [0, -3, 2, 12, 7]
+    for text in ("", " ", "1_0", "\u0661", "1\u0660", "1.0", "--1", "1 2", "0x1"):
+        with pytest.raises(ValueError, match="bad integer"):
+            parse_int(text)
 
 
 def test_scalar_parse_alternate_spellings():

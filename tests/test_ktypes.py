@@ -211,17 +211,17 @@ def test_transfer_forms_match_the_inline_references():
     assert nones > 0 and occurs > 0
 
 
-def test_cached_transfers_equal_their_originals(monkeypatch):
-    """The bounded caches of u_from_o and o_from_u return what the uncached
+def test_cached_phi_maps_equal_their_originals(monkeypatch):
+    """The bounded caches of phi_n and phi_pq return what the uncached
     functions return on every argument the joint-harmonics round trip of
     ``verify`` gives them: phi_n on every sample O-factor pair and phi_pq on
     every occurring U-type, ranks 0..5, each image mapped back."""
-    seen = {u_from_o: set(), o_from_u: set()}
+    seen = {phi_n: set(), phi_pq: set()}
 
     def recorded(cached):
         def call(*args):
             seen[cached].add(args)
-            return cached.__wrapped__(*args)
+            return cached(*args)
 
         return call
 
@@ -231,13 +231,26 @@ def test_cached_transfers_equal_their_originals(monkeypatch):
         for n in range(6):
             for left in _all_ofactors(p, 6):
                 for right in _all_ofactors(q, 6):
-                    prime = phi_n(OKType(left, right), p, q, n)
+                    prime = ktypes.phi_n(OKType(left, right), p, q, n)
                     if prime is not None:
-                        phi_pq(prime, p, q)
+                        ktypes.phi_pq(prime, p, q)
             for prime in _occurring_uktypes(n, p, q, 6):
-                phi_n(phi_pq(prime, p, q), p, q, n)
+                ktypes.phi_n(ktypes.phi_pq(prime, p, q), p, q, n)
     monkeypatch.undo()
-    assert len(seen[u_from_o]) == 60 and len(seen[o_from_u]) == 60
+    assert len(seen[phi_n]) == 1140 and len(seen[phi_pq]) == 760
     for cached, calls in seen.items():
         for args in calls:
             assert cached(*args) == cached.__wrapped__(*args), (cached.__name__, args)
+
+
+def test_failing_phi_call_raises_every_time():
+    """A call that raises leaves nothing in phi's memo: a signature
+    mismatch raises on every call."""
+    sigma = OKType.of(2, 2, (0,), (0,), -1, -1)
+    misses = phi_n.cache_info().misses, phi_pq.cache_info().misses
+    for _ in range(3):
+        with pytest.raises(ValueError, match="signature mismatch"):
+            phi_n(sigma, 3, 1, 4)
+        with pytest.raises(ValueError, match="p - q must be even"):
+            phi_pq(UKType.of((1, 0)), 2, 1)
+    assert (phi_n.cache_info().misses, phi_pq.cache_info().misses) == (misses[0] + 3, misses[1] + 3)

@@ -521,11 +521,10 @@ _UNBOUNDED_BY_DESIGN = {
 _BOUNDED = {
     "enumeration._continuous_factor",
     "enumeration._pair_options",
-    "ktypes.o_from_u",
-    "ktypes.u_from_o",
+    "ktypes.phi_n",
+    "ktypes.phi_pq",
     "langlands._checked_o",
     "langlands._checked_sp",
-    "langlands._render_scalars",
     "langlands.parse_expr",
     "langlands.parse_param_pattern",
     "langlands._validate_psi",

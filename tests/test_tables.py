@@ -342,6 +342,9 @@ def test_malformed_row_raises(tmp_path):
         load_tables(dest)
 
 
+_PAIR_ROW = "pi_{1}(0,1,{},0,0,(1,s1),(0,c1)) => pi(0,{},0,0,(s1),(c1))"
+
+
 @pytest.mark.parametrize(
     "name,row,message",
     [
@@ -354,6 +357,8 @@ def test_malformed_row_raises(tmp_path):
         ("theta1.tbl", "pi_{1}((m;),1,{},0,0,0,0) => pi((m),{2e1},0,0,0,0) ; q>=l", "unbound variable 'q'"),
         ("theta1.tbl", "pi_{1}((m;),1,{},0,0,0,0) => pi((m),{2e1},0,0,0,0) ; m notin {1,x}", "bad scalar"),
         ("appendix_c.tbl", "pi((b),{2e1},0,0,0,0) => {(1,0,0)} ; m>=1", "unbound variable 'm'"),
+        ("theta1.tbl", f"{_PAIR_ROW} ; pair(s1,c1)!=(1_0,0)", "bad integer '1_0'"),
+        ("theta1.tbl", f"{_PAIR_ROW} ; pair(s1,c1)!=(-\u0661,0)", "bad integer"),
     ],
 )
 def test_row_defects_fail_at_load_naming_the_line(tmp_path, name, row, message):

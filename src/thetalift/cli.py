@@ -16,19 +16,20 @@ Each command imports the modules it needs when it runs: ``lift``,
 theta; ``lkt`` adds lkt and ktypes, ``phi`` ktypes, and ``enumerate``,
 ``verify`` and ``inverse-lookup`` enumeration with both.
 
-The argument parser is built once per process, on the first ``main``
-call, and reused by every later call; each call still parses into a
-fresh namespace, so no option value carries over from one call to the
-next.
+``main`` reads argv in one pass from left to right against ``_COMMANDS``:
+``thetalift [--table-dir DIR] COMMAND [--opt VALUE | --opt=VALUE | --flag]...``.
+The token after an option that takes a value is that value, even when it
+starts with ``-``, and a repeated option keeps its last value.  ``-h`` or
+``--help`` anywhere prints ``USAGE``; a usage error prints it with the
+error on stderr and exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .exact import parse_infchar, parse_int
@@ -78,7 +79,7 @@ MAX_LKT_SLOTS = 12
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text)
@@ -251,96 +252,106 @@ def _cmd_inverse_lookup(args) -> int:
     return 0 if preimages else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="thetalift",
-        description="Exact theta lifts for the dual pairs (O(p,q), Sp(2n,R)) with p+q=4.",
-    )
-    parser.add_argument(
-        "--table-dir",
-        default=None,
-        help="directory with the lift/classification tables "
-        "(default: packaged tables, or $THETALIFT_TABLE_DIR)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = f"""usage: thetalift [--table-dir DIR] COMMAND [--opt VALUE | --opt=VALUE | --flag]...
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit JSON")
+Exact theta lifts for the dual pairs (O(p,q), Sp(2n,R)) with p+q=4.  DIR holds
+the lift/classification tables (default: packaged, or $THETALIFT_TABLE_DIR).
+O is O-side parameter text, SP Sp-side and P either; every command takes --json.
 
-    p = sub.add_parser("lift", help="compute the rank-n lift of an O(p,q) parameter")
-    p.add_argument("--params", required=True, help="O-side parameter text")
-    p.add_argument("--n", type=parse_int, required=True, help=f"symplectic rank n, at most {MAX_RANK}")
-    p.add_argument(
-        "--expect-nonzero", action="store_true", help="exit 1 when the lift is zero"
-    )
-    add_json(p)
-    p.set_defaults(func=_cmd_lift)
+  lift --params O --n N [--expect-nonzero]
+                      the rank-n lift of an O(p,q) parameter, n at most {MAX_RANK};
+                      --expect-nonzero exits 1 when the lift is zero
+  infchar --params P  the infinitesimal character of P
+  lkt --params P      the lowest K-types of P, at most {MAX_LKT_SLOTS} (mu, nu) slots
+  phi --dir o2u|u2o --ktype K --sig p,q --n N
+                      the joint-harmonics K-type correspondence, n at most {MAX_RANK}
+  enumerate --n N --infchar ENTRIES [--beta B]
+                      the rank-n parameters, n at most {MAX_ENUMERATE_RANK}, with the infinitesimal
+                      character of comma-separated ENTRIES ('b,0,1' or '(b,0,1)');
+                      B is substituted for b ('generic' keeps it formal)
+  verify [--suite S]  run suite S, or all of them (the default)
+  first-occurrence --params O
+                      the smallest rank with a nonzero lift
+  inverse-lookup --sp-params SP --sig p,q
+                      the O(p,q) parameters lifting to an Sp parameter
 
-    p = sub.add_parser("infchar", help="print the infinitesimal character of a parameter")
-    p.add_argument("--params", required=True, help="Sp- or O-side parameter text")
-    add_json(p)
-    p.set_defaults(func=_cmd_infchar)
-
-    p = sub.add_parser("lkt", help="print the lowest K-types of a parameter")
-    p.add_argument(
-        "--params",
-        required=True,
-        help=f"Sp- or O-side parameter text, at most {MAX_LKT_SLOTS} (mu, nu) slots",
-    )
-    add_json(p)
-    p.set_defaults(func=_cmd_lkt)
-
-    p = sub.add_parser("phi", help="joint-harmonics K-type correspondence")
-    p.add_argument("--dir", choices=("o2u", "u2o"), required=True)
-    p.add_argument("--ktype", required=True, help="K-type text")
-    p.add_argument("--sig", required=True, help="orthogonal signature p,q")
-    p.add_argument("--n", type=parse_int, required=True, help=f"symplectic rank n, at most {MAX_RANK}")
-    add_json(p)
-    p.set_defaults(func=_cmd_phi)
-
-    p = sub.add_parser("enumerate", help="enumerate rank-n parameters with an infinitesimal character")
-    p.add_argument(
-        "--n", type=parse_int, required=True, help=f"symplectic rank n, at most {MAX_ENUMERATE_RANK}"
-    )
-    p.add_argument("--infchar", required=True, help="comma-separated entries, e.g. 'b,0,1' or '(b,0,1)'")
-    p.add_argument("--beta", default=None, help="value substituted for b ('generic' keeps it formal)")
-    add_json(p)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", default="all", help="suite name, or 'all' (the default)")
-    add_json(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("first-occurrence", help="smallest rank with a nonzero lift")
-    p.add_argument("--params", required=True, help="O-side parameter text")
-    add_json(p)
-    p.set_defaults(func=_cmd_first_occurrence)
-
-    p = sub.add_parser("inverse-lookup", help="find O(p,q) parameters lifting to a given Sp parameter")
-    p.add_argument("--sp-params", required=True, help="Sp-side parameter text")
-    p.add_argument("--sig", required=True, help="orthogonal signature p,q")
-    add_json(p)
-    p.set_defaults(func=_cmd_inverse_lookup)
-
-    return parser
+Options are spelled in full, a value may start with '-', and a repeated option
+keeps its last value.  -h or --help prints this text."""
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on first use and then reused;
-    each ``parse_args`` call returns a fresh namespace."""
-    return build_parser()
+def _cmd_help(args) -> int:
+    print(USAGE)
+    return 0
+
+
+def _direction(text: str) -> str:
+    if text not in ("o2u", "u2o"):
+        raise ValueError(f"must be o2u or u2o, got {text!r}")
+    return text
+
+
+_TEXT, _FLAG = (str, ...), (None, False)
+
+
+def _command(handler, **options):
+    """A command's handler and options by spelling, each with its field, its
+    converter (None for a flag) and its default (``...`` when required)."""
+    options["json"] = _FLAG
+    return handler, {"--" + dest.replace("_", "-"): (dest, *spec) for dest, spec in options.items()}
+
+
+_COMMANDS = {
+    "lift": _command(_cmd_lift, params=_TEXT, n=(parse_int, ...), expect_nonzero=_FLAG),
+    "infchar": _command(_cmd_infchar, params=_TEXT),
+    "lkt": _command(_cmd_lkt, params=_TEXT),
+    "phi": _command(_cmd_phi, dir=(_direction, ...), ktype=_TEXT, sig=_TEXT, n=(parse_int, ...)),
+    "enumerate": _command(_cmd_enumerate, n=(parse_int, ...), infchar=_TEXT, beta=(str, None)),
+    "verify": _command(_cmd_verify, suite=(str, "all")),
+    "first-occurrence": _command(_cmd_first_occurrence, params=_TEXT),
+    "inverse-lookup": _command(_cmd_inverse_lookup, sp_params=_TEXT, sig=_TEXT),
+}
+
+
+def _read_argv(argv: Sequence[str]):
+    """The handler that ``argv`` asks for and its options, read in one pass
+    from left to right; a ValueError names the first usage error."""
+    if "-h" in argv or "--help" in argv:
+        return _cmd_help, None
+    handler, options = None, {"--table-dir": ("table_dir", str, None)}
+    values, tokens = {"table_dir": None}, iter(argv)
+    for token in tokens:
+        if handler is None and not token.startswith("-"):
+            if token not in _COMMANDS:
+                raise ValueError(f"unknown command {token!r}")
+            handler, options = _COMMANDS[token]
+            values.update({dest: default for dest, _, default in options.values()}, command=token)
+            continue
+        name, eq, value = token.partition("=")
+        if name not in options:
+            raise ValueError(f"unknown {'option' if token[:1] == '-' else 'argument'} {token!r}")
+        dest, convert, _ = options[name]
+        if convert is None and eq:
+            raise ValueError(f"{name} takes no value")
+        if convert is not None and not eq and (value := next(tokens, None)) is None:
+            raise ValueError(f"{name} needs a value")
+        try:
+            values[dest] = True if convert is None else convert(value)
+        except ValueError as err:
+            raise ValueError(f"{name}: {err}") from None
+    missing = [name for name, (dest, *_) in options.items() if values[dest] is ...]
+    if handler is None or missing:
+        raise ValueError(f"missing {', '.join(missing) or 'command'}")
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        handler, args = _read_argv(sys.argv[1:] if argv is None else argv)
+    except ValueError as err:
+        print(f"{USAGE}\nerror: {err}", file=sys.stderr)
+        return 2
     try:
-        code = args.func(args)
+        code = handler(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -61,7 +61,6 @@ from .langlands import (
     canonical_o_psi,
     canonicalize,
     canonicalize_o,
-    canonicalize_sp,
     continuous_text,
     contragredient_sp,
     det_o,

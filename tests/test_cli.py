@@ -610,18 +610,9 @@ def test_verify_names_the_appendix_row_of_a_bad_ktype(capsys, tmp_path, defect):
     assert f"    appendix_c.tbl:93: {message}" in out.splitlines()
 
 
-@pytest.fixture
-def fresh_parser():
-    """The parser cache emptied before and after the test."""
-    from thetalift import cli
-
-    cli._parser.cache_clear()
-    yield cli
-    cli._parser.cache_clear()
-
-
-def test_parser_is_built_once_and_leaks_nothing(capsys, tmp_path, monkeypatch, fresh_parser):
-    cli = fresh_parser
+def test_no_option_value_carries_over_between_calls(capsys, tmp_path):
+    """Each ``main`` call reads its options afresh: a call made after
+    another one answers as it does alone."""
     cut = str(_copy_without_row(tmp_path / "tables"))
     # (first call, second call): the second must not see the first's options.
     pairs = [
@@ -636,27 +627,13 @@ def test_parser_is_built_once_and_leaks_nothing(capsys, tmp_path, monkeypatch, f
         ),
         (["lift", "--params", TRIVIAL22], ["lift", "--params", TRIVIAL22, "--n", "1"]),
     ]
-    # Each call made first, with a parser of its own.
-    alone = {}
-    for argv in (argv for pair in pairs for argv in pair):
-        cli._parser.cache_clear()
-        alone[tuple(argv)] = run(capsys, argv)
+    # Each second call made before its first one.
+    alone = {tuple(argv): run(capsys, argv) for pair in pairs for argv in reversed(pair)}
     assert [alone[tuple(second)][0] for _, second in pairs] == [0, 0, 0, 0]
     assert [alone[tuple(first)][0] for first, _ in pairs] == [0, 2, 1, 2]
-
-    built = []
-    real = cli.build_parser
-
-    def counting_build_parser():
-        built.append(1)
-        return real()
-
-    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-    cli._parser.cache_clear()
     for first, second in pairs * 2:
         assert run(capsys, first) == alone[tuple(first)], first
         assert run(capsys, second) == alone[tuple(second)], second
-    assert len(built) == 1
 
 
 # -- usage errors --------------------------------------------------------------------------
@@ -683,10 +660,20 @@ def test_bad_parameter_text_exits_two(capsys):
         ["lift", "--params", "pi_{1}(0,1,{},0,0,(1,1),(0,1))", "--n", "101"],
         ["phi", "--dir", "o2u", "--ktype", "(1;+1)x(0;+1)", "--sig", "2,2", "--n", "101"],
         ["inverse-lookup", "--sp-params", RANK101_TARGET, "--sig", "2,2"],
+        ["lift", "--par", TRIVIAL22, "--n", "1"],
+        ["lift", "--params", TRIVIAL22, "--n", "1", "--json=1"],
+        ["lift", "--params", TRIVIAL22, "--n"],
+        ["--table-dir"],
+        ["lift", "--params", TRIVIAL22, "--n", "1", "--table-dir", str(TABLE_DIR)],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
-    assert run(capsys, argv)[0] == 2
+    """Usage errors, among them an abbreviated option, a flag given a
+    value, an option without its value and ``--table-dir`` after the
+    command, exit 2 with an error line and no traceback."""
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "error: " in err and "Traceback" not in err
 
 
 def test_unknown_suite_names_every_suite(capsys):
@@ -819,8 +806,11 @@ def test_non_ascii_digits_exit_two(capsys, argv, digit):
 
 
 def test_help_exits_zero(capsys):
-    code, out, _ = run(capsys, ["--help"])
-    assert code == 0 and "lift" in out and "inverse-lookup" in out
+    """``-h`` or ``--help``, before or after the command, prints the usage."""
+    for argv in (["--help"], ["-h"], ["lift", "--help"]):
+        code, out, err = run(capsys, argv)
+        assert code == 0 and "lift" in out and "inverse-lookup" in out, argv
+        assert err == "", argv
 
 
 def test_closed_stdout_ends_quietly():

@@ -3,10 +3,10 @@
 ``import thetalift`` with ``load_tables()``, and the ``lift``,
 ``first-occurrence`` and ``infchar`` commands, never load the census and
 verification code (``enumeration``) or the K-type code (``lkt``,
-``ktypes``).  No entry point loads ``dataclasses`` or ``inspect``, which
-cost more at start-up than a lift query's work.  Fresh interpreters run
-with ``-X importtime``, which logs every module the first time it is
-imported.
+``ktypes``).  No entry point loads ``dataclasses``, ``inspect`` or
+``argparse``, which cost more at start-up than a lift query's work.
+Fresh interpreters run with ``-X importtime``, which logs every module
+the first time it is imported.
 """
 
 import functools
@@ -32,8 +32,9 @@ ENUMERATION_NAMES = (
 )
 
 
-# Standard-library modules that take tens of milliseconds to import.
-SLOW_TO_IMPORT = {"dataclasses", "inspect"}
+# Standard-library modules that take longer to import than a warm lift
+# query takes to run.
+SLOW_TO_IMPORT = {"argparse", "dataclasses", "inspect"}
 
 
 def _fresh(*args: str) -> tuple[int, str, set]:

@@ -499,11 +499,9 @@ def test_positive_systems_built_apart_hash_and_compare_equal():
 # -- cache bounds -------------------------------------------------------------------
 
 # Unbounded caches whose domain is bounded by design: the per-kind root
-# tables, the argument-free CLI parser, and the one-dimensional
-# parameters (two per supported signature; other signatures raise, and
-# lru caches store no exception).
+# tables and the one-dimensional parameters (two per supported signature;
+# other signatures raise, and lru caches store no exception).
 _UNBOUNDED_BY_DESIGN = {
-    "cli._parser",
     "langlands._one_dim_o",
     "roots.all_roots",
     "roots._coord_slots",

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
@@ -78,11 +79,43 @@ MAX_RANK = 100
 MAX_LKT_SLOTS = 12
 
 
+def _dumps(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.  With
+    ``indent`` set, ``json.dumps`` runs its pure-Python encoder; this
+    writer runs the C string encoder on the str, int, bool and None values
+    and the str-keyed dicts and lists that payloads hold, and hands any
+    other value to ``json.dumps``.  ``pad`` is the newline and indentation
+    of the value's own line."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = pad + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_dumps(item, inner) for item in value]) + pad + "]"
+    if kind is dict:
+        keys = sorted(value)
+        if not keys:
+            return "{}"
+        # Sorted keys are all str or none are: str and other keys do not compare.
+        if isinstance(keys[0], str):
+            items = [encode_basestring_ascii(key) + ": " + _dumps(value[key], inner) for key in keys]
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+    # JSON text holds no raw newline, so this re-indents it to this depth.
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+
+
 def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+    print(_dumps(payload) if args.json else text)
 
 
 def _read_params(command: str, text: str, parse):
@@ -107,9 +140,15 @@ def _read_params(command: str, text: str, parse):
     return parse(text)
 
 
+def _check_rank(args, cap: int) -> None:
+    if args.n < 0:
+        raise ValueError(f"rank n must be nonnegative, got {args.n}")
+    if args.n > cap:
+        raise ValueError(f"{args.command} supports ranks n <= {cap}, got {args.n}")
+
+
 def _cmd_lift(args) -> int:
-    if args.n > MAX_RANK:
-        raise ValueError(f"lift supports ranks n <= {MAX_RANK}, got {args.n}")
+    _check_rank(args, MAX_RANK)
     tables = load_tables(args.table_dir)
     pi = _read_params(args.command, args.params, parse_o)
     res = theta_n(pi, args.n, tables)
@@ -169,10 +208,7 @@ def _cmd_phi(args) -> int:
     p, q = _parse_sig(args.sig)
     if (p - q) % 2 != 0:
         raise ValueError("p - q must be even")
-    if args.n < 0:
-        raise ValueError(f"rank n must be nonnegative, got {args.n}")
-    if args.n > MAX_RANK:
-        raise ValueError(f"phi supports ranks n <= {MAX_RANK}, got {args.n}")
+    _check_rank(args, MAX_RANK)
     if args.dir == "o2u":
         sigma = parse_oktype(args.ktype, p, q)
         result = phi_n(sigma, p, q, args.n)
@@ -193,10 +229,7 @@ def _cmd_phi(args) -> int:
 def _cmd_enumerate(args) -> int:
     from .enumeration import beta_scalar, enumerate_sp_reps
 
-    if args.n < 0:
-        raise ValueError(f"rank n must be nonnegative, got {args.n}")
-    if args.n > MAX_ENUMERATE_RANK:
-        raise ValueError(f"enumerate supports ranks n <= {MAX_ENUMERATE_RANK}, got {args.n}")
+    _check_rank(args, MAX_ENUMERATE_RANK)
     chi = parse_infchar(args.infchar)
     if args.beta is not None:
         chi = chi.substitute(beta_scalar(args.beta))

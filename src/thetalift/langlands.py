@@ -129,11 +129,11 @@ class OParams(NamedTuple):
 
     @property
     def p(self) -> int:
-        return 2 * self.a + 2 * self.s + self.t
+        return 2 * len(self.lam_left) + 2 * len(self.mu) + len(self.eps)
 
     @property
     def q(self) -> int:
-        return 2 * self.d + 2 * self.s + self.t
+        return 2 * len(self.lam_right) + 2 * len(self.mu) + len(self.eps)
 
     @property
     def zeros(self) -> int:

@@ -520,16 +520,20 @@ def apply_modification(params):
     opposite signs and equal kappa up to sign.  In each class of kappas
     equal up to sign, the earliest slots of each sign pair off, and each
     pair is replaced by the continuous pair (mu, nu) = (0, 2|kappa|); the
-    slots left over keep their order."""
-    classes: dict[Scalar, dict[int, list[int]]] = {}
+    slots left over keep their order.  A parameter with no clash is
+    returned itself."""
+    classes: dict[Scalar, tuple[list[int], list[int]]] = {}
     for idx, (e, k) in enumerate(zip(params.eps, params.kappa)):
-        classes.setdefault(k.normalized_sign(), {}).setdefault(e, []).append(idx)
+        classes.setdefault(k.normalized_sign(), ([], []))[e < 0].append(idx)
     mu, nu, paired = list(params.mu), list(params.nu), set()
-    for k, by_sign in classes.items():
-        for i, j in zip(by_sign.get(1, ()), by_sign.get(-1, ())):
-            paired |= {i, j}
-            mu.append(0)
-            nu.append(k.scale(2))
+    for k, (plus, minus) in classes.items():
+        count = min(len(plus), len(minus))
+        if count:
+            paired.update(plus[:count], minus[:count])
+            mu += [0] * count
+            nu += [k.scale(2)] * count
+    if not paired:
+        return params
     keep = [idx for idx in range(len(params.eps)) if idx not in paired]
     return params._replace(
         mu=tuple(mu),
@@ -652,6 +656,10 @@ class ThetaResult(NamedTuple):
         return "0" if self.params is None else render_sp(self.params)
 
 
+# The rank-zero lift: the one parameter of Sp(0,R).
+_EMPTY_SP = SpParams((), PositiveSystem.of(SpKind(0), ()), (), (), (), ())
+
+
 def theta_n(pi: OParams, n: int, tables: Optional[TableSet] = None) -> ThetaResult:
     """The rank-n lift of an O(p,q) parameter, p + q = 4, any n >= 0.  An
     invalid pi raises ParamError."""
@@ -680,8 +688,7 @@ def _theta_n(pi: OParams, n: int, tables: TableSet) -> ThetaResult:
     if n0 is not None and n < n0:
         return ThetaResult(None, f"zero: rank {n} is below the first occurrence {n0}")
     if n == 0:
-        empty = SpParams((), PositiveSystem.of(SpKind(0), ()), (), (), (), ())
-        return ThetaResult(empty, "rank-zero lift of the trivial parameter")
+        return ThetaResult(_EMPTY_SP, "rank-zero lift of the trivial parameter")
     start = n if n <= 2 else max(n0 or 2, 2)
     base = lookup_lift(tables.theta(start), pi)
     if base is None:

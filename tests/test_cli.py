@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thetalift import cli
 from thetalift.cli import main
 from thetalift.langlands import _checked_o, _checked_sp, _validate_psi, parse_param_pattern
 from thetalift.roots import all_roots, parse_psi, root_set
@@ -730,6 +731,12 @@ def test_negative_enumerate_rank_is_named(capsys):
     assert code == 2 and err == "error: rank n must be nonnegative, got -1\n"
 
 
+def test_negative_lift_rank_is_named_before_the_params(capsys):
+    """``lift`` refuses a negative rank before it reads ``--params``."""
+    code, out, err = run(capsys, ["lift", "--params", "pi(", "--n", "-1"])
+    assert (code, out) == (2, "") and err == "error: rank n must be nonnegative, got -1\n"
+
+
 def test_bad_signature_exits_two(capsys):
     code, _, err = run(
         capsys, ["phi", "--dir", "o2u", "--ktype", "(1;+1)x(0;+1)", "--sig", "2", "--n", "1"]
@@ -844,6 +851,75 @@ def test_readme_commands_run(capsys):
         want = re.search(r"#\s*exit (\d+)", line)
         code, _, err = run(capsys, shlex.split(line, comments=True)[1:])
         assert code == (int(want.group(1)) if want else 0), (line, err)
+
+
+# -- the --json writer --------------------------------------------------------------
+
+_JSON_TEXT = st.text(alphabet=st.sampled_from('"\\/\x00\x1f\x7f\n\t ab\u00e9\u20ac\U0001f600\ud800'))
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.sampled_from([0, 1, -1, 0.0, 1.0, -0.0])
+    | st.floats()
+    | st.text()
+    | _JSON_TEXT
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text() | _JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(value=_JSON_VALUES)
+@example(value=[[], {}, [[]], {"": {}}])
+@example(value={"a": [0, 0.0, False, 1, 1.0, True, None, -1]})
+@example(value={"b": {2: "two", 10: [1, []]}, "c": ("t", ["u"], ())})
+@example(value={"\u00e9": "\U0001f600\x00\"\\"})
+def test_json_writer_matches_json_dumps(value):
+    """``cli._dumps`` writes ``json.dumps(value, indent=2, sort_keys=True)``
+    byte for byte, also for the values it hands to ``json.dumps``: floats,
+    tuples and dicts without str keys."""
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "argv, code, literal",
+    [
+        (["lift", "--params", TRIVIAL22, "--n", "2"], 0, '"zero": false'),
+        (["lift", "--params", DET22, "--n", "2"], 0, '"params": null'),
+        (["infchar", "--params", "pi(0,{},(1),(1),(1),(2))"], 0, '"entries": ['),
+        (["lkt", "--params", "pi(0,{},(1,1),(1,3),0,0)"], 0, '"lkts": ['),
+        (["phi", "--dir", "o2u", "--ktype", "(1;+1)x(0;+1)", "--sig", "2,2", "--n", "1"], 0, '"n": 1'),
+        (["phi", "--dir", "o2u", "--ktype", "(3;+1)x(0;-1)", "--sig", "2,2", "--n", "0"], 0, '"result": null'),
+        (["enumerate", "--n", "1", "--infchar", "b", "--beta", "1/2"], 0, '"count": '),
+        (["verify", "--suite", "theta3"], 0, '"ok": true'),
+        (["first-occurrence", "--params", DET22], 0, '"first_occurrence": 4'),
+        (["inverse-lookup", "--sp-params", "pi(0,{},0,0,(1),(1))", "--sig", "2,2"], 0, '"sig": [\n    2,\n    2\n  ]'),
+        (["inverse-lookup", "--sp-params", "pi((-1),{-2e1},0,0,0,0)", "--sig", "4,0"], 1, '"preimages": []'),
+    ],
+    ids=[
+        "lift", "lift-zero", "infchar", "lkt", "phi", "phi-miss", "enumerate", "verify",
+        "first-occurrence", "inverse-lookup", "inverse-lookup-empty",
+    ],
+)
+def test_every_command_writes_json_as_json_dumps(capsys, monkeypatch, argv, code, literal):
+    """Each command's ``--json`` stdout is ``json.dumps(payload, indent=2,
+    sort_keys=True)`` and a newline, with its null, bool and empty values."""
+    payloads, emit = [], cli._emit
+
+    def spy(args, payload, text):
+        payloads.append(payload)
+        emit(args, payload, text)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    got, out, _ = run(capsys, argv + ["--json"])
+    (payload,) = payloads
+    assert got == code and out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert literal in out
 
 
 # -- fuzz -------------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from thetalift import enumeration
+from thetalift import cli, enumeration
 from thetalift.enumeration import (
     BETA_GRID,
     EXCEPTIONAL_THETA3_INPUT,
@@ -785,11 +785,12 @@ def test_verify_tables_rejects_unknown_suites():
 ORACLE_SHA256 = "51a9e5edc2000eae9720c4fdc3f9b17911defe26100838ed586595ba58046e00"
 
 
-def test_verify_tables_all_is_green():
-    rep = verify_tables("all")
-    assert rep.ok, rep.render()
-    text = json.dumps(rep.to_json(), indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_SHA256
+def test_verify_tables_all_is_green(capsys):
+    """The oracle is the CLI's own stdout, through its ``--json`` writer."""
+    code = cli.main(["verify", "--suite", "all", "--json"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_SHA256
 
 
 def test_verify_tables_all_is_the_same_from_cold_and_warm_value_memos():

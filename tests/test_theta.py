@@ -262,11 +262,13 @@ def _random_slots(rng):
     return SpParams((), PositiveSystem.of(SpKind(0), ()), mu, tuple(signed() for _ in mu), eps, kappa)
 
 
-def test_kappa_classes_match_the_pairwise_references():
+def test_kappa_classes_match_the_pairwise_references(monkeypatch):
     """Grouping slots by sign-normalized kappa accepts and rejects exactly
     the parameters the pairwise check does, and the modification rule's
     per-class pairing leaves the same slots, in order, and the same
-    canonical form as resolving the leftmost clash first."""
+    canonical form as resolving the leftmost clash first.  It returns its
+    input itself exactly when there is no clash, on the Sp side and on the
+    O side that ``induct_pq`` hands it."""
     rng = random.Random(20)
     rejected = clashes = 0
     for _ in range(4000):
@@ -282,8 +284,25 @@ def test_kappa_classes_match_the_pairwise_references():
         out, want = apply_modification(probe), _reference_modification(probe)
         assert (out.eps, out.kappa) == (want.eps, want.kappa), probe
         assert canonicalize_sp(out) == canonicalize_sp(want), probe
-        clashes += len(out.mu) > len(probe.mu)
+        clash = len(want.mu) > len(probe.mu)
+        assert (out is probe) == (not clash), probe
+        clashes += clash
     assert rejected > 500 and clashes > 500
+    calls = []
+
+    def spy(params):
+        calls.append((params, apply_modification(params)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(theta_module, "apply_modification", spy)
+    for eps, clash in (((1, 1), False), ((1, -1), True)):
+        induct_pq(parse_o(f"pi_{{1}}(0,1,{{}},0,0,{eps},(0,1))"), 3, 1)
+        (probe, out), = calls[-1:]
+        want = _reference_modification(probe)
+        assert (out.eps, out.kappa) == (want.eps, want.kappa), probe
+        assert canonicalize_o(out) == canonicalize_o(want), probe
+        assert (len(want.mu) > len(probe.mu)) == clash, probe
+        assert (out is probe) == (not clash), probe
 
 
 # -- condition on the discrete datum -----------------------------------------

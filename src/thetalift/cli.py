@@ -55,11 +55,13 @@ from .theta import (
 )
 
 
-# Census size grows about sixfold per rank: ``thetalift enumerate --n 7
-# --infchar 0,1,2,3,4,5,6`` takes 0.96-1.00 s end to end (59 592 parameters,
-# 54 MB peak RSS) and ``--n 6 --infchar 0,1,2,3,4,5`` 0.40-0.42 s (9932
-# parameters), three runs each on a 2-core Xeon box whose speed drifts with
-# other load.  The library's enumerators stay unbounded.
+# Census size grows about sixfold per rank.  The largest rank-7 census
+# found, 89 632 parameters (``--infchar`` 1,...,7, 1,3,...,13, 10,...,70 or
+# 1,2,4,...,64), takes 1.3-2.0 s end to end and 67-69 MB peak RSS; ``--n 7
+# --infchar 0,1,2,3,4,5,6`` 0.95-1.09 s (59 592 parameters, 54 MB) and
+# ``--n 6 --infchar 0,1,2,3,4,5`` 0.24 s (9932 parameters); three runs each
+# on a 2-core Xeon box whose speed drifts with other load.  The library's
+# enumerators stay unbounded.
 MAX_ENUMERATE_RANK = 7
 
 # ``lift`` cost grows quadratically in n (0.05 s at n=100), ``phi``

@@ -15,9 +15,9 @@ valid and canonical parameter, as ``parse_o``, ``instantiate_pattern``
 and the inductions return it.  ``induct_n`` and ``induct_pq`` accept any
 valid parameter and return a canonical one.  Every table is read through
 ``matching_rows``, a bounded memo keyed by the table, which compares by
-its rows, and the parameter: the first occurrence, the rank-1 lift and
-the lifts of ranks 2 to 6 that start from the rank-2 table read one
-match, and an edited copy of a table is matched afresh.
+its rows, and the parameter: a first occurrence reads at most one
+rank-1 match, a lift that one and one match of the table it starts from,
+and an edited copy of a table is matched afresh.
 
 Table grammar.  Each data row reads ``PATTERN => TEMPLATE ; CONDITION``.
 Patterns and templates are parameter text in the grammar of
@@ -609,10 +609,12 @@ _SUPPORTED = ((4, 0), (3, 1), (2, 2))
 _SWAPPED = ((0, 4), (1, 3))
 
 
-def _fixed_occurrence(pi: OParams) -> Optional[int]:
-    """The first occurrence of a valid and canonical pi of supported
-    signature when its shape fixes it: 0, 3 or 4.  None when it is 1 or 2,
-    which the rank-1 table decides."""
+def _occurrence(pi: OParams, tables: TableSet) -> int:
+    """The first occurrence of a valid and canonical pi: 0 if trivial, 4 if
+    det, 3 if xi = -1 or zeta = -1 with a (+1, 0) slot, else 1 or 2 by the
+    rank-1 table."""
+    if (pi.p, pi.q) in _SWAPPED:
+        return _occurrence(swap_pq(pi), tables)
     if (pi.p, pi.q) not in _SUPPORTED:
         raise ThetaError(f"unsupported signature O({pi.p},{pi.q})")
     if pi == trivial_o(pi.p, pi.q):
@@ -621,17 +623,7 @@ def _fixed_occurrence(pi: OParams) -> Optional[int]:
         return 4
     if pi.xi == -1 or (pi.zeta == -1 and any(e == 1 and kap.is_zero for e, kap in zip(pi.eps, pi.kappa))):
         return 3
-    return None
-
-
-def _occurrence(pi: OParams, tables: TableSet) -> int:
-    """The first occurrence of a valid and canonical pi."""
-    if (pi.p, pi.q) in _SWAPPED:
-        return _occurrence(swap_pq(pi), tables)
-    n0 = _fixed_occurrence(pi)
-    if n0 is None:
-        return 1 if matching_rows(tables.theta(1), pi) else 2
-    return n0
+    return 1 if matching_rows(tables.theta(1), pi) else 2
 
 
 def first_occurrence(pi: OParams, tables: Optional[TableSet] = None) -> int:
@@ -671,10 +663,10 @@ def theta_n(pi: OParams, n: int, tables: Optional[TableSet] = None) -> ThetaResu
 
 
 def _theta_n(pi: OParams, n: int, tables: TableSet) -> ThetaResult:
-    """``theta_n`` of a valid and canonical pi.  Above rank 1 an occurrence
-    of 1 or 2 makes no difference, so the rank-1 table is matched only for
-    a rank-1 lift, whose one lookup also decides between the two, and for
-    the provenance of a zero rank-0 lift."""
+    """``theta_n`` of a valid and canonical pi.  With n0 its first
+    occurrence, the lift is zero below n0 and the empty parameter at rank
+    0; otherwise it is the table row at rank ``n if n <= 2 else max(n0,
+    2)``, raised to rank n by ``induct_n``."""
     if (pi.p, pi.q) in _SWAPPED:
         inner = _theta_n(swap_pq(pi), n, tables)
         if inner.is_zero:
@@ -682,18 +674,14 @@ def _theta_n(pi: OParams, n: int, tables: TableSet) -> ThetaResult:
         return ThetaResult(
             contragredient_sp(inner.params), inner.provenance + " (contragredient via signature swap)"
         )
-    n0 = _fixed_occurrence(pi)
-    if n0 is None and n == 0:
-        n0 = _occurrence(pi, tables)
-    if n0 is not None and n < n0:
+    n0 = _occurrence(pi, tables)
+    if n < n0:
         return ThetaResult(None, f"zero: rank {n} is below the first occurrence {n0}")
     if n == 0:
         return ThetaResult(_EMPTY_SP, "rank-zero lift of the trivial parameter")
-    start = n if n <= 2 else max(n0 or 2, 2)
+    start = n if n <= 2 else max(n0, 2)
     base = lookup_lift(tables.theta(start), pi)
     if base is None:
-        if n == 1 and n0 is None:
-            return ThetaResult(None, "zero: rank 1 is below the first occurrence 2")
         raise TableError(f"no rank-{start} table row matches {render_o(pi)}")
     provenance = f"theta{start} table"
     if n == start:

@@ -560,6 +560,40 @@ def test_verify_reports_a_lift_row_defect(capsys, tmp_path, defect, suite):
     assert "FAIL  " in out and f"    {message}" in out.splitlines()
 
 
+# Edits of theta1.tbl:12, the O(3,1) row that the first occurrence of
+# its parameters reads: each fails one suite, naming the parameter, and
+# leaves the others passing.
+_RANK1_ROW = "pi_{1}((m;),1,{},0,0,(1),(0)) => pi((m),{2e1},0,0,0,0) ; m>=0"
+_RANK1_ROW_DEFECTS = {
+    "deleted": ((), "theta4", "pi_{1}((1;),1,{},0,0,(1),(0)) @ O(3,1): occurrence sum 5 != 4"),
+    "duplicated": (
+        (_RANK1_ROW, _RANK1_ROW),
+        "theta12",
+        "pi_{1}((1;),1,{},0,0,(1),(0)) @ O(3,1) matches rows at lines 12, 13; rows must be exclusive",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_RANK1_ROW_DEFECTS))
+def test_verify_reports_a_rank1_row_defect(capsys, tmp_path, defect):
+    replacement, failing, message = _RANK1_ROW_DEFECTS[defect]
+
+    def edit(text: str) -> str:
+        lines = text.splitlines()
+        assert lines[11] == _RANK1_ROW
+        lines[11:12] = replacement
+        return "\n".join(lines) + "\n"
+
+    dest = _copy_with_edit(tmp_path / "tables", "theta1.tbl", edit)
+    for suite in ("theta12", "theta4", "props"):
+        code, out, err = run(capsys, ["--table-dir", str(dest), "verify", "--suite", suite])
+        if suite == failing:
+            assert (code, err) == (1, "")
+            assert "FAIL  " in out and f"    {message}" in out.splitlines()
+        else:
+            assert (code, err) == (0, ""), out
+
+
 def test_verify_reports_a_rank3_template_off_the_classification(capsys, tmp_path):
     """A theta3 template whose character lacks 1 is a classification
     failure, not a crash."""

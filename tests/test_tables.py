@@ -11,6 +11,7 @@ from thetalift import langlands
 from thetalift import theta as theta_module
 from thetalift.enumeration import (
     BETA_GRID,
+    SUITES,
     _instantiated_row_cases,
     beta_scalar,
     regenerate_appendix_c,
@@ -240,29 +241,42 @@ def test_verify_keeps_nothing_from_a_run_on_other_tables(tmp_path):
     assert any("classification K-types differ" in d for d in failed("theta3: each rank-3 lift appears"))
 
 
+# Edits of a lift-table row's template Psi that make the row's lift no
+# parameter at some binding, with the first failure verify reports for it.
+_NEGATE_E1_PLUS_E2 = ("{e1+e2,", "{-e1-e2,")
+_NOT_POSITIVE = "Psi is not a positive system"
+
+
 @pytest.mark.parametrize(
-    "name, line, binding",
-    [("theta3.tbl", 8, "m=2"), ("theta3.tbl", 25, "c1=2"), ("theta2.tbl", 14, "m=1")],
-    ids=["theta3.tbl:8", "theta3.tbl:25", "theta2.tbl:14"],
+    "name, line, edit, message",
+    [
+        ("theta3.tbl", 8, _NEGATE_E1_PLUS_E2, f"at {{m=2}}: {_NOT_POSITIVE}"),
+        ("theta3.tbl", 25, _NEGATE_E1_PLUS_E2, f"at {{c1=2}}: {_NOT_POSITIVE}"),
+        ("theta2.tbl", 14, _NEGATE_E1_PLUS_E2, f"at {{m=1}}: {_NOT_POSITIVE}"),
+        ("theta1.tbl", 12, ("{2e1}", "{-2e1}"), "at {m=1}: lam=(1,) is not (F-1)-dominant for Psi={-2e1}"),
+    ],
+    ids=["theta3.tbl:8", "theta3.tbl:25", "theta2.tbl:14", "theta1.tbl:12"],
 )
-def test_template_that_no_longer_instantiates_fails_verify(tmp_path, name, line, binding):
-    """Negating e1+e2 in the template Psi of a lift-table row leaves no
-    positive system, so the row's lift is no parameter where its pattern is
-    one: ``verify`` fails that row by file, line and binding, and every
-    suite, ``props`` among them, still runs its other checks."""
+def test_template_that_no_longer_instantiates_fails_verify(tmp_path, name, line, edit, message):
+    """A template Psi edited so that the row's lift is no parameter where
+    its pattern is one: ``verify`` fails that row by file, line and
+    binding, and every suite, ``props`` among them, still runs its other
+    checks.  A rank-1 row is read by every first occurrence of its shape,
+    so ``theta12`` and ``theta4`` name those parameters too."""
+    old, new = edit
     dest = _copy_tables(tmp_path)
     path = dest / name
     lines = path.read_text().splitlines()
     pattern, _, template = lines[line - 1].partition("=>")
-    assert "{e1+e2," in template
-    lines[line - 1] = pattern + "=>" + template.replace("{e1+e2,", "{-e1-e2,", 1)
+    assert old in template
+    lines[line - 1] = pattern + "=>" + template.replace(old, new, 1)
     path.write_text("\n".join(lines) + "\n")
     report = verify_tables("all", load_tables(dest))
     suite = "theta3" if name == "theta3.tbl" else "theta12"
     failed = {c.label: c.details for c in report.cases if not c.ok}
     label = f"{suite}: {name}:{line}: template instantiates where the pattern does"
-    assert failed[label][0] == f"at {{{binding}}}: Psi is not a positive system"
-    for each in ("theta3", "theta12", "props"):
+    assert failed[label][0] == message
+    for each in SUITES:
         assert f"{each}: suite runs without a table, lift or parameter error" not in failed
     if suite == "theta3":
         assert list(failed) == [label]
